@@ -13,12 +13,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .action import MobiusParams, action_scan
+from .errors import IntegrationOverflowError
 from .kg import kg_closed_constant, kg_fd_residual, kg_solve_numeric, wronskian_drift, write_basis_csv
 from .nodes import (
     classical_limit_scan,
@@ -36,20 +36,19 @@ from .scenario import (
     RegionClass,
     Scenario,
     Species,
-    classical_momentum,
     classify_region,
+    constant_rates,
     load_config,
     scenario_from_config,
+    write_csv,
 )
 from .trajectory import (
     firqnl_residual,
     trajectory_constant_allowed,
     trajectory_constant_forbidden,
     trajectory_ode,
-    trajectory_photon,
     velocity_momentum_check,
     write_trajectory_csv,
-    _forbidden_rates,
 )
 
 DEFAULT_AB = ((1.0, 0.0), (4.0, 2.0), (0.5, -1.0))
@@ -64,28 +63,10 @@ FIRQNL_BOUND_GENERIC = 1e-3
 VELMOM_BOUND = 1e-6
 KG_FD_BOUND = 1e-4
 
-
-@dataclass
-class RunConfig:
-    scenario: Scenario
-    ab_list: list[MobiusParams] = field(default_factory=list)
-    out_dir: Path = Path(".")
-    dt: float | None = None
-    samples: int = 600
-    step: float = 1.0e-3
-    method: str = "rk4"
-    x_min: float | None = None
-    x_max: float | None = None
-    x0: float = 0.0
-    ceiling: float = 1.0e6
-    epsilons: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125)
-
-    def __post_init__(self):
-        if self.samples < 16:
-            raise ValueError("sample counts below 16 are not meaningful here")
-        for p in self.ab_list:
-            if p.a == 0.0:
-                raise ValueError("every (a, b) pair needs a != 0")
+# Default linear-potential window: its left end, and how far the numeric
+# basis runs past the turning point (both fm).
+LINEAR_X_MIN = -400.0
+TURNING_MARGIN = 2.0
 
 
 def _parse_ab(text: str, x0: float = 0.0) -> list[MobiusParams]:
@@ -104,17 +85,66 @@ def _parse_ab(text: str, x0: float = 0.0) -> list[MobiusParams]:
     return out
 
 
-def _scenario_from_args(args) -> Scenario:
+def _family(args, x0: float = 0.0, default=DEFAULT_AB) -> list[MobiusParams]:
+    """The --ab family list, or the default one, anchored at x0."""
+    return _parse_ab(args.ab, x0) if args.ab else [MobiusParams(a, b, x0) for a, b in default]
+
+
+def _scenario_from_args(args, default: Scenario | None = None) -> Scenario:
     if args.config:
         cfg = load_config(args.config)
         s = scenario_from_config(cfg)
     else:
-        s = Scenario(
+        s = default or Scenario(
             species=Species.electron(), potential=Potential.constant(0.0), energy=2.0
         )
     if args.hbar_scale is not None:
         s = s.with_hbar_scale(args.hbar_scale)
     return s
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out or "out")
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _linear_basis(s: Scenario, args, x_min: float | None, x_max: float | None):
+    """(basis, x_lo, x_hi, turning) for the linear potential V = g x.
+
+    The numeric basis (--step, --method) spans the window [x_lo, x_hi], by
+    default from LINEAR_X_MIN to TURNING_MARGIN past the turning point
+    (E - m0 c^2) / g, where the allowed region ends; trajectories and scans
+    stop at the turning point.
+    """
+    g = s.potential.g
+    if g < 0:
+        raise ValueError("the linear-potential window needs g > 0 "
+                         "(for g < 0 it would span the Klein region)")
+    turning = (s.energy - s.rest_energy) / g
+    x_lo = LINEAR_X_MIN if x_min is None else x_min
+    x_hi = turning + TURNING_MARGIN if x_max is None else x_max
+    basis = kg_solve_numeric(s, x_lo, x_hi, step=args.step, method=args.method)
+    return basis, x_lo, x_hi, turning
+
+
+def _closed_family(s: Scenario, ab: list[MobiusParams], args) -> list:
+    """(p, trajectory, divergence events) for each member on a constant potential.
+
+    An allowed region or a photon spans three node intervals, a forbidden
+    region two periods pi / |omega_f|; samples are --dt apart, or --samples
+    across the span.
+    """
+    if classify_region(s, ab[0].x0) is RegionClass.FORBIDDEN:
+        t_hi = 2.0 * math.pi / abs(constant_rates(s, RegionClass.FORBIDDEN).omega)
+        make = lambda p, dt: trajectory_constant_forbidden(
+            s, p, (0.0, t_hi), dt, x_ceiling=args.ceiling
+        )
+    else:
+        t_hi = 3.0 * nodes_constant(s).dt_spacing
+        make = lambda p, dt: (trajectory_constant_allowed(s, p, (0.0, t_hi), dt), [])
+    dt = args.dt if args.dt else t_hi / args.samples
+    return [(p, *make(p, dt)) for p in ab]
 
 
 def _fmt(v: float) -> str:
@@ -132,6 +162,14 @@ def _status(name: str, value: float, bound: float, checks: list) -> None:
     ok = value <= bound
     checks.append((name, ok))
     print(f"check {name}: {'PASS' if ok else 'FAIL'} ({value:.3e} <= {bound:.0e})")
+
+
+def _verdict(checks: list) -> int:
+    failed = [name for name, ok in checks if not ok]
+    if failed:
+        print(f"FAILED checks: {', '.join(failed)}")
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -167,84 +205,48 @@ def _figure_scenario(figure_id: int) -> tuple[Scenario, float]:
 def cmd_figure(args) -> int:
     figure_id = args.figure_id
     s, default_x0 = _figure_scenario(figure_id)
-    if args.config:
-        s = scenario_from_config(load_config(args.config))
-    if args.hbar_scale is not None:
-        s = s.with_hbar_scale(args.hbar_scale)
+    s = _scenario_from_args(args, s)
     x0 = default_x0 if args.x0 is None else args.x0
-    ab = _parse_ab(args.ab, x0) if args.ab else [MobiusParams(a, b, x0) for a, b in DEFAULT_AB]
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = RunConfig(
-        scenario=s, ab_list=ab, out_dir=out, samples=args.samples,
-        step=args.step, method=args.method, ceiling=args.ceiling,
-    )
+    ab = _family(args, x0)
+    out = _out_dir(args)
 
     written: list[Path] = []
-    if figure_id in (1, 3):
-        if figure_id == 3 and not s.species.is_photon:
-            raise ValueError("figure 3 needs a photon scenario")
-        if figure_id == 1 and s.species.is_photon:
-            raise ValueError("figure 1 needs a massive scenario")
-        if classify_region(s, x0) is not RegionClass.ALLOWED:
-            raise ValueError("figure scenario must sit in an allowed region")
-        nd = nodes_constant(s, n_nodes=4, x0=x0)
-        t_hi = 3.0 * nd.dt_spacing
-        dt = args.dt if args.dt else t_hi / cfg.samples
-        for p in cfg.ab_list:
-            traj = (
-                trajectory_photon(s, p, (0.0, t_hi), dt)
-                if s.species.is_photon
-                else trajectory_constant_allowed(s, p, (0.0, t_hi), dt)
-            )
-            written.append(
-                write_trajectory_csv(traj, out / f"fig{figure_id}_traj_{_ab_tag(p)}.csv")
-            )
-        written.append(write_node_report_csv(nd, out / f"fig{figure_id}_nodes.csv", s))
-        print(f"figure {figure_id}: {len(cfg.ab_list)} trajectories, "
-              f"dt_n = {_fmt(nd.dt_spacing)} s, dx_n = {_fmt(nd.dx_spacings[0] * METERS_PER_FM)} m")
-    elif figure_id == 2:
-        if s.species.is_photon:
-            raise ValueError("figure 2 needs a massive scenario")
-        if classify_region(s, x0) is not RegionClass.FORBIDDEN:
-            raise ValueError("figure 2 scenario must sit in a forbidden region")
-        _, omega_f, _ = _forbidden_rates(s)
-        t_hi = 2.0 * math.pi / abs(omega_f)
-        dt = args.dt if args.dt else t_hi / cfg.samples
-        for p in cfg.ab_list:
-            traj, events = trajectory_constant_forbidden(
-                s, p, (0.0, t_hi), dt, x_ceiling=cfg.ceiling
-            )
-            written.append(
-                write_trajectory_csv(traj, out / f"fig2_traj_{_ab_tag(p)}.csv")
-            )
-            stars = ", ".join(_fmt(e.t_star) for e in events)
-            print(f"fig2 {_ab_tag(p)}: divergence times t* = {stars} s (no nodes)")
-    else:  # figure 4
+    if figure_id != 4:
+        photon = figure_id == 3
+        region = RegionClass.FORBIDDEN if figure_id == 2 else RegionClass.ALLOWED
+        if s.species.is_photon != photon:
+            raise ValueError(f"figure {figure_id} needs a {'photon' if photon else 'massive'} scenario")
+        if classify_region(s, x0) is not region:
+            raise ValueError(f"figure {figure_id} needs a classically {region.value} scenario")
+        for p, traj, events in _closed_family(s, ab, args):
+            written.append(write_trajectory_csv(traj, out / f"fig{figure_id}_traj_{_ab_tag(p)}.csv"))
+            if region is RegionClass.FORBIDDEN:
+                stars = ", ".join(_fmt(e.t_star) for e in events)
+                print(f"fig2 {_ab_tag(p)}: divergence times t* = {stars} s (no nodes)")
+        if region is RegionClass.ALLOWED:
+            nd = nodes_constant(s, n_nodes=4, x0=x0)
+            written.append(write_node_report_csv(nd, out / f"fig{figure_id}_nodes.csv", s))
+            print(f"figure {figure_id}: {len(ab)} trajectories, dt_n = {_fmt(nd.dt_spacing)} s, "
+                  f"dx_n = {_fmt(nd.dx_spacings[0] * METERS_PER_FM)} m")
+    else:
         if s.potential.is_constant:
             raise ValueError("figure 4 needs the linear potential")
-        turning = (s.energy - s.rest_energy) / s.potential.g
-        x_lo = x0
-        x_hi = turning  # trajectory_ode truncates just short of it
-        basis = kg_solve_numeric(s, x_lo, turning + 2.0, step=cfg.step, method=cfg.method)
+        basis, x_lo, _, turning = _linear_basis(s, args, x0, None)
         ref = None
-        for p in cfg.ab_list:
-            traj = trajectory_ode(s, basis, p, (x_lo, x_hi), n_samples=cfg.samples)
+        for p in ab:
+            traj = trajectory_ode(s, basis, p, (x_lo, turning), n_samples=args.samples)
             if (p.a, p.b) == (1.0, 0.0):
                 ref = traj
             written.append(write_trajectory_csv(traj, out / f"fig4_traj_{_ab_tag(p)}.csv"))
         zeros = nodes_numeric(basis)
         if ref is None:
-            ref = trajectory_ode(s, basis, MobiusParams(1.0, 0.0, x0), (x_lo, x_hi), cfg.samples)
+            ref = trajectory_ode(s, basis, MobiusParams(1.0, 0.0, x0), (x_lo, turning), args.samples)
         t_at = np.interp(zeros, ref.positions, ref.times)
-        path = out / "fig4_nodes.csv"
-        with path.open("w") as fh:
-            fh.write("# rqtlab linear-potential nodes (times from the a=1, b=0 member)\n")
-            fh.write(f"# energy_mev = {s.energy!r}\n# g_mev_per_fm = {s.potential.g!r}\n")
-            fh.write("# columns: n, t_n_s, x_n_m\n")
-            for i, (t, z) in enumerate(zip(t_at, zeros)):
-                fh.write(f"{i},{_fmt(t)},{_fmt(z * METERS_PER_FM)}\n")
-        written.append(path)
+        header = ["rqtlab linear-potential nodes (times from the a=1, b=0 member)",
+                  f"energy_mev = {s.energy!r}", f"g_mev_per_fm = {s.potential.g!r}",
+                  "columns: n, t_n_s, x_n_m"]
+        rows = ((i, t, z * METERS_PER_FM) for i, (t, z) in enumerate(zip(t_at, zeros)))
+        written.append(write_csv(out / "fig4_nodes.csv", header, rows))
         print(f"figure 4: turning point at {_fmt(turning * METERS_PER_FM)} m, "
               f"{len(zeros)} nodes")
     for w in written:
@@ -265,11 +267,7 @@ def cmd_report(args) -> int:
     print(f"hbar_scale          : {s.hbar_scale}")
 
     if not s.potential.is_constant:
-        basis = kg_solve_numeric(
-            s, args.x_min if args.x_min is not None else -400.0,
-            args.x_max if args.x_max is not None else (s.energy - s.rest_energy) / s.potential.g + 2.0,
-            step=args.step, method=args.method,
-        )
+        basis = _linear_basis(s, args, args.x_min, args.x_max)[0]
         rows = linear_node_summary(s, basis)
         print(f"numeric nodes       : {len(rows) + 1}")
         if rows:
@@ -288,7 +286,7 @@ def cmd_report(args) -> int:
         zs = basis.phi2_zeros(0.0, 3.5 * nd.dx_spacings[0])
         spacing = float(np.diff(zs)[0])
         pbar = mean_momentum(basis, MobiusParams(1.0, 0.0), float(zs[0]), float(zs[1]))
-        p_cl = classical_momentum(s)
+        p_cl = nd.mean_momentum  # q / c, the classical momentum
         print(f"dt_n                : {_fmt(nd.dt_spacing)} s")
         print(f"dx_n                : {_fmt(nd.dx_spacings[0] * METERS_PER_FM)} m")
         print(f"lambda              : {_fmt(nd.wavelength * METERS_PER_FM)} m")
@@ -305,15 +303,8 @@ def cmd_report(args) -> int:
         )
         _status("mean_momentum_matches_classical", abs(pbar / p_cl - 1.0), 1e-9, checks)
         if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            print(f"wrote {write_node_report_csv(nd, out / 'node_report.csv', s)}")
-
-    failed = [name for name, ok in checks if not ok]
-    if failed:
-        print(f"FAILED checks: {', '.join(failed)}")
-        return 1
-    return 0
+            print(f"wrote {write_node_report_csv(nd, _out_dir(args) / 'node_report.csv', s)}")
+    return _verdict(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +312,7 @@ def cmd_report(args) -> int:
 
 def cmd_residuals(args) -> int:
     s = _scenario_from_args(args)
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    ab = _parse_ab(args.ab) if args.ab else [MobiusParams(a, b) for a, b in DEFAULT_AB]
+    out = _out_dir(args)
     checks: list[tuple[str, bool]] = []
 
     if s.potential.is_constant:
@@ -331,70 +320,38 @@ def cmd_residuals(args) -> int:
             raise ValueError("residual scans cover allowed-region scenarios")
         basis = kg_closed_constant(s)
         nd = nodes_constant(s)
-        for p in ab:
+        xs = np.linspace(-1.6 * nd.dx_spacings[0], 1.6 * nd.dx_spacings[0], args.samples)
+        title = "rqtlab action residual scan"
+        t_range = (0.0, 3 * nd.dt_spacing)
+    else:
+        basis, x_lo, x_hi, turning = _linear_basis(s, args, args.x_min, args.x_max)
+        _status("kg_fd_residual", kg_fd_residual(basis), KG_FD_BOUND, checks)
+        xs = np.linspace(x_lo + 2.0, min(x_hi, turning) - 4.0, args.samples)
+        title = "rqtlab action residual scan (linear potential)"
+
+    for p in _family(args):
+        tag = _ab_tag(p)
+        rows = action_scan(basis, p, xs)
+        header = [title, f"a = {p.a!r}", f"b = {p.b!r}", "columns: x_fm, s0_mev_s, ds0dx, residual"]
+        print(f"wrote {write_csv(out / f'residuals_{tag}.csv', header, rows)}")
+        r_hj = max(r[3] for r in rows)
+        if s.potential.is_constant:
             straight = p.a == 1.0 and p.b == 0.0
-            xs = np.linspace(-1.6 * nd.dx_spacings[0], 1.6 * nd.dx_spacings[0], args.samples)
-            rows = action_scan(basis, p, xs)
-            path = out / f"residuals_{_ab_tag(p)}.csv"
-            with path.open("w") as fh:
-                fh.write("# rqtlab action residual scan\n")
-                fh.write(f"# a = {p.a!r}\n# b = {p.b!r}\n")
-                fh.write("# columns: x_fm, s0_mev_s, ds0dx, residual\n")
-                for x, s0, ds0, res in rows:
-                    fh.write(f"{_fmt(x)},{_fmt(s0)},{_fmt(ds0)},{_fmt(res)}\n")
-            print(f"wrote {path}")
-            r_hj = max(r[3] for r in rows)
-            dt = nd.dt_spacing / 2000.0
-            if s.species.is_photon:
-                traj = trajectory_photon(s, p, (0.0, 3 * nd.dt_spacing), dt)
-            else:
-                traj = trajectory_constant_allowed(s, p, (0.0, 3 * nd.dt_spacing), dt)
-            if straight:
-                # analytic-vanishing tier: derivatives are exactly zero, so
-                # sample coarsely to keep the difference noise at bay
-                coarse = trajectory_constant_allowed(s, p, (0.0, 3 * nd.dt_spacing), nd.dt_spacing / 16) \
-                    if not s.species.is_photon else \
-                    trajectory_photon(s, p, (0.0, 3 * nd.dt_spacing), nd.dt_spacing / 16)
-                r_fq = firqnl_residual(coarse)
-            else:
-                r_fq = firqnl_residual(traj)
-            r_vm = velocity_momentum_check(traj, basis)
-            tag = _ab_tag(p)
+            traj = trajectory_constant_allowed(s, p, t_range, nd.dt_spacing / 2000.0)
+            # analytic-vanishing tier: derivatives are exactly zero, so
+            # sample coarsely to keep the difference noise at bay
+            coarse = trajectory_constant_allowed(s, p, t_range, nd.dt_spacing / 16) if straight else traj
+            r_fq = firqnl_residual(coarse)
             _status(f"rqshje_{tag}", r_hj,
                     RQSHJE_BOUND_STRAIGHT if straight else RQSHJE_BOUND_GENERIC, checks)
             _status(f"firqnl_{tag}", r_fq,
                     FIRQNL_BOUND_STRAIGHT if straight else FIRQNL_BOUND_GENERIC, checks)
-            _status(f"velocity_momentum_{tag}", r_vm, VELMOM_BOUND, checks)
-    else:
-        x_lo = args.x_min if args.x_min is not None else -400.0
-        turning = (s.energy - s.rest_energy) / s.potential.g
-        x_hi = args.x_max if args.x_max is not None else turning + 2.0
-        basis = kg_solve_numeric(s, x_lo, x_hi, step=args.step, method=args.method)
-        r_kg = kg_fd_residual(basis)
-        _status("kg_fd_residual", r_kg, KG_FD_BOUND, checks)
-        for p in ab:
-            xs = np.linspace(x_lo + 2.0, min(x_hi, turning) - 4.0, args.samples)
-            rows = action_scan(basis, p, xs)
-            path = out / f"residuals_{_ab_tag(p)}.csv"
-            with path.open("w") as fh:
-                fh.write("# rqtlab action residual scan (linear potential)\n")
-                fh.write(f"# a = {p.a!r}\n# b = {p.b!r}\n")
-                fh.write("# columns: x_fm, s0_mev_s, ds0dx, residual\n")
-                for x, s0, ds0, res in rows:
-                    fh.write(f"{_fmt(x)},{_fmt(s0)},{_fmt(ds0)},{_fmt(res)}\n")
-            print(f"wrote {path}")
-            r_hj = max(r[3] for r in rows)
-            traj = trajectory_ode(s, basis, p, (x_lo + 2.0, turning), n_samples=max(64, args.samples))
-            r_vm = velocity_momentum_check(traj, basis)
-            tag = _ab_tag(p)
+        else:
+            traj = trajectory_ode(s, basis, p, (x_lo + 2.0, min(x_hi, turning)),
+                                  n_samples=max(64, args.samples))
             _status(f"rqshje_{tag}", r_hj, RQSHJE_BOUND_LINEAR, checks)
-            _status(f"velocity_momentum_{tag}", r_vm, VELMOM_BOUND, checks)
-
-    failed = [name for name, ok in checks if not ok]
-    if failed:
-        print(f"FAILED checks: {', '.join(failed)}")
-        return 1
-    return 0
+        _status(f"velocity_momentum_{tag}", velocity_momentum_check(traj, basis), VELMOM_BOUND, checks)
+    return _verdict(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -402,46 +359,22 @@ def cmd_residuals(args) -> int:
 
 def cmd_trajectory(args) -> int:
     s = _scenario_from_args(args)
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    ab = _parse_ab(args.ab, args.x0 or 0.0) if args.ab else [
-        MobiusParams(a, b, args.x0 or 0.0) for a, b in DEFAULT_AB
-    ]
+    out = _out_dir(args)
+    ab = _family(args, args.x0 or 0.0)
     if s.potential.is_constant:
-        region = classify_region(s, ab[0].x0)
-        if s.species.is_photon:
-            nd = nodes_constant(s)
-            t_hi = 3 * nd.dt_spacing
-            make = lambda p, dt: trajectory_photon(s, p, (0.0, t_hi), dt)
-        elif region is RegionClass.FORBIDDEN:
-            _, omega_f, _ = _forbidden_rates(s)
-            t_hi = 2.0 * math.pi / abs(omega_f)
-            make = lambda p, dt: trajectory_constant_forbidden(
-                s, p, (0.0, t_hi), dt, x_ceiling=args.ceiling
-            )[0]
-        else:
-            nd = nodes_constant(s)
-            t_hi = 3 * nd.dt_spacing
-            make = lambda p, dt: trajectory_constant_allowed(s, p, (0.0, t_hi), dt)
-        dt = args.dt if args.dt else t_hi / args.samples
-        for p in ab:
-            traj = make(p, dt)
+        for p, traj, _ in _closed_family(s, ab, args):
             print(f"wrote {write_trajectory_csv(traj, out / f'traj_{_ab_tag(p)}.csv')}")
     else:
-        x_lo = args.x_min if args.x_min is not None else -400.0
-        turning = (s.energy - s.rest_energy) / s.potential.g
-        x_hi = args.x_max if args.x_max is not None else turning
-        basis = kg_solve_numeric(s, x_lo, max(x_hi, turning) + 2.0, step=args.step, method=args.method)
+        basis, x_lo, x_hi, turning = _linear_basis(s, args, args.x_min, args.x_max)
         for p in ab:
-            traj = trajectory_ode(s, basis, p, (x_lo, x_hi), n_samples=args.samples)
+            traj = trajectory_ode(s, basis, p, (x_lo, min(x_hi, turning)), n_samples=args.samples)
             print(f"wrote {write_trajectory_csv(traj, out / f'traj_{_ab_tag(p)}.csv')}")
     return 0
 
 
 def cmd_nodes(args) -> int:
     s = _scenario_from_args(args)
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     if s.potential.is_constant:
         if classify_region(s, 0.0) is RegionClass.FORBIDDEN:
             print("nodes: none (massive particle in a classically forbidden region)")
@@ -450,21 +383,14 @@ def cmd_nodes(args) -> int:
         print(f"wrote {write_node_report_csv(nd, out / 'nodes.csv', s)}")
         print(f"dt_n = {_fmt(nd.dt_spacing)} s, dx_n = {_fmt(nd.dx_spacings[0] * METERS_PER_FM)} m")
     else:
-        x_lo = args.x_min if args.x_min is not None else -400.0
-        turning = (s.energy - s.rest_energy) / s.potential.g
-        x_hi = args.x_max if args.x_max is not None else turning + 2.0
-        basis = kg_solve_numeric(s, x_lo, x_hi, step=args.step, method=args.method)
+        basis = _linear_basis(s, args, args.x_min, args.x_max)[0]
         rows = linear_node_summary(s, basis)
-        path = out / "nodes.csv"
-        with path.open("w") as fh:
-            fh.write("# rqtlab numeric node intervals\n")
-            fh.write(f"# energy_mev = {s.energy!r}\n# g_mev_per_fm = {s.potential.g!r}\n")
-            fh.write("# columns: n, x_lo_m, x_hi_m, dx_m, p_node_mev_s_per_fm, p_classical_mid\n")
-            for r in rows:
-                fh.write(
-                    f"{r['n']},{_fmt(r['x_lo'] * METERS_PER_FM)},{_fmt(r['x_hi'] * METERS_PER_FM)},"
-                    f"{_fmt(r['dx'] * METERS_PER_FM)},{_fmt(r['p_node'])},{_fmt(r['p_classical_mid'])}\n"
-                )
+        header = ["rqtlab numeric node intervals", f"energy_mev = {s.energy!r}",
+                  f"g_mev_per_fm = {s.potential.g!r}",
+                  "columns: n, x_lo_m, x_hi_m, dx_m, p_node_mev_s_per_fm, p_classical_mid"]
+        path = write_csv(out / "nodes.csv", header, (
+            (r["n"], r["x_lo"] * METERS_PER_FM, r["x_hi"] * METERS_PER_FM,
+             r["dx"] * METERS_PER_FM, r["p_node"], r["p_classical_mid"]) for r in rows))
         print(f"wrote {path}")
         print(f"{len(rows) + 1 if rows else 0} nodes; spacing grows toward the turning point")
     return 0
@@ -472,8 +398,7 @@ def cmd_nodes(args) -> int:
 
 def cmd_kg_solve(args) -> int:
     s = _scenario_from_args(args)
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     x_lo = args.x_min if args.x_min is not None else 0.0
     x_hi = args.x_max if args.x_max is not None else 100.0
     basis = kg_solve_numeric(s, x_lo, x_hi, step=args.step, method=args.method)
@@ -485,11 +410,10 @@ def cmd_kg_solve(args) -> int:
 
 def cmd_classical_limit(args) -> int:
     s = _scenario_from_args(args)
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    ab = _parse_ab(args.ab) if args.ab else [MobiusParams(4.0, 2.0)]
+    out = _out_dir(args)
+    p = _family(args, default=((4.0, 2.0),))[0]
     eps = tuple(float(e) for e in args.epsilons.split(","))
-    rep = classical_limit_scan(s, ab[0], eps)
+    rep = classical_limit_scan(s, p, eps)
     print(f"wrote {write_classical_csv(rep, out / 'classical_limit.csv')}")
     print(f"fitted scaling exponent = {rep.exponent:.6f}")
     ok = (
@@ -567,7 +491,7 @@ def main(argv=None) -> int:
         if getattr(args, "samples", 16) < 16:
             raise ValueError("sample counts below 16 are not meaningful here")
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, IntegrationOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateBasisError, DomainError, IntegrationOverflowError
-from .scenario import Scenario, TURNING_TOL_FACTOR
+from .scenario import RegionClass, Scenario, constant_rates, scenario_header, write_csv
 
 # Wronskian drift a produced basis is allowed before it counts as broken.
 DRIFT_TOL_CLOSED = 1.0e-8
@@ -220,43 +220,27 @@ def kg_closed_constant(
     phi1 = sin(kx), phi2 = cos(kx); massive forbidden region:
     phi1 = sinh(kx), phi2 = cosh(kx).  W = k in both cases.
     """
-    if not s.potential.is_constant:
-        raise ValueError("closed-form basis requires a constant potential")
-    u = s.energy - s.potential.u0
-    d = u * u - s.rest_energy**2
-    if abs(d) <= TURNING_TOL_FACTOR * s.energy**2:
-        raise DegenerateBasisError(
-            "turning energy: (E - U0)^2 = m0^2 c^4, basis degenerates"
-        )
-    k = math.sqrt(abs(d)) / s.hbar_c
-    if d > 0:
-        ev = (
-            lambda x: np.sin(k * np.asarray(x, dtype=float)),
-            lambda x: np.cos(k * np.asarray(x, dtype=float)),
-            lambda x: k * np.cos(k * np.asarray(x, dtype=float)),
-            lambda x: -k * np.sin(k * np.asarray(x, dtype=float)),
-        )
+    r = constant_rates(s)
+    k = r.k
+    allowed = r.region is RegionClass.ALLOWED
+    # (sin, cos) and phi2' = -k sin(kx) when allowed, else (sinh, cosh) and +k sinh(kx)
+    sn, cs, dk = (np.sin, np.cos, -k) if allowed else (np.sinh, np.cosh, k)
+    kx = lambda x: k * np.asarray(x, dtype=float)
+    ev = (lambda x: sn(kx(x)), lambda x: cs(kx(x)),
+          lambda x: k * cs(kx(x)), lambda x: dk * sn(kx(x)))
 
-        def zeros(lo, hi):
-            # cos(kx) = 0 at x = (m + 1/2) pi / k
-            m_lo = math.ceil(lo * k / math.pi - 0.5)
-            m_hi = math.floor(hi * k / math.pi - 0.5)
-            return (np.arange(m_lo, m_hi + 1) + 0.5) * math.pi / k
-    else:
-        ev = (
-            lambda x: np.sinh(k * np.asarray(x, dtype=float)),
-            lambda x: np.cosh(k * np.asarray(x, dtype=float)),
-            lambda x: k * np.cosh(k * np.asarray(x, dtype=float)),
-            lambda x: k * np.sinh(k * np.asarray(x, dtype=float)),
-        )
-
-        def zeros(lo, hi):
+    def zeros(lo, hi):
+        if not allowed:
             return np.array([])  # cosh has no real zeros
+        # cos(kx) = 0 at x = (m + 1/2) pi / k
+        m_lo = math.ceil(lo * k / math.pi - 0.5)
+        m_hi = math.floor(hi * k / math.pi - 0.5)
+        return (np.arange(m_lo, m_hi + 1) + 0.5) * math.pi / k
 
     if x_min is None or x_max is None:
         # trig: eight oscillations; hyperbolic: a few decay lengths (beyond
         # ~8/kappa the cosh^2 - sinh^2 cancellation eats the mantissa)
-        half_span = 8.0 * math.pi / k if d > 0 else 6.0 / k
+        half_span = 8.0 * math.pi / k if allowed else 6.0 / k
         x_min = -half_span if x_min is None else x_min
         x_max = half_span if x_max is None else x_max
     return KgBasis(
@@ -449,7 +433,6 @@ def kg_fd_residual(basis: KgBasis, edge_margin: int = 4) -> float:
 
 def write_basis_csv(basis: KgBasis, path: str | Path, n_points: int = 1001) -> Path:
     """Dump sampled basis values; header comments carry the scenario."""
-    s = basis.scenario
     if basis.is_closed_form:
         xs = np.linspace(basis.x_min, basis.x_max, n_points)
     else:
@@ -457,21 +440,10 @@ def write_basis_csv(basis: KgBasis, path: str | Path, n_points: int = 1001) -> P
         if len(xs) > n_points:
             stride = max(1, len(xs) // n_points)
             xs = xs[::stride]
-    p = Path(path)
-    with p.open("w") as fh:
-        fh.write("# rqtlab klein-gordon basis\n")
-        fh.write(f"# species_rest_mev = {s.rest_energy!r}\n")
-        fh.write(f"# energy_mev = {s.energy!r}\n")
-        fh.write(f"# potential = {s.potential.kind.value}\n")
-        fh.write(f"# u0_mev = {s.potential.u0!r}\n")
-        fh.write(f"# g_mev_per_fm = {s.potential.g!r}\n")
-        fh.write(f"# hbar_scale = {s.hbar_scale!r}\n")
-        fh.write(f"# source = {basis.source.describe()}\n")
-        fh.write(f"# wronskian_per_fm = {basis.wronskian!r}\n")
-        fh.write("# columns: x_fm, phi1, phi2, dphi1, dphi2\n")
-        for x in xs:
-            fh.write(
-                f"{x:.12e},{float(basis.phi1(x)):.12e},{float(basis.phi2(x)):.12e},"
-                f"{float(basis.dphi1(x)):.12e},{float(basis.dphi2(x)):.12e}\n"
-            )
-    return p
+    header = ["rqtlab klein-gordon basis", *scenario_header(basis.scenario),
+              f"source = {basis.source.describe()}",
+              f"wronskian_per_fm = {basis.wronskian!r}",
+              "columns: x_fm, phi1, phi2, dphi1, dphi2"]
+    rows = ((x, float(basis.phi1(x)), float(basis.phi2(x)), float(basis.dphi1(x)),
+             float(basis.dphi2(x))) for x in xs)
+    return write_csv(path, header, rows)

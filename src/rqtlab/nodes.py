@@ -14,16 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import MobiusParams, reduced_action
-from .errors import DegenerateBasisError, DomainError
+from .errors import DomainError
 from .kg import KgBasis, local_wavenumber
 from .scenario import (
     METERS_PER_FM,
     RegionClass,
     Scenario,
-    TURNING_TOL_FACTOR,
-    classify_region,
+    constant_rates,
+    write_csv,
 )
-from .trajectory import constant_allowed_position, photon_position, _allowed_rates, _photon_rates
+from .trajectory import constant_allowed_position
 
 
 @dataclass
@@ -52,16 +52,9 @@ def nodes_constant(s: Scenario, n_nodes: int = 8, x0: float = 0.0) -> NodeReport
     dx_n = pi hbar c / sqrt((E-U0)^2 - m0^2 c^4); the photon values follow
     with m0 = 0.
     """
-    if not s.potential.is_constant:
-        raise ValueError("analytic nodes need a constant potential")
-    u = s.energy - s.potential.u0
-    q2 = u * u - s.rest_energy**2
-    if abs(q2) <= TURNING_TOL_FACTOR * s.energy**2:
-        raise DegenerateBasisError("turning energy: node formulas degenerate")
-    if q2 < 0:
-        raise DomainError("massive forbidden region carries no nodes")
-    q = math.sqrt(q2)
-    dt = math.pi * s.hbar * abs(u) / q2
+    r = constant_rates(s, RegionClass.ALLOWED)
+    q = math.sqrt(r.q2)
+    dt = math.pi * s.hbar * abs(r.u) / r.q2
     dx = math.pi * s.hbar_c / q
     ns = np.arange(n_nodes)
     lam = 2.0 * math.pi * s.hbar_c / q
@@ -103,13 +96,7 @@ def de_broglie_check(s: Scenario, report: NodeReport) -> float:
     lambda = h c / sqrt((E-U0)^2 - m0^2 c^4) with h = 2 pi hbar; the ratio
     is exactly 1 analytically, and hbar cancels so it is scale invariant.
     """
-    if not s.potential.is_constant:
-        raise ValueError("the closed-form wavelength needs a constant potential")
-    u = s.energy - s.potential.u0
-    q2 = u * u - s.rest_energy**2
-    if q2 <= 0:
-        raise DomainError("no real wavelength in a forbidden region")
-    lam = 2.0 * math.pi * s.hbar_c / math.sqrt(q2)
+    lam = 2.0 * math.pi * s.hbar_c / math.sqrt(constant_rates(s, RegionClass.ALLOWED).q2)
     return float(np.mean(report.dx_spacings)) / (lam / 2.0)
 
 
@@ -152,29 +139,22 @@ def classical_limit_scan(
     linear in hbar, so the fitted log-log slope is 1.
     """
     eps_arr = np.sort(np.asarray(list(epsilons), dtype=float))[::-1]
-    if np.any(eps_arr <= 0) or np.any(eps_arr > 1):
+    if not (np.all(eps_arr > 0) and np.all(eps_arr <= 1)):
         raise ValueError("epsilons must lie in (0, 1]")
-    if classify_region(s, 0.0) is not RegionClass.ALLOWED or not s.potential.is_constant:
-        raise ValueError("classical-limit scan needs an allowed constant-potential setup")
-    u = s.energy - s.potential.u0
-    q2 = u * u - s.rest_energy**2
-    beta = math.sqrt(q2) / abs(u)          # v/c of the straight-line member
+    r = constant_rates(s, RegionClass.ALLOWED)
+    if eps_arr[0] == eps_arr[-1]:
+        raise ValueError("the scaling fit needs at least two distinct epsilons")
+    beta = math.sqrt(r.q2) / abs(r.u)      # v/c of the straight-line member
     slope = beta * s.c                      # fm / s
-    bound_factor = s.c * math.sqrt(2.0 - q2 / u**2)
+    bound_factor = s.c * math.sqrt(2.0 - r.q2 / r.u**2)
 
     deviations = []
     bounds = []
     for eps in eps_arr:
         s_eps = s.with_hbar_scale(float(eps))
-        if s.species.is_photon:
-            _, omega = _photon_rates(s_eps)
-            pos = photon_position
-        else:
-            _, _, omega = _allowed_rates(s_eps)
-            pos = constant_allowed_position
-        dt_n = math.pi / omega
+        dt_n = math.pi / constant_rates(s_eps).omega
         ts = np.linspace(0.0, n_intervals * dt_n, n_samples)
-        xs = np.asarray(pos(s_eps, p, ts), dtype=float)
+        xs = np.asarray(constant_allowed_position(s_eps, p, ts), dtype=float)
         line = p.x0 + slope * ts
         deviations.append(float(np.max(np.abs(xs - line)) / math.sqrt(1.0 + beta**2)))
         bounds.append(bound_factor * dt_n)
@@ -217,36 +197,24 @@ def linear_node_summary(s: Scenario, basis: KgBasis) -> list[dict]:
 # Output.
 
 def write_node_report_csv(report: NodeReport, path, scenario: Scenario | None = None):
-    from pathlib import Path
-
-    p = Path(path)
-    with p.open("w") as fh:
-        fh.write("# rqtlab node report\n")
-        if scenario is not None:
-            fh.write(f"# species_rest_mev = {scenario.rest_energy!r}\n")
-            fh.write(f"# energy_mev = {scenario.energy!r}\n")
-            fh.write(f"# u0_mev = {scenario.potential.u0!r}\n")
-            fh.write(f"# hbar_scale = {scenario.hbar_scale!r}\n")
-        fh.write("# dx_m column is the spacing to the next node (last row repeats)\n")
-        fh.write("# columns: n, t_n_s, x_n_m, dx_m, lambda_half_m, ratio\n")
-        half_lam = report.wavelength / 2.0 * METERS_PER_FM
-        for n, (t, x) in enumerate(zip(report.node_times, report.node_positions)):
-            dx = report.dx_spacings[min(n, len(report.dx_spacings) - 1)]
-            fh.write(
-                f"{n},{t:.12e},{x * METERS_PER_FM:.12e},{dx * METERS_PER_FM:.12e},"
-                f"{half_lam:.12e},{report.ratio:.12e}\n"
-            )
-    return p
+    header = ["rqtlab node report"]
+    if scenario is not None:
+        header += [f"species_rest_mev = {scenario.rest_energy!r}",
+                   f"energy_mev = {scenario.energy!r}",
+                   f"u0_mev = {scenario.potential.u0!r}",
+                   f"hbar_scale = {scenario.hbar_scale!r}"]
+    header += ["dx_m column is the spacing to the next node (last row repeats)",
+               "columns: n, t_n_s, x_n_m, dx_m, lambda_half_m, ratio"]
+    half_lam = report.wavelength / 2.0 * METERS_PER_FM
+    last = len(report.dx_spacings) - 1
+    rows = ((n, t, x * METERS_PER_FM, report.dx_spacings[min(n, last)] * METERS_PER_FM,
+             half_lam, report.ratio)
+            for n, (t, x) in enumerate(zip(report.node_times, report.node_positions)))
+    return write_csv(path, header, rows)
 
 
 def write_classical_csv(report: ClassicalLimitReport, path):
-    from pathlib import Path
-
-    p = Path(path)
-    with p.open("w") as fh:
-        fh.write("# rqtlab classical-limit scan\n")
-        fh.write(f"# fitted_exponent = {report.exponent:.12e}\n")
-        fh.write("# columns: epsilon, deviation_m, bound_m\n")
-        for eps, dev, bnd in zip(report.epsilons, report.deviations, report.bounds):
-            fh.write(f"{eps:.12e},{dev * METERS_PER_FM:.12e},{bnd * METERS_PER_FM:.12e}\n")
-    return p
+    header = ["rqtlab classical-limit scan", f"fitted_exponent = {report.exponent:.12e}",
+              "columns: epsilon, deviation_m, bound_m"]
+    return write_csv(path, header, zip(report.epsilons, report.deviations * METERS_PER_FM,
+                                       report.bounds * METERS_PER_FM))

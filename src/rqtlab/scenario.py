@@ -12,9 +12,9 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .errors import SingularEnergyError
+from .errors import DegenerateBasisError, DomainError, SingularEnergyError
 
 # CODATA 2018 recommended values, in MeV / fm / s.  hbar_c is derived as
 # the exact product so that identities like p = hbar k = sqrt(...)/c hold
@@ -99,6 +99,10 @@ class Potential:
     u0: float = 0.0  # MeV, constant case
     g: float = 0.0   # MeV / fm, linear case
 
+    def __post_init__(self):
+        if not (math.isfinite(self.u0) and math.isfinite(self.g)):
+            raise ValueError("potential parameters must be finite")
+
     @classmethod
     def constant(cls, u0: float = 0.0) -> "Potential":
         return cls(kind=PotentialKind.CONSTANT, u0=u0)
@@ -138,8 +142,8 @@ class Scenario:
     constants: Constants = field(default_factory=Constants)
 
     def __post_init__(self):
-        if self.energy <= 0:
-            raise ValueError("total energy must be positive")
+        if not (math.isfinite(self.energy) and self.energy > 0):
+            raise ValueError("total energy must be positive and finite")
         if not (0.0 < self.hbar_scale <= 1.0):
             raise ValueError("hbar_scale must lie in (0, 1]")
 
@@ -202,6 +206,81 @@ def classical_momentum(s: Scenario, x: float = 0.0) -> float:
     if d <= 0:
         raise SingularEnergyError(f"no real momentum at x = {x}")
     return math.sqrt(d) / s.c
+
+
+@dataclass(frozen=True)
+class ConstantRates:
+    """Closed-form rates of a constant potential.
+
+    u = E - U0 and q2 = u^2 - m0^2 c^4 (MeV^2); k is the wavenumber
+    sqrt(|q2|) / (hbar c) in 1/fm (kappa in a forbidden region) and omega
+    the time rate of the closed-form trajectories in 1/s.
+    """
+
+    u: float
+    q2: float
+    k: float
+    omega: float
+    region: RegionClass
+
+
+def constant_rates(s: Scenario, region: RegionClass | None = None) -> ConstantRates:
+    """u, q2, k, omega and the region of a constant-potential scenario.
+
+    Raises SingularEnergyError at E = U0, DegenerateBasisError inside the
+    turning-energy band, and DomainError when ``region`` is given and the
+    scenario lies in the other one.  omega is q2 / (hbar |u|) for a massive
+    particle in an allowed region, |u| / hbar for the photon (m0 = 0), and
+    -q2 / (hbar u) in a forbidden region, where its sign follows E - U0.
+    """
+    if not s.potential.is_constant:
+        raise ValueError("closed forms need a constant potential")
+    u = s.energy - s.potential.u0
+    if u == 0.0:
+        raise SingularEnergyError("E = U0")
+    q2 = u * u - s.rest_energy**2
+    if abs(q2) <= TURNING_TOL_FACTOR * s.energy**2:
+        raise DegenerateBasisError("turning energy: (E - U0)^2 = m0^2 c^4, closed forms degenerate")
+    found = RegionClass.ALLOWED if q2 > 0 else RegionClass.FORBIDDEN
+    if region is not None and found is not region:
+        raise DomainError(f"the scenario lies in the {found.value} region, not the {region.value} one")
+    if found is RegionClass.FORBIDDEN:
+        omega = -q2 / (s.hbar * u)
+    elif s.species.is_photon:
+        omega = abs(u) / s.hbar
+    else:
+        omega = q2 / (s.hbar * abs(u))
+    return ConstantRates(u=u, q2=q2, k=math.sqrt(abs(q2)) / s.hbar_c, omega=omega, region=found)
+
+
+# ---------------------------------------------------------------------------
+# CSV output.
+
+def scenario_header(s: Scenario) -> list[str]:
+    """Header lines echoing every scenario field, for ``write_csv``."""
+    return [
+        f"species_rest_mev = {s.rest_energy!r}",
+        f"energy_mev = {s.energy!r}",
+        f"potential = {s.potential.kind.value}",
+        f"u0_mev = {s.potential.u0!r}",
+        f"g_mev_per_fm = {s.potential.g!r}",
+        f"hbar_scale = {s.hbar_scale!r}",
+    ]
+
+
+def write_csv(path: str | Path, header: Iterable[str], rows: Iterable) -> Path:
+    """Write '# ' header lines, then one line per row.
+
+    Floats are written as %.12e (13 significant digits), ints as they are,
+    so identical inputs give byte-identical files.
+    """
+    p = Path(path)
+    with p.open("w") as fh:
+        for line in header:
+            fh.write(f"# {line}\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, int) else f"{v:.12e}" for v in row) + "\n")
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -22,17 +22,19 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .action import MobiusParams, conjugate_momentum, dual_params
-from .errors import DegenerateBasisError, DomainError, SingularEnergyError
+from .errors import DomainError
 from .kg import KgBasis
 from .scenario import (
     METERS_PER_FM,
     PotentialKind,
+    RegionClass,
     Scenario,
-    TURNING_TOL_FACTOR,
+    constant_rates,
     kinetic_factor,
+    scenario_header,
+    write_csv,
 )
 
 
@@ -67,46 +69,7 @@ class DivergenceEvent:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form rates.
-
-def _allowed_rates(s: Scenario) -> tuple[float, float, float]:
-    """(u, k, omega) for the massive allowed constant-potential case."""
-    u = s.energy - s.potential.u0
-    q2 = u * u - s.rest_energy**2
-    if abs(q2) <= TURNING_TOL_FACTOR * s.energy**2:
-        raise DegenerateBasisError("turning energy: closed form degenerates")
-    if q2 < 0:
-        raise DomainError("(E - U0)^2 < m0^2 c^4: use the forbidden-region form")
-    if u == 0.0:
-        raise SingularEnergyError("E = U0")
-    k = math.sqrt(q2) / s.hbar_c
-    omega = q2 / (s.hbar * abs(u))
-    return u, k, omega
-
-
-def _photon_rates(s: Scenario) -> tuple[float, float]:
-    u = s.energy - s.potential.u0
-    if u == 0.0:
-        raise SingularEnergyError("E = U0")
-    k = abs(u) / s.hbar_c
-    omega = abs(u) / s.hbar
-    return k, omega
-
-
-def _forbidden_rates(s: Scenario) -> tuple[float, float, float]:
-    """(kappa, omega_f, q2f) for the massive forbidden case."""
-    u = s.energy - s.potential.u0
-    if u == 0.0:
-        raise SingularEnergyError("E = U0")
-    q2f = s.rest_energy**2 - u * u
-    if abs(q2f) <= TURNING_TOL_FACTOR * s.energy**2:
-        raise DegenerateBasisError("turning energy: closed form degenerates")
-    if q2f < 0:
-        raise DomainError("(E - U0)^2 > m0^2 c^4: this is an allowed region")
-    kappa = math.sqrt(q2f) / s.hbar_c
-    omega_f = q2f / (s.hbar * u)
-    return kappa, omega_f, q2f
-
+# Closed forms.
 
 def _arctan_family_position(t, omega, k, a, b, x0, direction):
     """x(t) = x0 +- [arctan(a tan(w t) + b) + n pi] / k, branch-stitched.
@@ -133,54 +96,54 @@ def _arctan_family_velocity(t, omega, k, a, b, direction):
 
 
 def constant_allowed_position(s: Scenario, p: MobiusParams, t):
-    """Closed-form x(t) for a massive particle in an allowed region."""
-    _, k, omega = _allowed_rates(s)
-    return _arctan_family_position(t, omega, k, p.a, p.b, p.x0, p.direction)
+    """Closed-form x(t) in an allowed region.
+
+    The photon is the m0 = 0 case; for it both signs of E - U0 give the
+    same family.
+    """
+    r = constant_rates(s, RegionClass.ALLOWED)
+    return _arctan_family_position(t, r.omega, r.k, p.a, p.b, p.x0, p.direction)
 
 
 def constant_allowed_velocity(s: Scenario, p: MobiusParams, t):
-    _, k, omega = _allowed_rates(s)
-    return _arctan_family_velocity(t, omega, k, p.a, p.b, p.direction)
+    r = constant_rates(s, RegionClass.ALLOWED)
+    return _arctan_family_velocity(t, r.omega, r.k, p.a, p.b, p.direction)
 
 
-def photon_position(s: Scenario, p: MobiusParams, t):
-    """Closed-form photon x(t); both signs of E - U0 give the same family."""
-    k, omega = _photon_rates(s)
-    return _arctan_family_position(t, omega, k, p.a, p.b, p.x0, p.direction)
-
-
-def photon_velocity(s: Scenario, p: MobiusParams, t):
-    k, omega = _photon_rates(s)
-    return _arctan_family_velocity(t, omega, k, p.a, p.b, p.direction)
+photon_position = constant_allowed_position
+photon_velocity = constant_allowed_velocity
 
 
 def constant_forbidden_position(s: Scenario, p: MobiusParams, t):
     """x(t) = x0 +- ln|a tan(w_f t) + b| / (2 kappa)."""
-    kappa, omega_f, _ = _forbidden_rates(s)
+    r = constant_rates(s, RegionClass.FORBIDDEN)
     t = np.asarray(t, dtype=float)
-    z = p.a * np.tan(omega_f * t) + p.b
+    z = p.a * np.tan(r.omega * t) + p.b
     with np.errstate(divide="ignore"):
-        return p.x0 + p.direction * np.log(np.abs(z)) / (2.0 * kappa)
+        return p.x0 + p.direction * np.log(np.abs(z)) / (2.0 * r.k)
 
 
 def constant_forbidden_velocity(s: Scenario, p: MobiusParams, t):
-    kappa, omega_f, _ = _forbidden_rates(s)
+    r = constant_rates(s, RegionClass.FORBIDDEN)
     t = np.asarray(t, dtype=float)
-    z = p.a * np.tan(omega_f * t) + p.b
-    sec2 = 1.0 / np.cos(omega_f * t) ** 2
+    z = p.a * np.tan(r.omega * t) + p.b
+    sec2 = 1.0 / np.cos(r.omega * t) ** 2
     with np.errstate(divide="ignore"):
-        return p.direction * p.a * omega_f * sec2 / (2.0 * kappa * z)
+        return p.direction * p.a * r.omega * sec2 / (2.0 * r.k * z)
 
 
 def node_times_constant(s: Scenario, t_lo: float, t_hi: float) -> np.ndarray:
     """Family-crossing times (n + 1/2) pi / omega inside (t_lo, t_hi)."""
-    if s.species.is_photon:
-        _, omega = _photon_rates(s)
-    else:
-        _, _, omega = _allowed_rates(s)
+    omega = constant_rates(s, RegionClass.ALLOWED).omega
     n_lo = math.ceil(t_lo * omega / math.pi - 0.5 + 1e-12)
     n_hi = math.floor(t_hi * omega / math.pi - 0.5 - 1e-12)
     return (np.arange(n_lo, n_hi + 1) + 0.5) * math.pi / omega
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D float array, without the numpy.ma import it pulls in."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
 def _merged_time_grid(t_range, dt, extra_times) -> np.ndarray:
@@ -192,7 +155,7 @@ def _merged_time_grid(t_range, dt, extra_times) -> np.ndarray:
     base = t0 + dt * np.arange(int(math.floor((t1 - t0) / dt + 1e-9)) + 1)
     if base[-1] < t1 - 1e-12 * dt:
         base = np.append(base, t1)
-    times = np.unique(np.concatenate([base, np.asarray(extra_times, dtype=float)]))
+    times = _sorted_unique(np.concatenate([base, np.asarray(extra_times, dtype=float)]))
     return times[(times >= t0 - 1e-15) & (times <= t1 + 1e-15)]
 
 
@@ -202,22 +165,16 @@ def _merged_time_grid(t_range, dt, extra_times) -> np.ndarray:
 def trajectory_constant_allowed(
     s: Scenario, p: MobiusParams, t_range: tuple[float, float], dt: float
 ) -> Trajectory:
-    """Sampled closed-form trajectory; node times are always sample points."""
-    if not s.potential.is_constant:
-        raise ValueError("constant-potential generator needs a constant potential")
-    if s.species.is_photon:
-        raise ValueError("use trajectory_photon for a massless particle")
+    """Sampled closed-form trajectory (photon included); node times are sample points."""
     nodes = node_times_constant(s, *t_range)
     times = _merged_time_grid(t_range, dt, nodes)
-    pos = constant_allowed_position(s, p, times)
-    vel = constant_allowed_velocity(s, p, times)
     return Trajectory(
         times=times,
-        positions=pos,
-        velocities=vel,
+        positions=constant_allowed_position(s, p, times),
+        velocities=constant_allowed_velocity(s, p, times),
         params=p,
         scenario=s,
-        kind=TrajectoryKind.CLOSED_ALLOWED,
+        kind=TrajectoryKind.CLOSED_PHOTON if s.species.is_photon else TrajectoryKind.CLOSED_ALLOWED,
         direction=p.direction,
         position_fn=lambda t, _s=s, _p=p: constant_allowed_position(_s, _p, t),
     )
@@ -231,24 +188,9 @@ def trajectory_photon(
     Valid for E - U0 of either sign: the basis is trigonometric in both
     cases, so the motion is identical in the two quantum situations.
     """
-    if not s.potential.is_constant:
-        raise ValueError("photon closed form needs a constant potential")
     if not s.species.is_photon:
         raise ValueError("species is massive; use the massive generators")
-    nodes = node_times_constant(s, *t_range)
-    times = _merged_time_grid(t_range, dt, nodes)
-    pos = photon_position(s, p, times)
-    vel = photon_velocity(s, p, times)
-    return Trajectory(
-        times=times,
-        positions=pos,
-        velocities=vel,
-        params=p,
-        scenario=s,
-        kind=TrajectoryKind.CLOSED_PHOTON,
-        direction=p.direction,
-        position_fn=lambda t, _s=s, _p=p: photon_position(_s, _p, t),
-    )
+    return trajectory_constant_allowed(s, p, t_range, dt)
 
 
 def divergence_times_forbidden(
@@ -259,22 +201,17 @@ def divergence_times_forbidden(
     The log argument a tan(w_f t) + b vanishing sends x to -inf; the tan
     poles send it to +inf (signs flip with the direction).
     """
-    _, omega_f, _ = _forbidden_rates(s)
+    omega_f = constant_rates(s, RegionClass.FORBIDDEN).omega
     t0, t1 = t_range
-    events: list[DivergenceEvent] = []
-    # a tan + b = 0
-    base = math.atan(-p.b / p.a) / omega_f
     period = math.pi / abs(omega_f)
-    m_lo = math.ceil((t0 - base) / period - 1e-12)
-    m_hi = math.floor((t1 - base) / period + 1e-12)
-    for m in range(m_lo, m_hi + 1):
-        events.append(DivergenceEvent(t_star=base + m * period, direction=-p.direction))
-    # tan poles
-    pole0 = 0.5 * math.pi / omega_f
-    m_lo = math.ceil((t0 - pole0) / period - 1e-12)
-    m_hi = math.floor((t1 - pole0) / period + 1e-12)
-    for m in range(m_lo, m_hi + 1):
-        events.append(DivergenceEvent(t_star=pole0 + m * period, direction=+p.direction))
+    events: list[DivergenceEvent] = []
+    # zeros of a tan + b, then the tan poles
+    for first, direction in ((math.atan(-p.b / p.a) / omega_f, -p.direction),
+                             (0.5 * math.pi / omega_f, +p.direction)):
+        m_lo = math.ceil((t0 - first) / period - 1e-12)
+        m_hi = math.floor((t1 - first) / period + 1e-12)
+        for m in range(m_lo, m_hi + 1):
+            events.append(DivergenceEvent(t_star=first + m * period, direction=direction))
     events.sort(key=lambda e: e.t_star)
     return events
 
@@ -292,10 +229,6 @@ def trajectory_constant_forbidden(
     times) are dropped; the divergence times themselves are computed from
     the tan / log structure, never from samples.
     """
-    if not s.potential.is_constant:
-        raise ValueError("constant-potential generator needs a constant potential")
-    if s.species.is_photon:
-        raise ValueError("the photon has no forbidden-region form; use trajectory_photon")
     times = _merged_time_grid(t_range, dt, [])
     pos = constant_forbidden_position(s, p, times)
     vel = constant_forbidden_velocity(s, p, times)
@@ -344,12 +277,21 @@ _GL_WEIGHTS = np.array(
 )
 
 
+# Gauss panels per node interval pi / W on a closed-form basis.  1/xdot is
+# smooth there; at 1024 the time of flight stays within 2e-13 node spacings
+# of the closed form for a in [0.25, 4], b in [-2, 2] (256 leave 2e-10).
+CLOSED_PANELS_PER_NODE = 1024
+
+
 def _cumulative_time_gauss(s: Scenario, basis: KgBasis, p: MobiusParams, xs: np.ndarray):
-    """t(x) at the requested samples via cell-aligned Gauss panels."""
+    """t(x) at the requested samples via Gauss panels (see trajectory_ode)."""
     lo, hi = float(xs[0]), float(xs[-1])
-    grid = basis.grid
-    interior = grid[(grid > lo) & (grid < hi)]
-    edges = np.unique(np.concatenate([[lo, hi], interior, xs]))
+    if basis.is_closed_form:
+        n = math.ceil((hi - lo) * basis.wronskian / math.pi * CLOSED_PANELS_PER_NODE)
+        inner = np.concatenate([np.linspace(lo, hi, n + 1), basis.phi2_zeros(lo, hi)])
+    else:
+        inner = basis.grid[(basis.grid > lo) & (basis.grid < hi)]
+    edges = _sorted_unique(np.concatenate([[lo, hi], inner, xs]))
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
@@ -367,18 +309,20 @@ def trajectory_ode(
     x_range: tuple[float, float],
     n_samples: int,
     turning_guard: float = 1.0e-3,
-    quad_epsrel: float | None = None,
 ) -> Trajectory:
     """t(x) by quadrature of 1/xdot, stitched continuously across the range.
 
     The parameters here are the action-side labels: the flow integrated is
     exactly the one whose conjugate momentum is hbar a W / (...).  xdot is
     finite and of one sign between turning points, so t(x) is smooth and
-    strictly monotone.  Closed-form bases use adaptive quadrature with the
-    phi2 zeros (where xdot peaks) as breakpoints; sampled bases use Gauss
-    panels aligned to their grid cells, which matches the interpolant's
-    own fidelity.  A turning point inside the range truncates it (the flow
-    only reaches it asymptotically) and is flagged on the result.
+    strictly monotone.  Every basis takes one path: fixed 4-point Gauss
+    panels summed cumulatively, with every requested sample a panel edge.
+    On a sampled basis the panels are its grid cells, which integrates the
+    linear interpolant to its own fidelity; on a closed form each node
+    interval pi / W is split into CLOSED_PANELS_PER_NODE panels, with the
+    phi2 zeros (where xdot peaks) added as edges.  A turning point inside
+    the range truncates it (the flow only reaches it asymptotically) and is
+    flagged on the result.
     """
     lo, hi = x_range
     if hi <= lo:
@@ -396,31 +340,7 @@ def trajectory_ode(
         raise DomainError("basis does not cover the requested x_range")
 
     xs = np.linspace(lo, hi, n_samples)
-    if basis.is_closed_form:
-        inv_speed = lambda x: 1.0 / flow_speed(s, basis, p, float(x))
-        epsrel = 1e-12 if quad_epsrel is None else quad_epsrel
-
-        def _quad(a, b):
-            # full_output keeps the benign roundoff report out of the
-            # warning stream; the integrand is smooth and at tolerance
-            return quad(inv_speed, a, b, epsabs=0.0, epsrel=epsrel, limit=200, full_output=1)[0]
-
-        bps = [lo] + [float(z) for z in basis.phi2_zeros(lo, hi) if lo < z < hi] + [hi]
-        t_at_bp = [0.0]
-        for a, b in zip(bps[:-1], bps[1:]):
-            t_at_bp.append(t_at_bp[-1] + _quad(a, b))
-        ts = np.empty(n_samples)
-        for i, x in enumerate(xs):
-            j = int(np.searchsorted(bps, x, side="right") - 1)
-            j = min(max(j, 0), len(bps) - 2)
-            ts[i] = t_at_bp[j] + _quad(bps[j], float(x))
-    else:
-        # Sampled basis: the integrand is smooth inside each grid cell and
-        # has interpolation kinks at the cell edges, so adaptive refinement
-        # buys nothing.  Fixed Gauss panels aligned to cells (with every
-        # requested sample made a panel edge) integrate the interpolant to
-        # its own fidelity and vectorize over the whole window.
-        ts = _cumulative_time_gauss(s, basis, p, xs)
+    ts = _cumulative_time_gauss(s, basis, p, xs)
     vels = np.asarray(flow_speed(s, basis, p, xs), dtype=float)
     if p.direction < 0:
         # mirror trajectory: reflect the displacement, keep time forward
@@ -509,11 +429,7 @@ def firqnl_residual(traj: Trajectory) -> float:
 
     keep = np.ones(len(tin), dtype=bool)
     if traj.kind in (TrajectoryKind.CLOSED_ALLOWED, TrajectoryKind.CLOSED_PHOTON):
-        if s.species.is_photon:
-            _, omega = _photon_rates(s)
-        else:
-            _, _, omega = _allowed_rates(s)
-        guard = math.pi / omega  # one node interval
+        guard = math.pi / constant_rates(s).omega  # one node interval
         keep &= (tin >= t[0] + guard) & (tin <= t[-1] - guard)
         if not np.any(keep):
             keep[:] = True
@@ -554,23 +470,10 @@ def velocity_momentum_check(
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> Path:
     """One CSV per trajectory; SI columns (t in s, x in m)."""
-    s = traj.scenario
-    p = Path(path)
-    with p.open("w") as fh:
-        fh.write("# rqtlab trajectory\n")
-        fh.write(f"# species_rest_mev = {s.rest_energy!r}\n")
-        fh.write(f"# energy_mev = {s.energy!r}\n")
-        fh.write(f"# potential = {s.potential.kind.value}\n")
-        fh.write(f"# u0_mev = {s.potential.u0!r}\n")
-        fh.write(f"# g_mev_per_fm = {s.potential.g!r}\n")
-        fh.write(f"# hbar_scale = {s.hbar_scale!r}\n")
-        fh.write(f"# a = {traj.params.a!r}\n")
-        fh.write(f"# b = {traj.params.b!r}\n")
-        fh.write(f"# x0_fm = {traj.params.x0!r}\n")
-        fh.write(f"# kind = {traj.kind.value}\n")
-        if traj.truncated_at is not None:
-            fh.write(f"# truncated_at_fm = {traj.truncated_at!r}\n")
-        fh.write("# columns: t_s, x_m\n")
-        for t, x in zip(traj.times, traj.positions):
-            fh.write(f"{t:.12e},{x * METERS_PER_FM:.12e}\n")
-    return p
+    p = traj.params
+    header = ["rqtlab trajectory", *scenario_header(traj.scenario),
+              f"a = {p.a!r}", f"b = {p.b!r}", f"x0_fm = {p.x0!r}", f"kind = {traj.kind.value}"]
+    if traj.truncated_at is not None:
+        header.append(f"truncated_at_fm = {traj.truncated_at!r}")
+    header.append("columns: t_s, x_m")
+    return write_csv(path, header, zip(traj.times, traj.positions * METERS_PER_FM))

@@ -1,8 +1,14 @@
 """Command-line front end: file outputs, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rqtlab
 from rqtlab.cli import main
 
 C_M_PER_S = 2.99792458e8
@@ -203,3 +209,41 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         # half of 3.206015187601e-13
         assert "1.603007593801e-13" in out
+
+
+class TestRejectedInput:
+    def test_nan_energy(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "energy_mev = nan\n")
+        assert main(["report", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "forbidden" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_negative_slope_window(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "potential = linear\ng_mev_per_fm = -0.25\n")
+        assert main(["report", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.startswith("error:") and "g > 0" in captured.err
+
+    def test_integration_overflow(self, tmp_path, capfd):
+        cfg = _write_cfg(tmp_path, "u0_mev = 1.7\n")
+        rc = main(["kg-solve", "--config", cfg, "--hbar-scale", "1e-4", "--out", str(tmp_path / "kg")])
+        assert rc == 2
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: integration overflowed")
+
+    def test_one_distinct_epsilon(self, tmp_path, capfd):
+        rc = main(["classical-limit", "--epsilons", "1,1", "--out", str(tmp_path / "cl")])
+        assert rc == 2
+        err = capfd.readouterr().err.splitlines()
+        assert err == ["error: the scaling fit needs at least two distinct epsilons"]
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    src = str(Path(rqtlab.__file__).resolve().parents[1])
+    code = "import sys, rqtlab.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"

@@ -1,9 +1,11 @@
 """Units, constants, region classification, and configuration parsing."""
 
+import math
+
 import pytest
 
 import rqtlab as rq
-from rqtlab.scenario import TURNING_TOL_FACTOR
+from rqtlab.scenario import TURNING_TOL_FACTOR, write_csv
 
 ELECTRON_REST = 0.510998950
 
@@ -53,6 +55,15 @@ class TestScenario:
             rq.Scenario(rq.Species.electron(), rq.Potential.constant(0.0), energy=2.0,
                         hbar_scale=1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            rq.Scenario(rq.Species.electron(), rq.Potential.constant(0.0), energy=bad)
+        with pytest.raises(ValueError):
+            rq.Potential.constant(bad)
+        with pytest.raises(ValueError):
+            rq.Potential.linear(bad)
+
     def test_effective_hbar_scales(self, electron_2mev):
         s = electron_2mev.with_hbar_scale(0.5)
         assert s.hbar == pytest.approx(0.5 * electron_2mev.hbar, rel=1e-15)
@@ -98,6 +109,43 @@ class TestKineticFactor:
         s = rq.Scenario(rq.Species.electron(), rq.Potential.constant(2.0), energy=2.0)
         with pytest.raises(rq.SingularEnergyError):
             rq.kinetic_factor(s, 0.0)
+
+
+class TestConstantRates:
+    def test_allowed_and_photon(self, electron_2mev, photon_12mev):
+        r = rq.constant_rates(electron_2mev, rq.RegionClass.ALLOWED)
+        assert r.q2 == 2.0 * 2.0 - ELECTRON_REST**2
+        assert r.omega == r.q2 / (electron_2mev.hbar * 2.0)
+        ph = rq.constant_rates(photon_12mev)
+        assert ph.region is rq.RegionClass.ALLOWED
+        assert ph.omega == 1.2 / photon_12mev.hbar
+        assert ph.k == 1.2 / photon_12mev.hbar_c
+
+    def test_forbidden_sign_follows_e_minus_u0(self, forbidden_electron):
+        r = rq.constant_rates(forbidden_electron, rq.RegionClass.FORBIDDEN)
+        assert r.q2 < 0 and r.omega > 0
+        below = rq.Scenario(rq.Species.electron(), rq.Potential.constant(2.3), energy=2.0)
+        assert rq.constant_rates(below).omega < 0
+        with pytest.raises(rq.DomainError):
+            rq.constant_rates(forbidden_electron, rq.RegionClass.ALLOWED)
+
+    def test_singular_and_turning_energies(self, linear_electron):
+        with pytest.raises(rq.SingularEnergyError):
+            rq.constant_rates(rq.Scenario(rq.Species.photon(), rq.Potential.constant(1.2), 1.2))
+        with pytest.raises(rq.DegenerateBasisError):
+            rq.constant_rates(
+                rq.Scenario(rq.Species.electron(), rq.Potential.constant(2.0 - ELECTRON_REST), 2.0)
+            )
+        with pytest.raises(ValueError):
+            rq.constant_rates(linear_electron)
+
+
+class TestWriteCsv:
+    def test_header_and_number_format(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", ["title", "columns: n, x"], [(3, 0.1), (4, -2.5e-13)])
+        assert path.read_text() == (
+            "# title\n# columns: n, x\n3,1.000000000000e-01\n4,-2.500000000000e-13\n"
+        )
 
 
 class TestConfig:

@@ -185,7 +185,9 @@ class TestOdeTrajectory:
         k = math.sqrt(q2) / s.hbar_c
         omega = q2 / (s.hbar * u)
         x_lo = 10.0
-        for a, b in ((1.0, 0.0), (4.0, 2.0), (0.5, -1.0)):
+        members = ((1.0, 0.0), (4.0, 2.0), (0.5, -1.0),
+                   (0.25, -2.0), (0.25, 2.0), (4.0, -2.0))  # with (4, 2): corners of the family
+        for a, b in members:
             p = rq.MobiusParams(a, b)
             ode = rq.trajectory_ode(s, electron_basis, p, (x_lo, x_lo + 3.2 * dx_n), 50)
             t_shift = math.atan(a * math.tan(k * x_lo) + b) / omega
@@ -194,6 +196,7 @@ class TestOdeTrajectory:
             ref0 = rq.constant_allowed_position(s, pd, t_shift)
             err = np.max(np.abs((ode.positions - x_lo) - (ref - ref0)))
             assert err <= 1e-6 * dx_n
+            assert err <= 1e-12 * dx_n  # the closed-form time-of-flight resolution
 
     def test_velocity_field_positive_and_stored(self, electron_2mev, electron_basis):
         _, dx_n = _node_spacings(electron_2mev)
