@@ -114,8 +114,8 @@ def conjugate_momentum(basis: KgBasis, p: MobiusParams, x, sign: int = +1):
 
 # 5-point central stencils on S0' give S0'' and S0'''.
 def _stencil_values(basis, p, x, h):
-    xs = (x - 2 * h, x - h, x, x + h, x + 2 * h)
-    return [float(conjugate_momentum(basis, p, xi)) for xi in xs]
+    xs = np.array([x - 2 * h, x - h, x, x + h, x + 2 * h])
+    return conjugate_momentum(basis, p, xs).tolist()
 
 
 def _default_fd_step(basis: KgBasis, x: float) -> float:

@@ -7,7 +7,9 @@ The stationary equation in the internal units reads
 so constant potentials have sin/cos (allowed, and photons in both sign
 cases) or sinh/cosh (massive forbidden) bases in closed form, and general
 potentials are integrated with a fixed-step scheme (RK4 default, Euler as
-a legacy parity mode).
+a legacy parity mode).  Each step of either scheme is one 2x2 matrix on
+(phi, phi'), shared by both solutions; the grid is chained by a blocked
+prefix product of these matrices, and phi2 roots are polished all at once.
 """
 
 from __future__ import annotations
@@ -113,35 +115,35 @@ class KgBasis:
     def dphi2(self, x):
         return self._evaluators[3](x) if self.is_closed_form else self._interp(4, x)
 
-    def _phi2_exact(self, x: float) -> float:
+    def phi12_in_cells(self, x, cell):
+        """(phi1, phi2) at x, given the index of the grid point at or left of x.
+
+        The same linear interpolant as phi1 / phi2, without the binary search.
+        """
+        xs, left, right = self._samples[0], cell, cell + 1
+        dx, width = x - xs[left], xs[right] - xs[left]
+        return tuple((y[right] - y[left]) / width * dx + y[left] for y in self._samples[1:3])
+
+    def _phi2_exact(self, x):
         """phi2 evaluated on the ODE itself, for root polishing.
 
-        For numeric bases this re-integrates from the nearest grid point to
-        the left of x, so refined roots do not inherit interpolation bias.
+        For numeric bases this re-integrates from the grid point to the left
+        of each x in four RK4 sub-steps, so refined roots do not inherit
+        interpolation bias.  Takes a float or an array of positions.
         """
         if self.is_closed_form:
-            return float(self._evaluators[1](x))
-        xs, p1, p2, d1, d2 = (
-            self._samples[0],
-            self._samples[1],
-            self._samples[2],
-            self._samples[3],
-            self._samples[4],
-        )
-        i = int(np.searchsorted(xs, x, side="right") - 1)
-        i = min(max(i, 0), len(xs) - 1)
-        span = x - xs[i]
-        if span == 0.0:
-            return float(p2[i])
-        state = (p1[i], d1[i], p2[i], d2[i])
-        n_sub = 4
-        h = span / n_sub
-        xi = float(xs[i])
+            return self._evaluators[1](x)
+        xs, _, p2, _, d2 = self._samples
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 1)
+        xi, phi, dphi = xs[i], p2[i], d2[i]
+        h = (x - xi) / 4.0
         w = lambda xx: _omega_sq(self.scenario, xx)
-        for _ in range(n_sub):
-            state = _rk4_step(state, xi, h, w)
-            xi += h
-        return state[2]
+        for _ in range(4):
+            e11, m12, m21, e22 = _rk4_matrix(w(xi), w(xi + 0.5 * h), w(xi + h), h)
+            phi, dphi = phi + (e11 * phi + m12 * dphi), dphi + (m21 * phi + e22 * dphi)
+            xi = xi + h
+        return phi if phi.ndim else float(phi)
 
     # -- phi2 roots -------------------------------------------------------
 
@@ -158,54 +160,48 @@ class KgBasis:
         return z[(z >= lo) & (z <= hi)]
 
     def _compute_zeros(self) -> np.ndarray:
-        xs = self._samples[0]
-        p2 = self._samples[2]
+        xs, _, p2 = self._samples[:3]
         scale = float(np.max(np.abs(p2)))
         if scale == 0.0:
             return np.array([])
-        sign_change = np.where(p2[:-1] * p2[1:] < 0.0)[0]
-        exact_zero = np.where(p2 == 0.0)[0]
-        roots = [float(xs[j]) for j in exact_zero]
-        for j in sign_change:
-            roots.append(
-                _bisect_then_secant(
-                    self._phi2_exact, float(xs[j]), float(xs[j + 1]),
-                    f_tol=_ZERO_REFINE_REL * scale,
-                )
-            )
-        return np.array(sorted(roots))
+        j = np.flatnonzero(p2[:-1] * p2[1:] < 0.0)
+        polished = _bisect_then_secant(self._phi2_exact, xs[j], xs[j + 1],
+                                       f_tol=_ZERO_REFINE_REL * scale)
+        return np.sort(np.concatenate([xs[p2 == 0.0], polished]))
 
 
-def _bisect_then_secant(f, lo: float, hi: float, f_tol: float, n_bisect: int = 12) -> float:
-    """Refine a bracketed root: bisection to narrow, then secant to polish."""
+def _bisect_then_secant(f, lo, hi, f_tol: float, n_bisect: int = 12) -> np.ndarray:
+    """Refine bracketed roots all at once: bisection to narrow, then secant to polish.
+
+    ``f`` maps an array of positions to an array of values.  Each root stops
+    on its own (an exact zero, a stalled secant, or |f| <= f_tol); later
+    steps run on the roots still live.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
+    if np.any(flo * fhi > 0):
         raise ValueError("root not bracketed")
+    root = np.where(flo == 0.0, lo, hi)
+    live = lambda keep, *arrays: [a[keep] for a in arrays]
+    act, lo, hi, flo, fhi = live((flo != 0.0) & (fhi != 0.0), np.arange(len(lo)), lo, hi, flo, fhi)
     for _ in range(n_bisect):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
+        left = flo * fmid < 0
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
+        hi, fhi = np.where(left, mid, hi), np.where(left, fmid, fhi)
+        root[act] = mid
+        act, lo, hi, flo, fhi = live(fmid != 0.0, act, lo, hi, flo, fhi)
+    root[act] = hi
     x0, x1, f0, f1 = lo, hi, flo, fhi
     for _ in range(12):
-        if f1 == f0:
-            break
+        act, lo, hi, x0, x1, f0, f1 = live(f1 != f0, act, lo, hi, x0, x1, f0, f1)
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (min(lo, hi) - 1e-9 <= x2 <= max(lo, hi) + 1e-9):
-            x2 = 0.5 * (x0 + x1)
-        f2 = f(x2)
-        x0, f0, x1, f1 = x1, f1, x2, f2
-        if abs(f1) <= f_tol:
-            break
-    return x1
+        x2 = np.where((lo - 1e-9 <= x2) & (x2 <= hi + 1e-9), x2, 0.5 * (x0 + x1))
+        x0, f0, x1, f1 = x1, f1, x2, f(x2)
+        root[act] = x1
+        act, lo, hi, x0, x1, f0, f1 = live(np.abs(f1) > f_tol, act, lo, hi, x0, x1, f0, f1)
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -257,35 +253,69 @@ def kg_closed_constant(
 # ---------------------------------------------------------------------------
 # Fixed-step numeric integration.
 
-def _rk4_step(state, x, h, w):
-    p1, d1, p2, d2 = state
-    w1 = w(x)
-    w2 = w(x + 0.5 * h)
-    w3 = w(x + h)
-    # k1
-    a1, b1 = d1, w1 * p1
-    c1, e1 = d2, w1 * p2
-    # k2
-    a2 = d1 + 0.5 * h * b1
-    b2 = w2 * (p1 + 0.5 * h * a1)
-    c2 = d2 + 0.5 * h * e1
-    e2 = w2 * (p2 + 0.5 * h * c1)
-    # k3
-    a3 = d1 + 0.5 * h * b2
-    b3 = w2 * (p1 + 0.5 * h * a2)
-    c3 = d2 + 0.5 * h * e2
-    e3 = w2 * (p2 + 0.5 * h * c2)
-    # k4
-    a4 = d1 + h * b3
-    b4 = w3 * (p1 + h * a3)
-    c4 = d2 + h * e3
-    e4 = w3 * (p2 + h * c3)
-    return (
-        p1 + h / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4),
-        d1 + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4),
-        p2 + h / 6.0 * (c1 + 2 * c2 + 2 * c3 + c4),
-        d2 + h / 6.0 * (e1 + 2 * e2 + 2 * e3 + e4),
-    )
+def _rk4_matrix(w1, w2, w3, h):
+    """One RK4 step of (phi, phi') under phi'' = w phi, as entries of M - I.
+
+    RK4 is linear in the state, so a step is one 2x2 matrix M shared by both
+    basis solutions; w1, w2, w3 are w at the step's start, midpoint and end.
+    The entries (m11 - 1, m12, m21, m22 - 1) are returned so the O(h^2)
+    parts keep their own precision rather than being rounded against 1.
+    Every argument may be an array, giving the matrices of many steps.
+    """
+    hh = h * h
+    e11 = hh / 6.0 * (w1 + 2.0 * w2 + hh / 4.0 * w1 * w2)
+    m12 = h * (1.0 + hh / 6.0 * w2)
+    m21 = h / 6.0 * (w1 + 4.0 * w2 + w3 + hh / 2.0 * w2 * (w1 + w3))
+    e22 = hh / 6.0 * (2.0 * w2 + w3 + hh / 4.0 * w2 * w3)
+    return e11, m12, m21, e22
+
+
+def _chain(step_matrices, n, y0):
+    """States y_0 .. y_n of y_{i+1} = M_i y_i, y = [[phi1, phi2], [dphi1, dphi2]].
+
+    ``step_matrices`` maps an array of step indices to fresh arrays of the
+    entries of M - I (see _rk4_matrix).  A blocked prefix product: the n
+    steps form about sqrt(n) blocks of about sqrt(n) steps, the last padded
+    with identity steps.  One pass over the positions in a block forms the
+    running products of all blocks at once, a short sequential pass carries
+    the state across the block starts, and one array product applies the
+    running products to the block starts: about sqrt(n) array operations
+    instead of n scalar steps.  Products are held as P - I, as a stepping
+    loop holds y + dy, so equal steps do not repeat one rounding of 1 + small;
+    each state runs from its own block start, so block seams stay smooth.
+    """
+    size = max(1, math.isqrt(n))
+    n_blocks = -(-n // size)
+    first = size * np.arange(n_blocks)  # each block's first step
+    run = [np.empty((size, n_blocks)) for _ in range(4)]
+    q = [np.zeros(n_blocks) for _ in range(4)]
+    for j in range(size):
+        for e, v in zip(run, q):
+            e[j] = v
+        a, b, c, d = m = step_matrices(first + j)
+        if first[-1] + j >= n:
+            for e in m:
+                e[-1] = 0.0
+        q11, q12, q21, q22 = q
+        # (I + E)(I + Q) - I = Q + (E + E Q)
+        q = (q11 + (a + (a * q11 + b * q21)), q12 + (b + (a * q12 + b * q22)),
+             q21 + (c + (c * q11 + d * q21)), q22 + (d + (c * q12 + d * q22)))
+    starts = [y0]
+    for t11, t12, t21, t22 in zip(*(e.tolist() for e in q)):
+        y11, y12, y21, y22 = starts[-1]
+        starts.append((y11 + (t11 * y11 + t12 * y21), y12 + (t11 * y12 + t12 * y22),
+                       y21 + (t21 * y11 + t22 * y21), y22 + (t21 * y12 + t22 * y22)))
+    f11, f12, f21, f22 = run
+    y11, y12, y21, y22 = (np.array(e) for e in zip(*starts))
+    out = []
+    blocks = ((f11, y11, f12, y21), (f11, y12, f12, y22),
+              (f21, y11, f22, y21), (f21, y12, f22, y22))
+    for (fa, ya, fb, yb), y, last in zip(blocks, (y11, y12, y21, y22), starts[-1]):
+        o = np.empty(n_blocks * size + 1)
+        o[:-1].reshape(n_blocks, size)[:] = (y[:-1] + (fa * ya[:-1] + fb * yb[:-1])).T
+        o[-1] = last
+        out.append(o[:n + 1])
+    return out
 
 
 def kg_solve_numeric(
@@ -310,63 +340,27 @@ def kg_solve_numeric(
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r} (euler or rk4)")
 
-    n_steps = int(round((x_max - x_min) / step))
-    n_steps = max(n_steps, 1)
+    n_steps = max(int(round((x_max - x_min) / step)), 1)
     xs = x_min + step * np.arange(n_steps + 1)
 
     k0 = max(local_wavenumber(s, x_min), 1.0 / (x_max - x_min))
 
-    # Precompute w on nodes and midpoints; the stepping loop then runs on
-    # plain floats, which is what keeps desk-scale windows fast.
-    w_nodes = np.asarray(_omega_sq(s, xs), dtype=float).tolist()
-    w_mids = np.asarray(_omega_sq(s, xs[:-1] + 0.5 * step), dtype=float).tolist()
-
-    p1 = np.empty(n_steps + 1)
-    d1 = np.empty(n_steps + 1)
-    p2 = np.empty(n_steps + 1)
-    d2 = np.empty(n_steps + 1)
-    a, b, c, d = 0.0, k0, 1.0, 0.0
-    p1[0], d1[0], p2[0], d2[0] = a, b, c, d
+    # Every step is one 2x2 matrix; _chain builds them a block position at a time.
     h = step
 
-    if method == "euler":
-        for i in range(n_steps):
-            w = w_nodes[i]
-            a, b, c, d = a + h * b, b + h * w * a, c + h * d, d + h * w * c
-            p1[i + 1], d1[i + 1], p2[i + 1], d2[i + 1] = a, b, c, d
-            if not (math.isfinite(a) and math.isfinite(c)):
-                raise IntegrationOverflowError(
-                    f"integration overflowed at x = {xs[i + 1]:.6g} fm", x=float(xs[i + 1])
-                )
-    else:
-        h6 = h / 6.0
-        h2 = 0.5 * h
-        for i in range(n_steps):
-            w1 = w_nodes[i]
-            w2 = w_mids[i]
-            w3 = w_nodes[i + 1]
-            a1, b1, c1, e1 = b, w1 * a, d, w1 * c
-            a2 = b + h2 * b1
-            b2 = w2 * (a + h2 * a1)
-            c2 = d + h2 * e1
-            e2 = w2 * (c + h2 * c1)
-            a3 = b + h2 * b2
-            b3 = w2 * (a + h2 * a2)
-            c3 = d + h2 * e2
-            e3 = w2 * (c + h2 * c2)
-            a4 = b + h * b3
-            b4 = w3 * (a + h * a3)
-            c4 = d + h * e3
-            e4 = w3 * (c + h * c3)
-            a = a + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
-            b = b + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
-            c = c + h6 * (c1 + 2 * c2 + 2 * c3 + c4)
-            d = d + h6 * (e1 + 2 * e2 + 2 * e3 + e4)
-            p1[i + 1], d1[i + 1], p2[i + 1], d2[i + 1] = a, b, c, d
-            if not (math.isfinite(a) and math.isfinite(c)):
-                raise IntegrationOverflowError(
-                    f"integration overflowed at x = {xs[i + 1]:.6g} fm", x=float(xs[i + 1])
-                )
+    def matrices(i):
+        x = x_min + h * i
+        w1 = _omega_sq(s, x)
+        if method == "euler":
+            return np.zeros(i.shape), np.full(i.shape, h), h * w1, np.zeros(i.shape)
+        return _rk4_matrix(w1, _omega_sq(s, x + 0.5 * h), _omega_sq(s, x_min + h * (i + 1)), h)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        p1, p2, d1, d2 = _chain(matrices, n_steps, (0.0, 1.0, k0, 0.0))
+    bad = ~(np.isfinite(p1) & np.isfinite(p2))
+    if bad.any():
+        x_bad = float(xs[np.argmax(bad)])
+        raise IntegrationOverflowError(f"integration overflowed at x = {x_bad:.6g} fm", x=x_bad)
 
     return KgBasis(
         scenario=s,

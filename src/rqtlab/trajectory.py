@@ -254,8 +254,10 @@ def flow_speed(s: Scenario, basis: KgBasis, p: MobiusParams, x):
 
     [E - V - m0^2 c^4/(E - V)] [phi2^2 + (a phi1 + b phi2)^2] / (hbar a W).
     """
-    phi1 = basis.phi1(x)
-    phi2 = basis.phi2(x)
+    return _flow_speed(s, basis, p, x, basis.phi1(x), basis.phi2(x))
+
+
+def _flow_speed(s: Scenario, basis: KgBasis, p: MobiusParams, x, phi1, phi2):
     bracket = phi2 * phi2 + (p.a * phi1 + p.b * phi2) ** 2
     return kinetic_factor(s, x) * bracket / (s.hbar * p.a * basis.wronskian)
 
@@ -283,20 +285,40 @@ _GL_WEIGHTS = np.array(
 CLOSED_PANELS_PER_NODE = 1024
 
 
+# Gauss panels evaluated per array operation in the time of flight: each
+# Gauss-point array stays at 512 KiB however many panels the range holds.
+PANEL_CHUNK = 1 << 14
+
+
 def _cumulative_time_gauss(s: Scenario, basis: KgBasis, p: MobiusParams, xs: np.ndarray):
-    """t(x) at the requested samples via Gauss panels (see trajectory_ode)."""
+    """t(x) at the requested samples via Gauss panels, PANEL_CHUNK at a time."""
     lo, hi = float(xs[0]), float(xs[-1])
     if basis.is_closed_form:
         n = math.ceil((hi - lo) * basis.wronskian / math.pi * CLOSED_PANELS_PER_NODE)
-        inner = np.concatenate([np.linspace(lo, hi, n + 1), basis.phi2_zeros(lo, hi)])
+        edges = _sorted_unique(np.concatenate([np.linspace(lo, hi, n + 1),
+                                               basis.phi2_zeros(lo, hi), xs]))
+        phis = lambda pts, first: (basis.phi1(pts), basis.phi2(pts))
     else:
-        inner = basis.grid[(basis.grid > lo) & (basis.grid < hi)]
-    edges = _sorted_unique(np.concatenate([[lo, hi], inner, xs]))
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    v = np.asarray(flow_speed(s, basis, p, pts.ravel()), dtype=float).reshape(pts.shape)
-    panel = half * np.sum(_GL_WEIGHTS[None, :] / v, axis=1)
+        # grid points strictly inside (lo, hi), with the samples inserted;
+        # a sample on a grid point goes after it and is dropped as a repeat
+        grid = basis.grid
+        i0, i1 = np.searchsorted(grid, lo, "right"), np.searchsorted(grid, hi, "left")
+        at = np.searchsorted(grid[i0:i1], xs, "right")
+        edges = np.insert(grid[i0:i1], at, xs)
+        on_grid = np.insert(np.ones(i1 - i0, dtype=bool), at, False)
+        keep = np.concatenate(([True], edges[1:] != edges[:-1]))
+        edges = edges[keep]
+        # grid cell holding each panel: one more per grid edge passed
+        cell = i0 - 1 + np.cumsum(on_grid[keep])
+        phis = lambda pts, first: basis.phi12_in_cells(pts, cell[first:first + pts.shape[1]])
+    panel = np.empty(len(edges) - 1)
+    for first in range(0, len(panel), PANEL_CHUNK):
+        e = edges[first:first + PANEL_CHUNK + 1]
+        half = 0.5 * (e[1:] - e[:-1])
+        # one row per Gauss node, one column per panel
+        pts = 0.5 * (e[1:] + e[:-1]) + half * _GL_NODES[:, None]
+        v = _flow_speed(s, basis, p, pts, *phis(pts, first))
+        panel[first:first + len(half)] = half * np.sum(_GL_WEIGHTS[:, None] / v, axis=0)
     cum = np.concatenate([[0.0], np.cumsum(panel)])
     idx = np.searchsorted(edges, xs)
     return cum[np.clip(idx, 0, len(cum) - 1)]
@@ -318,7 +340,9 @@ def trajectory_ode(
     strictly monotone.  Every basis takes one path: fixed 4-point Gauss
     panels summed cumulatively, with every requested sample a panel edge.
     On a sampled basis the panels are its grid cells, which integrates the
-    linear interpolant to its own fidelity; on a closed form each node
+    linear interpolant to its own fidelity: the samples are inserted into
+    the grid, and phi at the Gauss points is read inside each panel's cell,
+    whose index is a running count of grid edges; on a closed form each node
     interval pi / W is split into CLOSED_PANELS_PER_NODE panels, with the
     phi2 zeros (where xdot peaks) added as edges.  A turning point inside
     the range truncates it (the flow only reaches it asymptotically) and is

@@ -1,16 +1,53 @@
 """Klein-Gordon bases: closed forms, numeric integration, Wronskian checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import rqtlab as rq
+from rqtlab.kg import _bisect_then_secant, _omega_sq, local_wavenumber
 
 # wavenumbers from sqrt((E-U0)^2 - m0^2 c^4) / (hbar c), frozen from the
 # defining arithmetic
 K_ELECTRON_2MEV = 9.799057e-3
 K_PHOTON_12MEV = 6.081278e-3
+
+
+def _reference_loop(s, x_min, x_max, step, method):
+    """The scalar stepping loops kg_solve_numeric once ran, as a reference.
+
+    Returns (phi1, phi2, dphi1, dphi2) on the same grid, one step at a time
+    with the RK4 stages written out.
+    """
+    n = max(int(round((x_max - x_min) / step)), 1)
+    xs = x_min + step * np.arange(n + 1)
+    k0 = max(local_wavenumber(s, x_min), 1.0 / (x_max - x_min))
+    w_nodes = np.asarray(_omega_sq(s, xs), dtype=float).tolist()
+    w_mids = np.asarray(_omega_sq(s, xs[:-1] + 0.5 * step), dtype=float).tolist()
+    out = np.empty((4, n + 1))
+    a, b, c, d = 0.0, k0, 1.0, 0.0
+    out[:, 0] = a, c, b, d
+    h, h2, h6 = step, 0.5 * step, step / 6.0
+    for i in range(n):
+        w1, w2, w3 = w_nodes[i], w_mids[i], w_nodes[i + 1]
+        if method == "euler":
+            a, b, c, d = a + h * b, b + h * w1 * a, c + h * d, d + h * w1 * c
+        else:
+            a1, b1, c1, e1 = b, w1 * a, d, w1 * c
+            a2, b2 = b + h2 * b1, w2 * (a + h2 * a1)
+            c2, e2 = d + h2 * e1, w2 * (c + h2 * c1)
+            a3, b3 = b + h2 * b2, w2 * (a + h2 * a2)
+            c3, e3 = d + h2 * e2, w2 * (c + h2 * c2)
+            a4, b4 = b + h * b3, w3 * (a + h * a3)
+            c4, e4 = d + h * e3, w3 * (c + h * c3)
+            a = a + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+            b = b + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+            c = c + h6 * (c1 + 2 * c2 + 2 * c3 + c4)
+            d = d + h6 * (e1 + 2 * e2 + 2 * e3 + e4)
+        out[:, i + 1] = a, c, b, d
+    return out
 
 
 def _scaled_electron(eps=0.01):
@@ -113,12 +150,28 @@ class TestNumericIntegration:
     def test_fd_residual_within_bound(self, linear_basis):
         assert rq.kg_fd_residual(linear_basis) <= 1e-4
 
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_matches_reference_loop(self, linear_electron, method):
+        b = rq.kg_solve_numeric(linear_electron, -50.0, 8.0, step=1e-3, method=method)
+        ref = _reference_loop(linear_electron, -50.0, 8.0, 1e-3, method)
+        xs, p1, p2, d1, d2 = b._samples
+        assert len(xs) == ref.shape[1] == 58001
+        for got, want in zip((p1, p2, d1, d2), ref):
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+        for n in (1, 2, 3, 5, 10):  # one block, and short last blocks
+            b = rq.kg_solve_numeric(linear_electron, -50.0, -50.0 + n * 1e-3, step=1e-3,
+                                    method=method)
+            ref = _reference_loop(linear_electron, -50.0, -50.0 + n * 1e-3, 1e-3, method)
+            assert np.allclose(np.array(b._samples[1:]), ref, rtol=1e-13, atol=0.0)
+
     def test_overflow_reports_position(self):
         # deep forbidden region: exponential growth overruns float64
         s = rq.Scenario(rq.Species(rest_energy=1000.0), rq.Potential.constant(0.0),
                         energy=1.0)
-        with pytest.raises(rq.IntegrationOverflowError) as err:
-            rq.kg_solve_numeric(s, 0.0, 400.0, step=1e-2, method="rk4")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rq.IntegrationOverflowError) as err:
+                rq.kg_solve_numeric(s, 0.0, 400.0, step=1e-2, method="rk4")
         assert err.value.x is not None
 
     def test_bad_method_rejected(self, linear_electron):
@@ -151,6 +204,24 @@ class TestPhi2Zeros:
         scale = float(np.max(np.abs(linear_basis._samples[2])))
         worst = max(abs(linear_basis._phi2_exact(float(z))) for z in zs)
         assert worst <= 1e-10 * scale
+
+    def test_exact_phi2_batched_like_scalar(self, linear_basis):
+        x = np.linspace(-399.0, 7.0, 57)
+        batched = linear_basis._phi2_exact(x)
+        assert batched.shape == x.shape
+        assert np.array_equal(batched, [linear_basis._phi2_exact(float(v)) for v in x])
+        grid = linear_basis.grid[::1000]
+        assert np.array_equal(linear_basis._phi2_exact(grid), linear_basis._samples[2][::1000])
+
+    def test_batched_polish_end_points_and_bracket(self):
+        f = lambda x: (x - 1.0) * (x - 3.0)
+        # zero at lo, at hi, at the first bisection midpoint, and one to polish
+        lo, hi = np.array([1.0, 0.0, 2.0, 2.5]), np.array([2.0, 1.0, 4.0, 4.0])
+        roots = _bisect_then_secant(f, lo, hi, f_tol=1e-15)
+        assert np.array_equal(roots[:3], [1.0, 1.0, 3.0])
+        assert roots[3] == pytest.approx(3.0, abs=1e-14)
+        with pytest.raises(ValueError, match="not bracketed"):
+            _bisect_then_secant(f, np.array([0.0, 4.0]), np.array([2.0, 5.0]), f_tol=1e-15)
 
 
 class TestBasisCsv:

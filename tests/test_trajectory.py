@@ -214,6 +214,27 @@ class TestOdeTrajectory:
         assert np.all(np.diff(traj.times) > 0)
         assert traj.positions[-1] < 5.956004
 
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_numeric_panels_match_one_array_quadrature(self, linear_electron, linear_basis,
+                                                       monkeypatch, chunk):
+        # every sample sits on a grid point; chunk 7 puts panel seams everywhere
+        if chunk is not None:
+            monkeypatch.setattr(rq.trajectory, "PANEL_CHUNK", chunk)
+        s, basis, p = linear_electron, linear_basis, rq.MobiusParams(4.0, 2.0)
+        traj = rq.trajectory_ode(s, basis, p, (-300.0, -100.0), 201)
+        xs = traj.positions
+        assert np.isin(xs, basis.grid).all()
+        # the same 4-point Gauss panels, all at once, with np.interp values
+        inner = basis.grid[(basis.grid > -300.0) & (basis.grid < -100.0)]
+        edges = np.unique(np.concatenate([inner, xs]))
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        half = 0.5 * np.diff(edges)
+        pts = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * nodes
+        panel = half * np.sum(weights / rq.flow_speed(s, basis, p, pts), axis=1)
+        ref = np.concatenate([[0.0], np.cumsum(panel)])[np.searchsorted(edges, xs)]
+        assert traj.times[0] == 0.0
+        assert np.max(np.abs(traj.times[1:] / ref[1:] - 1.0)) <= 1e-14
+
     def test_basis_coverage_required(self, electron_2mev, linear_basis):
         with pytest.raises(rq.DomainError):
             rq.trajectory_ode(
