@@ -46,7 +46,7 @@ from .trajectory import (
     firqnl_residual,
     trajectory_constant_allowed,
     trajectory_constant_forbidden,
-    trajectory_ode,
+    trajectory_ode_family,
     velocity_momentum_check,
     write_trajectory_csv,
 )
@@ -232,16 +232,16 @@ def cmd_figure(args) -> int:
         if s.potential.is_constant:
             raise ValueError("figure 4 needs the linear potential")
         basis, x_lo, _, turning = _linear_basis(s, args, x0, None)
-        ref = None
-        for p in ab:
-            traj = trajectory_ode(s, basis, p, (x_lo, turning), n_samples=args.samples)
-            if (p.a, p.b) == (1.0, 0.0):
-                ref = traj
+        # the node times come from the forward (1, 0) member; when --ab leaves
+        # it out it joins the quadrature pass but gets no CSV
+        ref = next((i for i, p in enumerate(ab) if (p.a, p.b, p.direction) == (1.0, 0.0, 1)),
+                   len(ab))
+        members = ab if ref < len(ab) else [*ab, MobiusParams(1.0, 0.0, x0)]
+        trajs = trajectory_ode_family(s, basis, members, (x_lo, turning), n_samples=args.samples)
+        for p, traj in zip(ab, trajs):
             written.append(write_trajectory_csv(traj, out / f"fig4_traj_{_ab_tag(p)}.csv"))
         zeros = nodes_numeric(basis)
-        if ref is None:
-            ref = trajectory_ode(s, basis, MobiusParams(1.0, 0.0, x0), (x_lo, turning), args.samples)
-        t_at = np.interp(zeros, ref.positions, ref.times)
+        t_at = np.interp(zeros, trajs[ref].positions, trajs[ref].times)
         header = ["rqtlab linear-potential nodes (times from the a=1, b=0 member)",
                   f"energy_mev = {s.energy!r}", f"g_mev_per_fm = {s.potential.g!r}",
                   "columns: n, t_n_s, x_n_m"]
@@ -314,6 +314,7 @@ def cmd_residuals(args) -> int:
     s = _scenario_from_args(args)
     out = _out_dir(args)
     checks: list[tuple[str, bool]] = []
+    family = _family(args)
 
     if s.potential.is_constant:
         if classify_region(s, 0.0) is not RegionClass.ALLOWED:
@@ -328,8 +329,10 @@ def cmd_residuals(args) -> int:
         _status("kg_fd_residual", kg_fd_residual(basis), KG_FD_BOUND, checks)
         xs = np.linspace(x_lo + 2.0, min(x_hi, turning) - 4.0, args.samples)
         title = "rqtlab action residual scan (linear potential)"
+        trajs = trajectory_ode_family(s, basis, family, (x_lo + 2.0, min(x_hi, turning)),
+                                      n_samples=max(64, args.samples))
 
-    for p in _family(args):
+    for j, p in enumerate(family):
         tag = _ab_tag(p)
         rows = action_scan(basis, p, xs)
         header = [title, f"a = {p.a!r}", f"b = {p.b!r}", "columns: x_fm, s0_mev_s, ds0dx, residual"]
@@ -347,8 +350,7 @@ def cmd_residuals(args) -> int:
             _status(f"firqnl_{tag}", r_fq,
                     FIRQNL_BOUND_STRAIGHT if straight else FIRQNL_BOUND_GENERIC, checks)
         else:
-            traj = trajectory_ode(s, basis, p, (x_lo + 2.0, min(x_hi, turning)),
-                                  n_samples=max(64, args.samples))
+            traj = trajs[j]
             _status(f"rqshje_{tag}", r_hj, RQSHJE_BOUND_LINEAR, checks)
         _status(f"velocity_momentum_{tag}", velocity_momentum_check(traj, basis), VELMOM_BOUND, checks)
     return _verdict(checks)
@@ -366,8 +368,8 @@ def cmd_trajectory(args) -> int:
             print(f"wrote {write_trajectory_csv(traj, out / f'traj_{_ab_tag(p)}.csv')}")
     else:
         basis, x_lo, x_hi, turning = _linear_basis(s, args, args.x_min, args.x_max)
-        for p in ab:
-            traj = trajectory_ode(s, basis, p, (x_lo, min(x_hi, turning)), n_samples=args.samples)
+        trajs = trajectory_ode_family(s, basis, ab, (x_lo, min(x_hi, turning)), n_samples=args.samples)
+        for p, traj in zip(ab, trajs):
             print(f"wrote {write_trajectory_csv(traj, out / f'traj_{_ab_tag(p)}.csv')}")
     return 0
 

@@ -254,12 +254,14 @@ def flow_speed(s: Scenario, basis: KgBasis, p: MobiusParams, x):
 
     [E - V - m0^2 c^4/(E - V)] [phi2^2 + (a phi1 + b phi2)^2] / (hbar a W).
     """
-    return _flow_speed(s, basis, p, x, basis.phi1(x), basis.phi2(x))
+    phi2 = basis.phi2(x)
+    return _flow_speed(s, basis, p, kinetic_factor(s, x), basis.phi1(x), phi2, phi2 * phi2)
 
 
-def _flow_speed(s: Scenario, basis: KgBasis, p: MobiusParams, x, phi1, phi2):
-    bracket = phi2 * phi2 + (p.a * phi1 + p.b * phi2) ** 2
-    return kinetic_factor(s, x) * bracket / (s.hbar * p.a * basis.wronskian)
+def _flow_speed(s: Scenario, basis: KgBasis, p: MobiusParams, kf, phi1, phi2, phi2_sq):
+    """flow_speed from the member-independent values at the points."""
+    bracket = phi2_sq + (p.a * phi1 + p.b * phi2) ** 2
+    return kf * bracket / (s.hbar * p.a * basis.wronskian)
 
 
 def _turning_points_inside(s: Scenario, lo: float, hi: float) -> list[float]:
@@ -290,8 +292,17 @@ CLOSED_PANELS_PER_NODE = 1024
 PANEL_CHUNK = 1 << 14
 
 
-def _cumulative_time_gauss(s: Scenario, basis: KgBasis, p: MobiusParams, xs: np.ndarray):
-    """t(x) at the requested samples via Gauss panels, PANEL_CHUNK at a time."""
+def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusParams],
+                           xs: np.ndarray) -> np.ndarray:
+    """t(x) at the requested samples for every member, one row each.
+
+    The Gauss panels are walked once, PANEL_CHUNK at a time; the Gauss
+    points, phi1, phi2, phi2^2 and the kinetic factor of a chunk are
+    evaluated once for the whole family, and only 1/xdot and the weighted
+    panel sums are per member.  The running sums carry from chunk to chunk
+    and are kept at the sample edges only: np.cumsum adds in order, so
+    prepending the carry gives the bits of one cumsum over all panels.
+    """
     lo, hi = float(xs[0]), float(xs[-1])
     if basis.is_closed_form:
         n = math.ceil((hi - lo) * basis.wronskian / math.pi * CLOSED_PANELS_PER_NODE)
@@ -311,17 +322,81 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, p: MobiusParams, xs: np.
         # grid cell holding each panel: one more per grid edge passed
         cell = i0 - 1 + np.cumsum(on_grid[keep])
         phis = lambda pts, first: basis.phi12_in_cells(pts, cell[first:first + pts.shape[1]])
-    panel = np.empty(len(edges) - 1)
-    for first in range(0, len(panel), PANEL_CHUNK):
+    # edge index of each sample: its time is the sum of the panels before it
+    at_edge = np.clip(np.searchsorted(edges, xs), 0, len(edges) - 1)
+    times = np.zeros((len(members), len(xs)))
+    # one row per member: column 0 carries the sums so far, 1 + i holds panel i
+    sums = np.zeros((len(members), PANEL_CHUNK + 1))
+    for first in range(0, len(edges) - 1, PANEL_CHUNK):
         e = edges[first:first + PANEL_CHUNK + 1]
+        m = len(e) - 1
         half = 0.5 * (e[1:] - e[:-1])
         # one row per Gauss node, one column per panel
         pts = 0.5 * (e[1:] + e[:-1]) + half * _GL_NODES[:, None]
-        v = _flow_speed(s, basis, p, pts, *phis(pts, first))
-        panel[first:first + len(half)] = half * np.sum(_GL_WEIGHTS[:, None] / v, axis=0)
-    cum = np.concatenate([[0.0], np.cumsum(panel)])
-    idx = np.searchsorted(edges, xs)
-    return cum[np.clip(idx, 0, len(cum) - 1)]
+        phi1, phi2 = phis(pts, first)
+        kf, phi2_sq = kinetic_factor(s, pts), phi2 * phi2
+        for j, p in enumerate(members):
+            v = _flow_speed(s, basis, p, kf, phi1, phi2, phi2_sq)
+            sums[j, 1:m + 1] = half * np.sum(_GL_WEIGHTS[:, None] / v, axis=0)
+        cum = np.cumsum(sums[:, :m + 1], axis=1)
+        # samples whose edge closes a panel of this chunk
+        i, k = np.searchsorted(at_edge, (first, first + m), "right")
+        times[:, i:k] = cum[:, at_edge[i:k] - first]
+        sums[:, 0] = cum[:, m]
+    return times
+
+
+def trajectory_ode_family(
+    s: Scenario,
+    basis: KgBasis,
+    members: list[MobiusParams],
+    x_range: tuple[float, float],
+    n_samples: int,
+    turning_guard: float = 1.0e-3,
+) -> list[Trajectory]:
+    """trajectory_ode for each member, in one quadrature pass over the family.
+
+    All members share the samples and the Gauss panels, so everything that
+    does not depend on (a, b) is evaluated once per chunk of panels for the
+    whole family; each member's times and velocities have the same bits as
+    a family of that member alone.
+    """
+    if not members:
+        raise ValueError("need at least one family member")
+    lo, hi = x_range
+    if hi <= lo:
+        raise ValueError("x_range must be increasing")
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples")
+    truncated_at = None
+    turns = _turning_points_inside(s, lo, hi)
+    if turns:
+        truncated_at = turns[0]
+        hi = truncated_at - turning_guard
+        if hi <= lo:
+            raise DomainError("x_range collapses after turning-point truncation")
+    if not (basis.x_min <= lo and hi <= basis.x_max):
+        raise DomainError("basis does not cover the requested x_range")
+
+    xs = np.linspace(lo, hi, n_samples)
+    times = _cumulative_time_gauss(s, basis, members, xs)
+    phi2 = basis.phi2(xs)
+    at_xs = (kinetic_factor(s, xs), basis.phi1(xs), phi2, phi2 * phi2)
+    out = []
+    for p, ts in zip(members, times):
+        # a mirror trajectory reflects the displacement and keeps time forward
+        pos = xs.copy() if p.direction > 0 else xs[0] - (xs - xs[0])
+        out.append(Trajectory(
+            times=ts,
+            positions=pos,
+            velocities=p.direction * _flow_speed(s, basis, p, *at_xs),
+            params=p,
+            scenario=s,
+            kind=TrajectoryKind.ODE_GENERAL,
+            direction=p.direction,
+            truncated_at=truncated_at,
+        ))
+    return out
 
 
 def trajectory_ode(
@@ -346,40 +421,12 @@ def trajectory_ode(
     interval pi / W is split into CLOSED_PANELS_PER_NODE panels, with the
     phi2 zeros (where xdot peaks) added as edges.  A turning point inside
     the range truncates it (the flow only reaches it asymptotically) and is
-    flagged on the result.
+    flagged on the result.  This is the one-member case of
+    trajectory_ode_family, which evaluates the member-independent values at
+    the Gauss points (phi1, phi2, the kinetic factor) once per chunk for a
+    whole family.
     """
-    lo, hi = x_range
-    if hi <= lo:
-        raise ValueError("x_range must be increasing")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    truncated_at = None
-    turns = _turning_points_inside(s, lo, hi)
-    if turns:
-        truncated_at = turns[0]
-        hi = truncated_at - turning_guard
-        if hi <= lo:
-            raise DomainError("x_range collapses after turning-point truncation")
-    if not (basis.x_min <= lo and hi <= basis.x_max):
-        raise DomainError("basis does not cover the requested x_range")
-
-    xs = np.linspace(lo, hi, n_samples)
-    ts = _cumulative_time_gauss(s, basis, p, xs)
-    vels = np.asarray(flow_speed(s, basis, p, xs), dtype=float)
-    if p.direction < 0:
-        # mirror trajectory: reflect the displacement, keep time forward
-        xs = xs[0] - (xs - xs[0])
-        vels = -vels
-    return Trajectory(
-        times=ts,
-        positions=xs,
-        velocities=vels,
-        params=p,
-        scenario=s,
-        kind=TrajectoryKind.ODE_GENERAL,
-        direction=p.direction,
-        truncated_at=truncated_at,
-    )
+    return trajectory_ode_family(s, basis, [p], x_range, n_samples, turning_guard)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,24 @@ class TestFigureCommand:
         assert "turning point" in out
         assert (tmp_path / "f4" / "fig4_nodes.csv").exists()
 
+    def test_figure4_nodes_without_reference_member(self, tmp_path):
+        # the node times come from the forward (1, 0) member even when --ab
+        # leaves it out, or lists only its mirror (-1, 0)
+        window = ["--x0", "-60", "--step", "2e-3", "--samples", "64"]
+        assert main(["figure", "4", "--out", str(tmp_path / "all"), *window]) == 0
+        assert main(["figure", "4", "--out", str(tmp_path / "two"), "--ab", "4,2;0.5,-1",
+                     *window]) == 0
+        assert main(["figure", "4", "--out", str(tmp_path / "mirror"), "--ab=-1,0", *window]) == 0
+        two = tmp_path / "two"
+        assert sorted(p.name for p in two.glob("*.csv")) == [
+            "fig4_nodes.csv", "fig4_traj_a0p5_bm1.csv", "fig4_traj_a4_b2.csv",
+        ]
+        nodes = (tmp_path / "all" / "fig4_nodes.csv").read_bytes()
+        assert (two / "fig4_nodes.csv").read_bytes() == nodes
+        assert (tmp_path / "mirror" / "fig4_nodes.csv").read_bytes() == nodes
+        assert (two / "fig4_traj_a4_b2.csv").read_bytes() == (
+            tmp_path / "all" / "fig4_traj_a4_b2.csv").read_bytes()
+
     def test_species_mismatch_rejected(self, tmp_path):
         cfg = _write_cfg(tmp_path, "species = electron\nenergy_mev = 2\n")
         assert main(["figure", "3", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

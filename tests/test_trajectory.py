@@ -235,6 +235,51 @@ class TestOdeTrajectory:
         assert traj.times[0] == 0.0
         assert np.max(np.abs(traj.times[1:] / ref[1:] - 1.0)) <= 1e-14
 
+    @staticmethod
+    def _assert_family_matches_members(s, basis, members, x_range, n_samples):
+        family = rq.trajectory_ode_family(s, basis, members, x_range, n_samples)
+        assert [traj.params for traj in family] == members
+        for p, traj in zip(members, family):
+            one = rq.trajectory_ode(s, basis, p, x_range, n_samples)
+            assert np.array_equal(traj.times, one.times)
+            assert np.array_equal(traj.positions, one.positions)
+            assert np.array_equal(traj.velocities, one.velocities)
+            assert traj.truncated_at == one.truncated_at
+            assert traj.direction == one.direction
+        return family
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_family_matches_members_numeric(self, linear_electron, linear_basis,
+                                            monkeypatch, chunk):
+        # the range ends past the turning point; at chunk 7 the 4,018 panels
+        # put 7 of the 41 samples on a chunk seam
+        if chunk is not None:
+            monkeypatch.setattr(rq.trajectory, "PANEL_CHUNK", chunk)
+        members = [rq.MobiusParams(a, b, -2.0) for a, b in ((1.0, 0.0), (4.0, 2.0), (0.5, -1.0))]
+        family = self._assert_family_matches_members(
+            linear_electron, linear_basis, members, (-2.0, 7.0), 41)
+        assert family[0].truncated_at == pytest.approx(5.956004, rel=1e-6)
+
+    def test_family_matches_members_closed_form(self, electron_2mev, electron_basis):
+        _, dx_n = _node_spacings(electron_2mev)
+        members = [rq.MobiusParams(a, b) for a, b in AB_GRID]
+        self._assert_family_matches_members(
+            electron_2mev, electron_basis, members, (10.0, 10.0 + 3.2 * dx_n), 50)
+
+    def test_family_mirrored_and_repeated_members(self, electron_2mev, electron_basis):
+        _, dx_n = _node_spacings(electron_2mev)
+        p, mirrored = rq.MobiusParams(4.0, 2.0), rq.MobiusParams(-1.0, 0.5)
+        family = self._assert_family_matches_members(
+            electron_2mev, electron_basis, [p, mirrored, p], (0.0, dx_n), 30)
+        assert family[1].direction == -1
+        assert np.all(np.diff(family[1].positions) < 0)
+        assert np.all(np.diff(family[1].times) > 0)
+        assert np.array_equal(family[0].times, family[2].times)
+
+    def test_family_needs_a_member(self, electron_2mev, electron_basis):
+        with pytest.raises(ValueError):
+            rq.trajectory_ode_family(electron_2mev, electron_basis, [], (0.0, 1.0), 30)
+
     def test_basis_coverage_required(self, electron_2mev, linear_basis):
         with pytest.raises(rq.DomainError):
             rq.trajectory_ode(
