@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kg import KgBasis
+from .kg import KgBasis, local_wavenumber
 
 
 @dataclass(frozen=True)
@@ -62,41 +62,43 @@ class ActionSample:
     branch_index: int
 
 
-def _signed_zero_count(basis: KgBasis, x0: float, x: float) -> int:
-    """Zeros of phi2 crossed moving from x0 to x (signed)."""
-    lo, hi = (x0, x) if x >= x0 else (x, x0)
-    zeros = basis.phi2_zeros(lo, hi)
-    if len(zeros) == 0:
-        return 0
-    n_below_x = int(np.searchsorted(zeros, x, side="left"))
-    n_at_or_below_x0 = int(np.searchsorted(zeros, x0, side="right"))
-    return n_below_x - n_at_or_below_x0
+def _unwrapped_action(basis: KgBasis, p: MobiusParams, x: np.ndarray):
+    """Unwrapped S0 and branch index at each of the positions x (an array).
+
+    The branch index counts the zeros of phi2 crossed moving from x0 to x
+    (signed).  On a zero of phi2, whether phi2 reads exactly 0 there or x
+    is one of the basis's zeros, the one-sided limit (pi/2 + n pi) * hbar
+    is returned: the sign of phi2 at a root is rounding noise, and would
+    put atan on either branch.
+    """
+    if not basis.is_closed_form:
+        outside = ~((basis.x_min <= x) & (x <= basis.x_max))
+        if outside.any():
+            raise DomainError(f"x = {float(x[outside][0])} outside basis domain")
+    zeros = basis.phi2_zeros(min(p.x0, float(x.min())), max(p.x0, float(x.max())))
+    n = np.searchsorted(zeros, x, side="left") - np.searchsorted(zeros, p.x0, side="right")
+    phi2 = basis.phi2(x)
+    on_zero = (phi2 == 0.0) | np.isin(x, zeros)
+    with np.errstate(divide="ignore"):
+        r = p.a * basis.phi1(x) / phi2 + p.b
+    # math.atan: np.arctan rounds differently in about one value in 400
+    phase = [math.pi / 2.0 + k * math.pi if zero else math.atan(v) + k * math.pi
+             for v, k, zero in zip(r.tolist(), n.tolist(), on_zero.tolist())]
+    return p.direction * basis.scenario.hbar * np.array(phase), n
 
 
 def reduced_action(basis: KgBasis, p: MobiusParams, x: float) -> ActionSample:
     """Unwrapped S0 at x, anchored so the branch index vanishes at x0.
 
-    At an exact zero of phi2 the one-sided limit (pi/2 + n pi) * hbar is
+    At a zero of phi2 the one-sided limit (pi/2 + n pi) * hbar is
     returned; every downstream quantity is finite there.
     """
-    if not (basis.x_min <= x <= basis.x_max) and not basis.is_closed_form:
-        raise DomainError(f"x = {x} outside basis domain")
-    s = basis.scenario
-    n = _signed_zero_count(basis, p.x0, x)
-    phi2 = float(basis.phi2(x))
-    if phi2 == 0.0:
-        # exactly on a zero: the increasing branch passes through pi/2 here
-        delta = 1e-9 * max(1.0, abs(x))
-        n_strict = _signed_zero_count(basis, p.x0, x - delta)
-        phase = math.pi / 2.0 + n_strict * math.pi
-    else:
-        r = p.a * float(basis.phi1(x)) / phi2 + p.b
-        phase = math.atan(r) + n * math.pi
+    s0, n = _unwrapped_action(basis, p, np.array([x], dtype=float))
     return ActionSample(
         x=x,
-        s0=p.direction * s.hbar * phase,
+        s0=float(s0[0]),
         ds0_dx=conjugate_momentum(basis, p, x),
-        branch_index=n,
+        branch_index=int(n[0]),
     )
 
 
@@ -112,12 +114,6 @@ def conjugate_momentum(basis: KgBasis, p: MobiusParams, x, sign: int = +1):
     return sign * p.direction * basis.scenario.hbar * p.a * basis.wronskian / denom
 
 
-# 5-point central stencils on S0' give S0'' and S0'''.
-def _stencil_values(basis, p, x, h):
-    xs = np.array([x - 2 * h, x - h, x, x + h, x + 2 * h])
-    return conjugate_momentum(basis, p, xs).tolist()
-
-
 def _default_fd_step(basis: KgBasis, x: float) -> float:
     """A thousandth of the local half-oscillation, snapped to the grid.
 
@@ -126,8 +122,6 @@ def _default_fd_step(basis: KgBasis, x: float) -> float:
     the local wavenumber instead; for sampled bases it is rounded to a
     grid multiple so stencil points hit exact ODE samples.
     """
-    from .kg import local_wavenumber
-
     k = local_wavenumber(basis.scenario, x)
     span = basis.x_max - basis.x_min
     h = 1.0e-3 * math.pi / k if k > 0 else span / 1.0e3
@@ -138,9 +132,35 @@ def _default_fd_step(basis: KgBasis, x: float) -> float:
     return h
 
 
-def rqshje_residual(
-    basis: KgBasis, p: MobiusParams, x: float, fd_step: float | None = None
-) -> float:
+def _rqshje_with_momentum(basis: KgBasis, p: MobiusParams, x: np.ndarray, fd_step: float | None):
+    """(residual, S0') at the positions x (an array), as rqshje_residual.
+
+    S0' at x is the centre of the stencil, so it comes with the residual.
+    """
+    if fd_step is None:
+        h = np.reshape([_default_fd_step(basis, v) for v in x.ravel().tolist()], x.shape)
+    else:
+        h = fd_step
+    if not basis.is_closed_form:
+        exits = ~((basis.x_min + 2 * h <= x) & (x <= basis.x_max - 2 * h))
+        if exits.any():
+            raise DomainError(
+                f"finite-difference stencil at x = {float(x[exits][0])} exits the domain")
+    s = basis.scenario
+    # 5-point central stencils on S0' give S0'' and S0'''
+    stencil = np.array([x - 2 * h, x - h, x, x + h, x + 2 * h])
+    pm2, pm1, p0, pp1, pp2 = conjugate_momentum(basis, p, stencil)
+    s0pp = (-pp2 + 8 * pp1 - 8 * pm1 + pm2) / (12.0 * h)
+    s0ppp = (-pp2 + 16 * pp1 - 30 * p0 + 16 * pm1 - pm2) / (12.0 * h**2)
+    u = s.energy - s.potential.value(x)
+    t1 = (s.c * p0) ** 2
+    t2 = -(s.hbar**2 * s.c**2 / 2.0) * (1.5 * (s0pp / p0) ** 2 - s0ppp / p0)
+    t3 = s.rest_energy**2 - u * u
+    scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.abs(t3))
+    return np.abs(t1 + t2 + t3) / scale, p0
+
+
+def rqshje_residual(basis: KgBasis, p: MobiusParams, x, fd_step: float | None = None):
     """Normalized residual of the stationary Hamilton-Jacobi equation.
 
     Uses the m0-cleared form (multiply through by 2 m0 c^2), valid for
@@ -150,31 +170,22 @@ def rqshje_residual(
             + m0^2 c^4 - (E - V)^2 = 0.
 
     S0' is analytic; S0'' and S0''' come from 5-point central differences
-    of S0'.  The result is |sum| / max(|term|).
+    of S0'.  The result is |sum| / max(|term|).  Takes a float or an array
+    of positions, and returns the same.
     """
-    if fd_step is None:
-        fd_step = _default_fd_step(basis, x)
-    if not basis.is_closed_form:
-        if not (basis.x_min + 2 * fd_step <= x <= basis.x_max - 2 * fd_step):
-            raise DomainError(f"finite-difference stencil at x = {x} exits the domain")
-    s = basis.scenario
-    pm2, pm1, p0, pp1, pp2 = _stencil_values(basis, p, x, fd_step)
-    s0pp = (-pp2 + 8 * pp1 - 8 * pm1 + pm2) / (12.0 * fd_step)
-    s0ppp = (-pp2 + 16 * pp1 - 30 * p0 + 16 * pm1 - pm2) / (12.0 * fd_step**2)
-    u = s.energy - s.potential.value(x)
-    t1 = (s.c * p0) ** 2
-    t2 = -(s.hbar**2 * s.c**2 / 2.0) * (1.5 * (s0pp / p0) ** 2 - s0ppp / p0)
-    t3 = s.rest_energy**2 - u * u
-    scale = max(abs(t1), abs(t2), abs(t3))
-    return abs(t1 + t2 + t3) / scale
+    r = _rqshje_with_momentum(basis, p, np.asarray(x, dtype=float), fd_step)[0]
+    return r if r.ndim else float(r)
 
 
 def action_scan(
     basis: KgBasis, p: MobiusParams, xs, fd_step: float | None = None
 ) -> list[tuple[float, float, float, float]]:
-    """(x, s0, ds0_dx, residual) rows for a sweep of positions."""
-    rows = []
-    for x in xs:
-        smp = reduced_action(basis, p, float(x))
-        rows.append((smp.x, smp.s0, smp.ds0_dx, rqshje_residual(basis, p, float(x), fd_step)))
-    return rows
+    """(x, s0, ds0_dx, residual) rows for a sweep of positions.
+
+    Each column is read as one array: S0 at the positions, then S0' and the
+    residual from one call on all the stencils.
+    """
+    xs = np.asarray(xs, dtype=float)
+    s0, _ = _unwrapped_action(basis, p, xs)
+    residual, ds0_dx = _rqshje_with_momentum(basis, p, xs, fd_step)
+    return list(zip(xs.tolist(), s0.tolist(), ds0_dx.tolist(), residual.tolist()))

@@ -27,6 +27,7 @@ from .nodes import (
     mean_momentum,
     nodes_constant,
     nodes_numeric,
+    spacing_grows,
     write_classical_csv,
     write_node_report_csv,
 )
@@ -272,7 +273,7 @@ def cmd_report(args) -> int:
         print(f"numeric nodes       : {len(rows) + 1}")
         if rows:
             worst = max(abs(r["p_node"] / r["p_classical_mid"] - 1.0) for r in rows)
-            grow = all(rows[i]["dx"] < rows[i + 1]["dx"] for i in range(len(rows) - 1))
+            grow = spacing_grows(rows)
             print(f"spacing growth toward turning point: {grow}")
             print(f"max |pi*hbar/dx / p_classical - 1| : {worst:.3e}")
             checks.append(("node_spacing_monotone", grow))
@@ -394,7 +395,10 @@ def cmd_nodes(args) -> int:
             (r["n"], r["x_lo"] * METERS_PER_FM, r["x_hi"] * METERS_PER_FM,
              r["dx"] * METERS_PER_FM, r["p_node"], r["p_classical_mid"]) for r in rows))
         print(f"wrote {path}")
-        print(f"{len(rows) + 1 if rows else 0} nodes; spacing grows toward the turning point")
+        grow = spacing_grows(rows)
+        claim = "; spacing grows toward the turning point" if grow else ""
+        print(f"{len(rows) + 1 if rows else 0} nodes{claim}")
+        return _verdict([("node_spacing_monotone", grow)])
     return 0
 
 

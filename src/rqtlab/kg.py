@@ -9,7 +9,9 @@ cases) or sinh/cosh (massive forbidden) bases in closed form, and general
 potentials are integrated with a fixed-step scheme (RK4 default, Euler as
 a legacy parity mode).  Each step of either scheme is one 2x2 matrix on
 (phi, phi'), shared by both solutions; the grid is chained by a blocked
-prefix product of these matrices, and phi2 roots are polished all at once.
+prefix product of these matrices.  Between grid points a numeric basis is
+read through one cubic Hermite interpolant on the stored (phi, phi'),
+which also gives phi' and the phi2 roots.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .scenario import RegionClass, Scenario, constant_rates, scenario_header, wr
 # Wronskian drift a produced basis is allowed before it counts as broken.
 DRIFT_TOL_CLOSED = 1.0e-8
 DRIFT_TOL_NUMERIC = 1.0e-5
-
-_ZERO_REFINE_REL = 1.0e-13  # |phi2| target relative to max|phi2|, root polish
 
 
 def _omega_sq(s: Scenario, x):
@@ -58,7 +58,10 @@ class KgBasis:
     """Two independent solutions of the Klein-Gordon equation.
 
     Closed-form bases hold exact evaluators; numeric bases hold grid
-    samples with linear interpolation between grid points.  Instances are
+    samples of phi and phi', read between grid points through the cubic
+    Hermite interpolant on both (dense output, Hairer, Norsett & Wanner,
+    Solving ODEs I, II.6).  phi is O(h^4) there and phi' is the cubic's
+    derivative; at a grid point both are the samples.  Instances are
     immutable by convention and safe to share across threads.
     """
 
@@ -99,51 +102,54 @@ class KgBasis:
             raise DomainError("closed-form basis carries no sample grid")
         return self._samples[0]
 
-    def _interp(self, idx: int, x):
+    def _hermite(self, x, cell, derivative: bool = False):
+        """(phi1, phi2) at x, or their derivatives, inside the given grid cells.
+
+        On each cell the cubic that matches phi and phi' at both ends: O(h^4)
+        in phi, O(h^3) in phi', and exactly the samples at a grid point.
+        """
+        xs, p1, p2, d1, d2 = self._samples
+        right, left_x = cell + 1, xs[cell]
+        h = xs[right] - left_x
+        t = (x - left_x) / h
+        s = 1.0 - t
+        if derivative:
+            w0, w1, wy = s * (s - 2.0 * t), t * (t - 2.0 * s), 6.0 * t * s / h
+            return tuple(w0 * dy[cell] + w1 * dy[right] + wy * (y[right] - y[cell])
+                         for y, dy in ((p1, d1), (p2, d2)))
+        ts = t * s
+        out = []
+        for y, dy in ((p1, d1), (p2, d2)):
+            y0, y1 = y[cell], y[right]
+            rise = y1 - y0
+            # the chord s y0 + t y1, plus the cubic's departure from it (0 at both ends)
+            out.append(s * (y0 + ts * (h * dy[cell] - rise)) + t * (y1 - ts * (h * dy[right] - rise)))
+        return tuple(out)
+
+    def _read(self, x, derivative: bool = False):
+        """_hermite on the grid cell holding each x; the last cell holds x_max."""
         xs = self._samples[0]
-        return np.interp(x, xs, self._samples[idx])
+        cell = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+        return self._hermite(x, cell, derivative)
 
     def phi1(self, x):
-        return self._evaluators[0](x) if self.is_closed_form else self._interp(1, x)
+        return self._evaluators[0](x) if self.is_closed_form else self._read(x)[0]
 
     def phi2(self, x):
-        return self._evaluators[1](x) if self.is_closed_form else self._interp(2, x)
+        return self._evaluators[1](x) if self.is_closed_form else self._read(x)[1]
 
     def dphi1(self, x):
-        return self._evaluators[2](x) if self.is_closed_form else self._interp(3, x)
+        return self._evaluators[2](x) if self.is_closed_form else self._read(x, True)[0]
 
     def dphi2(self, x):
-        return self._evaluators[3](x) if self.is_closed_form else self._interp(4, x)
+        return self._evaluators[3](x) if self.is_closed_form else self._read(x, True)[1]
 
     def phi12_in_cells(self, x, cell):
         """(phi1, phi2) at x, given the index of the grid point at or left of x.
 
-        The same linear interpolant as phi1 / phi2, without the binary search.
+        The same cubic as phi1 / phi2, without the binary search.
         """
-        xs, left, right = self._samples[0], cell, cell + 1
-        dx, width = x - xs[left], xs[right] - xs[left]
-        return tuple((y[right] - y[left]) / width * dx + y[left] for y in self._samples[1:3])
-
-    def _phi2_exact(self, x):
-        """phi2 evaluated on the ODE itself, for root polishing.
-
-        For numeric bases this re-integrates from the grid point to the left
-        of each x in four RK4 sub-steps, so refined roots do not inherit
-        interpolation bias.  Takes a float or an array of positions.
-        """
-        if self.is_closed_form:
-            return self._evaluators[1](x)
-        xs, _, p2, _, d2 = self._samples
-        x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 1)
-        xi, phi, dphi = xs[i], p2[i], d2[i]
-        h = (x - xi) / 4.0
-        w = lambda xx: _omega_sq(self.scenario, xx)
-        for _ in range(4):
-            e11, m12, m21, e22 = _rk4_matrix(w(xi), w(xi + 0.5 * h), w(xi + h), h)
-            phi, dphi = phi + (e11 * phi + m12 * dphi), dphi + (m21 * phi + e22 * dphi)
-            xi = xi + h
-        return phi if phi.ndim else float(phi)
+        return self._hermite(x, cell)
 
     # -- phi2 roots -------------------------------------------------------
 
@@ -160,48 +166,15 @@ class KgBasis:
         return z[(z >= lo) & (z <= hi)]
 
     def _compute_zeros(self) -> np.ndarray:
+        """The cubic's root in each cell where phi2 changes sign."""
         xs, _, p2 = self._samples[:3]
-        scale = float(np.max(np.abs(p2)))
-        if scale == 0.0:
-            return np.array([])
         j = np.flatnonzero(p2[:-1] * p2[1:] < 0.0)
-        polished = _bisect_then_secant(self._phi2_exact, xs[j], xs[j + 1],
-                                       f_tol=_ZERO_REFINE_REL * scale)
-        return np.sort(np.concatenate([xs[p2 == 0.0], polished]))
-
-
-def _bisect_then_secant(f, lo, hi, f_tol: float, n_bisect: int = 12) -> np.ndarray:
-    """Refine bracketed roots all at once: bisection to narrow, then secant to polish.
-
-    ``f`` maps an array of positions to an array of values.  Each root stops
-    on its own (an exact zero, a stalled secant, or |f| <= f_tol); later
-    steps run on the roots still live.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    flo, fhi = f(lo), f(hi)
-    if np.any(flo * fhi > 0):
-        raise ValueError("root not bracketed")
-    root = np.where(flo == 0.0, lo, hi)
-    live = lambda keep, *arrays: [a[keep] for a in arrays]
-    act, lo, hi, flo, fhi = live((flo != 0.0) & (fhi != 0.0), np.arange(len(lo)), lo, hi, flo, fhi)
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        left = flo * fmid < 0
-        lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
-        hi, fhi = np.where(left, mid, hi), np.where(left, fmid, fhi)
-        root[act] = mid
-        act, lo, hi, flo, fhi = live(fmid != 0.0, act, lo, hi, flo, fhi)
-    root[act] = hi
-    x0, x1, f0, f1 = lo, hi, flo, fhi
-    for _ in range(12):
-        act, lo, hi, x0, x1, f0, f1 = live(f1 != f0, act, lo, hi, x0, x1, f0, f1)
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        x2 = np.where((lo - 1e-9 <= x2) & (x2 <= hi + 1e-9), x2, 0.5 * (x0 + x1))
-        x0, f0, x1, f1 = x1, f1, x2, f(x2)
-        root[act] = x1
-        act, lo, hi, x0, x1, f0, f1 = live(np.abs(f1) > f_tol, act, lo, hi, x0, x1, f0, f1)
-    return root
+        lo, hi = xs[j], xs[j + 1]
+        x = lo + p2[j] / (p2[j] - p2[j + 1]) * (hi - lo)
+        for _ in range(3):  # Newton: two steps reach rounding level on grids nodes_numeric takes
+            step = self._hermite(x, j)[1] / self._hermite(x, j, derivative=True)[1]
+            x = np.clip(x - step, lo, hi)
+        return np.sort(np.concatenate([xs[p2 == 0.0], x]))
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +411,5 @@ def write_basis_csv(basis: KgBasis, path: str | Path, n_points: int = 1001) -> P
               f"source = {basis.source.describe()}",
               f"wronskian_per_fm = {basis.wronskian!r}",
               "columns: x_fm, phi1, phi2, dphi1, dphi2"]
-    rows = ((x, float(basis.phi1(x)), float(basis.phi2(x)), float(basis.dphi1(x)),
-             float(basis.dphi2(x))) for x in xs)
-    return write_csv(path, header, rows)
+    cols = (basis.phi1(xs), basis.phi2(xs), basis.dphi1(xs), basis.dphi2(xs))
+    return write_csv(path, header, zip(*(np.asarray(c, dtype=float).tolist() for c in (xs, *cols))))

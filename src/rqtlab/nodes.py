@@ -70,7 +70,7 @@ def nodes_constant(s: Scenario, n_nodes: int = 8, x0: float = 0.0) -> NodeReport
 
 
 def nodes_numeric(basis: KgBasis) -> np.ndarray:
-    """Zeros of phi2 over the basis domain, root-polished on the ODE.
+    """Zeros of phi2 over the basis domain (a numeric basis: its interpolant's).
 
     Empty output is valid: a massive forbidden-region basis (cosh) has no
     zeros.  Numeric bases must be sampled at no coarser than a twentieth
@@ -191,6 +191,15 @@ def linear_node_summary(s: Scenario, basis: KgBasis) -> list[dict]:
             }
         )
     return rows
+
+
+def spacing_grows(rows: list[dict]) -> bool:
+    """Whether each linear_node_summary interval is wider than the one before.
+
+    The momentum falls toward the turning point, so the spacing pi hbar / p
+    grows; fewer than two intervals pass vacuously.
+    """
+    return all(lo["dx"] < hi["dx"] for lo, hi in zip(rows, rows[1:]))
 
 
 # ---------------------------------------------------------------------------

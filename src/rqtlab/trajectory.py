@@ -414,17 +414,17 @@ def trajectory_ode(
     finite and of one sign between turning points, so t(x) is smooth and
     strictly monotone.  Every basis takes one path: fixed 4-point Gauss
     panels summed cumulatively, with every requested sample a panel edge.
-    On a sampled basis the panels are its grid cells, which integrates the
-    linear interpolant to its own fidelity: the samples are inserted into
-    the grid, and phi at the Gauss points is read inside each panel's cell,
-    whose index is a running count of grid edges; on a closed form each node
-    interval pi / W is split into CLOSED_PANELS_PER_NODE panels, with the
-    phi2 zeros (where xdot peaks) added as edges.  A turning point inside
-    the range truncates it (the flow only reaches it asymptotically) and is
-    flagged on the result.  This is the one-member case of
-    trajectory_ode_family, which evaluates the member-independent values at
-    the Gauss points (phi1, phi2, the kinetic factor) once per chunk for a
-    whole family.
+    On a sampled basis the panels are its grid cells, so that each panel
+    sees one smooth piece of the basis's cubic interpolant: the samples are
+    inserted into the grid, and phi at the Gauss points is read inside each
+    panel's cell, whose index is a running count of grid edges; on a closed
+    form each node interval pi / W is split into CLOSED_PANELS_PER_NODE
+    panels, with the phi2 zeros (where xdot peaks) added as edges.  A
+    turning point inside the range truncates it (the flow only reaches it
+    asymptotically) and is flagged on the result.  This is the one-member
+    case of trajectory_ode_family, which evaluates the member-independent
+    values at the Gauss points (phi1, phi2, the kinetic factor) once per
+    chunk for a whole family.
     """
     return trajectory_ode_family(s, basis, [p], x_range, n_samples, turning_guard)[0]
 

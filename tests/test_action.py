@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import rqtlab as rq
@@ -105,6 +107,17 @@ class TestReducedAction:
             - rq.reduced_action(linear_basis, p, float(zs[4])).s0
         )
         assert jump == pytest.approx(math.pi * HBAR, rel=1e-10)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(a=st.floats(min_value=0.05, max_value=20.0) | st.floats(min_value=-20.0, max_value=-0.05),
+           b=st.floats(min_value=-5.0, max_value=5.0),
+           x0=st.floats(min_value=-400.0, max_value=8.0))
+    def test_numeric_basis_jump_every_interval(self, linear_basis, a, b, x0):
+        # at a node the sign of phi2 is rounding noise; S0 must still climb pi hbar
+        p = rq.MobiusParams(a, b, x0=x0)
+        zs = linear_basis.phi2_zeros()
+        s0 = np.array([rq.reduced_action(linear_basis, p, float(z)).s0 for z in zs])
+        assert np.allclose(np.diff(s0), p.direction * math.pi * HBAR, rtol=1e-10, atol=0.0)
 
 
 class TestConjugateMomentum:

@@ -203,6 +203,20 @@ class TestOtherCommands:
         data = _read_csv(tmp_path / "n" / "nodes.csv")
         assert np.all(np.diff(data[:, 3]) > 0)  # spacings grow
 
+    def test_nodes_linear_fails_when_spacing_does_not_grow(self, tmp_path, capsys, monkeypatch):
+        cfg = _write_cfg(
+            tmp_path, "species = electron\nenergy_mev = 2\npotential = linear\ng_mev_per_fm = 0.25\n"
+        )
+        summary = rqtlab.cli.linear_node_summary
+        monkeypatch.setattr(rqtlab.cli, "linear_node_summary", lambda s, b: summary(s, b)[::-1])
+        assert main([
+            "nodes", "--config", cfg, "--out", str(tmp_path / "n"),
+            "--x-min", "-120", "--step", "2e-3",
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "spacing grows" not in out
+        assert "FAILED checks: node_spacing_monotone" in out
+
     def test_kg_solve(self, tmp_path, capsys):
         assert main([
             "kg-solve", "--out", str(tmp_path / "kg"),

@@ -5,9 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rqtlab as rq
-from rqtlab.kg import _bisect_then_secant, _omega_sq, local_wavenumber
+from rqtlab.kg import _omega_sq, _rk4_matrix, local_wavenumber
 
 # wavenumbers from sqrt((E-U0)^2 - m0^2 c^4) / (hbar c), frozen from the
 # defining arithmetic
@@ -48,6 +50,61 @@ def _reference_loop(s, x_min, x_max, step, method):
             d = d + h6 * (e1 + 2 * e2 + 2 * e3 + e4)
         out[:, i + 1] = a, c, b, d
     return out
+
+
+def _reference_phi2(basis, x):
+    """phi2 re-integrated on the ODE itself, as a reference for the roots.
+
+    Runs four RK4 sub-steps from the grid point at or left of each x, so
+    the value carries no interpolation error.  Takes an array of positions.
+    """
+    xs, _, p2, _, d2 = basis._samples
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 1)
+    xi, phi, dphi = xs[i], p2[i], d2[i]
+    h = (x - xi) / 4.0
+    w = lambda xx: _omega_sq(basis.scenario, xx)
+    for _ in range(4):
+        e11, m12, m21, e22 = _rk4_matrix(w(xi), w(xi + 0.5 * h), w(xi + h), h)
+        phi, dphi = phi + (e11 * phi + m12 * dphi), dphi + (m21 * phi + e22 * dphi)
+        xi = xi + h
+    return phi
+
+
+def _reference_zeros(basis):
+    """The zeros of _reference_phi2 in each sign-change cell, all at once.
+
+    Bisection to narrow, then secant to polish; each root stops on its own
+    (an exact zero, a stalled secant, or |phi2| <= 1e-13 max|phi2|).  The
+    root polish numeric bases once ran, kept as the reference for the
+    interpolant's roots.
+    """
+    xs, _, p2 = basis._samples[:3]
+    f = lambda x: _reference_phi2(basis, x)
+    f_tol = 1.0e-13 * float(np.max(np.abs(p2)))
+    j = np.flatnonzero(p2[:-1] * p2[1:] < 0.0)
+    lo, hi = xs[j], xs[j + 1]
+    flo, fhi = f(lo), f(hi)
+    root = np.where(flo == 0.0, lo, hi)
+    live = lambda keep, *arrays: [a[keep] for a in arrays]
+    act, lo, hi, flo, fhi = live((flo != 0.0) & (fhi != 0.0), np.arange(len(lo)), lo, hi, flo, fhi)
+    for _ in range(12):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        left = flo * fmid < 0
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
+        hi, fhi = np.where(left, mid, hi), np.where(left, fmid, fhi)
+        root[act] = mid
+        act, lo, hi, flo, fhi = live(fmid != 0.0, act, lo, hi, flo, fhi)
+    root[act] = hi
+    x0, x1, f0, f1 = lo, hi, flo, fhi
+    for _ in range(12):
+        act, lo, hi, x0, x1, f0, f1 = live(f1 != f0, act, lo, hi, x0, x1, f0, f1)
+        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+        x2 = np.where((lo - 1e-9 <= x2) & (x2 <= hi + 1e-9), x2, 0.5 * (x0 + x1))
+        x0, f0, x1, f1 = x1, f1, x2, f(x2)
+        root[act] = x1
+        act, lo, hi, x0, x1, f0, f1 = live(np.abs(f1) > f_tol, act, lo, hi, x0, x1, f0, f1)
+    return np.sort(np.concatenate([xs[p2 == 0.0], root]))
 
 
 def _scaled_electron(eps=0.01):
@@ -183,6 +240,53 @@ class TestNumericIntegration:
             rq.kg_solve_numeric(linear_electron, 0.0, 1.0, step=-1e-3)
 
 
+# the linear_basis fixture's window in conftest
+LINEAR_WINDOW = st.floats(min_value=-400.0, max_value=8.0)
+
+
+class TestHermiteInterpolant:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(xs=st.lists(LINEAR_WINDOW, min_size=1, max_size=40))
+    def test_phi_equals_phi12_in_cells(self, linear_basis, xs):
+        grid = linear_basis.grid
+        x = np.array(xs)
+        cell = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, len(grid) - 2)
+        phi1, phi2 = linear_basis.phi12_in_cells(x, cell)
+        assert np.array_equal(linear_basis.phi1(x), phi1)
+        assert np.array_equal(linear_basis.phi2(x), phi2)
+        assert [linear_basis.phi2(v) for v in xs] == phi2.tolist()
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(x_min=st.floats(min_value=-50.0, max_value=0.0),
+           span=st.floats(min_value=1e-2, max_value=5.0),
+           step=st.floats(min_value=1e-3, max_value=5e-2))
+    def test_grid_points_return_the_samples(self, linear_electron, x_min, span, step):
+        b = rq.kg_solve_numeric(linear_electron, x_min, x_min + span, step=step)
+        xs, *samples = b._samples
+        for f, want in zip((b.phi1, b.phi2, b.dphi1, b.dphi2), samples):
+            assert np.array_equal(f(xs), want)
+            assert f(b.x_max) == want[-1]
+
+    def test_derivative_is_the_cubic_slope(self, linear_basis):
+        x = np.linspace(-399.0, 7.0, 101) + 1.3e-3
+        h = 1e-6
+        for f, df in ((linear_basis.phi1, linear_basis.dphi1), (linear_basis.phi2, linear_basis.dphi2)):
+            slope = (f(x + h) - f(x - h)) / (2 * h)
+            assert np.max(np.abs(df(x) - slope)) <= 1e-6 * np.max(np.abs(df(x)))
+
+    def test_fourth_order_between_grid_points(self):
+        s = _scaled_electron()
+        k = rq.kg_closed_constant(s).wronskian
+
+        def max_err(step):
+            b = rq.kg_solve_numeric(s, 0.0, 2 * math.pi / k, step=step)
+            x = b.grid[:-1] + 0.37 * step
+            return float(np.max(np.abs(b.phi2(x) - np.cos(k * x))))
+
+        ratio = max_err(0.04) / max_err(0.02)
+        assert ratio == pytest.approx(16.0, rel=0.15)
+
+
 class TestPhi2Zeros:
     def test_closed_form_zeros_analytic(self, electron_basis):
         k = electron_basis.wronskian
@@ -199,29 +303,17 @@ class TestPhi2Zeros:
         assert len(zs) == 8
         assert np.max(np.abs(zs - expected) / expected) <= 1e-9
 
-    def test_refinement_tolerance(self, linear_basis):
+    def test_roots_hold_reference_tolerance(self, linear_basis):
         zs = linear_basis.phi2_zeros()
         scale = float(np.max(np.abs(linear_basis._samples[2])))
-        worst = max(abs(linear_basis._phi2_exact(float(z))) for z in zs)
-        assert worst <= 1e-10 * scale
+        assert len(zs) == 34
+        assert np.max(np.abs(_reference_phi2(linear_basis, zs))) <= 1e-10 * scale
 
-    def test_exact_phi2_batched_like_scalar(self, linear_basis):
-        x = np.linspace(-399.0, 7.0, 57)
-        batched = linear_basis._phi2_exact(x)
-        assert batched.shape == x.shape
-        assert np.array_equal(batched, [linear_basis._phi2_exact(float(v)) for v in x])
-        grid = linear_basis.grid[::1000]
-        assert np.array_equal(linear_basis._phi2_exact(grid), linear_basis._samples[2][::1000])
-
-    def test_batched_polish_end_points_and_bracket(self):
-        f = lambda x: (x - 1.0) * (x - 3.0)
-        # zero at lo, at hi, at the first bisection midpoint, and one to polish
-        lo, hi = np.array([1.0, 0.0, 2.0, 2.5]), np.array([2.0, 1.0, 4.0, 4.0])
-        roots = _bisect_then_secant(f, lo, hi, f_tol=1e-15)
-        assert np.array_equal(roots[:3], [1.0, 1.0, 3.0])
-        assert roots[3] == pytest.approx(3.0, abs=1e-14)
-        with pytest.raises(ValueError, match="not bracketed"):
-            _bisect_then_secant(f, np.array([0.0, 4.0]), np.array([2.0, 5.0]), f_tol=1e-15)
+    def test_roots_match_reference_polish(self, linear_basis):
+        zs = linear_basis.phi2_zeros()
+        ref = _reference_zeros(linear_basis)
+        assert len(ref) == len(zs)
+        assert np.max(np.abs(zs - ref)) <= 1e-11
 
 
 class TestBasisCsv:

@@ -71,6 +71,11 @@ class TestNumericNodes:
         assert len(rows) >= 10
         dxs = [r["dx"] for r in rows]
         assert all(dxs[i] < dxs[i + 1] for i in range(len(dxs) - 1))
+        assert rq.spacing_grows(rows)
+
+    @pytest.mark.parametrize("dxs", [(2.0, 1.0), (1.0, 1.0), (1.0, 2.0, 3.0, 2.5)])
+    def test_spacing_check_rejects_rows_that_do_not_grow(self, dxs):
+        assert not rq.spacing_grows([{"dx": dx} for dx in dxs])
 
     def test_linear_local_momentum_within_5pct(self, linear_electron, linear_basis):
         rows = rq.linear_node_summary(linear_electron, linear_basis)

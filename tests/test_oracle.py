@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import rqtlab as rq
+from test_kg import _reference_zeros
 
 REFS = Path(__file__).resolve().parents[1] / "perfbench" / "oracle_refs.json"
 N_SAMPLES = 600  # the CLI default, which the oracle's sample indices refer to
@@ -36,6 +37,15 @@ def test_figure4_nodes_against_oracle(fig4):
     assert worst <= 1.5e-6
 
 
+def test_figure4_nodes_against_reference_polish(fig4):
+    # the roots of the cubic interpolant against phi2 polished on the ODE itself
+    _, basis, _, _ = fig4
+    nodes = basis.phi2_zeros()
+    ref = _reference_zeros(basis)
+    assert len(ref) == len(nodes) == 5897
+    assert np.max(np.abs(nodes - ref)) <= 1e-11
+
+
 def test_figure4_time_of_flight_against_oracle(fig4):
     s, basis, turning, ref = fig4
     traj = rq.trajectory_ode(s, basis, rq.MobiusParams(1.0, 0.0), (ref["x_min_fm"], turning),
@@ -44,7 +54,8 @@ def test_figure4_time_of_flight_against_oracle(fig4):
     for point in ref["tof"]:
         i = point["sample"]
         assert traj.positions[i] == pytest.approx(point["x_fm"], rel=1e-12)
-        # time error as a distance travelled, in local node spacings
+        # time error as a distance travelled, in local node spacings; the
+        # cubic interpolant leaves 1.5e-9 at the third sample
         dev = abs(traj.times[i] - point["t_s"]) * point["speed_fm_per_s"] / point["dx_local_fm"]
-        assert dev <= 1e-3
+        assert dev <= 1.5e-8
     assert np.all(np.diff(traj.times) > 0)
