@@ -48,10 +48,13 @@ def dual_params(p: MobiusParams) -> MobiusParams:
     The reduced action (and the flow it generates) uses constants (a, b)
     in a*phi1/phi2 + b, while the printed time-domain solutions carry the
     integration constants of the inverted relation.  The two labelings of
-    one and the same curve are related by (a, b) -> (1/a, -b/a), which is
-    its own inverse.  Valid as stated for anchors at x0 = 0.
+    one and the same curve are related by (A, B) -> (1/A, -B/A) on the
+    signed labels (A, B) = (d a, d b) of a member stored as (a, b, d), which
+    is (a, b, d) -> (1/a, -d b/a, d): its own inverse, and the same member
+    whether the signed labels or their canonical form go in.  Valid as
+    stated for anchors at x0 = 0.
     """
-    return MobiusParams(a=1.0 / p.a, b=-p.b / p.a, x0=p.x0, direction=p.direction)
+    return MobiusParams(a=1.0 / p.a, b=-p.direction * p.b / p.a, x0=p.x0, direction=p.direction)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,16 @@ import numpy as np
 
 from .action import MobiusParams, action_scan
 from .errors import IntegrationOverflowError
-from .kg import kg_closed_constant, kg_fd_residual, kg_solve_numeric, wronskian_drift, write_basis_csv
+from .kg import (
+    DEFAULT_METHOD,
+    DEFAULT_STEP,
+    METHODS,
+    kg_closed_constant,
+    kg_fd_residual,
+    kg_solve_numeric,
+    wronskian_drift,
+    write_basis_csv,
+)
 from .nodes import (
     classical_limit_scan,
     de_broglie_check,
@@ -45,6 +54,7 @@ from .scenario import (
 )
 from .trajectory import (
     firqnl_residual,
+    node_times_numeric,
     trajectory_constant_allowed,
     trajectory_constant_forbidden,
     trajectory_ode_family,
@@ -153,10 +163,11 @@ def _fmt(v: float) -> str:
 
 
 def _ab_tag(p: MobiusParams) -> str:
+    """File tag of a member by its signed labels, so (-1, 0.5) and (1, -0.5) differ."""
     def num(v: float) -> str:
         return f"{v:g}".replace("-", "m").replace(".", "p")
 
-    return f"a{num(p.a)}_b{num(p.b)}"
+    return f"a{num(p.direction * p.a)}_b{num(p.direction * p.b)}"
 
 
 def _status(name: str, value: float, bound: float, checks: list) -> None:
@@ -233,16 +244,11 @@ def cmd_figure(args) -> int:
         if s.potential.is_constant:
             raise ValueError("figure 4 needs the linear potential")
         basis, x_lo, _, turning = _linear_basis(s, args, x0, None)
-        # the node times come from the forward (1, 0) member; when --ab leaves
-        # it out it joins the quadrature pass but gets no CSV
-        ref = next((i for i, p in enumerate(ab) if (p.a, p.b, p.direction) == (1.0, 0.0, 1)),
-                   len(ab))
-        members = ab if ref < len(ab) else [*ab, MobiusParams(1.0, 0.0, x0)]
-        trajs = trajectory_ode_family(s, basis, members, (x_lo, turning), n_samples=args.samples)
+        trajs = trajectory_ode_family(s, basis, ab, (x_lo, turning), n_samples=args.samples)
         for p, traj in zip(ab, trajs):
             written.append(write_trajectory_csv(traj, out / f"fig4_traj_{_ab_tag(p)}.csv"))
         zeros = nodes_numeric(basis)
-        t_at = np.interp(zeros, trajs[ref].positions, trajs[ref].times)
+        t_at = node_times_numeric(s, basis, zeros, x_lo)
         header = ["rqtlab linear-potential nodes (times from the a=1, b=0 member)",
                   f"energy_mev = {s.energy!r}", f"g_mev_per_fm = {s.potential.g!r}",
                   "columns: n, t_n_s, x_n_m"]
@@ -447,8 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=600, help="sample count (>= 16)")
         p.add_argument("--ab", type=str, default=None, help="family list 'a,b;a,b;...'")
         p.add_argument("--hbar-scale", dest="hbar_scale", type=float, default=None)
-        p.add_argument("--method", choices=("euler", "rk4"), default="rk4")
-        p.add_argument("--step", type=float, default=1.0e-3, help="integration step in fm")
+        p.add_argument("--method", choices=METHODS, default=DEFAULT_METHOD,
+                       help="numeric Klein-Gordon scheme (default %(default)s)")
+        p.add_argument("--step", type=float, default=DEFAULT_STEP,
+                       help="numeric Klein-Gordon step in fm (default %(default)g)")
         if with_ranges:
             p.add_argument("--x-min", dest="x_min", type=float, default=None)
             p.add_argument("--x-max", dest="x_max", type=float, default=None)

@@ -415,7 +415,7 @@ def trajectory_ode(
     strictly monotone.  Every basis takes one path: fixed 4-point Gauss
     panels summed cumulatively, with every requested sample a panel edge.
     On a sampled basis the panels are its grid cells, so that each panel
-    sees one smooth piece of the basis's cubic interpolant: the samples are
+    sees one smooth piece of the basis's quintic interpolant: the samples are
     inserted into the grid, and phi at the Gauss points is read inside each
     panel's cell, whose index is a running count of grid edges; on a closed
     form each node interval pi / W is split into CLOSED_PANELS_PER_NODE
@@ -427,6 +427,26 @@ def trajectory_ode(
     chunk for a whole family.
     """
     return trajectory_ode_family(s, basis, [p], x_range, n_samples, turning_guard)[0]
+
+
+def node_times_numeric(s: Scenario, basis: KgBasis, nodes, x_lo: float) -> np.ndarray:
+    """Time of flight of the (a, b) = (1, 0) member from x_lo to each node, in s.
+
+    The same Gauss quadrature as trajectory_ode, over [x_lo, *nodes]: each
+    node is a panel edge, so its time is the quadrature's own, not a read
+    between trajectory samples.  The nodes must increase and lie below the
+    first turning point past x_lo.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    if not len(nodes):
+        return np.zeros(0)
+    xs = np.concatenate(([x_lo], nodes))
+    if np.any(np.diff(xs) <= 0.0):
+        raise ValueError("nodes must increase from x_lo")
+    turns = _turning_points_inside(s, x_lo, math.inf)
+    if not (basis.x_min <= x_lo and nodes[-1] <= basis.x_max) or (turns and nodes[-1] >= turns[0]):
+        raise DomainError("nodes must lie inside the basis and before a turning point")
+    return _cumulative_time_gauss(s, basis, [MobiusParams(1.0, 0.0)], xs)[0, 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,19 @@ class TestMobiusParams:
         p = rq.dual_params(rq.MobiusParams(1.0, 0.0))
         assert (p.a, p.b) == (1.0, 0.0)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(a=st.floats(min_value=0.05, max_value=20.0), b=st.floats(min_value=-5.0, max_value=5.0),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_dual_commutes_with_canonical_form(self, a, b, sign):
+        # the signed labels (A, B) map to (1/A, -B/A), whichever form goes in
+        A, B = sign * a, sign * b
+        p = rq.MobiusParams(A, B)
+        assert rq.dual_params(p) == rq.MobiusParams(1.0 / A, -B / A)
+        q = rq.dual_params(rq.dual_params(p))
+        assert q.direction == p.direction
+        # abs: a subnormal b loses digits in b / a
+        assert (q.a, q.b) == (pytest.approx(p.a, rel=1e-15), pytest.approx(p.b, rel=1e-15, abs=1e-300))
+
 
 class TestReducedAction:
     def test_zero_at_origin(self, electron_basis):

@@ -79,11 +79,19 @@ class TestFigureCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "turning point" in out
-        assert (tmp_path / "f4" / "fig4_nodes.csv").exists()
+        # the node times are the library's quadrature, written out
+        s = rqtlab.Scenario(rqtlab.Species.electron(), rqtlab.Potential.linear(0.25), energy=2.0)
+        turning = (s.energy - s.rest_energy) / s.potential.g
+        basis = rqtlab.kg_solve_numeric(s, -60.0, turning + 2.0, step=2e-3)
+        nodes = basis.phi2_zeros()
+        rows = _read_csv(tmp_path / "f4" / "fig4_nodes.csv")
+        assert np.allclose(rows[:, 2], nodes * 1e-15, rtol=1e-12, atol=0.0)
+        assert np.allclose(rows[:, 1], rqtlab.node_times_numeric(s, basis, nodes, -60.0),
+                           rtol=1e-12, atol=0.0)
 
     def test_figure4_nodes_without_reference_member(self, tmp_path):
-        # the node times come from the forward (1, 0) member even when --ab
-        # leaves it out, or lists only its mirror (-1, 0)
+        # the node times come from the forward (1, 0) member's quadrature
+        # whatever --ab lists: all of it, neither, or only its mirror (-1, 0)
         window = ["--x0", "-60", "--step", "2e-3", "--samples", "64"]
         assert main(["figure", "4", "--out", str(tmp_path / "all"), *window]) == 0
         assert main(["figure", "4", "--out", str(tmp_path / "two"), "--ab", "4,2;0.5,-1",
@@ -146,6 +154,16 @@ class TestResidualsCommand:
         assert out.count("PASS") >= 9  # three checks per family member
         assert "FAIL" not in out
         assert (tmp_path / "r" / "residuals_a1_b0.csv").exists()
+
+    def test_mirrored_members(self, tmp_path, capsys):
+        # (-1, 0.5) is (1, -0.5) run backwards: both pass, each with its own CSV
+        rc = main(["residuals", "--out", str(tmp_path / "r"), "--samples", "48",
+                   "--ab", "2,1;-1,0.5;1,-0.5"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "FAIL" not in out
+        assert sorted(p.name for p in (tmp_path / "r").glob("*.csv")) == [
+            "residuals_a1_bm0p5.csv", "residuals_a2_b1.csv", "residuals_am1_b0p5.csv"]
 
     def test_linear_potential(self, tmp_path, capsys):
         cfg = _write_cfg(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rqtlab as rq
-from rqtlab.kg import _omega_sq, _rk4_matrix, local_wavenumber
+from rqtlab.kg import _magnus4_matrix, _omega_sq, _rk4_matrix, local_wavenumber
 
 # wavenumbers from sqrt((E-U0)^2 - m0^2 c^4) / (hbar c), frozen from the
 # defining arithmetic
@@ -267,24 +267,86 @@ class TestHermiteInterpolant:
             assert np.array_equal(f(xs), want)
             assert f(b.x_max) == want[-1]
 
-    def test_derivative_is_the_cubic_slope(self, linear_basis):
-        x = np.linspace(-399.0, 7.0, 101) + 1.3e-3
-        h = 1e-6
-        for f, df in ((linear_basis.phi1, linear_basis.dphi1), (linear_basis.phi2, linear_basis.dphi2)):
-            slope = (f(x + h) - f(x - h)) / (2 * h)
-            assert np.max(np.abs(df(x) - slope)) <= 1e-6 * np.max(np.abs(df(x)))
+    def test_derivative_is_the_quintic_slope(self, linear_electron):
+        # against the quintic solved from its six end conditions in each cell
+        b = rq.kg_solve_numeric(linear_electron, -60.0, -50.0, step=0.05)
+        xs, p1, p2, d1, d2 = b._samples
+        w = _omega_sq(linear_electron, xs)
+        h = xs[1] - xs[0]
+        ends = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 2, 0, 0, 0],
+                         [1, 1, 1, 1, 1, 1], [0, 1, 2, 3, 4, 5], [0, 0, 2, 6, 12, 20]], float)
+        t = np.array([0.1, 0.37, 0.5, 0.81])
+        for cell in (0, 77, len(xs) - 2):
+            for f, df, y, dy in ((b.phi1, b.dphi1, p1, d1), (b.phi2, b.dphi2, p2, d2)):
+                i, j = cell, cell + 1
+                data = [y[i], h * dy[i], h * h * w[i] * y[i], y[j], h * dy[j], h * h * w[j] * y[j]]
+                coef = np.linalg.solve(ends, data)
+                x = xs[i] + t * h
+                value = np.polynomial.polynomial.polyval(t, coef)
+                slope = np.polynomial.polynomial.polyval(t, coef[1:] * np.arange(1, 6)) / h
+                scale = np.max(np.abs(y)) + np.max(np.abs(dy))
+                assert np.max(np.abs(f(x) - value)) <= 1e-13 * scale
+                assert np.max(np.abs(df(x) - slope)) <= 1e-13 * scale
 
-    def test_fourth_order_between_grid_points(self):
-        s = _scaled_electron()
+    def test_sixth_order_between_grid_points(self):
+        # a Magnus basis is exact at the grid points of a constant potential,
+        # so this is the interpolant's own error; k = 4.9 /fm, near figure 4's
+        s = _scaled_electron(0.002)
         k = rq.kg_closed_constant(s).wronskian
 
         def max_err(step):
-            b = rq.kg_solve_numeric(s, 0.0, 2 * math.pi / k, step=step)
+            b = rq.kg_solve_numeric(s, 0.0, 2 * math.pi / k, step=step, method="magnus4")
             x = b.grid[:-1] + 0.37 * step
             return float(np.max(np.abs(b.phi2(x) - np.cos(k * x))))
 
         ratio = max_err(0.04) / max_err(0.02)
+        assert ratio == pytest.approx(64.0, rel=0.15)
+
+
+class TestMagnus:
+    def test_fourth_order_on_linear_window(self, linear_electron):
+        fine = rq.kg_solve_numeric(linear_electron, -60.0, 5.0, step=0.01)
+
+        def max_err(step):
+            b = rq.kg_solve_numeric(linear_electron, -60.0, 5.0, step=step)
+            stride = round(step / 0.01)
+            return max(float(np.max(np.abs(got - want[::stride])))
+                       for got, want in zip(b._samples[1:], fine._samples[1:]))
+
+        ratio = max_err(0.08) / max_err(0.04)
         assert ratio == pytest.approx(16.0, rel=0.15)
+
+    def test_exact_on_constant_potential(self):
+        s = _scaled_electron()
+        k = rq.kg_closed_constant(s).wronskian
+        b = rq.kg_solve_numeric(s, 0.0, 10 * 2 * math.pi / k, method="magnus4")
+        xs, p1, p2, d1, d2 = b._samples
+        assert len(xs) == 6413
+        for got, want in ((p1, np.sin(k * xs)), (p2, np.cos(k * xs)),
+                          (d1 / k, np.cos(k * xs)), (d2 / k, -np.sin(k * xs))):
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_forbidden_window_drift_no_worse_than_rk4(self, forbidden_electron):
+        # the 0-50 fm kg-solve window; RK4 drifts 1.2e-15 there at 1e-3 fm
+        drift = {m: rq.wronskian_drift(rq.kg_solve_numeric(forbidden_electron, 0.0, 50.0,
+                                                           step=1e-3, method=m))
+                 for m in ("magnus4", "rk4")}
+        assert drift["magnus4"] <= drift["rk4"]
+        assert rq.wronskian_drift(rq.kg_solve_numeric(forbidden_electron, 0.0, 50.0)) <= 1.2e-15
+
+    def test_step_matrix_at_full_precision(self):
+        # the Taylor branch (|delta| <= 1e-2) and the closed forms beyond it,
+        # against cosh - 1 and sinh(r) / r in 40 digits; w1 = w2, so delta = w
+        mp = pytest.importorskip("mpmath")
+        delta = np.array([1e-9, -1e-9, 3e-4, -4e-3, 9.99e-3, -1.01e-2, 0.5, -30.0])
+        e11, m12, m21, e22 = _magnus4_matrix(delta, delta.copy(), 1.0)
+        assert np.array_equal(e11, e22) and np.array_equal(m21, m12 * delta)
+        with mp.workdps(40):
+            for d, cosh_m1, sinhc in zip(delta.tolist(), e11, m12):
+                r = mp.sqrt(abs(mp.mpf(d)))
+                want = (mp.cosh(r) - 1, mp.sinh(r) / r) if d > 0 else (mp.cos(r) - 1, mp.sin(r) / r)
+                assert abs(cosh_m1 / want[0] - 1) <= 4e-16
+                assert abs(sinhc / want[1] - 1) <= 4e-16
 
 
 class TestPhi2Zeros:

@@ -24,7 +24,7 @@ def fig4():
     ref = json.loads(REFS.read_text())["fig4_linear"]
     s = rq.Scenario(rq.Species.electron(), rq.Potential.linear(0.25), energy=2.0)
     turning = (s.energy - s.rest_energy) / s.potential.g
-    basis = rq.kg_solve_numeric(s, ref["x_min_fm"], turning + 2.0, step=1e-3, method="rk4")
+    basis = rq.kg_solve_numeric(s, ref["x_min_fm"], turning + 2.0)  # the library defaults
     return s, basis, turning, ref
 
 
@@ -34,11 +34,12 @@ def test_figure4_nodes_against_oracle(fig4):
     assert len(nodes) == ref["node_count"] == 5897
     assert len(ref["nodes"]) == 33
     worst = max(abs(nodes[n] - x) for n, x in ref["nodes"])
-    assert worst <= 1.5e-6
+    # 8.9e-11 fm with the default Magnus step (RK4 at 1e-3 fm left 1.5e-6)
+    assert worst <= 1e-9
 
 
 def test_figure4_nodes_against_reference_polish(fig4):
-    # the roots of the cubic interpolant against phi2 polished on the ODE itself
+    # the roots of the quintic interpolant against phi2 polished on the ODE itself
     _, basis, _, _ = fig4
     nodes = basis.phi2_zeros()
     ref = _reference_zeros(basis)
@@ -55,7 +56,7 @@ def test_figure4_time_of_flight_against_oracle(fig4):
         i = point["sample"]
         assert traj.positions[i] == pytest.approx(point["x_fm"], rel=1e-12)
         # time error as a distance travelled, in local node spacings; the
-        # cubic interpolant leaves 1.5e-9 at the third sample
+        # default basis leaves 1.2e-10 at the third sample
         dev = abs(traj.times[i] - point["t_s"]) * point["speed_fm_per_s"] / point["dx_local_fm"]
-        assert dev <= 1.5e-8
+        assert dev <= 1.5e-9
     assert np.all(np.diff(traj.times) > 0)

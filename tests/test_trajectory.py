@@ -296,6 +296,37 @@ class TestOdeTrajectory:
         assert np.all(np.diff(traj.times) > 0)
 
 
+class TestNodeTimes:
+    def test_against_direct_quadrature(self, linear_electron, linear_basis):
+        # adaptive quadrature of 1/xdot over each node interval, summed
+        from scipy.integrate import quad
+
+        s, basis, p = linear_electron, linear_basis, rq.MobiusParams(1.0, 0.0)
+        nodes = basis.phi2_zeros()
+        times = rq.node_times_numeric(s, basis, nodes, basis.x_min)
+        edges = np.concatenate(([basis.x_min], nodes))
+        inv = lambda x: 1.0 / float(rq.flow_speed(s, basis, p, x))
+        ref = np.cumsum([quad(inv, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for lo, hi in zip(edges[:-1], edges[1:])])
+        assert len(times) == 34
+        # in units of the local node interval's time
+        assert np.max(np.abs(times - ref) / np.diff(np.concatenate(([0.0], ref)))) <= 1e-11
+
+    def test_same_quadrature_as_trajectory(self, linear_electron, linear_basis):
+        s, basis = linear_electron, linear_basis
+        traj = rq.trajectory_ode(s, basis, rq.MobiusParams(1.0, 0.0), (-300.0, -100.0), 57)
+        times = rq.node_times_numeric(s, basis, traj.positions[1:], -300.0)
+        assert np.array_equal(times, traj.times[1:])
+
+    def test_nodes_before_turning_point(self, linear_electron, linear_basis):
+        s, basis = linear_electron, linear_basis
+        assert len(rq.node_times_numeric(s, basis, [], -300.0)) == 0
+        with pytest.raises(rq.DomainError):
+            rq.node_times_numeric(s, basis, [-100.0, 6.0], -300.0)
+        with pytest.raises(ValueError):
+            rq.node_times_numeric(s, basis, [-100.0, -200.0], -300.0)
+
+
 class TestFirqnlResidual:
     def test_straight_line_tier(self, electron_2mev):
         dt_n, _ = _node_spacings(electron_2mev)
@@ -393,6 +424,14 @@ class TestFirqnlResidual:
 class TestVelocityMomentum:
     @pytest.mark.parametrize("a,b", AB_GRID)
     def test_closed_allowed_family(self, electron_2mev, electron_basis, a, b):
+        dt_n, _ = _node_spacings(electron_2mev)
+        traj = rq.trajectory_constant_allowed(
+            electron_2mev, rq.MobiusParams(a, b), (0.0, 2 * dt_n), dt_n / 100
+        )
+        assert rq.velocity_momentum_check(traj, electron_basis) <= 1e-6
+
+    @pytest.mark.parametrize("a,b", [(-1.0, 0.5), (-4.0, 2.0), (-0.5, -1.0)])
+    def test_closed_allowed_mirrored_members(self, electron_2mev, electron_basis, a, b):
         dt_n, _ = _node_spacings(electron_2mev)
         traj = rq.trajectory_constant_allowed(
             electron_2mev, rq.MobiusParams(a, b), (0.0, 2 * dt_n), dt_n / 100
