@@ -22,6 +22,7 @@ from .errors import IntegrationOverflowError
 from .kg import (
     DEFAULT_METHOD,
     DEFAULT_STEP,
+    DRIFT_TOL_NUMERIC,
     METHODS,
     kg_closed_constant,
     kg_fd_residual,
@@ -54,7 +55,6 @@ from .scenario import (
 )
 from .trajectory import (
     firqnl_residual,
-    node_times_numeric,
     trajectory_constant_allowed,
     trajectory_constant_forbidden,
     trajectory_ode_family,
@@ -244,11 +244,17 @@ def cmd_figure(args) -> int:
         if s.potential.is_constant:
             raise ValueError("figure 4 needs the linear potential")
         basis, x_lo, _, turning = _linear_basis(s, args, x0, None)
-        trajs = trajectory_ode_family(s, basis, ab, (x_lo, turning), n_samples=args.samples)
+        zeros = nodes_numeric(basis)
+        # the node times come from the forward (1, 0) member; when --ab leaves
+        # it out it joins the quadrature pass but gets no CSV
+        ref = next((i for i, p in enumerate(ab) if (p.a, p.b, p.direction) == (1.0, 0.0, 1)),
+                   len(ab))
+        members = ab if ref < len(ab) else [*ab, MobiusParams(1.0, 0.0, x0)]
+        trajs = trajectory_ode_family(s, basis, members, (x_lo, turning), n_samples=args.samples,
+                                      nodes=zeros)
         for p, traj in zip(ab, trajs):
             written.append(write_trajectory_csv(traj, out / f"fig4_traj_{_ab_tag(p)}.csv"))
-        zeros = nodes_numeric(basis)
-        t_at = node_times_numeric(s, basis, zeros, x_lo)
+        t_at = trajs[ref].node_times
         header = ["rqtlab linear-potential nodes (times from the a=1, b=0 member)",
                   f"energy_mev = {s.energy!r}", f"g_mev_per_fm = {s.potential.g!r}",
                   "columns: n, t_n_s, x_n_m"]
@@ -417,7 +423,9 @@ def cmd_kg_solve(args) -> int:
     drift = wronskian_drift(basis)
     print(f"wrote {write_basis_csv(basis, out / 'kg_basis.csv')}")
     print(f"wronskian = {_fmt(basis.wronskian)} 1/fm, drift = {drift:.3e}")
-    return 0
+    checks: list[tuple[str, bool]] = []
+    _status("wronskian_drift", drift, DRIFT_TOL_NUMERIC, checks)
+    return _verdict(checks)
 
 
 def cmd_classical_limit(args) -> int:

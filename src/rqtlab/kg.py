@@ -27,8 +27,8 @@ import numpy as np
 from .errors import DegenerateBasisError, DomainError, IntegrationOverflowError
 from .scenario import RegionClass, Scenario, constant_rates, scenario_header, write_csv
 
-# Wronskian drift a produced basis is allowed before it counts as broken.
-DRIFT_TOL_CLOSED = 1.0e-8
+# Wronskian drift a numeric basis is allowed before it counts as broken
+# (the kg-solve gate).
 DRIFT_TOL_NUMERIC = 1.0e-5
 
 # Integration schemes of kg_solve_numeric, and its default scheme and step
@@ -114,15 +114,34 @@ class KgBasis:
             raise DomainError("closed-form basis carries no sample grid")
         return self._samples[0]
 
+    def _quintic(self, cell):
+        """Per-cell terms (y0, y1, g0, g1, c0, c1) of the quintic, for phi1 then phi2.
+
+        The quintic matches phi, phi' and phi'' = w phi at both cell ends.
+        With t = (x - x_cell) / h and s = 1 - t it is the chord s y0 + t y1
+        plus t s Q(t), a cubic departure with end values g0, -g1 and slopes
+        g0 + a0/2, g1 - a1/2 (a = h^2 phi'' at the ends), written the same
+        way: s y0 + t y1 + t s ((s g0 - t g1) + t s (s c0 - t c1)).
+        """
+        xs, p1, p2, d1, d2 = self._samples
+        right = cell + 1
+        h = xs[right] - xs[cell]
+        hw0, hw1 = h * self._w[cell], h * self._w[right]
+        out = []
+        for y, dy in ((p1, d1), (p2, d2)):
+            y0, y1 = y[cell], y[right]
+            rise = y1 - y0
+            g0, g1 = h * dy[cell] - rise, h * dy[right] - rise
+            out.append((y0, y1, g0, g1, 2.0 * g0 + g1 + 0.5 * h * hw0 * y0,
+                        g0 + 2.0 * g1 - 0.5 * h * hw1 * y1))
+        return out
+
     def _hermite(self, x, cell, derivative: bool = False):
         """(phi1, phi2) at x, or their derivatives, inside the given grid cells.
 
-        On each cell the quintic that matches phi, phi' and phi'' = w phi at
-        both ends: O(h^6) in phi, O(h^5) in phi', and exactly the samples at
-        a grid point.  With t = (x - x_cell) / h and s = 1 - t it is the
-        chord s y0 + t y1 plus t s Q(t), a cubic departure that vanishes at
-        both ends; the per-cell coefficients broadcast against x, so a cell
-        index per column serves several points per cell.
+        The quintic of _quintic: O(h^6) in phi, O(h^5) in phi', and exactly
+        the samples at a grid point.  The per-cell terms broadcast against
+        x, so a cell index per column serves several points per cell.
         """
         xs, p1, p2, d1, d2 = self._samples
         right, left_x = cell + 1, xs[cell]
@@ -130,25 +149,19 @@ class KgBasis:
         t = (x - left_x) / h
         s = 1.0 - t
         ts = t * s
+        if not derivative:
+            return tuple(s * y0 + t * y1 + ts * ((s * g0 - t * g1) + ts * (s * c0 - t * c1))
+                         for y0, y1, g0, g1, c0, c1 in self._quintic(cell))
         hw0, hw1 = h * self._w[cell], h * self._w[right]
         out = []
         for y, dy in ((p1, d1), (p2, d2)):
             y0, y1, dy0, dy1 = y[cell], y[right], dy[cell], dy[right]
-            if derivative:
-                # the weights of dy0 and dy1 are 1 and 0 at t = 0, 0 and 1 at t = 1
-                out.append(s * s * (1.0 + 2.0 * t - 15.0 * t * t) * dy0
-                           + t * t * (1.0 + 2.0 * s - 15.0 * s * s) * dy1
-                           + ts * (30.0 * ts * (y1 - y0) / h
-                                   + 0.5 * (s * (2.0 - 5.0 * t) * hw0 * y0
-                                            + t * (3.0 * s - 2.0 * t) * hw1 * y1)))
-                continue
-            rise = y1 - y0
-            # Q's end values g0, -g1 and slopes g0 + a0/2, g1 - a1/2, with
-            # a = h^2 phi'' at the ends, in the chord-plus-departure form again
-            g0, g1 = h * dy0 - rise, h * dy1 - rise
-            c0 = 2.0 * g0 + g1 + 0.5 * h * hw0 * y0
-            c1 = g0 + 2.0 * g1 - 0.5 * h * hw1 * y1
-            out.append(s * y0 + t * y1 + ts * ((s * g0 - t * g1) + ts * (s * c0 - t * c1)))
+            # the weights of dy0 and dy1 are 1 and 0 at t = 0, 0 and 1 at t = 1
+            out.append(s * s * (1.0 + 2.0 * t - 15.0 * t * t) * dy0
+                       + t * t * (1.0 + 2.0 * s - 15.0 * s * s) * dy1
+                       + ts * (30.0 * ts * (y1 - y0) / h
+                               + 0.5 * (s * (2.0 - 5.0 * t) * hw0 * y0
+                                        + t * (3.0 * s - 2.0 * t) * hw1 * y1)))
         return tuple(out)
 
     def _read(self, x, derivative: bool = False):
@@ -176,6 +189,20 @@ class KgBasis:
         have fewer dimensions than x and broadcast against it.
         """
         return self._hermite(x, cell)
+
+    def phi12_at_fractions(self, t, cell):
+        """(phi1, phi2) at the cell fractions t of each given grid cell.
+
+        One row per fraction, one column per cell.  With t fixed the quintic
+        is a fixed weighting of each cell's six terms (see _quintic), so the
+        read is one (len(t) x 6) @ (6 x cells) product per basis solution,
+        and no fraction is rounded back from an absolute position.
+        """
+        t = np.asarray(t, dtype=float)
+        s = 1.0 - t
+        ts = t * s
+        weights = np.stack([s, t, ts * s, -ts * t, ts * ts * s, -ts * ts * t], axis=1)
+        return tuple(weights @ np.array(self._quintic(cell)))
 
     # -- phi2 roots -------------------------------------------------------
 

@@ -57,6 +57,7 @@ class Trajectory:
     kind: TrajectoryKind
     direction: int = +1
     truncated_at: float | None = None  # fm, turning point hit by the quadrature
+    node_times: np.ndarray | None = None  # s, at the nodes given to the quadrature
     position_fn: Callable | None = field(default=None, repr=False, compare=False)
 
 
@@ -294,7 +295,7 @@ PANEL_CHUNK = 1 << 14
 
 def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusParams],
                            xs: np.ndarray) -> np.ndarray:
-    """t(x) at the requested samples for every member, one row each.
+    """t(x) at the requested increasing samples for every member, one row each.
 
     The Gauss panels are walked once, PANEL_CHUNK at a time; the Gauss
     points, phi1, phi2, phi2^2 and the kinetic factor of a chunk are
@@ -318,10 +319,21 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
         edges = np.insert(grid[i0:i1], at, xs)
         on_grid = np.insert(np.ones(i1 - i0, dtype=bool), at, False)
         keep = np.concatenate(([True], edges[1:] != edges[:-1]))
-        edges = edges[keep]
+        edges, on_grid = edges[keep], on_grid[keep]
         # grid cell holding each panel: one more per grid edge passed
-        cell = i0 - 1 + np.cumsum(on_grid[keep])
-        phis = lambda pts, first: basis.phi12_in_cells(pts, cell[first:first + pts.shape[1]])
+        cell = i0 - 1 + np.cumsum(on_grid)
+        # a panel between two grid edges is its whole cell, with the Gauss
+        # points at fixed fractions of it; the panels a sample splits are
+        # read at their absolute Gauss points
+        split = ~(on_grid[:-1] & on_grid[1:])
+        fractions = 0.5 * (1.0 + _GL_NODES)
+
+        def phis(pts, first):
+            panels = slice(first, first + pts.shape[1])
+            cells, cut = cell[panels], np.flatnonzero(split[panels])
+            phi1, phi2 = basis.phi12_at_fractions(fractions, cells)
+            phi1[:, cut], phi2[:, cut] = basis.phi12_in_cells(pts[:, cut], cells[cut])
+            return phi1, phi2
     # edge index of each sample: its time is the sum of the panels before it
     at_edge = np.clip(np.searchsorted(edges, xs), 0, len(edges) - 1)
     times = np.zeros((len(members), len(xs)))
@@ -353,13 +365,18 @@ def trajectory_ode_family(
     x_range: tuple[float, float],
     n_samples: int,
     turning_guard: float = 1.0e-3,
+    nodes=(),
 ) -> list[Trajectory]:
     """trajectory_ode for each member, in one quadrature pass over the family.
 
     All members share the samples and the Gauss panels, so everything that
     does not depend on (a, b) is evaluated once per chunk of panels for the
     whole family; each member's times and velocities have the same bits as
-    a family of that member alone.
+    a family of that member alone.  The positions in ``nodes`` are panel
+    edges too, so each member's time at them (its ``node_times``) is the
+    quadrature's own, not a read between samples.  They must increase from
+    x_range[0] and lie inside the basis and before the first turning point
+    past it; they may run past a truncated range.
     """
     if not members:
         raise ValueError("need at least one family member")
@@ -368,33 +385,41 @@ def trajectory_ode_family(
         raise ValueError("x_range must be increasing")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    nodes = np.asarray(nodes, dtype=float)
+    if np.any(np.diff(nodes, prepend=lo) <= 0.0):
+        raise ValueError("nodes must increase from the start of x_range")
     truncated_at = None
-    turns = _turning_points_inside(s, lo, hi)
-    if turns:
+    turns = _turning_points_inside(s, lo, math.inf)
+    if turns and turns[0] < hi:
         truncated_at = turns[0]
         hi = truncated_at - turning_guard
         if hi <= lo:
             raise DomainError("x_range collapses after turning-point truncation")
     if not (basis.x_min <= lo and hi <= basis.x_max):
         raise DomainError("basis does not cover the requested x_range")
+    if len(nodes) and (nodes[-1] > basis.x_max or (turns and nodes[-1] >= turns[0])):
+        raise DomainError("nodes must lie inside the basis and before a turning point")
 
     xs = np.linspace(lo, hi, n_samples)
-    times = _cumulative_time_gauss(s, basis, members, xs)
+    stops = _sorted_unique(np.concatenate([xs, nodes]))
+    times = _cumulative_time_gauss(s, basis, members, stops)
+    at_xs, at_nodes = np.searchsorted(stops, xs), np.searchsorted(stops, nodes)
     phi2 = basis.phi2(xs)
-    at_xs = (kinetic_factor(s, xs), basis.phi1(xs), phi2, phi2 * phi2)
+    values = (kinetic_factor(s, xs), basis.phi1(xs), phi2, phi2 * phi2)
     out = []
     for p, ts in zip(members, times):
         # a mirror trajectory reflects the displacement and keeps time forward
         pos = xs.copy() if p.direction > 0 else xs[0] - (xs - xs[0])
         out.append(Trajectory(
-            times=ts,
+            times=ts[at_xs],
             positions=pos,
-            velocities=p.direction * _flow_speed(s, basis, p, *at_xs),
+            velocities=p.direction * _flow_speed(s, basis, p, *values),
             params=p,
             scenario=s,
             kind=TrajectoryKind.ODE_GENERAL,
             direction=p.direction,
             truncated_at=truncated_at,
+            node_times=ts[at_nodes],
         ))
     return out
 
@@ -417,7 +442,8 @@ def trajectory_ode(
     On a sampled basis the panels are its grid cells, so that each panel
     sees one smooth piece of the basis's quintic interpolant: the samples are
     inserted into the grid, and phi at the Gauss points is read inside each
-    panel's cell, whose index is a running count of grid edges; on a closed
+    panel's cell, whose index is a running count of grid edges; a whole
+    cell is read at the Gauss points' fixed fractions of it.  On a closed
     form each node interval pi / W is split into CLOSED_PANELS_PER_NODE
     panels, with the phi2 zeros (where xdot peaks) added as edges.  A
     turning point inside the range truncates it (the flow only reaches it
@@ -427,26 +453,6 @@ def trajectory_ode(
     chunk for a whole family.
     """
     return trajectory_ode_family(s, basis, [p], x_range, n_samples, turning_guard)[0]
-
-
-def node_times_numeric(s: Scenario, basis: KgBasis, nodes, x_lo: float) -> np.ndarray:
-    """Time of flight of the (a, b) = (1, 0) member from x_lo to each node, in s.
-
-    The same Gauss quadrature as trajectory_ode, over [x_lo, *nodes]: each
-    node is a panel edge, so its time is the quadrature's own, not a read
-    between trajectory samples.  The nodes must increase and lie below the
-    first turning point past x_lo.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    if not len(nodes):
-        return np.zeros(0)
-    xs = np.concatenate(([x_lo], nodes))
-    if np.any(np.diff(xs) <= 0.0):
-        raise ValueError("nodes must increase from x_lo")
-    turns = _turning_points_inside(s, x_lo, math.inf)
-    if not (basis.x_min <= x_lo and nodes[-1] <= basis.x_max) or (turns and nodes[-1] >= turns[0]):
-        raise DomainError("nodes must lie inside the basis and before a turning point")
-    return _cumulative_time_gauss(s, basis, [MobiusParams(1.0, 0.0)], xs)[0, 1:]
 
 
 # ---------------------------------------------------------------------------

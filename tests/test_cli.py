@@ -86,8 +86,22 @@ class TestFigureCommand:
         nodes = basis.phi2_zeros()
         rows = _read_csv(tmp_path / "f4" / "fig4_nodes.csv")
         assert np.allclose(rows[:, 2], nodes * 1e-15, rtol=1e-12, atol=0.0)
-        assert np.allclose(rows[:, 1], rqtlab.node_times_numeric(s, basis, nodes, -60.0),
-                           rtol=1e-12, atol=0.0)
+        ref = rqtlab.trajectory_ode_family(s, basis, [rqtlab.MobiusParams(1.0, 0.0, -60.0)],
+                                           (-60.0, turning), 64, nodes=nodes)[0]
+        assert np.allclose(rows[:, 1], ref.node_times, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("ab", [None, "4,2;0.5,-1"])
+    def test_figure4_one_time_of_flight_pass(self, tmp_path, monkeypatch, ab):
+        # the trajectories and the node times come from one quadrature pass,
+        # whether or not --ab lists the (1, 0) member the node times follow
+        calls = []
+        gauss = rqtlab.trajectory._cumulative_time_gauss
+        monkeypatch.setattr(rqtlab.trajectory, "_cumulative_time_gauss",
+                            lambda *a: calls.append(len(a[2])) or gauss(*a))
+        family = ["--ab", ab] if ab else []
+        assert main(["figure", "4", "--out", str(tmp_path / "f4"), "--x0", "-60",
+                     "--step", "2e-3", "--samples", "64", *family]) == 0
+        assert calls == [3]
 
     def test_figure4_nodes_without_reference_member(self, tmp_path):
         # the node times come from the forward (1, 0) member's quadrature
@@ -242,8 +256,23 @@ class TestOtherCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "wronskian" in out
+        assert "check wronskian_drift: PASS" in out
         header = (tmp_path / "kg" / "kg_basis.csv").read_text().splitlines()[:12]
         assert any("columns: x_fm, phi1, phi2, dphi1, dphi2" in l for l in header)
+
+    def test_kg_solve_euler_fails_drift_gate(self, tmp_path, capsys):
+        # Euler at the default 1e-2 fm step drifts ten times the tolerance
+        assert main(["kg-solve", "--method", "euler", "--out", str(tmp_path / "kg")]) == 1
+        out = capsys.readouterr().out
+        assert "check wronskian_drift: FAIL (9.603e-05 <= 1e-05)" in out
+        assert "FAILED checks: wronskian_drift" in out
+
+    def test_kg_solve_euler_fine_step_passes(self, tmp_path, capsys):
+        assert main(["kg-solve", "--method", "euler", "--step", "5e-4",
+                     "--out", str(tmp_path / "kg")]) == 0
+        out = capsys.readouterr().out
+        assert "check wronskian_drift: PASS (4.801e-06 <= 1e-05)" in out
+        assert "FAIL" not in out
 
     def test_classical_limit(self, tmp_path, capsys):
         assert main(["classical-limit", "--out", str(tmp_path / "cl"), "--ab", "4,2"]) == 0

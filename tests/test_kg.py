@@ -288,6 +288,25 @@ class TestHermiteInterpolant:
                 assert np.max(np.abs(f(x) - value)) <= 1e-13 * scale
                 assert np.max(np.abs(df(x) - slope)) <= 1e-13 * scale
 
+    def test_fixed_fractions_exact_on_constant_potential(self):
+        # a Magnus basis is exact on a constant potential, and at k h = 1e-2
+        # the quintic's own error is below rounding: every whole cell's Gauss
+        # points read sin and cos
+        s = _scaled_electron()
+        k = rq.kg_closed_constant(s).wronskian
+        b = rq.kg_solve_numeric(s, 0.0, 10 * 2 * math.pi / k, method="magnus4")
+        xs = b.grid
+        t = 0.5 * (1.0 + np.polynomial.legendre.leggauss(4)[0])
+        cell = np.arange(len(xs) - 1)
+        phi1, phi2 = b.phi12_at_fractions(t, cell)
+        x = xs[:-1] + t[:, None] * np.diff(xs)
+        assert phi1.shape == phi2.shape == (4, len(cell))
+        assert np.max(np.abs(phi1 - np.sin(k * x))) <= 1e-13
+        assert np.max(np.abs(phi2 - np.cos(k * x))) <= 1e-13
+        # the same quintic as the read at absolute positions
+        for fixed, general in zip((phi1, phi2), b.phi12_in_cells(x, cell)):
+            assert np.max(np.abs(fixed - general)) <= 1e-13
+
     def test_sixth_order_between_grid_points(self):
         # a Magnus basis is exact at the grid points of a constant potential,
         # so this is the interpolant's own error; k = 4.9 /fm, near figure 4's

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rqtlab as rq
 from conftest import AB_GRID
@@ -224,7 +226,8 @@ class TestOdeTrajectory:
         traj = rq.trajectory_ode(s, basis, p, (-300.0, -100.0), 201)
         xs = traj.positions
         assert np.isin(xs, basis.grid).all()
-        # the same 4-point Gauss panels, all at once, with np.interp values
+        # the same 4-point Gauss panels, all at once, with the quintic read
+        # at each absolute Gauss point through flow_speed
         inner = basis.grid[(basis.grid > -300.0) & (basis.grid < -100.0)]
         edges = np.unique(np.concatenate([inner, xs]))
         nodes, weights = np.polynomial.legendre.leggauss(4)
@@ -236,14 +239,16 @@ class TestOdeTrajectory:
         assert np.max(np.abs(traj.times[1:] / ref[1:] - 1.0)) <= 1e-14
 
     @staticmethod
-    def _assert_family_matches_members(s, basis, members, x_range, n_samples):
-        family = rq.trajectory_ode_family(s, basis, members, x_range, n_samples)
+    def _assert_family_matches_members(s, basis, members, x_range, n_samples, nodes=()):
+        family = rq.trajectory_ode_family(s, basis, members, x_range, n_samples, nodes=nodes)
         assert [traj.params for traj in family] == members
         for p, traj in zip(members, family):
-            one = rq.trajectory_ode(s, basis, p, x_range, n_samples)
+            one = rq.trajectory_ode_family(s, basis, [p], x_range, n_samples, nodes=nodes)[0]
             assert np.array_equal(traj.times, one.times)
             assert np.array_equal(traj.positions, one.positions)
             assert np.array_equal(traj.velocities, one.velocities)
+            assert np.array_equal(traj.node_times, one.node_times)
+            assert len(traj.node_times) == len(nodes)
             assert traj.truncated_at == one.truncated_at
             assert traj.direction == one.direction
         return family
@@ -259,6 +264,18 @@ class TestOdeTrajectory:
         family = self._assert_family_matches_members(
             linear_electron, linear_basis, members, (-2.0, 7.0), 41)
         assert family[0].truncated_at == pytest.approx(5.956004, rel=1e-6)
+
+    def test_family_matches_members_off_grid_with_nodes(self, linear_electron, linear_basis,
+                                                        monkeypatch):
+        # no sample or node on a grid point: whole cells and split cells share
+        # every chunk of 7 panels, and the nodes run past the sampled range
+        monkeypatch.setattr(rq.trajectory, "PANEL_CHUNK", 7)
+        grid = linear_basis.grid
+        members = [rq.MobiusParams(a, b, -60.0) for a, b in ((1.0, 0.0), (4.0, 2.0), (-0.5, 1.0))]
+        nodes = np.array([-59.5003, -58.0013, -56.2007])
+        family = self._assert_family_matches_members(
+            linear_electron, linear_basis, members, (-59.9993, -57.0011), 33, nodes=nodes)
+        assert not np.isin(np.concatenate([family[0].positions, nodes]), grid).any()
 
     def test_family_matches_members_closed_form(self, electron_2mev, electron_basis):
         _, dx_n = _node_spacings(electron_2mev)
@@ -303,7 +320,8 @@ class TestNodeTimes:
 
         s, basis, p = linear_electron, linear_basis, rq.MobiusParams(1.0, 0.0)
         nodes = basis.phi2_zeros()
-        times = rq.node_times_numeric(s, basis, nodes, basis.x_min)
+        times = rq.trajectory_ode_family(s, basis, [p], (basis.x_min, basis.x_max), 16,
+                                         nodes=nodes)[0].node_times
         edges = np.concatenate(([basis.x_min], nodes))
         inv = lambda x: 1.0 / float(rq.flow_speed(s, basis, p, x))
         ref = np.cumsum([quad(inv, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
@@ -313,18 +331,38 @@ class TestNodeTimes:
         assert np.max(np.abs(times - ref) / np.diff(np.concatenate(([0.0], ref)))) <= 1e-11
 
     def test_same_quadrature_as_trajectory(self, linear_electron, linear_basis):
-        s, basis = linear_electron, linear_basis
-        traj = rq.trajectory_ode(s, basis, rq.MobiusParams(1.0, 0.0), (-300.0, -100.0), 57)
-        times = rq.node_times_numeric(s, basis, traj.positions[1:], -300.0)
-        assert np.array_equal(times, traj.times[1:])
+        s, basis, p = linear_electron, linear_basis, rq.MobiusParams(1.0, 0.0)
+        traj = rq.trajectory_ode(s, basis, p, (-300.0, -100.0), 57)
+        at_samples = rq.trajectory_ode_family(s, basis, [p], (-300.0, -100.0), 57,
+                                              nodes=traj.positions[1:])[0]
+        assert np.array_equal(at_samples.node_times, traj.times[1:])
+        assert np.array_equal(at_samples.times, traj.times)
 
     def test_nodes_before_turning_point(self, linear_electron, linear_basis):
-        s, basis = linear_electron, linear_basis
-        assert len(rq.node_times_numeric(s, basis, [], -300.0)) == 0
+        s, basis, p = linear_electron, linear_basis, [rq.MobiusParams(1.0, 0.0)]
+        family = lambda nodes: rq.trajectory_ode_family(s, basis, p, (-300.0, 7.0), 16, nodes=nodes)
+        assert len(family([])[0].node_times) == 0
         with pytest.raises(rq.DomainError):
-            rq.node_times_numeric(s, basis, [-100.0, 6.0], -300.0)
+            family([-100.0, 6.0])
         with pytest.raises(ValueError):
-            rq.node_times_numeric(s, basis, [-100.0, -200.0], -300.0)
+            family([-100.0, -200.0])
+        with pytest.raises(ValueError):
+            family([-300.0, -100.0])
+
+
+class TestFamilyProperty:
+    # samples span -60..-50 fm on the linear_basis grid; nodes may run on to -45 fm
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ab=st.lists(st.tuples(st.floats(min_value=0.25, max_value=4.0),
+                                 st.floats(min_value=-2.0, max_value=2.0),
+                                 st.sampled_from((1, -1))), min_size=1, max_size=4),
+           nodes=st.lists(st.floats(min_value=-59.9, max_value=-45.0), max_size=6, unique=True),
+           n_samples=st.integers(min_value=2, max_value=40))
+    def test_family_matches_one_member_calls(self, linear_electron, linear_basis, ab, nodes,
+                                             n_samples):
+        members = [rq.MobiusParams(d * a, d * b, -60.0) for a, b, d in ab]
+        TestOdeTrajectory._assert_family_matches_members(
+            linear_electron, linear_basis, members, (-60.0, -50.0), n_samples, nodes=sorted(nodes))
 
 
 class TestFirqnlResidual:
