@@ -117,22 +117,21 @@ def conjugate_momentum(basis: KgBasis, p: MobiusParams, x, sign: int = +1):
     return sign * p.direction * basis.scenario.hbar * p.a * basis.wronskian / denom
 
 
-def _default_fd_step(basis: KgBasis, x: float) -> float:
-    """A thousandth of the local half-oscillation, snapped to the grid.
+def _default_fd_step(basis: KgBasis, x: np.ndarray) -> np.ndarray:
+    """A thousandth of the local half-oscillation at each of the positions x.
 
     An absolute sub-fm step would make the third difference pure roundoff
     at desk momentum scales (ulp(S0') / h^2 noise), so the step follows
-    the local wavenumber instead; for sampled bases it is rounded to a
-    grid multiple so stencil points hit exact ODE samples.
+    the local wavenumber instead, capped at a hundredth of the span.  On a
+    sampled basis it is not rounded to the storage grid: the stencil reads
+    the interpolant, and a step that followed the grid made the residual
+    follow the basis step too.
     """
     k = local_wavenumber(basis.scenario, x)
     span = basis.x_max - basis.x_min
-    h = 1.0e-3 * math.pi / k if k > 0 else span / 1.0e3
-    h = min(h, span / 100.0)
-    if not basis.is_closed_form:
-        grid_step = basis.source.step or (span / 1000.0)
-        h = max(1, round(h / grid_step)) * grid_step
-    return h
+    with np.errstate(divide="ignore"):
+        h = np.where(k > 0, 1.0e-3 * math.pi / k, span / 1.0e3)
+    return np.minimum(h, span / 100.0)
 
 
 def _rqshje_with_momentum(basis: KgBasis, p: MobiusParams, x: np.ndarray, fd_step: float | None):
@@ -141,7 +140,7 @@ def _rqshje_with_momentum(basis: KgBasis, p: MobiusParams, x: np.ndarray, fd_ste
     S0' at x is the centre of the stencil, so it comes with the residual.
     """
     if fd_step is None:
-        h = np.reshape([_default_fd_step(basis, v) for v in x.ravel().tolist()], x.shape)
+        h = _default_fd_step(basis, x)
     else:
         h = fd_step
     if not basis.is_closed_form:

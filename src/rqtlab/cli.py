@@ -258,7 +258,7 @@ def cmd_figure(args) -> int:
         header = ["rqtlab linear-potential nodes (times from the a=1, b=0 member)",
                   f"energy_mev = {s.energy!r}", f"g_mev_per_fm = {s.potential.g!r}",
                   "columns: n, t_n_s, x_n_m"]
-        rows = ((i, t, z * METERS_PER_FM) for i, (t, z) in enumerate(zip(t_at, zeros)))
+        rows = zip(range(len(zeros)), t_at.tolist(), (zeros * METERS_PER_FM).tolist())
         written.append(write_csv(out / "fig4_nodes.csv", header, rows))
         print(f"figure 4: turning point at {_fmt(turning * METERS_PER_FM)} m, "
               f"{len(zeros)} nodes")
@@ -462,9 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ab", type=str, default=None, help="family list 'a,b;a,b;...'")
         p.add_argument("--hbar-scale", dest="hbar_scale", type=float, default=None)
         p.add_argument("--method", choices=METHODS, default=DEFAULT_METHOD,
-                       help="numeric Klein-Gordon scheme (default %(default)s)")
+                       help="numeric Klein-Gordon scheme: magnus6 (sixth-order Magnus, exact "
+                            "on a constant potential), rk4 or euler (default %(default)s)")
         p.add_argument("--step", type=float, default=DEFAULT_STEP,
-                       help="numeric Klein-Gordon step in fm (default %(default)g)")
+                       help="numeric Klein-Gordon step in fm, read between grid points through "
+                            "a septic Hermite interpolant (default %(default)g)")
         if with_ranges:
             p.add_argument("--x-min", dest="x_min", type=float, default=None)
             p.add_argument("--x-max", dest="x_max", type=float, default=None)

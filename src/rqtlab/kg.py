@@ -6,13 +6,14 @@ The stationary equation in the internal units reads
 
 so constant potentials have sin/cos (allowed, and photons in both sign
 cases) or sinh/cosh (massive forbidden) bases in closed form, and general
-potentials are integrated with a fixed-step scheme: the fourth-order
+potentials are integrated with a fixed-step scheme: the sixth-order
 Magnus method by default (at DEFAULT_STEP), RK4 and Euler on request.
 Each step of any scheme is one 2x2 matrix on (phi, phi'), shared by both
 solutions; the grid is chained by a blocked prefix product of these
 matrices.  Between grid points a numeric basis is read through one
-quintic Hermite interpolant on the stored (phi, phi', phi'' = w phi),
-which also gives phi' and the phi2 roots.
+septic Hermite interpolant on the stored (phi, phi') and on
+phi'' = w phi, phi''' = w' phi + w phi', which also gives phi' and the
+phi2 roots.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ from .scenario import RegionClass, Scenario, constant_rates, scenario_header, wr
 DRIFT_TOL_NUMERIC = 1.0e-5
 
 # Integration schemes of kg_solve_numeric, and its default scheme and step
-# (fm).  At 1e-2 fm the Magnus basis of figure 4 holds every node to 1e-10
-# fm of the parabolic-cylinder oracle, and its time of flight to 1.2e-10
-# node spacings; at 2e-2 fm the time of flight already reads 7.6e-9.
-METHODS = ("magnus4", "rk4", "euler")
-DEFAULT_METHOD = "magnus4"
-DEFAULT_STEP = 1.0e-2
+# (fm).  At 2e-2 fm the sixth-order Magnus basis of figure 4 holds every
+# node to 3e-11 fm of the parabolic-cylinder oracle, and its time of
+# flight to 5.4e-13 node spacings; a fourth-order Magnus step put the nodes
+# 1.4e-9 fm off at this step.
+METHODS = ("magnus6", "rk4", "euler")
+DEFAULT_METHOD = "magnus6"
+DEFAULT_STEP = 2.0e-2
 
 
 def _omega_sq(s: Scenario, x):
@@ -46,9 +48,15 @@ def _omega_sq(s: Scenario, x):
     return (s.rest_energy**2 - u * u) / s.hbar_c**2
 
 
-def local_wavenumber(s: Scenario, x: float) -> float:
-    """|k| (allowed) or |kappa| (forbidden) at x, in 1/fm."""
-    return math.sqrt(abs(_omega_sq(s, x)))
+def _omega_sq_slope(s: Scenario, x):
+    """w'(x) = 2 (E - V) V' / (hbar c)^2, the slope of _omega_sq."""
+    return 2.0 * (s.energy - s.potential.value(x)) * s.potential.derivative(x) / s.hbar_c**2
+
+
+def local_wavenumber(s: Scenario, x):
+    """|k| (allowed) or |kappa| (forbidden) at x, in 1/fm: a float, or an array for an array x."""
+    k = np.sqrt(np.abs(_omega_sq(s, x)))
+    return k if np.ndim(k) else float(k)
 
 
 @dataclass
@@ -67,12 +75,12 @@ class KgBasis:
     """Two independent solutions of the Klein-Gordon equation.
 
     Closed-form bases hold exact evaluators; numeric bases hold grid
-    samples of phi and phi', read between grid points through the quintic
-    Hermite interpolant on phi, phi' and phi'' = w phi (dense output,
-    Hairer, Norsett & Wanner, Solving ODEs I, II.6).  phi is O(h^6) there
-    and phi' is the quintic's derivative; at a grid point both are the
-    samples.  Instances are immutable by convention and safe to share
-    across threads.
+    samples of phi and phi', read between grid points through the septic
+    Hermite interpolant on phi, phi', phi'' = w phi and phi''' = w' phi +
+    w phi' (dense output, Hairer, Norsett & Wanner, Solving ODEs I, II.6).
+    phi is O(h^8) there and phi' is the septic's derivative; at a grid
+    point both are the samples.  Instances are immutable by convention and
+    safe to share across threads.
     """
 
     def __init__(
@@ -95,8 +103,10 @@ class KgBasis:
         self.source = source
         self._evaluators = evaluators
         self._samples = samples
-        # w at the grid points, for phi'' = w phi in the interpolant
-        self._w = None if samples is None else _omega_sq(scenario, samples[0])
+        # w and w' at the grid points, for phi'' and phi''' in the interpolant
+        if samples is not None:
+            self._w = _omega_sq(scenario, samples[0])
+            self._dw = _omega_sq_slope(scenario, samples[0])
         self._analytic_zeros = analytic_phi2_zeros
         self._zeros_cache: np.ndarray | None = None
         if self.wronskian == 0.0:
@@ -114,54 +124,65 @@ class KgBasis:
             raise DomainError("closed-form basis carries no sample grid")
         return self._samples[0]
 
-    def _quintic(self, cell):
-        """Per-cell terms (y0, y1, g0, g1, c0, c1) of the quintic, for phi1 then phi2.
+    def _septic(self, cell):
+        """Per-cell terms (y0, y1, g0, g1, c0, c1, e0, e1) of the septic, for phi1 then phi2.
 
-        The quintic matches phi, phi' and phi'' = w phi at both cell ends.
-        With t = (x - x_cell) / h and s = 1 - t it is the chord s y0 + t y1
-        plus t s Q(t), a cubic departure with end values g0, -g1 and slopes
-        g0 + a0/2, g1 - a1/2 (a = h^2 phi'' at the ends), written the same
-        way: s y0 + t y1 + t s ((s g0 - t g1) + t s (s c0 - t c1)).
+        The septic matches phi, phi', phi'' and phi''' at both cell ends.
+        With t = (x - x_cell) / h, s = 1 - t and u = t s it is the chord
+        s y0 + t y1 plus u D(t), a quintic departure written the same way:
+        s y0 + t y1 + u ((s g0 - t g1) + u ((s c0 - t c1) + u (s e0 - t e1))).
+        With a = h^2 phi'' and b = h^3 phi''' at the ends, the end
+        conditions give g = h phi' - (y1 - y0), c0 = 2 g0 + g1 + a0/2,
+        c1 = g0 + 2 g1 - a1/2, e0 = 3 c0 + c1 - g0 - g1 + b0/6 and
+        e1 = c0 + 3 c1 - g0 - g1 + b1/6.
         """
         xs, p1, p2, d1, d2 = self._samples
         right = cell + 1
         h = xs[right] - xs[cell]
-        hw0, hw1 = h * self._w[cell], h * self._w[right]
+        w0, w1, dw0, dw1 = self._w[cell], self._w[right], self._dw[cell], self._dw[right]
+        hh = h * h
         out = []
         for y, dy in ((p1, d1), (p2, d2)):
-            y0, y1 = y[cell], y[right]
+            y0, y1, dy0, dy1 = y[cell], y[right], dy[cell], dy[right]
             rise = y1 - y0
-            g0, g1 = h * dy[cell] - rise, h * dy[right] - rise
-            out.append((y0, y1, g0, g1, 2.0 * g0 + g1 + 0.5 * h * hw0 * y0,
-                        g0 + 2.0 * g1 - 0.5 * h * hw1 * y1))
+            g0, g1 = h * dy0 - rise, h * dy1 - rise
+            c0 = 2.0 * g0 + g1 + 0.5 * hh * w0 * y0
+            c1 = g0 + 2.0 * g1 - 0.5 * hh * w1 * y1
+            g = g0 + g1
+            out.append((y0, y1, g0, g1, c0, c1,
+                        3.0 * c0 + c1 - g + hh * h / 6.0 * (dw0 * y0 + w0 * dy0),
+                        c0 + 3.0 * c1 - g + hh * h / 6.0 * (dw1 * y1 + w1 * dy1)))
         return out
 
     def _hermite(self, x, cell, derivative: bool = False):
         """(phi1, phi2) at x, or their derivatives, inside the given grid cells.
 
-        The quintic of _quintic: O(h^6) in phi, O(h^5) in phi', and exactly
-        the samples at a grid point.  The per-cell terms broadcast against
-        x, so a cell index per column serves several points per cell.
+        The septic of _septic: O(h^8) in phi, O(h^7) in phi', and exactly
+        the samples at a grid point.  The slope is the chord of the end
+        slopes plus u G(t) / h, G = 2 u' E + u E' - 3 (g0 + g1) with the
+        inner departure E = (s c0 - t c1) + u (s e0 - t e1), so it too is
+        exactly the sample at either end.  The per-cell terms broadcast
+        against x, so a cell index per column serves several points per cell.
         """
-        xs, p1, p2, d1, d2 = self._samples
-        right, left_x = cell + 1, xs[cell]
-        h = xs[right] - left_x
+        xs, _, _, d1, d2 = self._samples
+        left_x = xs[cell]
+        h = xs[cell + 1] - left_x
         t = (x - left_x) / h
         s = 1.0 - t
-        ts = t * s
+        u = t * s
+        terms = self._septic(cell)
         if not derivative:
-            return tuple(s * y0 + t * y1 + ts * ((s * g0 - t * g1) + ts * (s * c0 - t * c1))
-                         for y0, y1, g0, g1, c0, c1 in self._quintic(cell))
-        hw0, hw1 = h * self._w[cell], h * self._w[right]
+            return tuple(s * y0 + t * y1 + u * ((s * g0 - t * g1)
+                                                + u * ((s * c0 - t * c1) + u * (s * e0 - t * e1)))
+                         for y0, y1, g0, g1, c0, c1, e0, e1 in terms)
+        du = s - t
         out = []
-        for y, dy in ((p1, d1), (p2, d2)):
-            y0, y1, dy0, dy1 = y[cell], y[right], dy[cell], dy[right]
-            # the weights of dy0 and dy1 are 1 and 0 at t = 0, 0 and 1 at t = 1
-            out.append(s * s * (1.0 + 2.0 * t - 15.0 * t * t) * dy0
-                       + t * t * (1.0 + 2.0 * s - 15.0 * s * s) * dy1
-                       + ts * (30.0 * ts * (y1 - y0) / h
-                               + 0.5 * (s * (2.0 - 5.0 * t) * hw0 * y0
-                                        + t * (3.0 * s - 2.0 * t) * hw1 * y1)))
+        for (_, _, g0, g1, c0, c1, e0, e1), dy in zip(terms, (d1, d2)):
+            f = s * e0 - t * e1
+            inner = (s * c0 - t * c1) + u * f
+            d_inner = du * f - u * (e0 + e1) - (c0 + c1)
+            out.append(s * dy[cell] + t * dy[cell + 1]
+                       + u * ((2.0 * du * inner + u * d_inner) - 3.0 * (g0 + g1)) / h)
         return tuple(out)
 
     def _read(self, x, derivative: bool = False):
@@ -185,7 +206,7 @@ class KgBasis:
     def phi12_in_cells(self, x, cell):
         """(phi1, phi2) at x, given the index of the grid point at or left of x.
 
-        The same quintic as phi1 / phi2, without the binary search; cell may
+        The same septic as phi1 / phi2, without the binary search; cell may
         have fewer dimensions than x and broadcast against it.
         """
         return self._hermite(x, cell)
@@ -193,16 +214,17 @@ class KgBasis:
     def phi12_at_fractions(self, t, cell):
         """(phi1, phi2) at the cell fractions t of each given grid cell.
 
-        One row per fraction, one column per cell.  With t fixed the quintic
-        is a fixed weighting of each cell's six terms (see _quintic), so the
-        read is one (len(t) x 6) @ (6 x cells) product per basis solution,
+        One row per fraction, one column per cell.  With t fixed the septic
+        is a fixed weighting of each cell's eight terms (see _septic), so the
+        read is one (len(t) x 8) @ (8 x cells) product per basis solution,
         and no fraction is rounded back from an absolute position.
         """
         t = np.asarray(t, dtype=float)
         s = 1.0 - t
-        ts = t * s
-        weights = np.stack([s, t, ts * s, -ts * t, ts * ts * s, -ts * ts * t], axis=1)
-        return tuple(weights @ np.array(self._quintic(cell)))
+        u = t * s
+        uu = u * u
+        weights = np.stack([s, t, u * s, -u * t, uu * s, -uu * t, uu * u * s, -uu * u * t], axis=1)
+        return tuple(weights @ np.array(self._septic(cell)))
 
     # -- phi2 roots -------------------------------------------------------
 
@@ -219,7 +241,7 @@ class KgBasis:
         return z[(z >= lo) & (z <= hi)]
 
     def _compute_zeros(self) -> np.ndarray:
-        """The quintic's root in each cell where phi2 changes sign."""
+        """The septic's root in each cell where phi2 changes sign."""
         xs, _, p2 = self._samples[:3]
         j = np.flatnonzero(p2[:-1] * p2[1:] < 0.0)
         lo, hi = xs[j], xs[j + 1]
@@ -296,8 +318,6 @@ def _rk4_matrix(w1, w2, w3, h):
     return e11, m12, m21, e22
 
 
-# Gauss-Legendre nodes of a Magnus step, as fractions of it
-_MAGNUS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 # Taylor coefficients in delta of cosh(sqrt(delta)) - 1 (1/(2k)!, k >= 1) and
 # of sinh(sqrt(delta)) / sqrt(delta) (1/(2k+1)!, k >= 0), highest first.  Up
 # to |delta| = _SERIES_MAX the first omitted terms are below 1e-17 relative.
@@ -306,54 +326,72 @@ _SINHC = [1.0 / math.factorial(2 * k + 1) for k in range(4, -1, -1)]
 _SERIES_MAX = 1.0e-2
 
 
-def _magnus4_matrix(w1, w2, h):
-    """One fourth-order Magnus step under phi'' = w phi, as entries of M - I.
+def _magnus6_matrix(w1, w2, w3, h):
+    """One sixth-order Magnus step under phi'' = w phi, as entries of M - I.
 
-    With A = [[0, 1], [w, 0]] at the two Gauss points of the step (w1, w2),
-    Omega = h/2 (A1 + A2) + (sqrt(3) h^2 / 12) [A2, A1]
-          = [[c, h], [h (w1 + w2) / 2, -c]],  c = sqrt(3) h^2 (w1 - w2) / 12,
-    and Omega^2 = delta I with delta = c^2 + h^2 (w1 + w2) / 2, so that
+    A = [[0, 1], [w, 0]] is taken at the three Gauss points of the step,
+    x + (1/2 - sqrt(15)/10) h, x + h/2 and x + (1/2 + sqrt(15)/10) h (w1,
+    w2, w3).  With B1 = h A2, B2 = (sqrt(15) h / 3)(A3 - A1) and
+    B3 = (10 h / 3)(A3 - 2 A2 + A1), the sixth-order
+    Omega = B1 + B3/12 - [B1, B2]/12 + [B2, B3]/240 + [B1, [B1, B3]]/360
+            - [B2, [B1, B2]]/240 + [B1, [B1, [B1, B2]]]/720
+    (Blanes, Casas & Ros, BIT 40 (2000) 434; Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470 (2009) 151) reduces, with beta = sqrt(15) h (w3 - w1) / 3
+    and gamma = 10 h (w3 - 2 w2 + w1) / 3, to [[p, q], [r, -p]]:
+        p = h beta (h^2 w2 / 180 - 1/12),   q = h - h^2 gamma / 180,
+        r = h w2 + gamma / 12 + h^2 gamma w2 / 180 - h beta^2 / 120.
+    Omega^2 = delta I with delta = p^2 + q r, so that
     M = exp(Omega) = cosh(sqrt(delta)) I + sinh(sqrt(delta)) / sqrt(delta) Omega
-    exactly (cos / sin of sqrt(-delta) for delta < 0); Iserles, BIT 42 (2002)
-    561, and Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151.  Both
-    factors are entire in delta: a Taylor series gives them at small |delta|
-    (all of figure 4 has |delta| < 5e-3), and cosh r - 1 = 2 sinh^2(r/2) and
-    cos r - 1 = -2 sin^2(r/2) beyond, so M - I keeps its full precision.
+    exactly (cos / sin of sqrt(-delta) for delta < 0).  Both factors are
+    entire in delta: a Taylor series gives them at small |delta|, and
+    cosh r - 1 = 2 sinh^2(r/2) and cos r - 1 = -2 sin^2(r/2) beyond (figure
+    4 reaches |delta| = 1.9e-2 at its start), so M - I keeps its full
+    precision.  On a constant potential beta = gamma = 0 and the step is exact.
     """
-    c = math.sqrt(3.0) / 12.0 * h * h * (w1 - w2)
-    hw = 0.5 * h * (w1 + w2)
-    delta = c * c + h * hw
-    cosh_m1, sinhc = np.zeros_like(delta), np.zeros_like(delta)
+    # scalar factors first, so that each array operation is one numpy call
+    k = h * h / 180.0
+    beta = math.sqrt(15.0) / 3.0 * h * (w3 - w1)
+    gamma = 10.0 / 3.0 * h * ((w3 + w1) - 2.0 * w2)
+    kw = k * w2
+    p = h * beta * (kw - 1.0 / 12.0)
+    q = h - k * gamma
+    r = h * w2 + gamma * (kw + 1.0 / 12.0) - h / 120.0 * beta * beta
+    delta = p * p + q * r
+    cosh_m1, sinhc = 0.0, _SINHC[0]
     for a in _COSH_M1:
         cosh_m1 = (cosh_m1 + a) * delta
-    for a in _SINHC:
+    for a in _SINHC[1:]:
         sinhc = sinhc * delta + a
     big = np.abs(delta) > _SERIES_MAX
     if big.any():
         d = delta[big]
-        r = np.sqrt(np.abs(d))
+        root = np.sqrt(np.abs(d))
         grows = d > 0.0
-        cosh_m1[big] = np.where(grows, 2.0 * np.sinh(0.5 * r) ** 2, -2.0 * np.sin(0.5 * r) ** 2)
-        sinhc[big] = np.where(grows, np.sinh(r), np.sin(r)) / r
-    sc = sinhc * c
-    return cosh_m1 + sc, sinhc * h, sinhc * hw, cosh_m1 - sc
+        cosh_m1[big] = np.where(grows, 2.0 * np.sinh(0.5 * root) ** 2,
+                                -2.0 * np.sin(0.5 * root) ** 2)
+        sinhc[big] = np.where(grows, np.sinh(root), np.sin(root)) / root
+    sp = sinhc * p
+    return cosh_m1 + sp, sinhc * q, sinhc * r, cosh_m1 - sp
 
 
 def _chain(step_matrices, n, y0):
     """States y_0 .. y_n of y_{i+1} = M_i y_i, y = [[phi1, phi2], [dphi1, dphi2]].
 
     ``step_matrices`` maps an array of step indices to fresh arrays of the
-    entries of M - I (see _rk4_matrix and _magnus4_matrix).  A blocked
-    prefix product: the n steps form about sqrt(n) blocks of about sqrt(n)
-    steps, the last padded with identity steps.  One pass over the positions in a block forms the
-    running products of all blocks at once, a short sequential pass carries
-    the state across the block starts, and one array product applies the
-    running products to the block starts: about sqrt(n) array operations
-    instead of n scalar steps.  Products are held as P - I, as a stepping
-    loop holds y + dy, so equal steps do not repeat one rounding of 1 + small;
-    each state runs from its own block start, so block seams stay smooth.
+    entries of M - I (see _rk4_matrix and _magnus6_matrix).  A blocked
+    prefix product: the n steps form about 4 sqrt(n) blocks of about
+    sqrt(n) / 4 steps, the last padded with identity steps.  One pass over
+    the positions in a block forms the running products of all blocks at
+    once, a short sequential pass carries the state across the block
+    starts, and one array product applies the running products to the
+    block starts.  The split keeps each of the pass's array operations
+    thousands of steps long (about 2,000 at figure 4's 270 k steps), where
+    square blocks left them overhead-bound at about sqrt(n).  Products are
+    held as P - I, as a stepping loop holds y + dy, so equal steps do not
+    repeat one rounding of 1 + small; each state runs from its own block
+    start, so block seams stay smooth.
     """
-    size = max(1, math.isqrt(n))
+    size = max(1, math.isqrt(n // 16))
     n_blocks = -(-n // size)
     first = size * np.arange(n_blocks)  # each block's first step
     run = [np.empty((size, n_blocks)) for _ in range(4)]
@@ -396,11 +434,11 @@ def kg_solve_numeric(
 ) -> KgBasis:
     """Integrate the Klein-Gordon equation on a fixed grid.
 
-    ``method`` is one of METHODS: "magnus4" (the default; exact on a
-    constant potential, fourth order otherwise, with w at the two Gauss
+    ``method`` is one of METHODS: "magnus6" (the default; exact on a
+    constant potential, sixth order otherwise, with w at the three Gauss
     points of each step), "rk4" (w at the start, middle and end) or
     "euler" (first order, w at the start).  The basis is read between grid
-    points through the quintic Hermite interpolant (KgBasis).
+    points through the septic Hermite interpolant (KgBasis).
 
     Initial conditions at x_min: phi1 = 0, phi1' = k0 and phi2 = 1,
     phi2' = 0, with k0 = max(local |k|, 1/(x_max - x_min)) so the two
@@ -424,9 +462,12 @@ def kg_solve_numeric(
     h = step
 
     def matrices(i):
+        if method == "magnus6":
+            off = math.sqrt(0.15) * h  # the outer Gauss points sit sqrt(15)/10 h from the middle
+            mid = (x_min + 0.5 * h) + h * i
+            return _magnus6_matrix(_omega_sq(s, mid - off), _omega_sq(s, mid),
+                                   _omega_sq(s, mid + off), h)
         x = x_min + h * i
-        if method == "magnus4":
-            return _magnus4_matrix(*(_omega_sq(s, x + f * h) for f in _MAGNUS_NODES), h)
         w1 = _omega_sq(s, x)
         if method == "euler":
             return np.zeros(i.shape), np.full(i.shape, h), h * w1, np.zeros(i.shape)

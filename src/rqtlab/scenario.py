@@ -272,14 +272,20 @@ def write_csv(path: str | Path, header: Iterable[str], rows: Iterable) -> Path:
     """Write '# ' header lines, then one line per row.
 
     Floats are written as %.12e (13 significant digits), ints as they are,
-    so identical inputs give byte-identical files.
+    so identical inputs give byte-identical files.  One row format is read
+    from the types in the first row and applied to every row, so a column
+    holds one type throughout (an int column ints, any other column floats
+    or numpy scalars).
     """
     p = Path(path)
+    rows = iter(rows)
+    first = next(rows, None)
     with p.open("w") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        for row in rows:
-            fh.write(",".join(str(v) if isinstance(v, int) else f"{v:.12e}" for v in row) + "\n")
+        fh.write("".join(f"# {line}\n" for line in header))
+        if first is not None:
+            fmt = ",".join("%d" if isinstance(v, int) else "%.12e" for v in first) + "\n"
+            fh.write(fmt % tuple(first))
+            fh.write("".join(map(fmt.__mod__, map(tuple, rows))))
     return p
 
 

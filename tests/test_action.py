@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 import rqtlab as rq
 from conftest import AB_GRID
+from rqtlab.cli import LINEAR_X_MIN, TURNING_MARGIN
 
 HBAR = 6.582119569e-22
 
@@ -210,6 +211,35 @@ class TestRqshjeResidual:
     def test_stencil_domain_error(self, linear_basis):
         with pytest.raises(rq.DomainError):
             rq.rqshje_residual(linear_basis, rq.MobiusParams(1.0, 0.0), -399.9999)
+
+    @pytest.mark.parametrize("ab, rel", [((0.25, 2.0), 1e-4), ((4.0, 2.0), 5e-3)])
+    def test_linear_residual_does_not_follow_the_basis_step(self, linear_window_bases, ab, rel):
+        # the residuals command's scan of the linear window, on bases 1e-2 and
+        # 2e-2 fm apart: the default stencil follows the local wavenumber,
+        # not the storage grid (rounded to grid multiples, (0.25, 2) moved
+        # by 157 %); it reads 2.9e-3 there and 3.1e-7 at (4, 2)
+        xs, bases = linear_window_bases
+        p = rq.MobiusParams(*ab)
+        fine, coarse = (float(np.max(rq.rqshje_residual(b, p, xs))) for b in bases)
+        assert abs(coarse / fine - 1.0) <= rel
+
+    def test_default_stencil_is_one_array_call(self, electron_basis, linear_basis):
+        # the array read gives each position the step a scalar read gives it
+        xs = np.linspace(-390.0, 0.0, 9)
+        for basis in (electron_basis, linear_basis):
+            p = rq.MobiusParams(4.0, 2.0)
+            together = rq.rqshje_residual(basis, p, xs)
+            assert together.tolist() == [rq.rqshje_residual(basis, p, float(x)) for x in xs]
+
+
+@pytest.fixture(scope="module")
+def linear_window_bases(linear_electron):
+    """The residuals command's scan positions, and default bases at 1e-2 and 2e-2 fm."""
+    turning = (linear_electron.energy - linear_electron.rest_energy) / linear_electron.potential.g
+    xs = np.linspace(LINEAR_X_MIN + 2.0, turning - 4.0, 600)
+    bases = [rq.kg_solve_numeric(linear_electron, LINEAR_X_MIN, turning + TURNING_MARGIN,
+                                 step=step) for step in (1e-2, 2e-2)]
+    return xs, bases
 
 
 class TestActionScan:

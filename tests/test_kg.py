@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rqtlab as rq
-from rqtlab.kg import _magnus4_matrix, _omega_sq, _rk4_matrix, local_wavenumber
+from rqtlab.kg import _magnus6_matrix, _omega_sq, _omega_sq_slope, _rk4_matrix, local_wavenumber
 
 # wavenumbers from sqrt((E-U0)^2 - m0^2 c^4) / (hbar c), frozen from the
 # defining arithmetic
@@ -55,15 +55,17 @@ def _reference_loop(s, x_min, x_max, step, method):
 def _reference_phi2(basis, x):
     """phi2 re-integrated on the ODE itself, as a reference for the roots.
 
-    Runs four RK4 sub-steps from the grid point at or left of each x, so
-    the value carries no interpolation error.  Takes an array of positions.
+    Runs sixteen RK4 sub-steps from the grid point at or left of each x,
+    so the value carries no interpolation error, and at the 2e-2 fm default
+    step the sub-steps' own error stays below the septic's.  Takes an
+    array of positions.
     """
     xs, _, p2, _, d2 = basis._samples
     i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 1)
     xi, phi, dphi = xs[i], p2[i], d2[i]
-    h = (x - xi) / 4.0
+    h = (x - xi) / 16.0
     w = lambda xx: _omega_sq(basis.scenario, xx)
-    for _ in range(4):
+    for _ in range(16):
         e11, m12, m21, e22 = _rk4_matrix(w(xi), w(xi + 0.5 * h), w(xi + h), h)
         phi, dphi = phi + (e11 * phi + m12 * dphi), dphi + (m21 * phi + e22 * dphi)
         xi = xi + h
@@ -215,7 +217,7 @@ class TestNumericIntegration:
         assert len(xs) == ref.shape[1] == 58001
         for got, want in zip((p1, p2, d1, d2), ref):
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
-        for n in (1, 2, 3, 5, 10):  # one block, and short last blocks
+        for n in (1, 2, 3, 5, 10, 71, 151):  # one block, and short last blocks
             b = rq.kg_solve_numeric(linear_electron, -50.0, -50.0 + n * 1e-3, step=1e-3,
                                     method=method)
             ref = _reference_loop(linear_electron, -50.0, -50.0 + n * 1e-3, 1e-3, method)
@@ -267,34 +269,36 @@ class TestHermiteInterpolant:
             assert np.array_equal(f(xs), want)
             assert f(b.x_max) == want[-1]
 
-    def test_derivative_is_the_quintic_slope(self, linear_electron):
-        # against the quintic solved from its six end conditions in each cell
+    def test_derivative_is_the_septic_slope(self, linear_electron):
+        # against the septic solved from its eight end conditions in each cell
         b = rq.kg_solve_numeric(linear_electron, -60.0, -50.0, step=0.05)
         xs, p1, p2, d1, d2 = b._samples
-        w = _omega_sq(linear_electron, xs)
+        w, dw = _omega_sq(linear_electron, xs), _omega_sq_slope(linear_electron, xs)
         h = xs[1] - xs[0]
-        ends = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 2, 0, 0, 0],
-                         [1, 1, 1, 1, 1, 1], [0, 1, 2, 3, 4, 5], [0, 0, 2, 6, 12, 20]], float)
+        # row k at t = 0 and t = 1: the k-th derivative of t^j, j = 0 .. 7
+        powers = np.arange(8)
+        ends = np.array([[math.factorial(k) * (j == k) for j in range(8)] for k in range(4)]
+                        + [[math.perm(j, k) for j in range(8)] for k in range(4)], float)
         t = np.array([0.1, 0.37, 0.5, 0.81])
         for cell in (0, 77, len(xs) - 2):
             for f, df, y, dy in ((b.phi1, b.dphi1, p1, d1), (b.phi2, b.dphi2, p2, d2)):
-                i, j = cell, cell + 1
-                data = [y[i], h * dy[i], h * h * w[i] * y[i], y[j], h * dy[j], h * h * w[j] * y[j]]
-                coef = np.linalg.solve(ends, data)
-                x = xs[i] + t * h
+                data = [[y[i], h * dy[i], h * h * w[i] * y[i],
+                         h ** 3 * (dw[i] * y[i] + w[i] * dy[i])] for i in (cell, cell + 1)]
+                coef = np.linalg.solve(ends, np.concatenate(data))
+                x = xs[cell] + t * h
                 value = np.polynomial.polynomial.polyval(t, coef)
-                slope = np.polynomial.polynomial.polyval(t, coef[1:] * np.arange(1, 6)) / h
+                slope = np.polynomial.polynomial.polyval(t, coef[1:] * powers[1:]) / h
                 scale = np.max(np.abs(y)) + np.max(np.abs(dy))
                 assert np.max(np.abs(f(x) - value)) <= 1e-13 * scale
                 assert np.max(np.abs(df(x) - slope)) <= 1e-13 * scale
 
     def test_fixed_fractions_exact_on_constant_potential(self):
-        # a Magnus basis is exact on a constant potential, and at k h = 1e-2
-        # the quintic's own error is below rounding: every whole cell's Gauss
+        # a Magnus basis is exact on a constant potential, and at k h = 2e-2
+        # the septic's own error is below rounding: every whole cell's Gauss
         # points read sin and cos
         s = _scaled_electron()
         k = rq.kg_closed_constant(s).wronskian
-        b = rq.kg_solve_numeric(s, 0.0, 10 * 2 * math.pi / k, method="magnus4")
+        b = rq.kg_solve_numeric(s, 0.0, 10 * 2 * math.pi / k, method="magnus6")
         xs = b.grid
         t = 0.5 * (1.0 + np.polynomial.legendre.leggauss(4)[0])
         cell = np.arange(len(xs) - 1)
@@ -303,62 +307,68 @@ class TestHermiteInterpolant:
         assert phi1.shape == phi2.shape == (4, len(cell))
         assert np.max(np.abs(phi1 - np.sin(k * x))) <= 1e-13
         assert np.max(np.abs(phi2 - np.cos(k * x))) <= 1e-13
-        # the same quintic as the read at absolute positions
+        # the same septic as the read at absolute positions
         for fixed, general in zip((phi1, phi2), b.phi12_in_cells(x, cell)):
             assert np.max(np.abs(fixed - general)) <= 1e-13
 
-    def test_sixth_order_between_grid_points(self):
+    def test_eighth_order_between_grid_points(self):
         # a Magnus basis is exact at the grid points of a constant potential,
-        # so this is the interpolant's own error; k = 4.9 /fm, near figure 4's
-        s = _scaled_electron(0.002)
+        # so this is the interpolant's own error; at k = 19.6 /fm the two
+        # steps leave it well above rounding
+        s = _scaled_electron(0.0005)
         k = rq.kg_closed_constant(s).wronskian
 
         def max_err(step):
-            b = rq.kg_solve_numeric(s, 0.0, 2 * math.pi / k, step=step, method="magnus4")
+            b = rq.kg_solve_numeric(s, 0.0, 2 * math.pi / k, step=step, method="magnus6")
             x = b.grid[:-1] + 0.37 * step
             return float(np.max(np.abs(b.phi2(x) - np.cos(k * x))))
 
         ratio = max_err(0.04) / max_err(0.02)
-        assert ratio == pytest.approx(64.0, rel=0.15)
+        assert ratio == pytest.approx(256.0, rel=0.15)
 
 
 class TestMagnus:
-    def test_fourth_order_on_linear_window(self, linear_electron):
-        fine = rq.kg_solve_numeric(linear_electron, -60.0, 5.0, step=0.01)
+    def test_sixth_order_on_linear_window(self, linear_electron):
+        # at the far end of figure 4's window k is about 7 /fm, so the
+        # sixth-order error stands above rounding at these steps
+        fine = rq.kg_solve_numeric(linear_electron, -5400.0, -4400.0, step=2.5e-3)
 
         def max_err(step):
-            b = rq.kg_solve_numeric(linear_electron, -60.0, 5.0, step=step)
-            stride = round(step / 0.01)
+            b = rq.kg_solve_numeric(linear_electron, -5400.0, -4400.0, step=step)
+            stride = round(step / 2.5e-3)
             return max(float(np.max(np.abs(got - want[::stride])))
                        for got, want in zip(b._samples[1:], fine._samples[1:]))
 
-        ratio = max_err(0.08) / max_err(0.04)
-        assert ratio == pytest.approx(16.0, rel=0.15)
+        ratio = max_err(0.1) / max_err(0.05)
+        assert ratio == pytest.approx(64.0, rel=0.15)
 
     def test_exact_on_constant_potential(self):
         s = _scaled_electron()
         k = rq.kg_closed_constant(s).wronskian
-        b = rq.kg_solve_numeric(s, 0.0, 10 * 2 * math.pi / k, method="magnus4")
+        b = rq.kg_solve_numeric(s, 0.0, 10 * 2 * math.pi / k, method="magnus6")
         xs, p1, p2, d1, d2 = b._samples
-        assert len(xs) == 6413
+        assert len(xs) == 3207
         for got, want in ((p1, np.sin(k * xs)), (p2, np.cos(k * xs)),
                           (d1 / k, np.cos(k * xs)), (d2 / k, -np.sin(k * xs))):
             assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_forbidden_window_drift_no_worse_than_rk4(self, forbidden_electron):
-        # the 0-50 fm kg-solve window; RK4 drifts 1.2e-15 there at 1e-3 fm
+        # the 0-50 fm kg-solve window; RK4 drifts 2.4e-15 there at 1e-3 fm,
+        # eleven roundings of W carried along the chain
         drift = {m: rq.wronskian_drift(rq.kg_solve_numeric(forbidden_electron, 0.0, 50.0,
                                                            step=1e-3, method=m))
-                 for m in ("magnus4", "rk4")}
-        assert drift["magnus4"] <= drift["rk4"]
-        assert rq.wronskian_drift(rq.kg_solve_numeric(forbidden_electron, 0.0, 50.0)) <= 1.2e-15
+                 for m in ("magnus6", "rk4")}
+        assert drift["magnus6"] <= drift["rk4"] <= 2.5e-15
+        assert rq.wronskian_drift(rq.kg_solve_numeric(forbidden_electron, 0.0, 50.0)) <= drift["rk4"]
 
     def test_step_matrix_at_full_precision(self):
         # the Taylor branch (|delta| <= 1e-2) and the closed forms beyond it,
-        # against cosh - 1 and sinh(r) / r in 40 digits; w1 = w2, so delta = w
-        mp = pytest.importorskip("mpmath")
-        delta = np.array([1e-9, -1e-9, 3e-4, -4e-3, 9.99e-3, -1.01e-2, 0.5, -30.0])
-        e11, m12, m21, e22 = _magnus4_matrix(delta, delta.copy(), 1.0)
+        # against cosh - 1 and sinh(r) / r in 40 digits; on a constant w the
+        # step has p = 0, q = h and r = h w, so delta = w at h = 1
+        import mpmath as mp
+
+        delta = np.array([1e-9, -1e-9, 3e-4, -4e-3, 9.99e-3, -1.01e-2, 1.9e-2, 0.5, -30.0])
+        e11, m12, m21, e22 = _magnus6_matrix(delta, delta.copy(), delta.copy(), 1.0)
         assert np.array_equal(e11, e22) and np.array_equal(m21, m12 * delta)
         with mp.workdps(40):
             for d, cosh_m1, sinhc in zip(delta.tolist(), e11, m12):
@@ -366,6 +376,32 @@ class TestMagnus:
                 want = (mp.cosh(r) - 1, mp.sinh(r) / r) if d > 0 else (mp.cos(r) - 1, mp.sin(r) / r)
                 assert abs(cosh_m1 / want[0] - 1) <= 4e-16
                 assert abs(sinhc / want[1] - 1) <= 4e-16
+
+    @pytest.mark.parametrize("w2, h", [(2.4e-2, 0.02), (20.0, 0.02), (-20.0, 0.02),
+                                       (30.0, 0.05), (-40.0, 0.02), (500.0, 0.02)])
+    def test_step_matrix_against_commutator_series(self, w2, h):
+        # the closed form of Omega against its commutator series, and M - I
+        # against exp(Omega) - I, both in 40 digits; the cases put delta on
+        # either side of the series bound, with either sign
+        import mpmath as mp
+
+        w1, w3 = w2 * 0.9 - 0.3, w2 * 1.2 + 0.1
+        got = np.array(_magnus6_matrix(np.array([w1]), np.array([w2]), np.array([w3]), h))[:, 0]
+        with mp.workdps(40):
+            a1, a2, a3 = (mp.matrix([[0, 1], [mp.mpf(w), 0]]) for w in (w1, w2, w3))
+            hh = mp.mpf(h)
+            b1 = hh * a2
+            b2 = mp.sqrt(15) * hh / 3 * (a3 - a1)
+            b3 = 10 * hh / 3 * (a3 - 2 * a2 + a1)
+            c = lambda x, y: x * y - y * x
+            omega = (b1 + b3 / 12 - c(b1, b2) / 12 + c(b2, b3) / 240 + c(b1, c(b1, b3)) / 360
+                     - c(b2, c(b1, b2)) / 240 + c(b1, c(b1, c(b1, b2))) / 720)
+            delta = omega[0, 0] ** 2 + omega[0, 1] * omega[1, 0]
+            m = mp.expm(omega) - mp.eye(2)
+            want = [float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1])]
+        assert (abs(delta) > 1e-2) == (abs(w2) * h * h > 1e-2)
+        scale = max(abs(v) for v in want)
+        assert np.max(np.abs(got - want)) <= 4e-16 * scale
 
 
 class TestPhi2Zeros:

@@ -34,12 +34,13 @@ def test_figure4_nodes_against_oracle(fig4):
     assert len(nodes) == ref["node_count"] == 5897
     assert len(ref["nodes"]) == 33
     worst = max(abs(nodes[n] - x) for n, x in ref["nodes"])
-    # 8.9e-11 fm with the default Magnus step (RK4 at 1e-3 fm left 1.5e-6)
-    assert worst <= 1e-9
+    # 3.0e-11 fm with the default sixth-order Magnus step (the fourth-order
+    # step at 1e-2 fm left 8.9e-11, RK4 at 1e-3 fm 1.5e-6)
+    assert worst <= 1e-10
 
 
 def test_figure4_nodes_against_reference_polish(fig4):
-    # the roots of the quintic interpolant against phi2 polished on the ODE itself
+    # the roots of the septic interpolant against phi2 polished on the ODE itself
     _, basis, _, _ = fig4
     nodes = basis.phi2_zeros()
     ref = _reference_zeros(basis)
@@ -56,7 +57,7 @@ def test_figure4_time_of_flight_against_oracle(fig4):
         i = point["sample"]
         assert traj.positions[i] == pytest.approx(point["x_fm"], rel=1e-12)
         # time error as a distance travelled, in local node spacings; the
-        # default basis leaves 1.2e-10 at the third sample
+        # default basis leaves 5.4e-13 at the third sample
         dev = abs(traj.times[i] - point["t_s"]) * point["speed_fm_per_s"] / point["dx_local_fm"]
-        assert dev <= 1.5e-9
+        assert dev <= 5e-11
     assert np.all(np.diff(traj.times) > 0)

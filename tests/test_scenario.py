@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rqtlab as rq
 from rqtlab.scenario import TURNING_TOL_FACTOR, write_csv
@@ -147,6 +150,24 @@ class TestWriteCsv:
             "# title\n# columns: n, x\n3,1.000000000000e-01\n4,-2.500000000000e-13\n"
         )
 
+    def test_same_text_as_a_per_value_format(self, tmp_path):
+        # the one row format against formatting each value on its own: ints
+        # as they are, everything else (numpy scalars included) as %.12e
+        rows = [(i, x, np.float64(x) * 0.5, np.int64(i), np.float64(-x))
+                for i, x in enumerate([0.1, -0.0, 0.0, math.nan, math.inf, -math.inf,
+                                       5e-324, 1.7976931348623157e308, -2.5e-13, 12345.678])]
+        rows[3] = (-7, *rows[3][1:])
+        rows[4] = (10**20, *rows[4][1:])
+        path = write_csv(tmp_path / "t.csv", ["h"], rows)
+        want = "# h\n" + "".join(
+            ",".join(str(v) if isinstance(v, int) else f"{v:.12e}" for v in row) + "\n"
+            for row in rows)
+        assert path.read_text() == want
+        assert "-0.000000000000e+00" in want and "nan" in want and "-inf" in want
+
+    def test_no_rows(self, tmp_path):
+        assert write_csv(tmp_path / "t.csv", ["h"], iter(())).read_text() == "# h\n"
+
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
@@ -190,3 +211,52 @@ class TestConfig:
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             rq.parse_config_text("species photon")
+
+
+# scenarios across both species and both potential kinds, and positions in them
+SPECIES = st.sampled_from([rq.Species.electron(), rq.Species.photon()])
+POTENTIALS = st.one_of(
+    st.floats(min_value=-20.0, max_value=20.0).map(rq.Potential.constant),
+    st.floats(min_value=0.01, max_value=2.0).flatmap(
+        lambda g: st.sampled_from([rq.Potential.linear(g), rq.Potential.linear(-g)])),
+)
+SCENARIOS = st.builds(rq.Scenario, species=SPECIES, potential=POTENTIALS,
+                      energy=st.floats(min_value=0.01, max_value=20.0),
+                      hbar_scale=st.floats(min_value=1e-3, max_value=1.0))
+
+
+class TestRegionProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(s=SCENARIOS, x=st.floats(min_value=-100.0, max_value=100.0))
+    def test_region_kinetic_factor_and_momentum_agree(self, s, x):
+        u = s.energy - s.potential.value(x)
+        assume(u != 0.0)
+        region = rq.classify_region(s, x)
+        kin = rq.kinetic_factor(s, x)
+        if region is rq.RegionClass.TURNING_POINT:
+            assert abs(kin) <= TURNING_TOL_FACTOR * s.energy**2 / abs(u)
+            return
+        # kin = ((E - V)^2 - m0^2 c^4) / (E - V): the sign of E - V where allowed
+        assert (kin * u > 0.0) == (region is rq.RegionClass.ALLOWED)
+        if region is rq.RegionClass.ALLOWED:
+            p = rq.classical_momentum(s, x)
+            assert p > 0.0
+            assert (s.c * p) ** 2 == pytest.approx(u * kin, rel=1e-12)
+        else:
+            assert not s.species.is_photon
+            with pytest.raises(rq.SingularEnergyError):
+                rq.classical_momentum(s, x)
+
+
+class TestConfigProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(s=SCENARIOS)
+    def test_config_text_round_trip(self, s):
+        pot = s.potential
+        lines = [f"species = {'photon' if s.species.is_photon else 'electron'}",
+                 f"energy_mev = {s.energy!r}",
+                 f"potential = {pot.kind.value}",
+                 f"u0_mev = {pot.u0!r}" if pot.is_constant else f"g_mev_per_fm = {pot.g!r}",
+                 f"hbar_scale = {s.hbar_scale!r}  # trailing comment"]
+        text = "\n# a scenario written back as text\n" + "\n".join(lines) + "\n"
+        assert rq.scenario_from_config(rq.parse_config_text(text)) == s

@@ -226,7 +226,7 @@ class TestOdeTrajectory:
         traj = rq.trajectory_ode(s, basis, p, (-300.0, -100.0), 201)
         xs = traj.positions
         assert np.isin(xs, basis.grid).all()
-        # the same 4-point Gauss panels, all at once, with the quintic read
+        # the same 4-point Gauss panels, all at once, with the septic read
         # at each absolute Gauss point through flow_speed
         inner = basis.grid[(basis.grid > -300.0) & (basis.grid < -100.0)]
         edges = np.unique(np.concatenate([inner, xs]))
