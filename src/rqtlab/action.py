@@ -153,10 +153,13 @@ def _rqshje_with_momentum(basis: KgBasis, p: MobiusParams, x: np.ndarray, fd_ste
     stencil = np.array([x - 2 * h, x - h, x, x + h, x + 2 * h])
     pm2, pm1, p0, pp1, pp2 = conjugate_momentum(basis, p, stencil)
     s0pp = (-pp2 + 8 * pp1 - 8 * pm1 + pm2) / (12.0 * h)
-    s0ppp = (-pp2 + 16 * pp1 - 30 * p0 + 16 * pm1 - pm2) / (12.0 * h**2)
+    s0ppp = (-pp2 + 16 * pp1 - 30 * p0 + 16 * pm1 - pm2) / (12.0 * (h * h))
     u = s.energy - s.potential.value(x)
-    t1 = (s.c * p0) ** 2
-    t2 = -(s.hbar**2 * s.c**2 / 2.0) * (1.5 * (s0pp / p0) ** 2 - s0ppp / p0)
+    # squares as products: numpy squares arrays exactly but sends a float64
+    # scalar's ** 2 to pow, so a scalar read could differ by an ulp
+    cp, ratio = s.c * p0, s0pp / p0
+    t1 = cp * cp
+    t2 = -(s.hbar**2 * s.c**2 / 2.0) * (1.5 * (ratio * ratio) - s0ppp / p0)
     t3 = s.rest_energy**2 - u * u
     scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.abs(t3))
     return np.abs(t1 + t2 + t3) / scale, p0

@@ -382,16 +382,25 @@ def _chain(step_matrices, n, y0):
     prefix product: the n steps form about 4 sqrt(n) blocks of about
     sqrt(n) / 4 steps, the last padded with identity steps.  One pass over
     the positions in a block forms the running products of all blocks at
-    once, a short sequential pass carries the state across the block
-    starts, and one array product applies the running products to the
+    once, the block starts are the states of the chain of block products
+    (blocked the same way, down to a stepping loop of fewer than 64
+    steps), and one array product applies the running products to the
     block starts.  The split keeps each of the pass's array operations
     thousands of steps long (about 2,000 at figure 4's 270 k steps), where
-    square blocks left them overhead-bound at about sqrt(n).  Products are
-    held as P - I, as a stepping loop holds y + dy, so equal steps do not
-    repeat one rounding of 1 + small; each state runs from its own block
-    start, so block seams stay smooth.
+    square blocks left them overhead-bound at about sqrt(n); carrying the
+    starts through the same split keeps the states' O(1) roundings to a
+    few dozen.  Products are held as P - I, as a stepping loop holds
+    y + dy, so equal steps do not repeat one rounding of 1 + small; each
+    state runs from its own block start, so block seams stay smooth.
     """
-    size = max(1, math.isqrt(n // 16))
+    size = math.isqrt(n // 16)
+    if size < 2:
+        states = [y0]
+        for t11, t12, t21, t22 in zip(*(e.tolist() for e in step_matrices(np.arange(n)))):
+            y11, y12, y21, y22 = states[-1]
+            states.append((y11 + (t11 * y11 + t12 * y21), y12 + (t11 * y12 + t12 * y22),
+                           y21 + (t21 * y11 + t22 * y21), y22 + (t21 * y12 + t22 * y22)))
+        return [np.array(e) for e in zip(*states)]
     n_blocks = -(-n // size)
     first = size * np.arange(n_blocks)  # each block's first step
     run = [np.empty((size, n_blocks)) for _ in range(4)]
@@ -407,20 +416,17 @@ def _chain(step_matrices, n, y0):
         # (I + E)(I + Q) - I = Q + (E + E Q)
         q = (q11 + (a + (a * q11 + b * q21)), q12 + (b + (a * q12 + b * q22)),
              q21 + (c + (c * q11 + d * q21)), q22 + (d + (c * q12 + d * q22)))
-    starts = [y0]
-    for t11, t12, t21, t22 in zip(*(e.tolist() for e in q)):
-        y11, y12, y21, y22 = starts[-1]
-        starts.append((y11 + (t11 * y11 + t12 * y21), y12 + (t11 * y12 + t12 * y22),
-                       y21 + (t21 * y11 + t22 * y21), y22 + (t21 * y12 + t22 * y22)))
+    last_block = n_blocks - 1
+    y11, y12, y21, y22 = starts = _chain(lambda i: [e[np.minimum(i, last_block)] for e in q],
+                                         n_blocks, y0)
     f11, f12, f21, f22 = run
-    y11, y12, y21, y22 = (np.array(e) for e in zip(*starts))
     out = []
     blocks = ((f11, y11, f12, y21), (f11, y12, f12, y22),
               (f21, y11, f22, y21), (f21, y12, f22, y22))
-    for (fa, ya, fb, yb), y, last in zip(blocks, (y11, y12, y21, y22), starts[-1]):
+    for (fa, ya, fb, yb), y in zip(blocks, starts):
         o = np.empty(n_blocks * size + 1)
         o[:-1].reshape(n_blocks, size)[:] = (y[:-1] + (fa * ya[:-1] + fb * yb[:-1])).T
-        o[-1] = last
+        o[-1] = y[-1]
         out.append(o[:n + 1])
     return out
 

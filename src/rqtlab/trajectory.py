@@ -289,9 +289,8 @@ CLOSED_PANELS_PER_NODE = 1024
 
 
 # Gauss panels evaluated per array operation in the time of flight: each
-# Gauss-point array stays at 256 KiB however many panels the range holds
-# (at 512 KiB figure 4's time of flight ran 12 % slower on a 2-vCPU Xeon).
-PANEL_CHUNK = 1 << 13
+# Gauss-point array stays at 512 KiB however many panels the range holds.
+PANEL_CHUNK = 1 << 14
 
 
 def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusParams],
