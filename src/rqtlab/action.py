@@ -80,10 +80,10 @@ def _unwrapped_action(basis: KgBasis, p: MobiusParams, x: np.ndarray):
             raise DomainError(f"x = {float(x[outside][0])} outside basis domain")
     zeros = basis.phi2_zeros(min(p.x0, float(x.min())), max(p.x0, float(x.max())))
     n = np.searchsorted(zeros, x, side="left") - np.searchsorted(zeros, p.x0, side="right")
-    phi2 = basis.phi2(x)
+    phi1, phi2 = basis.phi12(x)
     on_zero = (phi2 == 0.0) | np.isin(x, zeros)
     with np.errstate(divide="ignore"):
-        r = p.a * basis.phi1(x) / phi2 + p.b
+        r = p.a * phi1 / phi2 + p.b
     # math.atan: np.arctan rounds differently in about one value in 400
     phase = [math.pi / 2.0 + k * math.pi if zero else math.atan(v) + k * math.pi
              for v, k, zero in zip(r.tolist(), n.tolist(), on_zero.tolist())]
@@ -111,8 +111,7 @@ def conjugate_momentum(basis: KgBasis, p: MobiusParams, x, sign: int = +1):
     The denominator is positive for any real a != 0 (phi1 and phi2 cannot
     vanish together since W != 0), so the momentum never vanishes.
     """
-    phi1 = basis.phi1(x)
-    phi2 = basis.phi2(x)
+    phi1, phi2 = basis.phi12(x)
     denom = phi2 * phi2 + (p.a * phi1 + p.b * phi2) ** 2
     return sign * p.direction * basis.scenario.hbar * p.a * basis.wronskian / denom
 

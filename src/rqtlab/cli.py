@@ -19,50 +19,30 @@ import numpy as np
 
 from .action import MobiusParams, action_scan
 from .errors import IntegrationOverflowError
-from .kg import (
-    DEFAULT_METHOD,
-    DEFAULT_STEP,
-    DRIFT_TOL_NUMERIC,
-    METHODS,
-    kg_closed_constant,
-    kg_fd_residual,
-    kg_solve_numeric,
-    wronskian_drift,
-    write_basis_csv,
-)
-from .nodes import (
-    classical_limit_scan,
-    de_broglie_check,
-    linear_node_summary,
-    mean_momentum,
-    nodes_constant,
-    nodes_numeric,
-    spacing_grows,
-    write_classical_csv,
-    write_node_report_csv,
-)
-from .scenario import (
-    METERS_PER_FM,
-    Potential,
-    RegionClass,
-    Scenario,
-    Species,
-    classify_region,
-    constant_rates,
-    load_config,
-    scenario_from_config,
-    write_csv,
-)
-from .trajectory import (
-    firqnl_residual,
-    trajectory_constant_allowed,
-    trajectory_constant_forbidden,
-    trajectory_ode_family,
-    velocity_momentum_check,
-    write_trajectory_csv,
-)
+from .kg import (DEFAULT_METHOD, DEFAULT_STEP, DRIFT_TOL_NUMERIC, METHODS, kg_closed_constant,
+                 kg_fd_residual, kg_solve_linear, kg_solve_numeric, wronskian_drift,
+                 write_basis_csv)
+from .nodes import (classical_limit_scan, de_broglie_check, linear_node_summary, mean_momentum,
+                    nodes_constant, nodes_numeric, spacing_grows, write_classical_csv,
+                    write_node_report_csv)
+from .scenario import (METERS_PER_FM, Potential, RegionClass, Scenario, Species, classify_region,
+                       constant_rates, load_config, scenario_from_config, write_csv)
+from .trajectory import (firqnl_residual, trajectory_constant_allowed,
+                         trajectory_constant_forbidden, trajectory_ode_family,
+                         velocity_momentum_check, write_trajectory_csv)
 
 DEFAULT_AB = ((1.0, 0.0), (4.0, 2.0), (0.5, -1.0))
+
+# Reference scenario and anchor x0 (fm) of each figure; figure 1's is every
+# other subcommand's default.  Figure 2's caption leaves U0 open: 1.7 MeV
+# puts E - U0 = 0.3 MeV below m0 c^2, in the forbidden region.
+FIGURES = {
+    1: (Scenario(Species.electron(), Potential.constant(0.0), energy=2.0), 0.0),
+    2: (Scenario(Species.electron(), Potential.constant(1.7), energy=2.0), 0.0),
+    3: (Scenario(Species.photon(), Potential.constant(0.0), energy=1.2), 0.0),
+    4: (Scenario(Species.electron(), Potential.linear(0.25), energy=2.0),
+        -5.4e-12 / METERS_PER_FM),
+}
 
 # Declared residual bounds per case; the (1, 0) member must hit the
 # analytic-vanishing tier.
@@ -74,19 +54,13 @@ FIRQNL_BOUND_GENERIC = 1e-3
 VELMOM_BOUND = 1e-6
 KG_FD_BOUND = 1e-4
 
-# Default linear-potential window: its left end, and how far the numeric
-# basis runs past the turning point (both fm).
-LINEAR_X_MIN = -400.0
-TURNING_MARGIN = 2.0
 
-
-def _parse_ab(text: str, x0: float = 0.0) -> list[MobiusParams]:
-    """Parse 'a,b;a,b;...' into family parameters."""
+def _family(args, x0: float = 0.0, default=DEFAULT_AB) -> list[MobiusParams]:
+    """The --ab family list 'a,b;a,b;...', or the default one, anchored at x0."""
+    if not args.ab:
+        return [MobiusParams(a, b, x0) for a, b in default]
     out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, (c.strip() for c in args.ab.split(";"))):
         parts = chunk.split(",")
         if len(parts) != 2:
             raise ValueError(f"bad (a,b) chunk {chunk!r}; expected 'a,b'")
@@ -96,22 +70,9 @@ def _parse_ab(text: str, x0: float = 0.0) -> list[MobiusParams]:
     return out
 
 
-def _family(args, x0: float = 0.0, default=DEFAULT_AB) -> list[MobiusParams]:
-    """The --ab family list, or the default one, anchored at x0."""
-    return _parse_ab(args.ab, x0) if args.ab else [MobiusParams(a, b, x0) for a, b in default]
-
-
-def _scenario_from_args(args, default: Scenario | None = None) -> Scenario:
-    if args.config:
-        cfg = load_config(args.config)
-        s = scenario_from_config(cfg)
-    else:
-        s = default or Scenario(
-            species=Species.electron(), potential=Potential.constant(0.0), energy=2.0
-        )
-    if args.hbar_scale is not None:
-        s = s.with_hbar_scale(args.hbar_scale)
-    return s
+def _scenario_from_args(args, default: Scenario = FIGURES[1][0]) -> Scenario:
+    s = scenario_from_config(load_config(args.config)) if args.config else default
+    return s if args.hbar_scale is None else s.with_hbar_scale(args.hbar_scale)
 
 
 def _out_dir(args) -> Path:
@@ -120,53 +81,38 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _linear_basis(s: Scenario, args, x_min: float | None, x_max: float | None):
-    """(basis, x_lo, x_hi, turning) for the linear potential V = g x.
+def _trajectories(s: Scenario, ab: list[MobiusParams], args, x_min=None, x_max=None, nodes=False):
+    """[(p, trajectory, divergence events)] for each member, and the nodes or None.
 
-    The numeric basis (--step, --method) spans the window [x_lo, x_hi], by
-    default from LINEAR_X_MIN to TURNING_MARGIN past the turning point
-    (E - m0 c^2) / g, where the allowed region ends; trajectories and scans
-    stop at the turning point.
+    A constant potential takes the closed forms over three node intervals
+    (a forbidden region: two periods pi / |omega_f|), --dt apart or --samples
+    across.  The linear potential takes one time-of-flight pass over the
+    kg_solve_linear window up to min(x_hi, turning).  With ``nodes`` the phi2
+    zeros are panel edges, returned as (positions, times, turning point) with
+    the times of the forward (1, 0) member, which joins the pass if ab lacks it.
     """
-    g = s.potential.g
-    if g < 0:
-        raise ValueError("the linear-potential window needs g > 0 "
-                         "(for g < 0 it would span the Klein region)")
-    turning = (s.energy - s.rest_energy) / g
-    x_lo = LINEAR_X_MIN if x_min is None else x_min
-    x_hi = turning + TURNING_MARGIN if x_max is None else x_max
-    basis = kg_solve_numeric(s, x_lo, x_hi, step=args.step, method=args.method)
-    return basis, x_lo, x_hi, turning
-
-
-def _closed_family(s: Scenario, ab: list[MobiusParams], args) -> list:
-    """(p, trajectory, divergence events) for each member on a constant potential.
-
-    An allowed region or a photon spans three node intervals, a forbidden
-    region two periods pi / |omega_f|; samples are --dt apart, or --samples
-    across the span.
-    """
-    if classify_region(s, ab[0].x0) is RegionClass.FORBIDDEN:
-        t_hi = 2.0 * math.pi / abs(constant_rates(s, RegionClass.FORBIDDEN).omega)
-        make = lambda p, dt: trajectory_constant_forbidden(
-            s, p, (0.0, t_hi), dt, x_ceiling=args.ceiling
-        )
-    else:
-        t_hi = 3.0 * nodes_constant(s).dt_spacing
-        make = lambda p, dt: (trajectory_constant_allowed(s, p, (0.0, t_hi), dt), [])
-    dt = args.dt if args.dt else t_hi / args.samples
-    return [(p, *make(p, dt)) for p in ab]
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.12e}"
+    if s.potential.is_constant:
+        if classify_region(s, ab[0].x0) is RegionClass.FORBIDDEN:
+            t_hi = 2.0 * math.pi / abs(constant_rates(s, RegionClass.FORBIDDEN).omega)
+            make = lambda p, dt: trajectory_constant_forbidden(s, p, (0.0, t_hi), dt, args.ceiling)
+        else:
+            t_hi = 3.0 * nodes_constant(s).dt_spacing
+            make = lambda p, dt: (trajectory_constant_allowed(s, p, (0.0, t_hi), dt), [])
+        dt = args.dt if args.dt else t_hi / args.samples
+        return [(p, *make(p, dt)) for p in ab], None
+    basis, x_lo, x_hi, turning = kg_solve_linear(s, x_min, x_max, args.step, args.method)
+    zeros = nodes_numeric(basis) if nodes else ()
+    ref = next((i for i, p in enumerate(ab) if (p.a, p.b, p.direction) == (1.0, 0.0, 1)), len(ab))
+    members = ab if ref < len(ab) or not nodes else [*ab, MobiusParams(1.0, 0.0, ab[0].x0)]
+    trajs = trajectory_ode_family(s, basis, members, (x_lo, min(x_hi, turning)),
+                                  n_samples=args.samples, nodes=zeros)
+    found = (zeros, trajs[ref].node_times, turning) if nodes else None
+    return [(p, traj, []) for p, traj in zip(ab, trajs)], found
 
 
 def _ab_tag(p: MobiusParams) -> str:
     """File tag of a member by its signed labels, so (-1, 0.5) and (1, -0.5) differ."""
-    def num(v: float) -> str:
-        return f"{v:g}".replace("-", "m").replace(".", "p")
-
+    num = lambda v: f"{v:g}".replace("-", "m").replace(".", "p")
     return f"a{num(p.direction * p.a)}_b{num(p.direction * p.b)}"
 
 
@@ -185,90 +131,46 @@ def _verdict(checks: list) -> int:
 
 
 # ---------------------------------------------------------------------------
-# figure
-
-def _figure_scenario(figure_id: int) -> tuple[Scenario, float]:
-    """Reference scenario and anchor x0 (fm) for each figure."""
-    if figure_id == 1:
-        return (
-            Scenario(Species.electron(), Potential.constant(0.0), energy=2.0),
-            0.0,
-        )
-    if figure_id == 2:
-        # forbidden region with E - U0 = 0.3 MeV (the captioned U0 is not
-        # fixed numerically; this default keeps |E-U0| < m0 c^2)
-        return (
-            Scenario(Species.electron(), Potential.constant(1.7), energy=2.0),
-            0.0,
-        )
-    if figure_id == 3:
-        return (
-            Scenario(Species.photon(), Potential.constant(0.0), energy=1.2),
-            0.0,
-        )
-    if figure_id == 4:
-        return (
-            Scenario(Species.electron(), Potential.linear(0.25), energy=2.0),
-            -5.4e-12 / METERS_PER_FM,
-        )
-    raise ValueError(f"unknown figure id {figure_id}")
-
+# subcommands
 
 def cmd_figure(args) -> int:
-    figure_id = args.figure_id
-    s, default_x0 = _figure_scenario(figure_id)
-    s = _scenario_from_args(args, s)
-    x0 = default_x0 if args.x0 is None else args.x0
+    fig = args.figure_id
+    s = _scenario_from_args(args, FIGURES[fig][0])
+    x0 = FIGURES[fig][1] if args.x0 is None else args.x0
     ab = _family(args, x0)
     out = _out_dir(args)
-
-    written: list[Path] = []
-    if figure_id != 4:
-        photon = figure_id == 3
-        region = RegionClass.FORBIDDEN if figure_id == 2 else RegionClass.ALLOWED
+    if s.potential.is_constant == (fig == 4):
+        raise ValueError(f"figure {fig} needs the {'linear' if fig == 4 else 'constant'} potential")
+    if fig != 4:
+        photon, region = fig == 3, RegionClass.FORBIDDEN if fig == 2 else RegionClass.ALLOWED
         if s.species.is_photon != photon:
-            raise ValueError(f"figure {figure_id} needs a {'photon' if photon else 'massive'} scenario")
+            raise ValueError(f"figure {fig} needs a {'photon' if photon else 'massive'} scenario")
         if classify_region(s, x0) is not region:
-            raise ValueError(f"figure {figure_id} needs a classically {region.value} scenario")
-        for p, traj, events in _closed_family(s, ab, args):
-            written.append(write_trajectory_csv(traj, out / f"fig{figure_id}_traj_{_ab_tag(p)}.csv"))
-            if region is RegionClass.FORBIDDEN:
-                stars = ", ".join(_fmt(e.t_star) for e in events)
-                print(f"fig2 {_ab_tag(p)}: divergence times t* = {stars} s (no nodes)")
-        if region is RegionClass.ALLOWED:
-            nd = nodes_constant(s, n_nodes=4, x0=x0)
-            written.append(write_node_report_csv(nd, out / f"fig{figure_id}_nodes.csv", s))
-            print(f"figure {figure_id}: {len(ab)} trajectories, dt_n = {_fmt(nd.dt_spacing)} s, "
-                  f"dx_n = {_fmt(nd.dx_spacings[0] * METERS_PER_FM)} m")
-    else:
-        if s.potential.is_constant:
-            raise ValueError("figure 4 needs the linear potential")
-        basis, x_lo, _, turning = _linear_basis(s, args, x0, None)
-        zeros = nodes_numeric(basis)
-        # the node times come from the forward (1, 0) member; when --ab leaves
-        # it out it joins the quadrature pass but gets no CSV
-        ref = next((i for i, p in enumerate(ab) if (p.a, p.b, p.direction) == (1.0, 0.0, 1)),
-                   len(ab))
-        members = ab if ref < len(ab) else [*ab, MobiusParams(1.0, 0.0, x0)]
-        trajs = trajectory_ode_family(s, basis, members, (x_lo, turning), n_samples=args.samples,
-                                      nodes=zeros)
-        for p, traj in zip(ab, trajs):
-            written.append(write_trajectory_csv(traj, out / f"fig4_traj_{_ab_tag(p)}.csv"))
-        t_at = trajs[ref].node_times
+            raise ValueError(f"figure {fig} needs a classically {region.value} scenario")
+    members, nodes = _trajectories(s, ab, args, x_min=x0, nodes=fig == 4)
+    written = []
+    for p, traj, events in members:
+        written.append(write_trajectory_csv(traj, out / f"fig{fig}_traj_{_ab_tag(p)}.csv"))
+        if fig == 2:
+            stars = ", ".join(f"{e.t_star:.12e}" for e in events)
+            print(f"fig2 {_ab_tag(p)}: divergence times t* = {stars} s (no nodes)")
+    if fig in (1, 3):
+        nd = nodes_constant(s, n_nodes=4, x0=x0)
+        written.append(write_node_report_csv(nd, out / f"fig{fig}_nodes.csv", s))
+        print(f"figure {fig}: {len(ab)} trajectories, dt_n = {nd.dt_spacing:.12e} s, "
+              f"dx_n = {nd.dx_spacings[0] * METERS_PER_FM:.12e} m")
+    elif fig == 4:
+        zeros, t_at, turning = nodes
         header = ["rqtlab linear-potential nodes (times from the a=1, b=0 member)",
                   f"energy_mev = {s.energy!r}", f"g_mev_per_fm = {s.potential.g!r}",
                   "columns: n, t_n_s, x_n_m"]
         rows = zip(range(len(zeros)), t_at.tolist(), (zeros * METERS_PER_FM).tolist())
         written.append(write_csv(out / "fig4_nodes.csv", header, rows))
-        print(f"figure 4: turning point at {_fmt(turning * METERS_PER_FM)} m, "
-              f"{len(zeros)} nodes")
+        print(f"figure 4: turning point at {turning * METERS_PER_FM:.12e} m, {len(zeros)} nodes")
     for w in written:
         print(f"wrote {w}")
     return 0
 
-
-# ---------------------------------------------------------------------------
-# report
 
 def cmd_report(args) -> int:
     s = _scenario_from_args(args)
@@ -280,7 +182,7 @@ def cmd_report(args) -> int:
     print(f"hbar_scale          : {s.hbar_scale}")
 
     if not s.potential.is_constant:
-        basis = _linear_basis(s, args, args.x_min, args.x_max)[0]
+        basis = kg_solve_linear(s, args.x_min, args.x_max, args.step, args.method)[0]
         rows = linear_node_summary(s, basis)
         print(f"numeric nodes       : {len(rows) + 1}")
         if rows:
@@ -300,35 +202,27 @@ def cmd_report(args) -> int:
         spacing = float(np.diff(zs)[0])
         pbar = mean_momentum(basis, MobiusParams(1.0, 0.0), float(zs[0]), float(zs[1]))
         p_cl = nd.mean_momentum  # q / c, the classical momentum
-        print(f"dt_n                : {_fmt(nd.dt_spacing)} s")
-        print(f"dx_n                : {_fmt(nd.dx_spacings[0] * METERS_PER_FM)} m")
-        print(f"lambda              : {_fmt(nd.wavelength * METERS_PER_FM)} m")
-        print(f"lambda/2            : {_fmt(nd.wavelength / 2 * METERS_PER_FM)} m")
+        print(f"dt_n                : {nd.dt_spacing:.12e} s")
+        print(f"dx_n                : {nd.dx_spacings[0] * METERS_PER_FM:.12e} m")
+        print(f"lambda              : {nd.wavelength * METERS_PER_FM:.12e} m")
+        print(f"lambda/2            : {nd.wavelength / 2 * METERS_PER_FM:.12e} m")
         print(f"ratio dx/(lambda/2) : {ratio:.12f}")
-        print(f"mean momentum       : {_fmt(pbar)} MeV s/fm")
-        print(f"classical momentum  : {_fmt(p_cl)} MeV s/fm")
+        print(f"mean momentum       : {pbar:.12e} MeV s/fm")
+        print(f"classical momentum  : {p_cl:.12e} MeV s/fm")
         _status("de_broglie_ratio_unity", abs(ratio - 1.0), 1e-12, checks)
-        _status(
-            "numeric_node_spacing_matches_analytic",
-            abs(spacing - nd.dx_spacings[0]) / nd.dx_spacings[0],
-            1e-9,
-            checks,
-        )
+        _status("numeric_node_spacing_matches_analytic",
+                abs(spacing - nd.dx_spacings[0]) / nd.dx_spacings[0], 1e-9, checks)
         _status("mean_momentum_matches_classical", abs(pbar / p_cl - 1.0), 1e-9, checks)
         if args.out:
             print(f"wrote {write_node_report_csv(nd, _out_dir(args) / 'node_report.csv', s)}")
     return _verdict(checks)
 
 
-# ---------------------------------------------------------------------------
-# residuals
-
 def cmd_residuals(args) -> int:
     s = _scenario_from_args(args)
     out = _out_dir(args)
     checks: list[tuple[str, bool]] = []
     family = _family(args)
-
     if s.potential.is_constant:
         if classify_region(s, 0.0) is not RegionClass.ALLOWED:
             raise ValueError("residual scans cover allowed-region scenarios")
@@ -338,7 +232,8 @@ def cmd_residuals(args) -> int:
         title = "rqtlab action residual scan"
         t_range = (0.0, 3 * nd.dt_spacing)
     else:
-        basis, x_lo, x_hi, turning = _linear_basis(s, args, args.x_min, args.x_max)
+        basis, x_lo, x_hi, turning = kg_solve_linear(s, args.x_min, args.x_max, args.step,
+                                                     args.method)
         _status("kg_fd_residual", kg_fd_residual(basis), KG_FD_BOUND, checks)
         xs = np.linspace(x_lo + 2.0, min(x_hi, turning) - 4.0, args.samples)
         title = "rqtlab action residual scan (linear potential)"
@@ -369,21 +264,12 @@ def cmd_residuals(args) -> int:
     return _verdict(checks)
 
 
-# ---------------------------------------------------------------------------
-# plain trajectory / nodes / kg-solve / classical-limit
-
 def cmd_trajectory(args) -> int:
     s = _scenario_from_args(args)
     out = _out_dir(args)
-    ab = _family(args, args.x0 or 0.0)
-    if s.potential.is_constant:
-        for p, traj, _ in _closed_family(s, ab, args):
-            print(f"wrote {write_trajectory_csv(traj, out / f'traj_{_ab_tag(p)}.csv')}")
-    else:
-        basis, x_lo, x_hi, turning = _linear_basis(s, args, args.x_min, args.x_max)
-        trajs = trajectory_ode_family(s, basis, ab, (x_lo, min(x_hi, turning)), n_samples=args.samples)
-        for p, traj in zip(ab, trajs):
-            print(f"wrote {write_trajectory_csv(traj, out / f'traj_{_ab_tag(p)}.csv')}")
+    members, _ = _trajectories(s, _family(args, args.x0 or 0.0), args, args.x_min, args.x_max)
+    for p, traj, _ in members:
+        print(f"wrote {write_trajectory_csv(traj, out / f'traj_{_ab_tag(p)}.csv')}")
     return 0
 
 
@@ -394,24 +280,23 @@ def cmd_nodes(args) -> int:
         if classify_region(s, 0.0) is RegionClass.FORBIDDEN:
             print("nodes: none (massive particle in a classically forbidden region)")
             return 0
-        nd = nodes_constant(s, n_nodes=args.samples // 2 if args.samples < 64 else 16)
+        nd = nodes_constant(s, n_nodes=16)
         print(f"wrote {write_node_report_csv(nd, out / 'nodes.csv', s)}")
-        print(f"dt_n = {_fmt(nd.dt_spacing)} s, dx_n = {_fmt(nd.dx_spacings[0] * METERS_PER_FM)} m")
-    else:
-        basis = _linear_basis(s, args, args.x_min, args.x_max)[0]
-        rows = linear_node_summary(s, basis)
-        header = ["rqtlab numeric node intervals", f"energy_mev = {s.energy!r}",
-                  f"g_mev_per_fm = {s.potential.g!r}",
-                  "columns: n, x_lo_m, x_hi_m, dx_m, p_node_mev_s_per_fm, p_classical_mid"]
-        path = write_csv(out / "nodes.csv", header, (
-            (r["n"], r["x_lo"] * METERS_PER_FM, r["x_hi"] * METERS_PER_FM,
-             r["dx"] * METERS_PER_FM, r["p_node"], r["p_classical_mid"]) for r in rows))
-        print(f"wrote {path}")
-        grow = spacing_grows(rows)
-        claim = "; spacing grows toward the turning point" if grow else ""
-        print(f"{len(rows) + 1 if rows else 0} nodes{claim}")
-        return _verdict([("node_spacing_monotone", grow)])
-    return 0
+        print(f"dt_n = {nd.dt_spacing:.12e} s, dx_n = {nd.dx_spacings[0] * METERS_PER_FM:.12e} m")
+        return 0
+    basis = kg_solve_linear(s, args.x_min, args.x_max, args.step, args.method)[0]
+    rows = linear_node_summary(s, basis)
+    header = ["rqtlab numeric node intervals", f"energy_mev = {s.energy!r}",
+              f"g_mev_per_fm = {s.potential.g!r}",
+              "columns: n, x_lo_m, x_hi_m, dx_m, p_node_mev_s_per_fm, p_classical_mid"]
+    path = write_csv(out / "nodes.csv", header, (
+        (r["n"], r["x_lo"] * METERS_PER_FM, r["x_hi"] * METERS_PER_FM,
+         r["dx"] * METERS_PER_FM, r["p_node"], r["p_classical_mid"]) for r in rows))
+    print(f"wrote {path}")
+    grow = spacing_grows(rows)
+    claim = "; spacing grows toward the turning point" if grow else ""
+    print(f"{len(rows) + 1 if rows else 0} nodes{claim}")
+    return _verdict([("node_spacing_monotone", grow)])
 
 
 def cmd_kg_solve(args) -> int:
@@ -422,7 +307,7 @@ def cmd_kg_solve(args) -> int:
     basis = kg_solve_numeric(s, x_lo, x_hi, step=args.step, method=args.method)
     drift = wronskian_drift(basis)
     print(f"wrote {write_basis_csv(basis, out / 'kg_basis.csv')}")
-    print(f"wronskian = {_fmt(basis.wronskian)} 1/fm, drift = {drift:.3e}")
+    print(f"wronskian = {basis.wronskian:.12e} 1/fm, drift = {drift:.3e}")
     checks: list[tuple[str, bool]] = []
     _status("wronskian_drift", drift, DRIFT_TOL_NUMERIC, checks)
     return _verdict(checks)
@@ -432,86 +317,75 @@ def cmd_classical_limit(args) -> int:
     s = _scenario_from_args(args)
     out = _out_dir(args)
     p = _family(args, default=((4.0, 2.0),))[0]
-    eps = tuple(float(e) for e in args.epsilons.split(","))
-    rep = classical_limit_scan(s, p, eps)
+    rep = classical_limit_scan(s, p, tuple(float(e) for e in args.epsilons.split(",")))
     print(f"wrote {write_classical_csv(rep, out / 'classical_limit.csv')}")
     print(f"fitted scaling exponent = {rep.exponent:.6f}")
-    ok = (
-        bool(np.all(np.diff(rep.deviations) < 0))
-        and bool(np.all(rep.deviations <= rep.bounds))
-        and 0.9 <= rep.exponent <= 1.1
-    )
-    print(f"check classical_limit_scaling: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    print(f"check classical_limit_scaling: {'PASS' if rep.scaling_holds else 'FAIL'}")
+    return _verdict([("classical_limit_scaling", rep.scaling_holds)])
 
 
 # ---------------------------------------------------------------------------
+# command line
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises its errors as ValueError, so that main
+    reports them as every other bad input: one 'error:' line and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+# Every flag of the command line, by name: its argparse keywords.
+FLAGS = {
+    "config": dict(type=str, help="key = value scenario file"),
+    "out": dict(type=str, help="output directory"),
+    "hbar-scale": dict(type=float, help="multiplies every hbar, in (0, 1]"),
+    "dt": dict(type=float, help="sample spacing in s (closed forms)"),
+    "samples": dict(type=int, default=600, help="sample count (>= 16)"),
+    "ab": dict(type=str, help="family list 'a,b;a,b;...'"),
+    "method": dict(choices=METHODS, default=DEFAULT_METHOD, help="scheme (default %(default)s)"),
+    "step": dict(type=float, default=DEFAULT_STEP, help="step in fm (default %(default)g)"),
+    "x-min": dict(type=float, help="left end of the numeric window in fm"),
+    "x-max": dict(type=float, help="right end of the numeric window in fm"),
+    "x0": dict(type=float, help="anchor position in fm"),
+    "ceiling": dict(type=float, default=1.0e6, help="|x| clip in fm (forbidden region)"),
+    "epsilons": dict(type=str, default="1,0.5,0.25,0.125", help="hbar scale factors"),
+}
+
+_WINDOW = ("method", "step", "x-min", "x-max")
+
+# Each subcommand: its function, help line, and the flags it reads besides
+# --config, --out and --hbar-scale.
+COMMANDS = {
+    "figure": (cmd_figure, "emit one of the four reference figures",
+               ("dt", "samples", "ab", "method", "step", "x0", "ceiling")),
+    "report": (cmd_report, "node spacings, wavelength, invariant checks", _WINDOW),
+    "residuals": (cmd_residuals, "governing-equation residual scans", ("samples", "ab", *_WINDOW)),
+    "trajectory": (cmd_trajectory, "trajectory CSVs for an (a,b) family",
+                   ("dt", "samples", "ab", *_WINDOW, "x0", "ceiling")),
+    "nodes": (cmd_nodes, "node report CSV", _WINDOW),
+    "kg-solve": (cmd_kg_solve, "numeric basis CSV dump", _WINDOW),
+    "classical-limit": (cmd_classical_limit, "hbar-scale deviation scan", ("ab", "epsilons")),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rqtlab",
-        description="Relativistic quantum trajectory laboratory (CSV datasets)",
-    )
+    parser = _Parser(prog="rqtlab",
+                     description="Relativistic quantum trajectory laboratory (CSV datasets)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_ranges=True):
-        p.add_argument("--config", type=str, default=None, help="key = value scenario file")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--dt", type=float, default=None, help="sample spacing in s")
-        p.add_argument("--samples", type=int, default=600, help="sample count (>= 16)")
-        p.add_argument("--ab", type=str, default=None, help="family list 'a,b;a,b;...'")
-        p.add_argument("--hbar-scale", dest="hbar_scale", type=float, default=None)
-        p.add_argument("--method", choices=METHODS, default=DEFAULT_METHOD,
-                       help="numeric Klein-Gordon scheme: magnus6 (sixth-order Magnus, exact "
-                            "on a constant potential), rk4 or euler (default %(default)s)")
-        p.add_argument("--step", type=float, default=DEFAULT_STEP,
-                       help="numeric Klein-Gordon step in fm, read between grid points through "
-                            "a septic Hermite interpolant (default %(default)g)")
-        if with_ranges:
-            p.add_argument("--x-min", dest="x_min", type=float, default=None)
-            p.add_argument("--x-max", dest="x_max", type=float, default=None)
-
-    p_fig = sub.add_parser("figure", help="emit one of the four reference figures")
-    p_fig.add_argument("figure_id", type=int, choices=(1, 2, 3, 4))
-    common(p_fig, with_ranges=False)
-    p_fig.add_argument("--x0", type=float, default=None, help="anchor position in fm")
-    p_fig.add_argument("--ceiling", type=float, default=1.0e6, help="|x| clip in fm (figure 2)")
-    p_fig.set_defaults(func=cmd_figure)
-
-    p_rep = sub.add_parser("report", help="node spacings, wavelength, invariant checks")
-    common(p_rep)
-    p_rep.set_defaults(func=cmd_report)
-
-    p_res = sub.add_parser("residuals", help="governing-equation residual scans")
-    common(p_res)
-    p_res.set_defaults(func=cmd_residuals)
-
-    p_traj = sub.add_parser("trajectory", help="trajectory CSVs for an (a,b) family")
-    common(p_traj)
-    p_traj.add_argument("--x0", type=float, default=0.0, help="anchor position in fm")
-    p_traj.add_argument("--ceiling", type=float, default=1.0e6)
-    p_traj.set_defaults(func=cmd_trajectory)
-
-    p_nodes = sub.add_parser("nodes", help="node report CSV")
-    common(p_nodes)
-    p_nodes.set_defaults(func=cmd_nodes)
-
-    p_kg = sub.add_parser("kg-solve", help="numeric basis CSV dump")
-    common(p_kg)
-    p_kg.set_defaults(func=cmd_kg_solve)
-
-    p_cl = sub.add_parser("classical-limit", help="hbar-scale deviation scan")
-    common(p_cl)
-    p_cl.add_argument("--epsilons", type=str, default="1,0.5,0.25,0.125")
-    p_cl.set_defaults(func=cmd_classical_limit)
-
+    for name, (func, help_line, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == "figure":
+            p.add_argument("figure_id", type=int, choices=sorted(FIGURES))
+        for flag in ("config", "out", "hbar-scale", *flags):
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "samples", 16) < 16:
             raise ValueError("sample counts below 16 are not meaningful here")
         return args.func(args)

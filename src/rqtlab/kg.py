@@ -26,11 +26,24 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateBasisError, DomainError, IntegrationOverflowError
-from .scenario import RegionClass, Scenario, constant_rates, scenario_header, write_csv
+from .scenario import (RegionClass, Scenario, constant_rates, scenario_header, turning_points,
+                       write_csv)
 
 # Wronskian drift a numeric basis is allowed before it counts as broken
 # (the kg-solve gate).
 DRIFT_TOL_NUMERIC = 1.0e-5
+
+# The fixed sampling of the two quality metrics: wronskian_drift reads a
+# closed form (exact W up to rounding) at DRIFT_PROBES points, and
+# kg_fd_residual grades the interior, FD_EDGE_MARGIN stencil centres in.
+DRIFT_PROBES = 512
+FD_EDGE_MARGIN = 4
+
+# Default linear-potential window: its left end, and how far the numeric
+# basis runs past the turning point (both fm), so that the septic reader
+# and the phi2 roots are defined right up to the turning point.
+LINEAR_X_MIN = -400.0
+TURNING_MARGIN = 2.0
 
 # Integration schemes of kg_solve_numeric, and its default scheme and step
 # (fm).  At 2e-2 fm the sixth-order Magnus basis of figure 4 holds every
@@ -191,17 +204,27 @@ class KgBasis:
         cell = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
         return self._hermite(x, cell, derivative)
 
+    def phi12(self, x):
+        """(phi1, phi2) at x, from one read of both solutions."""
+        ev = self._evaluators
+        return (ev[0](x), ev[1](x)) if self.is_closed_form else self._read(x)
+
+    def dphi12(self, x):
+        """(phi1', phi2') at x, from one read of both solutions."""
+        ev = self._evaluators
+        return (ev[2](x), ev[3](x)) if self.is_closed_form else self._read(x, True)
+
     def phi1(self, x):
-        return self._evaluators[0](x) if self.is_closed_form else self._read(x)[0]
+        return self.phi12(x)[0]
 
     def phi2(self, x):
-        return self._evaluators[1](x) if self.is_closed_form else self._read(x)[1]
+        return self.phi12(x)[1]
 
     def dphi1(self, x):
-        return self._evaluators[2](x) if self.is_closed_form else self._read(x, True)[0]
+        return self.dphi12(x)[0]
 
     def dphi2(self, x):
-        return self._evaluators[3](x) if self.is_closed_form else self._read(x, True)[1]
+        return self.dphi12(x)[1]
 
     def phi12_in_cells(self, x, cell):
         """(phi1, phi2) at x, given the index of the grid point at or left of x.
@@ -496,55 +519,71 @@ def kg_solve_numeric(
     )
 
 
+def kg_solve_linear(s: Scenario, x_min: float | None = None, x_max: float | None = None,
+                    step: float = DEFAULT_STEP, method: str = DEFAULT_METHOD):
+    """(basis, x_lo, x_hi, turning) for the linear potential V = g x.
+
+    The numeric basis spans [x_lo, x_hi], by default from LINEAR_X_MIN to
+    TURNING_MARGIN past the turning point (E - m0 c^2) / g, where the
+    allowed region ends and trajectories and scans stop.
+    """
+    if not s.potential.g > 0:
+        raise ValueError("the linear-potential window needs g > 0 "
+                         "(for g < 0 it would span the Klein region)")
+    turning = turning_points(s)[0]
+    x_lo = LINEAR_X_MIN if x_min is None else x_min
+    x_hi = turning + TURNING_MARGIN if x_max is None else x_max
+    return kg_solve_numeric(s, x_lo, x_hi, step=step, method=method), x_lo, x_hi, turning
+
+
 # ---------------------------------------------------------------------------
 # Quality metrics.
 
-def wronskian_drift(basis: KgBasis, n_probe: int = 512) -> float:
+def wronskian_drift(basis: KgBasis) -> float:
     """max |W(x) - W(x_ref)| / |W(x_ref)| over the domain.
 
     For the Klein-Gordon equation (no first-derivative term) W is exactly
-    constant, so any drift measures integration error.
+    constant, so any drift measures integration error.  A numeric basis is
+    read at its grid points, a closed form at DRIFT_PROBES points.
     """
     if basis.is_closed_form:
-        xs = np.linspace(basis.x_min, basis.x_max, n_probe)
-        w = basis.dphi1(xs) * basis.phi2(xs) - basis.phi1(xs) * basis.dphi2(xs)
+        xs = np.linspace(basis.x_min, basis.x_max, DRIFT_PROBES)
+        (p1, p2), (d1, d2) = basis.phi12(xs), basis.dphi12(xs)
     else:
         xs, p1, p2, d1, d2 = basis._samples
         if len(xs) < 2:
             raise ValueError("need at least 2 sample points")
-        w = d1 * p2 - p1 * d2
+    w = d1 * p2 - p1 * d2
     w_ref = w[0]
     return float(np.max(np.abs(w - w_ref)) / abs(w_ref))
 
 
-def kg_fd_residual(basis: KgBasis, edge_margin: int = 4) -> float:
+def kg_fd_residual(basis: KgBasis) -> float:
     """Klein-Gordon residual of the sampled phi2 via 5-point differences.
 
-    Returns max over interior grid points of |(hbar c)^2 phi'' -
-    [m0^2 c^4 - (E-V)^2] phi|, normalized by the largest term magnitude
-    over the window.  The normalization is global because both terms
-    vanish together at a turning point, where a pointwise ratio would
-    only compare difference noise against itself.
+    Returns max over interior grid points (FD_EDGE_MARGIN stencil centres
+    in from each end) of |(hbar c)^2 phi'' - [m0^2 c^4 - (E-V)^2] phi|,
+    normalized by the largest term magnitude over the window.  The
+    normalization is global because both terms vanish together at a
+    turning point, where a pointwise ratio would only compare difference
+    noise against itself.
     """
     if basis.is_closed_form:
         xs = np.linspace(basis.x_min, basis.x_max, 4097)
         phi = np.asarray(basis.phi2(xs), dtype=float)
         h = xs[1] - xs[0]
     else:
-        xs = basis._samples[0]
-        phi = basis._samples[2]
+        xs, _, phi = basis._samples[:3]
         h = float(xs[1] - xs[0])
-    if len(xs) < 2 * edge_margin + 5:
+    if len(xs) < 2 * FD_EDGE_MARGIN + 5:
         raise ValueError("too few samples for the residual stencil")
     # 5-point second derivative, O(h^4)
-    d2 = (-phi[4:] + 16 * phi[3:-1] - 30 * phi[2:-2] + 16 * phi[1:-3] - phi[:-4]) / (
-        12.0 * h * h
-    )
+    d2 = (-phi[4:] + 16 * phi[3:-1] - 30 * phi[2:-2] + 16 * phi[1:-3] - phi[:-4]) / (12.0 * h * h)
     xin = xs[2:-2]
     s = basis.scenario
     lhs = s.hbar_c**2 * d2
     rhs = (s.rest_energy**2 - (s.energy - s.potential.value(xin)) ** 2) * phi[2:-2]
-    core = slice(edge_margin, -edge_margin if edge_margin else None)
+    core = slice(FD_EDGE_MARGIN, -FD_EDGE_MARGIN)
     scale = float(np.max(np.maximum(np.abs(lhs[core]), np.abs(rhs[core]))))
     return float(np.max(np.abs(lhs[core] - rhs[core])) / scale)
 
@@ -562,5 +601,5 @@ def write_basis_csv(basis: KgBasis, path: str | Path, n_points: int = 1001) -> P
               f"source = {basis.source.describe()}",
               f"wronskian_per_fm = {basis.wronskian!r}",
               "columns: x_fm, phi1, phi2, dphi1, dphi2"]
-    cols = (basis.phi1(xs), basis.phi2(xs), basis.dphi1(xs), basis.dphi2(xs))
+    cols = (*basis.phi12(xs), *basis.dphi12(xs))
     return write_csv(path, header, zip(*(np.asarray(c, dtype=float).tolist() for c in (xs, *cols))))

@@ -44,6 +44,13 @@ class ClassicalLimitReport:
     bounds: np.ndarray      # fm
     exponent: float         # fitted log-log slope
 
+    @property
+    def scaling_holds(self) -> bool:
+        """Deviations fall with eps and stay under their bounds; the exponent is 1 +- 0.1."""
+        return (bool(np.all(np.diff(self.deviations) < 0))
+                and bool(np.all(self.deviations <= self.bounds))
+                and 0.9 <= self.exponent <= 1.1)
+
 
 def nodes_constant(s: Scenario, n_nodes: int = 8, x0: float = 0.0) -> NodeReport:
     """Analytic nodes for a constant potential (massive allowed or photon).
@@ -122,19 +129,20 @@ def mean_momentum(basis: KgBasis, p: MobiusParams, x_a: float, x_b: float) -> fl
     return (s_b - s_a) / span
 
 
-def classical_limit_scan(
-    s: Scenario,
-    p: MobiusParams,
-    epsilons,
-    n_intervals: int = 3,
-    n_samples: int = 2048,
-) -> ClassicalLimitReport:
+# Node intervals, and samples over them, of each classical_limit_scan
+# trajectory.  The deviation from the straight line repeats every node
+# interval; about 680 samples per interval place its maximum.
+CLASSICAL_LIMIT_INTERVALS = 3
+CLASSICAL_LIMIT_SAMPLES = 2048
+
+
+def classical_limit_scan(s: Scenario, p: MobiusParams, epsilons) -> ClassicalLimitReport:
     """Deviation from the (1, 0) straight line as hbar is scaled down.
 
-    For each eps the (a, b) trajectory is sampled over n_intervals node
-    intervals and the largest orthogonal distance to the straight-line
-    member is recorded (distances live in the (ct, x) plane so both axes
-    are lengths).  The deviation obeys the bound
+    For each eps the (a, b) trajectory is sampled over
+    CLASSICAL_LIMIT_INTERVALS node intervals and the largest orthogonal
+    distance to the straight-line member is recorded (distances live in
+    the (ct, x) plane so both axes are lengths).  The deviation obeys the bound
     c sqrt(2 - ((E-U0)^2 - m0^2 c^4)/(E-U0)^2) * dt_n(eps), and dt_n is
     linear in hbar, so the fitted log-log slope is 1.
     """
@@ -153,7 +161,7 @@ def classical_limit_scan(
     for eps in eps_arr:
         s_eps = s.with_hbar_scale(float(eps))
         dt_n = math.pi / constant_rates(s_eps).omega
-        ts = np.linspace(0.0, n_intervals * dt_n, n_samples)
+        ts = np.linspace(0.0, CLASSICAL_LIMIT_INTERVALS * dt_n, CLASSICAL_LIMIT_SAMPLES)
         xs = np.asarray(constant_allowed_position(s_eps, p, ts), dtype=float)
         line = p.x0 + slope * ts
         deviations.append(float(np.max(np.abs(xs - line)) / math.sqrt(1.0 + beta**2)))

@@ -182,6 +182,14 @@ def classify_region(s: Scenario, x: float) -> RegionClass:
     return RegionClass.ALLOWED if d > 0 else RegionClass.FORBIDDEN
 
 
+def turning_points(s: Scenario) -> list[float]:
+    """(E -+ m0 c^2) / g, where E - V = +-m0 c^2, sorted; [] on a constant potential."""
+    if s.potential.is_constant:
+        return []
+    g = s.potential.g
+    return sorted([(s.energy - s.rest_energy) / g, (s.energy + s.rest_energy) / g])
+
+
 def kinetic_factor(s: Scenario, x) -> float:
     """(E - V) - m0^2 c^4 / (E - V), the bracketed velocity factor.
 

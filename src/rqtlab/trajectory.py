@@ -28,12 +28,12 @@ from .errors import DomainError
 from .kg import KgBasis
 from .scenario import (
     METERS_PER_FM,
-    PotentialKind,
     RegionClass,
     Scenario,
     constant_rates,
     kinetic_factor,
     scenario_header,
+    turning_points,
     write_csv,
 )
 
@@ -255,8 +255,8 @@ def flow_speed(s: Scenario, basis: KgBasis, p: MobiusParams, x):
 
     [E - V - m0^2 c^4/(E - V)] [phi2^2 + (a phi1 + b phi2)^2] / (hbar a W).
     """
-    phi2 = basis.phi2(x)
-    return _flow_speed(s, basis, p, kinetic_factor(s, x), basis.phi1(x), phi2, phi2 * phi2)
+    phi1, phi2 = basis.phi12(x)
+    return _flow_speed(s, basis, p, kinetic_factor(s, x), phi1, phi2, phi2 * phi2)
 
 
 def _flow_speed(s: Scenario, basis: KgBasis, p: MobiusParams, kf, phi1, phi2, phi2_sq):
@@ -265,12 +265,9 @@ def _flow_speed(s: Scenario, basis: KgBasis, p: MobiusParams, kf, phi1, phi2, ph
     return kf * bracket / (s.hbar * p.a * basis.wronskian)
 
 
-def _turning_points_inside(s: Scenario, lo: float, hi: float) -> list[float]:
-    if s.potential.kind is not PotentialKind.LINEAR:
-        return []
-    g = s.potential.g
-    candidates = [(s.energy - s.rest_energy) / g, (s.energy + s.rest_energy) / g]
-    return sorted(x for x in candidates if lo < x < hi)
+# How far short of a turning point (fm) a truncated range ends: the flow
+# only reaches it asymptotically, and 1/xdot diverges there.
+TURNING_GUARD = 1.0e-3
 
 
 # 4-point Gauss-Legendre on [-1, 1]
@@ -309,7 +306,7 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
         n = math.ceil((hi - lo) * basis.wronskian / math.pi * CLOSED_PANELS_PER_NODE)
         edges = _sorted_unique(np.concatenate([np.linspace(lo, hi, n + 1),
                                                basis.phi2_zeros(lo, hi), xs]))
-        phis = lambda pts, first: (basis.phi1(pts), basis.phi2(pts))
+        phis = lambda pts, first: basis.phi12(pts)
     else:
         # grid points strictly inside (lo, hi), with the samples inserted;
         # a sample on a grid point goes after it and is dropped as a repeat
@@ -364,10 +361,21 @@ def trajectory_ode_family(
     members: list[MobiusParams],
     x_range: tuple[float, float],
     n_samples: int,
-    turning_guard: float = 1.0e-3,
     nodes=(),
 ) -> list[Trajectory]:
-    """trajectory_ode for each member, in one quadrature pass over the family.
+    """t(x) of each member by quadrature of 1/xdot, in one pass over the family.
+
+    The parameters are the action-side labels: the flow integrated is
+    exactly the one whose conjugate momentum is hbar a W / (...).  xdot is
+    finite and of one sign between turning points, so t(x) is smooth and
+    strictly monotone.  Every basis takes one path: fixed 4-point Gauss
+    panels summed cumulatively, with every sample a panel edge.  On a
+    sampled basis the panels are its grid cells, so that each panel sees
+    one smooth piece of the septic interpolant; on a closed form each node
+    interval pi / W is split into CLOSED_PANELS_PER_NODE panels, with the
+    phi2 zeros (where xdot peaks) as edges.  A turning point inside the
+    range truncates it TURNING_GUARD short (the flow only reaches it
+    asymptotically), flagged on the result.
 
     All members share the samples and the Gauss panels, so everything that
     does not depend on (a, b) is evaluated once per chunk of panels for the
@@ -389,10 +397,10 @@ def trajectory_ode_family(
     if np.any(np.diff(nodes, prepend=lo) <= 0.0):
         raise ValueError("nodes must increase from the start of x_range")
     truncated_at = None
-    turns = _turning_points_inside(s, lo, math.inf)
+    turns = [x for x in turning_points(s) if x > lo]
     if turns and turns[0] < hi:
         truncated_at = turns[0]
-        hi = truncated_at - turning_guard
+        hi = truncated_at - TURNING_GUARD
         if hi <= lo:
             raise DomainError("x_range collapses after turning-point truncation")
     if not (basis.x_min <= lo and hi <= basis.x_max):
@@ -404,8 +412,8 @@ def trajectory_ode_family(
     stops = _sorted_unique(np.concatenate([xs, nodes]))
     times = _cumulative_time_gauss(s, basis, members, stops)
     at_xs, at_nodes = np.searchsorted(stops, xs), np.searchsorted(stops, nodes)
-    phi2 = basis.phi2(xs)
-    values = (kinetic_factor(s, xs), basis.phi1(xs), phi2, phi2 * phi2)
+    phi1, phi2 = basis.phi12(xs)
+    values = (kinetic_factor(s, xs), phi1, phi2, phi2 * phi2)
     out = []
     for p, ts in zip(members, times):
         # a mirror trajectory reflects the displacement and keeps time forward
@@ -424,35 +432,10 @@ def trajectory_ode_family(
     return out
 
 
-def trajectory_ode(
-    s: Scenario,
-    basis: KgBasis,
-    p: MobiusParams,
-    x_range: tuple[float, float],
-    n_samples: int,
-    turning_guard: float = 1.0e-3,
-) -> Trajectory:
-    """t(x) by quadrature of 1/xdot, stitched continuously across the range.
-
-    The parameters here are the action-side labels: the flow integrated is
-    exactly the one whose conjugate momentum is hbar a W / (...).  xdot is
-    finite and of one sign between turning points, so t(x) is smooth and
-    strictly monotone.  Every basis takes one path: fixed 4-point Gauss
-    panels summed cumulatively, with every requested sample a panel edge.
-    On a sampled basis the panels are its grid cells, so that each panel
-    sees one smooth piece of the basis's septic interpolant: the samples are
-    inserted into the grid, and phi at the Gauss points is read inside each
-    panel's cell, whose index is a running count of grid edges; a whole
-    cell is read at the Gauss points' fixed fractions of it.  On a closed
-    form each node interval pi / W is split into CLOSED_PANELS_PER_NODE
-    panels, with the phi2 zeros (where xdot peaks) added as edges.  A
-    turning point inside the range truncates it (the flow only reaches it
-    asymptotically) and is flagged on the result.  This is the one-member
-    case of trajectory_ode_family, which evaluates the member-independent
-    values at the Gauss points (phi1, phi2, the kinetic factor) once per
-    chunk for a whole family.
-    """
-    return trajectory_ode_family(s, basis, [p], x_range, n_samples, turning_guard)[0]
+def trajectory_ode(s: Scenario, basis: KgBasis, p: MobiusParams, x_range: tuple[float, float],
+                   n_samples: int) -> Trajectory:
+    """t(x) by quadrature of 1/xdot: the one-member case of trajectory_ode_family."""
+    return trajectory_ode_family(s, basis, [p], x_range, n_samples)[0]
 
 
 # ---------------------------------------------------------------------------

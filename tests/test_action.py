@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 import rqtlab as rq
 from conftest import AB_GRID
-from rqtlab.cli import LINEAR_X_MIN, TURNING_MARGIN
+from rqtlab.kg import LINEAR_X_MIN, TURNING_MARGIN
 
 HBAR = 6.582119569e-22
 

@@ -283,6 +283,14 @@ class TestOtherCommands:
         assert data.shape == (4, 3)
         assert np.all(data[:, 1] <= data[:, 2])  # deviation under bound
 
+    def test_classical_limit_failure_is_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(rqtlab.ClassicalLimitReport, "scaling_holds",
+                            property(lambda self: False))
+        assert main(["classical-limit", "--out", str(tmp_path / "cl")]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == ["check classical_limit_scaling: FAIL",
+                            "FAILED checks: classical_limit_scaling"]
+
     def test_hbar_scale_flag(self, tmp_path, capsys):
         assert main(["report", "--hbar-scale", "0.5"]) == 0
         out = capsys.readouterr().out
@@ -312,6 +320,25 @@ class TestRejectedInput:
         assert rc == 2
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: integration overflowed")
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--ab", "1,0"], ["residuals", "--dt", "1e-23"], ["nodes", "--samples", "40"],
+        ["kg-solve", "--samples", "100"], ["classical-limit", "--step", "1e-2"], ["figure", "5"],
+    ])
+    def test_flag_the_subcommand_does_not_read(self, tmp_path, capsys, argv):
+        # each subcommand takes only the flags it reads; argparse errors are
+        # one line and exit 2, like every other bad input
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--help"])
+        assert exc.value.code == 0
+        assert "--ceiling" in capsys.readouterr().out
 
     def test_one_distinct_epsilon(self, tmp_path, capfd):
         rc = main(["classical-limit", "--epsilons", "1,1", "--out", str(tmp_path / "cl")])

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rqtlab as rq
-from rqtlab.kg import _magnus6_matrix, _omega_sq, _omega_sq_slope, _rk4_matrix, local_wavenumber
+from rqtlab.kg import (LINEAR_X_MIN, TURNING_MARGIN, _magnus6_matrix, _omega_sq, _omega_sq_slope,
+                       _rk4_matrix, local_wavenumber)
 
 # wavenumbers from sqrt((E-U0)^2 - m0^2 c^4) / (hbar c), frozen from the
 # defining arithmetic
@@ -249,7 +250,7 @@ LINEAR_WINDOW = st.floats(min_value=-400.0, max_value=8.0)
 class TestHermiteInterpolant:
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(xs=st.lists(LINEAR_WINDOW, min_size=1, max_size=40))
-    def test_phi_equals_phi12_in_cells(self, linear_basis, xs):
+    def test_phi_equals_phi12_in_cells(self, linear_basis, electron_basis, xs):
         grid = linear_basis.grid
         x = np.array(xs)
         cell = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, len(grid) - 2)
@@ -257,6 +258,14 @@ class TestHermiteInterpolant:
         assert np.array_equal(linear_basis.phi1(x), phi1)
         assert np.array_equal(linear_basis.phi2(x), phi2)
         assert [linear_basis.phi2(v) for v in xs] == phi2.tolist()
+        # phi12 and dphi12 read both solutions at once: the septic in each
+        # cell on a numeric basis, the evaluators on a closed form
+        same = lambda got, want: all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        assert same(linear_basis.phi12(x), (phi1, phi2))
+        assert same(linear_basis.dphi12(x), linear_basis._hermite(x, cell, derivative=True))
+        k = electron_basis.wronskian
+        assert same(electron_basis.phi12(x), (np.sin(k * x), np.cos(k * x)))
+        assert same(electron_basis.dphi12(x), (k * np.cos(k * x), -k * np.sin(k * x)))
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(x_min=st.floats(min_value=-50.0, max_value=0.0),
@@ -325,6 +334,30 @@ class TestHermiteInterpolant:
 
         ratio = max_err(0.04) / max_err(0.02)
         assert ratio == pytest.approx(256.0, rel=0.15)
+
+
+class TestLinearWindow:
+    def test_default_window(self, linear_electron):
+        basis, x_lo, x_hi, turning = rq.kg_solve_linear(linear_electron)
+        assert turning == rq.turning_points(linear_electron)[0]
+        assert (x_lo, x_hi) == (LINEAR_X_MIN, turning + TURNING_MARGIN)
+        assert (basis.x_min, basis.source.method, basis.source.step) == (
+            x_lo, rq.kg.DEFAULT_METHOD, rq.kg.DEFAULT_STEP)
+        ref = rq.kg_solve_numeric(linear_electron, LINEAR_X_MIN, turning + TURNING_MARGIN)
+        assert all(np.array_equal(a, b) for a, b in zip(basis._samples, ref._samples, strict=True))
+
+    def test_given_window_and_scheme(self, linear_electron):
+        basis, x_lo, x_hi, _ = rq.kg_solve_linear(linear_electron, -60.0, 1.0, step=5e-3,
+                                                  method="rk4")
+        assert (x_lo, x_hi) == (-60.0, 1.0)
+        ref = rq.kg_solve_numeric(linear_electron, -60.0, 1.0, step=5e-3, method="rk4")
+        assert all(np.array_equal(a, b) for a, b in zip(basis._samples, ref._samples, strict=True))
+
+    def test_needs_a_rising_linear_potential(self, electron_2mev):
+        falling = rq.Scenario(rq.Species.electron(), rq.Potential.linear(-0.25), energy=2.0)
+        for s in (falling, electron_2mev):
+            with pytest.raises(ValueError, match="g > 0"):
+                rq.kg_solve_linear(s)
 
 
 class TestMagnus:

@@ -1,5 +1,6 @@
 """Node spacings, the half-wavelength law, and the classical-limit scan."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -147,6 +148,13 @@ class TestClassicalLimit:
         assert np.all(np.diff(rep.deviations) < 0)  # decreasing with epsilon
         assert np.all(rep.deviations <= rep.bounds)
         assert 0.9 <= rep.exponent <= 1.1
+
+    def test_scaling_holds_needs_every_rule(self, electron_2mev):
+        rep = rq.classical_limit_scan(electron_2mev, rq.MobiusParams(4.0, 2.0), [1.0, 0.5, 0.25])
+        assert rep.scaling_holds
+        for broken in (dict(deviations=rep.deviations[::-1]), dict(bounds=0.5 * rep.deviations),
+                       dict(exponent=1.2), dict(exponent=0.8)):
+            assert not dataclasses.replace(rep, **broken).scaling_holds
 
     def test_bound_halves_with_epsilon(self, electron_2mev):
         rep = rq.classical_limit_scan(electron_2mev, rq.MobiusParams(4.0, 2.0), [1.0, 0.5])

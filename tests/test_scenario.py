@@ -227,6 +227,15 @@ SCENARIOS = st.builds(rq.Scenario, species=SPECIES, potential=POTENTIALS,
 
 class TestRegionProperties:
     @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(s=SCENARIOS)
+    def test_turning_points_are_classified_as_such(self, s):
+        turns = rq.turning_points(s)
+        assert turns == sorted(turns)
+        assert len(turns) == (0 if s.potential.is_constant else 2)
+        for x in turns:
+            assert rq.classify_region(s, x) is rq.RegionClass.TURNING_POINT
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(s=SCENARIOS, x=st.floats(min_value=-100.0, max_value=100.0))
     def test_region_kinetic_factor_and_momentum_agree(self, s, x):
         u = s.energy - s.potential.value(x)
