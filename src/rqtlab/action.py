@@ -79,9 +79,11 @@ def _unwrapped_action(basis: KgBasis, p: MobiusParams, x: np.ndarray):
         if outside.any():
             raise DomainError(f"x = {float(x[outside][0])} outside basis domain")
     zeros = basis.phi2_zeros(min(p.x0, float(x.min())), max(p.x0, float(x.max())))
-    n = np.searchsorted(zeros, x, side="left") - np.searchsorted(zeros, p.x0, side="right")
+    left = np.searchsorted(zeros, x, side="left")
+    n = left - np.searchsorted(zeros, p.x0, side="right")
     phi1, phi2 = basis.phi12(x)
-    on_zero = (phi2 == 0.0) | np.isin(x, zeros)
+    # x is one of the sorted zeros where it finds its equal (np.isin would import numpy.ma)
+    on_zero = (phi2 == 0.0) | (len(zeros) > 0 and zeros[np.minimum(left, len(zeros) - 1)] == x)
     with np.errstate(divide="ignore"):
         r = p.a * phi1 / phi2 + p.b
     # math.atan: np.arctan rounds differently in about one value in 400

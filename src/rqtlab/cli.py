@@ -174,6 +174,8 @@ def cmd_figure(args) -> int:
 
 def cmd_report(args) -> int:
     s = _scenario_from_args(args)
+    rows = None if s.potential.is_constant else linear_node_summary(
+        s, kg_solve_linear(s, args.x_min, args.x_max, args.step, args.method)[0])
     checks: list[tuple[str, bool]] = []
     print(f"species rest energy : {s.rest_energy} MeV")
     print(f"total energy        : {s.energy} MeV")
@@ -181,17 +183,14 @@ def cmd_report(args) -> int:
           f"(u0 = {s.potential.u0} MeV, g = {s.potential.g} MeV/fm)")
     print(f"hbar_scale          : {s.hbar_scale}")
 
-    if not s.potential.is_constant:
-        basis = kg_solve_linear(s, args.x_min, args.x_max, args.step, args.method)[0]
-        rows = linear_node_summary(s, basis)
+    if rows:
         print(f"numeric nodes       : {len(rows) + 1}")
-        if rows:
-            worst = max(abs(r["p_node"] / r["p_classical_mid"] - 1.0) for r in rows)
-            grow = spacing_grows(rows)
-            print(f"spacing growth toward turning point: {grow}")
-            print(f"max |pi*hbar/dx / p_classical - 1| : {worst:.3e}")
-            checks.append(("node_spacing_monotone", grow))
-            _status("local_momentum_within_5pct", worst, 0.05, checks)
+        worst = max(abs(r["p_node"] / r["p_classical_mid"] - 1.0) for r in rows)
+        grow = spacing_grows(rows)
+        print(f"spacing growth toward turning point: {grow}")
+        print(f"max |pi*hbar/dx / p_classical - 1| : {worst:.3e}")
+        checks.append(("node_spacing_monotone", grow))
+        _status("local_momentum_within_5pct", worst, 0.05, checks)
     elif classify_region(s, 0.0) is RegionClass.FORBIDDEN:
         print("nodes: none (massive particle in a classically forbidden region)")
     else:
@@ -284,8 +283,8 @@ def cmd_nodes(args) -> int:
         print(f"wrote {write_node_report_csv(nd, out / 'nodes.csv', s)}")
         print(f"dt_n = {nd.dt_spacing:.12e} s, dx_n = {nd.dx_spacings[0] * METERS_PER_FM:.12e} m")
         return 0
-    basis = kg_solve_linear(s, args.x_min, args.x_max, args.step, args.method)[0]
-    rows = linear_node_summary(s, basis)
+    rows = linear_node_summary(s, kg_solve_linear(s, args.x_min, args.x_max, args.step,
+                                                  args.method)[0])
     header = ["rqtlab numeric node intervals", f"energy_mev = {s.energy!r}",
               f"g_mev_per_fm = {s.potential.g!r}",
               "columns: n, x_lo_m, x_hi_m, dx_m, p_node_mev_s_per_fm, p_classical_mid"]
@@ -295,7 +294,7 @@ def cmd_nodes(args) -> int:
     print(f"wrote {path}")
     grow = spacing_grows(rows)
     claim = "; spacing grows toward the turning point" if grow else ""
-    print(f"{len(rows) + 1 if rows else 0} nodes{claim}")
+    print(f"{len(rows) + 1} nodes{claim}")
     return _verdict([("node_spacing_monotone", grow)])
 
 

@@ -11,9 +11,9 @@ Magnus method by default (at DEFAULT_STEP), RK4 and Euler on request.
 Each step of any scheme is one 2x2 matrix on (phi, phi'), shared by both
 solutions; the grid is chained by a blocked prefix product of these
 matrices.  Between grid points a numeric basis is read through one
-septic Hermite interpolant on the stored (phi, phi') and on
-phi'' = w phi, phi''' = w' phi + w phi', which also gives phi' and the
-phi2 roots.
+septic Hermite interpolant: a fixed linear map of the per-point jets
+(phi, h phi', h^2 w phi, h^3 (w' phi + w phi')) at a cell's two ends,
+which serves fraction, pointwise, slope and phi2 root reads alike.
 """
 
 from __future__ import annotations
@@ -72,6 +72,34 @@ def local_wavenumber(s: Scenario, x):
     return k if np.ndim(k) else float(k)
 
 
+def _septic_weights(t, derivative: bool = False):
+    """Weights of the end jets J0 (first four) and J1 (last four), less the chord, in a septic.
+
+    At the cell fraction t, s = 1 - t, the septic matching phi .. phi''' at
+    both ends is the chord s y0 + t y1 plus these weights times the jets
+    (KgBasis._jets): the two-point Hermite basis (t^k / k!) s^4
+    sum_{j <= 3 - k} C(3 + j, j) t^j, k = 0 .. 3, and its mirror at the right
+    end, less s and t on the values (with ``derivative``: their t-slopes,
+    less s and t on the slope jets).  Every weight vanishes exactly at t = 0
+    and 1, so a grid point reads its sample, and the value weights +-(B0 - t)
+    act on the small rise y1 - y0, so a read rounds as the chord does.
+    """
+    s = 1.0 - t
+    t2, s2 = t * t, s * s
+    t3, s3 = t * t2, s * s2
+    if not derivative:
+        t4, s4 = t2 * t2, s2 * s2
+        rise = t4 * (1.0 + s * (4.0 + s * (10.0 + 20.0 * s))) - t
+        return (-rise, t * s4 * (1.0 + t * (4.0 + 10.0 * t)), 0.5 * t2 * s4 * (1.0 + 4.0 * t),
+                t3 * s4 / 6.0, rise, -s * t4 * (1.0 + s * (4.0 + 10.0 * s)),
+                0.5 * s2 * t4 * (1.0 + 4.0 * s), -s3 * t4 / 6.0)
+    rise = 140.0 * t3 * s3
+    return (-rise, s3 * (1.0 + t * (3.0 + t * (6.0 - 70.0 * t))) - s,
+            t * s3 * (1.0 + t * (3.0 - 14.0 * t)), t2 * s3 * (3.0 - 7.0 * t) / 6.0,
+            rise, t3 * (1.0 + s * (3.0 + s * (6.0 - 70.0 * s))) - t,
+            -s * t3 * (1.0 + s * (3.0 - 14.0 * s)), s2 * t3 * (3.0 - 7.0 * s) / 6.0)
+
+
 @dataclass
 class BasisSource:
     kind: str                  # "closed-form" or "numeric"
@@ -89,11 +117,13 @@ class KgBasis:
 
     Closed-form bases hold exact evaluators; numeric bases hold grid
     samples of phi and phi', read between grid points through the septic
-    Hermite interpolant on phi, phi', phi'' = w phi and phi''' = w' phi +
-    w phi' (dense output, Hairer, Norsett & Wanner, Solving ODEs I, II.6).
-    phi is O(h^8) there and phi' is the septic's derivative; at a grid
-    point both are the samples.  Instances are immutable by convention and
-    safe to share across threads.
+    Hermite interpolant on the jets (phi, h phi', h^2 phi'', h^3 phi'''),
+    phi'' = w phi and phi''' = w' phi + w phi' (dense output, Hairer,
+    Norsett & Wanner, Solving ODEs I, II.6): the chord of the end samples
+    plus fixed weights of the end jets (_septic_weights).  phi is O(h^8)
+    there and phi' is the septic's derivative; at a grid point both are
+    the samples.  Instances are immutable by convention and safe to share
+    across threads.
     """
 
     def __init__(
@@ -116,10 +146,6 @@ class KgBasis:
         self.source = source
         self._evaluators = evaluators
         self._samples = samples
-        # w and w' at the grid points, for phi'' and phi''' in the interpolant
-        if samples is not None:
-            self._w = _omega_sq(scenario, samples[0])
-            self._dw = _omega_sq_slope(scenario, samples[0])
         self._analytic_zeros = analytic_phi2_zeros
         self._zeros_cache: np.ndarray | None = None
         if self.wronskian == 0.0:
@@ -137,82 +163,58 @@ class KgBasis:
             raise DomainError("closed-form basis carries no sample grid")
         return self._samples[0]
 
-    def _septic(self, cell):
-        """Per-cell terms (y0, y1, g0, g1, c0, c1, e0, e1) of the septic, for phi1 then phi2.
+    def _jets(self, index):
+        """Jets J = (phi, h phi', h^2 phi'', h^3 phi''') at the grid points index.
 
-        The septic matches phi, phi', phi'' and phi''' at both cell ends.
-        With t = (x - x_cell) / h, s = 1 - t and u = t s it is the chord
-        s y0 + t y1 plus u D(t), a quintic departure written the same way:
-        s y0 + t y1 + u ((s g0 - t g1) + u ((s c0 - t c1) + u (s e0 - t e1))).
-        With a = h^2 phi'' and b = h^3 phi''' at the ends, the end
-        conditions give g = h phi' - (y1 - y0), c0 = 2 g0 + g1 + a0/2,
-        c1 = g0 + 2 g1 - a1/2, e0 = 3 c0 + c1 - g0 - g1 + b0/6 and
-        e1 = c0 + 3 c1 - g0 - g1 + b1/6.
+        One (4, 2, ...) array: jet component, then phi1 and phi2, with
+        phi'' = w phi and phi''' = w' phi + w phi'.  h is the nominal step,
+        not each cell's xs[i + 1] - xs[i]: the integrator stepped exactly h,
+        the stored positions only round it, and one h gives a grid point one
+        jet for the cells on both sides, so a run of cells reads one array.
         """
         xs, p1, p2, d1, d2 = self._samples
-        right = cell + 1
-        h = xs[right] - xs[cell]
-        w0, w1, dw0, dw1 = self._w[cell], self._w[right], self._dw[cell], self._dw[right]
-        hh = h * h
-        out = []
-        for y, dy in ((p1, d1), (p2, d2)):
-            y0, y1, dy0, dy1 = y[cell], y[right], dy[cell], dy[right]
-            rise = y1 - y0
-            g0, g1 = h * dy0 - rise, h * dy1 - rise
-            c0 = 2.0 * g0 + g1 + 0.5 * hh * w0 * y0
-            c1 = g0 + 2.0 * g1 - 0.5 * hh * w1 * y1
-            g = g0 + g1
-            out.append((y0, y1, g0, g1, c0, c1,
-                        3.0 * c0 + c1 - g + hh * h / 6.0 * (dw0 * y0 + w0 * dy0),
-                        c0 + 3.0 * c1 - g + hh * h / 6.0 * (dw1 * y1 + w1 * dy1)))
-        return out
+        h = self.source.step
+        x = xs[index]
+        hw, hhdw = (h * h) * _omega_sq(self.scenario, x), h ** 3 * _omega_sq_slope(self.scenario, x)
+        y, hdy = np.array([p1[index], p2[index]]), h * np.array([d1[index], d2[index]])
+        return np.array([y, hdy, hw * y, hhdw * y + hw * hdy])
 
-    def _hermite(self, x, cell, derivative: bool = False):
+    def _hermite(self, x, cell=None, derivative: bool = False, jets=None):
         """(phi1, phi2) at x, or their derivatives, inside the given grid cells.
 
-        The septic of _septic: O(h^8) in phi, O(h^7) in phi', and exactly
-        the samples at a grid point.  The slope is the chord of the end
-        slopes plus u G(t) / h, G = 2 u' E + u E' - 3 (g0 + g1) with the
-        inner departure E = (s c0 - t c1) + u (s e0 - t e1), so it too is
-        exactly the sample at either end.  The per-cell terms broadcast
-        against x, so a cell index per column serves several points per cell.
+        The chord of the stored end values (or slopes) plus _septic_weights
+        at t = (x - x_cell) / (x_cell+1 - x_cell) times the end jets (over h
+        for slopes): O(h^8) in phi, O(h^7) in phi', and exactly the samples
+        at a grid point.  Without cell, each x is read in the cell holding
+        it (the last cell holds x_max); cell may have fewer dimensions than x
+        and broadcast against it.  ``jets`` are (_jets(cell), _jets(cell + 1))
+        for a caller that reads the same cells again.
         """
-        xs, _, _, d1, d2 = self._samples
+        xs, p1, p2, d1, d2 = self._samples
+        if cell is None:
+            cell = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
         left_x = xs[cell]
-        h = xs[cell + 1] - left_x
-        t = (x - left_x) / h
-        s = 1.0 - t
-        u = t * s
-        terms = self._septic(cell)
-        if not derivative:
-            return tuple(s * y0 + t * y1 + u * ((s * g0 - t * g1)
-                                                + u * ((s * c0 - t * c1) + u * (s * e0 - t * e1)))
-                         for y0, y1, g0, g1, c0, c1, e0, e1 in terms)
-        du = s - t
+        t = (x - left_x) / (xs[cell + 1] - left_x)
+        weights = _septic_weights(t, derivative)
+        j0, j1 = (self._jets(cell), self._jets(cell + 1)) if jets is None else jets
         out = []
-        for (_, _, g0, g1, c0, c1, e0, e1), dy in zip(terms, (d1, d2)):
-            f = s * e0 - t * e1
-            inner = (s * c0 - t * c1) + u * f
-            d_inner = du * f - u * (e0 + e1) - (c0 + c1)
-            out.append(s * dy[cell] + t * dy[cell + 1]
-                       + u * ((2.0 * du * inner + u * d_inner) - 3.0 * (g0 + g1)) / h)
+        for i, ends in enumerate((d1, d2) if derivative else (p1, p2)):
+            departure = sum(w * j for w, j in zip(weights, (*j0[:, i], *j1[:, i])))
+            chord = (1.0 - t) * ends[cell] + t * ends[cell + 1]
+            out.append(chord + (departure / self.source.step if derivative else departure))
         return tuple(out)
 
-    def _read(self, x, derivative: bool = False):
-        """_hermite on the grid cell holding each x; the last cell holds x_max."""
-        xs = self._samples[0]
-        cell = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-        return self._hermite(x, cell, derivative)
+    phi12_in_cells = _hermite  # phi12 given each x's grid cell, without the binary search
 
     def phi12(self, x):
         """(phi1, phi2) at x, from one read of both solutions."""
         ev = self._evaluators
-        return (ev[0](x), ev[1](x)) if self.is_closed_form else self._read(x)
+        return (ev[0](x), ev[1](x)) if self.is_closed_form else self._hermite(x)
 
     def dphi12(self, x):
         """(phi1', phi2') at x, from one read of both solutions."""
         ev = self._evaluators
-        return (ev[2](x), ev[3](x)) if self.is_closed_form else self._read(x, True)
+        return (ev[2](x), ev[3](x)) if self.is_closed_form else self._hermite(x, derivative=True)
 
     def phi1(self, x):
         return self.phi12(x)[0]
@@ -226,28 +228,26 @@ class KgBasis:
     def dphi2(self, x):
         return self.dphi12(x)[1]
 
-    def phi12_in_cells(self, x, cell):
-        """(phi1, phi2) at x, given the index of the grid point at or left of x.
-
-        The same septic as phi1 / phi2, without the binary search; cell may
-        have fewer dimensions than x and broadcast against it.
-        """
-        return self._hermite(x, cell)
-
     def phi12_at_fractions(self, t, cell):
         """(phi1, phi2) at the cell fractions t of each given grid cell.
 
         One row per fraction, one column per cell.  With t fixed the septic
-        is a fixed weighting of each cell's eight terms (see _septic), so the
-        read is one (len(t) x 8) @ (8 x cells) product per basis solution,
-        and no fraction is rounded back from an absolute position.
+        is fixed weights A, B of the jets J at a cell's two ends, so every
+        cell from the least to the greatest given is read at once as
+        A @ J[:, :-1] + B @ J[:, 1:] on one contiguous slice of jets, and the
+        given cells are gathered from that; no fraction is rounded back from
+        an absolute position.
         """
         t = np.asarray(t, dtype=float)
-        s = 1.0 - t
-        u = t * s
-        uu = u * u
-        weights = np.stack([s, t, u * s, -u * t, uu * s, -uu * t, uu * u * s, -uu * u * t], axis=1)
-        return tuple(weights @ np.array(self._septic(cell)))
+        weights = np.array(_septic_weights(t))
+        weights[[0, 4]] += 1.0 - t, t  # the chord
+        lo = int(np.min(cell))
+        flat = self._jets(slice(lo, int(np.max(cell)) + 2)).reshape(4, -1)
+        # two products: one (8 x 4) over 2 x 16 k jets would start OpenBLAS threads
+        left, right = ((w.T @ flat).reshape(len(t), 2, -1) for w in (weights[:4], weights[4:]))
+        read = left[..., :-1] + right[..., 1:]
+        # np.take lays each solution out contiguously for the callers' passes
+        return tuple(np.take(read.transpose(1, 0, 2), np.asarray(cell) - lo, axis=2))
 
     # -- phi2 roots -------------------------------------------------------
 
@@ -269,8 +269,9 @@ class KgBasis:
         j = np.flatnonzero(p2[:-1] * p2[1:] < 0.0)
         lo, hi = xs[j], xs[j + 1]
         x = lo + p2[j] / (p2[j] - p2[j + 1]) * (hi - lo)
+        jets = self._jets(j), self._jets(j + 1)
         for _ in range(3):  # Newton: two steps reach rounding level on grids nodes_numeric takes
-            step = self._hermite(x, j)[1] / self._hermite(x, j, derivative=True)[1]
+            step = self._hermite(x, j, jets=jets)[1] / self._hermite(x, j, True, jets)[1]
             x = np.clip(x - step, lo, hi)
         return np.sort(np.concatenate([xs[p2 == 0.0], x]))
 

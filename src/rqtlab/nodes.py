@@ -179,8 +179,12 @@ def linear_node_summary(s: Scenario, basis: KgBasis) -> list[dict]:
 
     Each row carries the interval spacing dx, the node-defined momentum
     pi hbar / dx, and the classical momentum at the interval midpoint.
+    Fewer than three zeros leave the spacing law nothing to compare: DomainError.
     """
     zeros = nodes_numeric(basis)
+    if len(zeros) < 3:
+        raise DomainError(f"the window {basis.x_min:g} to {basis.x_max:g} fm holds {len(zeros)} "
+                          "phi2 zeros; the node-spacing checks need at least 3")
     rows = []
     for i in range(len(zeros) - 1):
         dx = float(zeros[i + 1] - zeros[i])

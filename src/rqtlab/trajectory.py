@@ -255,14 +255,13 @@ def flow_speed(s: Scenario, basis: KgBasis, p: MobiusParams, x):
 
     [E - V - m0^2 c^4/(E - V)] [phi2^2 + (a phi1 + b phi2)^2] / (hbar a W).
     """
-    phi1, phi2 = basis.phi12(x)
-    return _flow_speed(s, basis, p, kinetic_factor(s, x), phi1, phi2, phi2 * phi2)
+    (phi1, phi2), kf = basis.phi12(x), kinetic_factor(s, x)
+    return kf * _bracket(p, phi1, phi2, phi2 * phi2) / (s.hbar * p.a * basis.wronskian)
 
 
-def _flow_speed(s: Scenario, basis: KgBasis, p: MobiusParams, kf, phi1, phi2, phi2_sq):
-    """flow_speed from the member-independent values at the points."""
-    bracket = phi2_sq + (p.a * phi1 + p.b * phi2) ** 2
-    return kf * bracket / (s.hbar * p.a * basis.wronskian)
+def _bracket(p: MobiusParams, phi1, phi2, phi2_sq):
+    """phi2^2 + (a phi1 + b phi2)^2, the member's factor in the flow speed."""
+    return phi2_sq + (p.a * phi1 + p.b * phi2) ** 2
 
 
 # How far short of a turning point (fm) a truncated range ends: the flow
@@ -286,20 +285,24 @@ CLOSED_PANELS_PER_NODE = 1024
 
 
 # Gauss panels evaluated per array operation in the time of flight: each
-# Gauss-point array stays at 512 KiB however many panels the range holds.
-PANEL_CHUNK = 1 << 14
+# Gauss-point array stays at 256 KiB however many panels the range holds.
+# Figure 4 ran fastest at this size, of 1 << 12 .. 1 << 15.
+PANEL_CHUNK = 1 << 13
 
 
 def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusParams],
                            xs: np.ndarray) -> np.ndarray:
     """t(x) at the requested increasing samples for every member, one row each.
 
-    The Gauss panels are walked once, PANEL_CHUNK at a time; the Gauss
-    points, phi1, phi2, phi2^2 and the kinetic factor of a chunk are
-    evaluated once for the whole family, and only 1/xdot and the weighted
-    panel sums are per member.  The running sums carry from chunk to chunk
-    and are kept at the sample edges only: np.cumsum adds in order, so
-    prepending the carry gives the bits of one cumsum over all panels.
+    The Gauss panels are walked once, PANEL_CHUNK at a time; phi1, phi2 and
+    the Gauss weights over the kinetic factor of a chunk serve the whole
+    family, so per member only the bracket of 1/xdot = hbar a W / (kf
+    bracket), one divide and the weighted sums remain.  A numeric basis
+    reads a chunk's whole cells at the fixed Gauss fractions, and the
+    panels a sample or node splits in one call before the walk.  The
+    running sums carry from chunk to chunk and are kept at the sample
+    edges only: np.cumsum adds in order, so prepending the carry gives the
+    bits of one cumsum over all panels.
     """
     lo, hi = float(xs[0]), float(xs[-1])
     if basis.is_closed_form:
@@ -321,16 +324,20 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
         cell = i0 - 1 + np.cumsum(on_grid)
         # a panel between two grid edges is its whole cell, with the Gauss
         # points at fixed fractions of it; the panels a sample splits are
-        # read at their absolute Gauss points
-        split = ~(on_grid[:-1] & on_grid[1:])
+        # read at their absolute Gauss points, the same points the walk makes
+        cut = np.flatnonzero(~(on_grid[:-1] & on_grid[1:]))
+        left, right = edges[cut], edges[cut + 1]
+        cut_pts = 0.5 * (right + left) + (0.5 * (right - left)) * _GL_NODES[:, None]
+        cut_phis = basis.phi12_in_cells(cut_pts, cell[cut])
         fractions = 0.5 * (1.0 + _GL_NODES)
 
         def phis(pts, first):
-            panels = slice(first, first + pts.shape[1])
-            cells, cut = cell[panels], np.flatnonzero(split[panels])
-            phi1, phi2 = basis.phi12_at_fractions(fractions, cells)
-            phi1[:, cut], phi2[:, cut] = basis.phi12_in_cells(pts[:, cut], cells[cut])
-            return phi1, phi2
+            m = pts.shape[1]
+            phi12 = basis.phi12_at_fractions(fractions, cell[first:first + m])
+            i, k = np.searchsorted(cut, (first, first + m))
+            for phi, at_cut in zip(phi12, cut_phis):
+                phi[:, cut[i:k] - first] = at_cut[:, i:k]
+            return phi12
     # edge index of each sample: its time is the sum of the panels before it
     at_edge = np.clip(np.searchsorted(edges, xs), 0, len(edges) - 1)
     times = np.zeros((len(members), len(xs)))
@@ -343,10 +350,11 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
         # one row per Gauss node, one column per panel
         pts = 0.5 * (e[1:] + e[:-1]) + half * _GL_NODES[:, None]
         phi1, phi2 = phis(pts, first)
-        kf, phi2_sq = kinetic_factor(s, pts), phi2 * phi2
+        weights, phi2_sq = (half * _GL_WEIGHTS[:, None]) / kinetic_factor(s, pts), phi2 * phi2
         for j, p in enumerate(members):
-            v = _flow_speed(s, basis, p, kf, phi1, phi2, phi2_sq)
-            sums[j, 1:m + 1] = half * np.sum(_GL_WEIGHTS[:, None] / v, axis=0)
+            panel = sums[j, 1:m + 1]
+            np.sum(weights / _bracket(p, phi1, phi2, phi2_sq), axis=0, out=panel)
+            panel *= s.hbar * p.a * basis.wronskian
         cum = np.cumsum(sums[:, :m + 1], axis=1)
         # samples whose edge closes a panel of this chunk
         i, k = np.searchsorted(at_edge, (first, first + m), "right")
@@ -412,8 +420,7 @@ def trajectory_ode_family(
     stops = _sorted_unique(np.concatenate([xs, nodes]))
     times = _cumulative_time_gauss(s, basis, members, stops)
     at_xs, at_nodes = np.searchsorted(stops, xs), np.searchsorted(stops, nodes)
-    phi1, phi2 = basis.phi12(xs)
-    values = (kinetic_factor(s, xs), phi1, phi2, phi2 * phi2)
+    (phi1, phi2), kf = basis.phi12(xs), kinetic_factor(s, xs)
     out = []
     for p, ts in zip(members, times):
         # a mirror trajectory reflects the displacement and keeps time forward
@@ -421,7 +428,8 @@ def trajectory_ode_family(
         out.append(Trajectory(
             times=ts[at_xs],
             positions=pos,
-            velocities=p.direction * _flow_speed(s, basis, p, *values),
+            velocities=p.direction * kf * _bracket(p, phi1, phi2, phi2 * phi2)
+            / (s.hbar * p.a * basis.wronskian),
             params=p,
             scenario=s,
             kind=TrajectoryKind.ODE_GENERAL,

@@ -14,6 +14,9 @@ from rqtlab.cli import main
 C_M_PER_S = 2.99792458e8
 
 
+LINEAR_CFG = "species = electron\nenergy_mev = 2\npotential = linear\ng_mev_per_fm = 0.25\n"
+
+
 def _write_cfg(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -154,6 +157,19 @@ class TestReportCommand:
         assert main(["report", "--config", cfg, "--x-min", "-120", "--step", "2e-3"]) == 0
         out = capsys.readouterr().out
         assert "spacing growth toward turning point: True" in out
+
+    @pytest.mark.parametrize("x_min, zeros", [(None, 34), ("-110", 3)])
+    def test_linear_node_count_is_the_zero_count(self, tmp_path, capsys, x_min, zeros):
+        # the default window prints what it always has; three zeros, two
+        # spacings, is the smallest window the spacing law can check
+        cfg = _write_cfg(tmp_path, LINEAR_CFG)
+        window = [] if x_min is None else ["--x-min", x_min]
+        assert main(["report", "--config", cfg, *window]) == 0
+        assert f"numeric nodes       : {zeros}\n" in capsys.readouterr().out
+        assert main(["nodes", "--config", cfg, *window, "--out", str(tmp_path / "n")]) == 0
+        assert capsys.readouterr().out.endswith(
+            f"{zeros} nodes; spacing grows toward the turning point\n")
+        assert len(_read_csv(tmp_path / "n" / "nodes.csv")) == zeros - 1
 
     def test_writes_node_csv_when_asked(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "rep")]) == 0
@@ -334,6 +350,20 @@ class TestRejectedInput:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("command", ["report", "nodes"])
+    @pytest.mark.parametrize("x_min, zeros", [("0", 0), ("3", 0), ("-5", 0), ("-100", 2)])
+    def test_linear_window_with_too_few_nodes(self, tmp_path, capsys, command, x_min, zeros):
+        # fewer than three phi2 zeros leave no two spacings to compare: bad
+        # input, not a vacuous pass
+        cfg = _write_cfg(tmp_path, LINEAR_CFG)
+        assert main([command, "--config", cfg, "--x-min", x_min, "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"holds {zeros} phi2 zeros" in err[0]
+        assert not (tmp_path / "o" / "nodes.csv").exists()
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "--help"])
@@ -353,3 +383,15 @@ def test_cli_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
+
+
+def test_linear_residuals_leave_out_numpy_ma(tmp_path):
+    # np.isin goes through np.unique, which imports numpy.ma: 13 ms of a
+    # fresh process
+    src = str(Path(rqtlab.__file__).resolve().parents[1])
+    cfg = _write_cfg(tmp_path, LINEAR_CFG)
+    argv = ["residuals", "--config", cfg, "--samples", "16", "--out", str(tmp_path)]
+    code = f"import sys, rqtlab.cli; print(rqtlab.cli.main({argv!r}), 'numpy.ma' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines()[-1] == "0 False"

@@ -320,6 +320,30 @@ class TestHermiteInterpolant:
         for fixed, general in zip((phi1, phi2), b.phi12_in_cells(x, cell)):
             assert np.max(np.abs(fixed - general)) <= 1e-13
 
+    def test_fixed_fractions_match_absolute_reads_on_linear_basis(self, linear_electron):
+        # figure 4's basis, at its first cells, across the time of flight's
+        # first PANEL_CHUNK seam and at the last cells before x_max.  An
+        # absolute Gauss point is rounded to its position's ulp, which moves
+        # phi by up to |phi'| ulp(x) / 2 (1.4e-14 of the largest |phi| at
+        # -400 fm), so each cell is read at the fractions its rounded points give
+        b = rq.kg_solve_linear(linear_electron)[0]
+        xs, _, _, d1, d2 = b._samples
+        seam = rq.trajectory.PANEL_CHUNK
+        gauss = 0.5 * (1.0 + np.polynomial.legendre.leggauss(4)[0])
+        cells = [0, 1, 2, seam - 2, seam - 1, seam, seam + 1, len(xs) - 3, len(xs) - 2]
+        x = xs[cells] + gauss[:, None] * np.diff(xs)[cells]
+        absolute = b.phi12_in_cells(x, np.array(cells))
+        scale = max(np.max(np.abs(phi)) for phi in absolute)
+        for j, cell in enumerate(cells):
+            t = (x[:, j] - xs[cell]) / (xs[cell + 1] - xs[cell])
+            for fixed, general in zip(b.phi12_at_fractions(t, np.array([cell])), absolute):
+                assert np.max(np.abs(fixed[:, 0] - general[:, j])) <= 1e-14 * scale
+        # the jets carry the nominal step, the length the integrator stepped;
+        # the stored positions round it, so the cell widths here differ from it
+        jets = b._jets(np.array(cells))
+        assert np.array_equal(jets[1], b.source.step * np.array([d1[cells], d2[cells]]))
+        assert np.any(np.diff(xs)[cells] != b.source.step)
+
     def test_eighth_order_between_grid_points(self):
         # a Magnus basis is exact at the grid points of a constant potential,
         # so this is the interpolant's own error; at k = 19.6 /fm the two
