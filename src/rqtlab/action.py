@@ -72,12 +72,9 @@ def _unwrapped_action(basis: KgBasis, p: MobiusParams, x: np.ndarray):
     (signed).  On a zero of phi2, whether phi2 reads exactly 0 there or x
     is one of the basis's zeros, the one-sided limit (pi/2 + n pi) * hbar
     is returned: the sign of phi2 at a root is rounding noise, and would
-    put atan on either branch.
+    put atan on either branch.  A numeric basis raises DomainError for an x
+    outside it, from its reader.
     """
-    if not basis.is_closed_form:
-        outside = ~((basis.x_min <= x) & (x <= basis.x_max))
-        if outside.any():
-            raise DomainError(f"x = {float(x[outside][0])} outside basis domain")
     zeros = basis.phi2_zeros(min(p.x0, float(x.min())), max(p.x0, float(x.max())))
     left = np.searchsorted(zeros, x, side="left")
     n = left - np.searchsorted(zeros, p.x0, side="right")

@@ -25,8 +25,8 @@ from .kg import (DEFAULT_METHOD, DEFAULT_STEP, DRIFT_TOL_NUMERIC, METHODS, kg_cl
 from .nodes import (classical_limit_scan, de_broglie_check, linear_node_summary, mean_momentum,
                     nodes_constant, nodes_numeric, spacing_grows, write_classical_csv,
                     write_node_report_csv)
-from .scenario import (METERS_PER_FM, Potential, RegionClass, Scenario, Species, classify_region,
-                       constant_rates, load_config, scenario_from_config, write_csv)
+from .scenario import (METERS_PER_FM, Potential, RegionClass, Scenario, Species, constant_rates,
+                       load_config, scenario_from_config, write_csv)
 from .trajectory import (firqnl_residual, trajectory_constant_allowed,
                          trajectory_constant_forbidden, trajectory_ode_family,
                          velocity_momentum_check, write_trajectory_csv)
@@ -43,6 +43,12 @@ FIGURES = {
     4: (Scenario(Species.electron(), Potential.linear(0.25), energy=2.0),
         -5.4e-12 / METERS_PER_FM),
 }
+
+# The regimes that decide which flags a subcommand reads: the allowed or
+# forbidden region of a constant potential, or the linear potential.
+ALLOWED, FORBIDDEN, LINEAR = RegionClass.ALLOWED.value, RegionClass.FORBIDDEN.value, "linear"
+WHERE = {ALLOWED: "in a classically allowed region", FORBIDDEN: "in a classically forbidden region",
+         LINEAR: "on the linear potential"}
 
 # Declared residual bounds per case; the (1, 0) member must hit the
 # analytic-vanishing tier.
@@ -70,9 +76,9 @@ def _family(args, x0: float = 0.0, default=DEFAULT_AB) -> list[MobiusParams]:
     return out
 
 
-def _scenario_from_args(args, default: Scenario = FIGURES[1][0]) -> Scenario:
-    s = scenario_from_config(load_config(args.config)) if args.config else default
-    return s if args.hbar_scale is None else s.with_hbar_scale(args.hbar_scale)
+def _regime(s: Scenario) -> str:
+    """LINEAR, or a constant potential's region; a turning energy or E = U0 raises."""
+    return constant_rates(s).region.value if s.potential.is_constant else LINEAR
 
 
 def _out_dir(args) -> Path:
@@ -81,29 +87,32 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _trajectories(s: Scenario, ab: list[MobiusParams], args, x_min=None, x_max=None, nodes=False):
+def _trajectories(s: Scenario, regime: str, args, anchor, nodes=False):
     """[(p, trajectory, divergence events)] for each member, and the nodes or None.
 
-    A constant potential takes the closed forms over three node intervals
-    (a forbidden region: two periods pi / |omega_f|), --dt apart or --samples
-    across.  The linear potential takes one time-of-flight pass over the
-    kg_solve_linear window up to min(x_hi, turning).  With ``nodes`` the phi2
-    zeros are panel edges, returned as (positions, times, turning point) with
-    the times of the forward (1, 0) member, which joins the pass if ab lacks it.
+    A constant potential takes the closed forms anchored at ``anchor`` over
+    three node intervals (a forbidden region: two periods pi / |omega_f|),
+    --dt apart or --samples across.  The linear potential takes one
+    time-of-flight pass over the kg_solve_linear window from ``anchor`` (or
+    its default) up to min(x_hi, turning), every member anchored at the
+    window start, where the quadrature sets t = 0.  With ``nodes`` the phi2
+    zeros are panel edges, returned as (positions, times, turning point)
+    with the times of the (1, 0) member, which joins the pass if ab lacks it.
     """
-    if s.potential.is_constant:
-        if classify_region(s, ab[0].x0) is RegionClass.FORBIDDEN:
-            t_hi = 2.0 * math.pi / abs(constant_rates(s, RegionClass.FORBIDDEN).omega)
+    if regime != LINEAR:
+        if regime == FORBIDDEN:
+            t_hi = 2.0 * math.pi / abs(constant_rates(s).omega)
             make = lambda p, dt: trajectory_constant_forbidden(s, p, (0.0, t_hi), dt, args.ceiling)
         else:
             t_hi = 3.0 * nodes_constant(s).dt_spacing
             make = lambda p, dt: (trajectory_constant_allowed(s, p, (0.0, t_hi), dt), [])
         dt = args.dt if args.dt else t_hi / args.samples
-        return [(p, *make(p, dt)) for p in ab], None
-    basis, x_lo, x_hi, turning = kg_solve_linear(s, x_min, x_max, args.step, args.method)
+        return [(p, *make(p, dt)) for p in _family(args, anchor)], None
+    basis, x_lo, x_hi, turning = kg_solve_linear(s, anchor, args.x_max, args.step, args.method)
+    ab = _family(args, x_lo)
     zeros = nodes_numeric(basis) if nodes else ()
     ref = next((i for i, p in enumerate(ab) if (p.a, p.b, p.direction) == (1.0, 0.0, 1)), len(ab))
-    members = ab if ref < len(ab) or not nodes else [*ab, MobiusParams(1.0, 0.0, ab[0].x0)]
+    members = ab if ref < len(ab) or not nodes else [*ab, MobiusParams(1.0, 0.0, x_lo)]
     trajs = trajectory_ode_family(s, basis, members, (x_lo, min(x_hi, turning)),
                                   n_samples=args.samples, nodes=zeros)
     found = (zeros, trajs[ref].node_times, turning) if nodes else None
@@ -133,21 +142,15 @@ def _verdict(checks: list) -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_figure(args) -> int:
+def cmd_figure(args, s: Scenario, regime: str) -> int:
     fig = args.figure_id
-    s = _scenario_from_args(args, FIGURES[fig][0])
-    x0 = FIGURES[fig][1] if args.x0 is None else args.x0
-    ab = _family(args, x0)
+    ref, x0 = FIGURES[fig]
+    x0 = x0 if args.x0 is None else args.x0
     out = _out_dir(args)
-    if s.potential.is_constant == (fig == 4):
-        raise ValueError(f"figure {fig} needs the {'linear' if fig == 4 else 'constant'} potential")
-    if fig != 4:
-        photon, region = fig == 3, RegionClass.FORBIDDEN if fig == 2 else RegionClass.ALLOWED
-        if s.species.is_photon != photon:
-            raise ValueError(f"figure {fig} needs a {'photon' if photon else 'massive'} scenario")
-        if classify_region(s, x0) is not region:
-            raise ValueError(f"figure {fig} needs a classically {region.value} scenario")
-    members, nodes = _trajectories(s, ab, args, x_min=x0, nodes=fig == 4)
+    if (regime, s.species.is_photon) != (_regime(ref), ref.species.is_photon):
+        kind = "photon" if ref.species.is_photon else "massive"
+        raise ValueError(f"figure {fig} needs a {kind} scenario {WHERE[_regime(ref)]}")
+    members, nodes = _trajectories(s, regime, args, x0, nodes=fig == 4)
     written = []
     for p, traj, events in members:
         written.append(write_trajectory_csv(traj, out / f"fig{fig}_traj_{_ab_tag(p)}.csv"))
@@ -157,7 +160,7 @@ def cmd_figure(args) -> int:
     if fig in (1, 3):
         nd = nodes_constant(s, n_nodes=4, x0=x0)
         written.append(write_node_report_csv(nd, out / f"fig{fig}_nodes.csv", s))
-        print(f"figure {fig}: {len(ab)} trajectories, dt_n = {nd.dt_spacing:.12e} s, "
+        print(f"figure {fig}: {len(members)} trajectories, dt_n = {nd.dt_spacing:.12e} s, "
               f"dx_n = {nd.dx_spacings[0] * METERS_PER_FM:.12e} m")
     elif fig == 4:
         zeros, t_at, turning = nodes
@@ -172,9 +175,8 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    s = _scenario_from_args(args)
-    rows = None if s.potential.is_constant else linear_node_summary(
+def cmd_report(args, s: Scenario, regime: str) -> int:
+    rows = None if regime != LINEAR else linear_node_summary(
         s, kg_solve_linear(s, args.x_min, args.x_max, args.step, args.method)[0])
     checks: list[tuple[str, bool]] = []
     print(f"species rest energy : {s.rest_energy} MeV")
@@ -191,7 +193,7 @@ def cmd_report(args) -> int:
         print(f"max |pi*hbar/dx / p_classical - 1| : {worst:.3e}")
         checks.append(("node_spacing_monotone", grow))
         _status("local_momentum_within_5pct", worst, 0.05, checks)
-    elif classify_region(s, 0.0) is RegionClass.FORBIDDEN:
+    elif regime == FORBIDDEN:
         print("nodes: none (massive particle in a classically forbidden region)")
     else:
         nd = nodes_constant(s)
@@ -217,14 +219,13 @@ def cmd_report(args) -> int:
     return _verdict(checks)
 
 
-def cmd_residuals(args) -> int:
-    s = _scenario_from_args(args)
+def cmd_residuals(args, s: Scenario, regime: str) -> int:
     out = _out_dir(args)
     checks: list[tuple[str, bool]] = []
     family = _family(args)
-    if s.potential.is_constant:
-        if classify_region(s, 0.0) is not RegionClass.ALLOWED:
-            raise ValueError("residual scans cover allowed-region scenarios")
+    if regime == FORBIDDEN:
+        raise ValueError("residual scans cover allowed-region scenarios")
+    if regime == ALLOWED:
         basis = kg_closed_constant(s)
         nd = nodes_constant(s)
         xs = np.linspace(-1.6 * nd.dx_spacings[0], 1.6 * nd.dx_spacings[0], args.samples)
@@ -245,7 +246,7 @@ def cmd_residuals(args) -> int:
         header = [title, f"a = {p.a!r}", f"b = {p.b!r}", "columns: x_fm, s0_mev_s, ds0dx, residual"]
         print(f"wrote {write_csv(out / f'residuals_{tag}.csv', header, rows)}")
         r_hj = max(r[3] for r in rows)
-        if s.potential.is_constant:
+        if regime == ALLOWED:
             straight = p.a == 1.0 and p.b == 0.0
             traj = trajectory_constant_allowed(s, p, t_range, nd.dt_spacing / 2000.0)
             # analytic-vanishing tier: derivatives are exactly zero, so
@@ -263,22 +264,20 @@ def cmd_residuals(args) -> int:
     return _verdict(checks)
 
 
-def cmd_trajectory(args) -> int:
-    s = _scenario_from_args(args)
+def cmd_trajectory(args, s: Scenario, regime: str) -> int:
     out = _out_dir(args)
-    members, _ = _trajectories(s, _family(args, args.x0 or 0.0), args, args.x_min, args.x_max)
-    for p, traj, _ in members:
+    anchor = args.x_min if regime == LINEAR else args.x0 or 0.0
+    for p, traj, _ in _trajectories(s, regime, args, anchor)[0]:
         print(f"wrote {write_trajectory_csv(traj, out / f'traj_{_ab_tag(p)}.csv')}")
     return 0
 
 
-def cmd_nodes(args) -> int:
-    s = _scenario_from_args(args)
+def cmd_nodes(args, s: Scenario, regime: str) -> int:
     out = _out_dir(args)
-    if s.potential.is_constant:
-        if classify_region(s, 0.0) is RegionClass.FORBIDDEN:
-            print("nodes: none (massive particle in a classically forbidden region)")
-            return 0
+    if regime == FORBIDDEN:
+        print("nodes: none (massive particle in a classically forbidden region)")
+        return 0
+    if regime == ALLOWED:
         nd = nodes_constant(s, n_nodes=16)
         print(f"wrote {write_node_report_csv(nd, out / 'nodes.csv', s)}")
         print(f"dt_n = {nd.dt_spacing:.12e} s, dx_n = {nd.dx_spacings[0] * METERS_PER_FM:.12e} m")
@@ -298,8 +297,7 @@ def cmd_nodes(args) -> int:
     return _verdict([("node_spacing_monotone", grow)])
 
 
-def cmd_kg_solve(args) -> int:
-    s = _scenario_from_args(args)
+def cmd_kg_solve(args, s: Scenario, regime) -> int:
     out = _out_dir(args)
     x_lo = args.x_min if args.x_min is not None else 0.0
     x_hi = args.x_max if args.x_max is not None else 100.0
@@ -312,8 +310,7 @@ def cmd_kg_solve(args) -> int:
     return _verdict(checks)
 
 
-def cmd_classical_limit(args) -> int:
-    s = _scenario_from_args(args)
+def cmd_classical_limit(args, s: Scenario, regime: str) -> int:
     out = _out_dir(args)
     p = _family(args, default=((4.0, 2.0),))[0]
     rep = classical_limit_scan(s, p, tuple(float(e) for e in args.epsilons.split(",")))
@@ -334,37 +331,45 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# Every flag of the command line, by name: its argparse keywords.
+# Every flag by name: its default, filled in after the unread-flag check, and argparse keywords.
 FLAGS = {
-    "config": dict(type=str, help="key = value scenario file"),
-    "out": dict(type=str, help="output directory"),
-    "hbar-scale": dict(type=float, help="multiplies every hbar, in (0, 1]"),
-    "dt": dict(type=float, help="sample spacing in s (closed forms)"),
-    "samples": dict(type=int, default=600, help="sample count (>= 16)"),
-    "ab": dict(type=str, help="family list 'a,b;a,b;...'"),
-    "method": dict(choices=METHODS, default=DEFAULT_METHOD, help="scheme (default %(default)s)"),
-    "step": dict(type=float, default=DEFAULT_STEP, help="step in fm (default %(default)g)"),
-    "x-min": dict(type=float, help="left end of the numeric window in fm"),
-    "x-max": dict(type=float, help="right end of the numeric window in fm"),
-    "x0": dict(type=float, help="anchor position in fm"),
-    "ceiling": dict(type=float, default=1.0e6, help="|x| clip in fm (forbidden region)"),
-    "epsilons": dict(type=str, default="1,0.5,0.25,0.125", help="hbar scale factors"),
+    "config": (None, dict(type=str, help="key = value scenario file")),
+    "out": (None, dict(type=str, help="output directory")),
+    "hbar-scale": (None, dict(type=float, help="multiplies every hbar, in (0, 1]")),
+    "dt": (None, dict(type=float, help="sample spacing in s (closed forms)")),
+    "samples": (600, dict(type=int, help="sample count (>= 16, default 600)")),
+    "ab": (None, dict(type=str, help="family list 'a,b;a,b;...'")),
+    "method": (DEFAULT_METHOD, dict(choices=METHODS, help=f"scheme (default {DEFAULT_METHOD})")),
+    "step": (DEFAULT_STEP, dict(type=float, help=f"step in fm (default {DEFAULT_STEP:g})")),
+    "x-min": (None, dict(type=float, help="left end of the numeric window in fm")),
+    "x-max": (None, dict(type=float, help="right end of the numeric window in fm")),
+    "x0": (None, dict(type=float, help="anchor position in fm")),
+    "ceiling": (1.0e6, dict(type=float, help="|x| clip in fm (forbidden region)")),
+    "epsilons": ("1,0.5,0.25,0.125", dict(type=str, help="hbar scale factors")),
 }
 
+COMMON = ("config", "out", "hbar-scale")
 _WINDOW = ("method", "step", "x-min", "x-max")
+_CLOSED = ("dt", "samples", "ab", "x0")
+_LINEAR_WINDOW = {ALLOWED: (), FORBIDDEN: (), LINEAR: _WINDOW}
 
 # Each subcommand: its function, help line, and the flags it reads besides
-# --config, --out and --hbar-scale.
+# COMMON in each regime; a regime whose scenarios the subcommand refuses
+# reads none.  kg-solve integrates any scenario: its one key is None.
 COMMANDS = {
     "figure": (cmd_figure, "emit one of the four reference figures",
-               ("dt", "samples", "ab", "method", "step", "x0", "ceiling")),
-    "report": (cmd_report, "node spacings, wavelength, invariant checks", _WINDOW),
-    "residuals": (cmd_residuals, "governing-equation residual scans", ("samples", "ab", *_WINDOW)),
+               {ALLOWED: _CLOSED, FORBIDDEN: (*_CLOSED, "ceiling"),
+                LINEAR: ("samples", "ab", "method", "step", "x0")}),
+    "report": (cmd_report, "node spacings, wavelength, invariant checks", _LINEAR_WINDOW),
+    "residuals": (cmd_residuals, "governing-equation residual scans",
+                  {ALLOWED: ("samples", "ab"), FORBIDDEN: (), LINEAR: ("samples", "ab", *_WINDOW)}),
     "trajectory": (cmd_trajectory, "trajectory CSVs for an (a,b) family",
-                   ("dt", "samples", "ab", *_WINDOW, "x0", "ceiling")),
-    "nodes": (cmd_nodes, "node report CSV", _WINDOW),
-    "kg-solve": (cmd_kg_solve, "numeric basis CSV dump", _WINDOW),
-    "classical-limit": (cmd_classical_limit, "hbar-scale deviation scan", ("ab", "epsilons")),
+                   {ALLOWED: _CLOSED, FORBIDDEN: (*_CLOSED, "ceiling"),
+                    LINEAR: ("samples", "ab", *_WINDOW)}),
+    "nodes": (cmd_nodes, "node report CSV", _LINEAR_WINDOW),
+    "kg-solve": (cmd_kg_solve, "numeric basis CSV dump", {None: _WINDOW}),
+    "classical-limit": (cmd_classical_limit, "hbar-scale deviation scan",
+                        {ALLOWED: ("ab", "epsilons"), FORBIDDEN: (), LINEAR: ()}),
 }
 
 
@@ -372,22 +377,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rqtlab",
                      description="Relativistic quantum trajectory laboratory (CSV datasets)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_line, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
+    for name, (_, help_line, reads) in COMMANDS.items():
+        reads = set(COMMON).union(*reads.values())
+        # no defaults, so that main can tell a given flag from an absent one
+        p = sub.add_parser(name, help=help_line, argument_default=argparse.SUPPRESS)
         if name == "figure":
             p.add_argument("figure_id", type=int, choices=sorted(FIGURES))
-        for flag in ("config", "out", "hbar-scale", *flags):
-            p.add_argument(f"--{flag}", **FLAGS[flag])
-        p.set_defaults(func=func)
+        for flag in filter(reads.__contains__, FLAGS):
+            p.add_argument(f"--{flag}", **FLAGS[flag][1])
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if getattr(args, "samples", 16) < 16:
+        given = vars(build_parser().parse_args(argv))
+        args = argparse.Namespace(**{f.replace("-", "_"): d for f, (d, _) in FLAGS.items()})
+        vars(args).update(given)
+        if args.samples < 16:
             raise ValueError("sample counts below 16 are not meaningful here")
-        return args.func(args)
+        s = (scenario_from_config(load_config(args.config)) if args.config
+             else FIGURES[getattr(args, "figure_id", 1)][0])
+        if args.hbar_scale is not None:
+            s = s.with_hbar_scale(args.hbar_scale)
+        func, _, reads = COMMANDS[args.command]
+        regime = None if None in reads else _regime(s)
+        unread = [f"--{f}" for f in FLAGS
+                  if f.replace("-", "_") in given and f not in (*COMMON, *reads[regime])]
+        if unread:
+            raise ValueError(f"{args.command} does not read {', '.join(unread)} {WHERE[regime]}")
+        return func(args, s, regime)
     except (ValueError, OSError, IntegrationOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -186,13 +186,18 @@ class KgBasis:
         at t = (x - x_cell) / (x_cell+1 - x_cell) times the end jets (over h
         for slopes): O(h^8) in phi, O(h^7) in phi', and exactly the samples
         at a grid point.  Without cell, each x is read in the cell holding
-        it (the last cell holds x_max); cell may have fewer dimensions than x
-        and broadcast against it.  ``jets`` are (_jets(cell), _jets(cell + 1))
-        for a caller that reads the same cells again.
+        it (the last cell holds x_max) and an x outside [x_min, x_max] raises
+        DomainError; given cells, derived from the grid, are trusted.  cell
+        may have fewer dimensions than x and broadcast against it.  ``jets``
+        are (_jets(cell), _jets(cell + 1)) for a caller that reads the same
+        cells again.
         """
         xs, p1, p2, d1, d2 = self._samples
         if cell is None:
-            cell = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+            outside = np.extract(np.logical_not((self.x_min <= x) & (x <= self.x_max)), x)
+            if outside.size:
+                raise DomainError(f"x = {float(outside[0])} outside basis domain")
+            cell = np.minimum(np.searchsorted(xs, x, side="right") - 1, len(xs) - 2)
         left_x = xs[cell]
         t = (x - left_x) / (xs[cell + 1] - left_x)
         weights = _septic_weights(t, derivative)
@@ -204,29 +209,18 @@ class KgBasis:
             out.append(chord + (departure / self.source.step if derivative else departure))
         return tuple(out)
 
-    phi12_in_cells = _hermite  # phi12 given each x's grid cell, without the binary search
+    def phi12(self, x, cell=None):
+        """(phi1, phi2) at x, from one read of both solutions.
 
-    def phi12(self, x):
-        """(phi1, phi2) at x, from one read of both solutions."""
+        A numeric basis reads as _hermite: in the given cells, or in its window only.
+        """
         ev = self._evaluators
-        return (ev[0](x), ev[1](x)) if self.is_closed_form else self._hermite(x)
+        return (ev[0](x), ev[1](x)) if self.is_closed_form else self._hermite(x, cell)
 
     def dphi12(self, x):
-        """(phi1', phi2') at x, from one read of both solutions."""
+        """(phi1', phi2') at x, from one read of both solutions; a numeric basis only inside it."""
         ev = self._evaluators
         return (ev[2](x), ev[3](x)) if self.is_closed_form else self._hermite(x, derivative=True)
-
-    def phi1(self, x):
-        return self.phi12(x)[0]
-
-    def phi2(self, x):
-        return self.phi12(x)[1]
-
-    def dphi1(self, x):
-        return self.dphi12(x)[0]
-
-    def dphi2(self, x):
-        return self.dphi12(x)[1]
 
     def phi12_at_fractions(self, t, cell):
         """(phi1, phi2) at the cell fractions t of each given grid cell.
@@ -552,8 +546,6 @@ def wronskian_drift(basis: KgBasis) -> float:
         (p1, p2), (d1, d2) = basis.phi12(xs), basis.dphi12(xs)
     else:
         xs, p1, p2, d1, d2 = basis._samples
-        if len(xs) < 2:
-            raise ValueError("need at least 2 sample points")
     w = d1 * p2 - p1 * d2
     w_ref = w[0]
     return float(np.max(np.abs(w - w_ref)) / abs(w_ref))
@@ -567,15 +559,11 @@ def kg_fd_residual(basis: KgBasis) -> float:
     normalized by the largest term magnitude over the window.  The
     normalization is global because both terms vanish together at a
     turning point, where a pointwise ratio would only compare difference
-    noise against itself.
+    noise against itself.  It grades an integration: a closed form, which
+    has no grid, raises DomainError.
     """
-    if basis.is_closed_form:
-        xs = np.linspace(basis.x_min, basis.x_max, 4097)
-        phi = np.asarray(basis.phi2(xs), dtype=float)
-        h = xs[1] - xs[0]
-    else:
-        xs, _, phi = basis._samples[:3]
-        h = float(xs[1] - xs[0])
+    xs, phi = basis.grid, basis._samples[2]
+    h = float(xs[1] - xs[0])
     if len(xs) < 2 * FD_EDGE_MARGIN + 5:
         raise ValueError("too few samples for the residual stencil")
     # 5-point second derivative, O(h^4)

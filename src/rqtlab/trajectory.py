@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -58,7 +57,6 @@ class Trajectory:
     direction: int = +1
     truncated_at: float | None = None  # fm, turning point hit by the quadrature
     node_times: np.ndarray | None = None  # s, at the nodes given to the quadrature
-    position_fn: Callable | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -109,10 +107,6 @@ def constant_allowed_position(s: Scenario, p: MobiusParams, t):
 def constant_allowed_velocity(s: Scenario, p: MobiusParams, t):
     r = constant_rates(s, RegionClass.ALLOWED)
     return _arctan_family_velocity(t, r.omega, r.k, p.a, p.b, p.direction)
-
-
-photon_position = constant_allowed_position
-photon_velocity = constant_allowed_velocity
 
 
 def constant_forbidden_position(s: Scenario, p: MobiusParams, t):
@@ -177,7 +171,6 @@ def trajectory_constant_allowed(
         scenario=s,
         kind=TrajectoryKind.CLOSED_PHOTON if s.species.is_photon else TrajectoryKind.CLOSED_ALLOWED,
         direction=p.direction,
-        position_fn=lambda t, _s=s, _p=p: constant_allowed_position(_s, _p, t),
     )
 
 
@@ -242,7 +235,6 @@ def trajectory_constant_forbidden(
         scenario=s,
         kind=TrajectoryKind.CLOSED_FORBIDDEN,
         direction=p.direction,
-        position_fn=lambda t, _s=s, _p=p: constant_forbidden_position(_s, _p, t),
     )
     return traj, divergence_times_forbidden(s, p, t_range)
 
@@ -328,7 +320,7 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
         cut = np.flatnonzero(~(on_grid[:-1] & on_grid[1:]))
         left, right = edges[cut], edges[cut + 1]
         cut_pts = 0.5 * (right + left) + (0.5 * (right - left)) * _GL_NODES[:, None]
-        cut_phis = basis.phi12_in_cells(cut_pts, cell[cut])
+        cut_phis = basis.phi12(cut_pts, cell[cut])
         fractions = 0.5 * (1.0 + _GL_NODES)
 
         def phis(pts, first):
@@ -401,6 +393,9 @@ def trajectory_ode_family(
         raise ValueError("x_range must be increasing")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    if not s.potential.is_constant and any(p.direction < 0 for p in members):
+        raise DomainError("a member with a < 0 is mirrored about the range start, "
+                          "a symmetry of a constant potential only")
     nodes = np.asarray(nodes, dtype=float)
     if np.any(np.diff(nodes, prepend=lo) <= 0.0):
         raise ValueError("nodes must increase from the start of x_range")
@@ -423,7 +418,7 @@ def trajectory_ode_family(
     (phi1, phi2), kf = basis.phi12(xs), kinetic_factor(s, xs)
     out = []
     for p, ts in zip(members, times):
-        # a mirror trajectory reflects the displacement and keeps time forward
+        # a mirror trajectory (constant potential only) reflects the displacement, time forward
         pos = xs.copy() if p.direction > 0 else xs[0] - (xs - xs[0])
         out.append(Trajectory(
             times=ts[at_xs],
@@ -472,30 +467,34 @@ def _firqnl_terms(s: Scenario, x, xd, xdd, xddd):
 
 
 def _uniform_samples(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Uniformly spaced (t, x); exact resampling when the generator is known."""
+    """Uniformly spaced (t, x); a closed form off a uniform grid is resampled exactly.
+
+    A quadrature trajectory is sampled uniformly in x, not t, and has no
+    exact x(t) to resample: ValueError.
+    """
     t = traj.times
     if len(t) < 7:
         raise ValueError("need at least 7 samples for the difference stencils")
     dts = np.diff(t)
-    uniform = np.allclose(dts, dts[0], rtol=1e-9, atol=0.0)
-    if uniform:
+    if np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
         return t, traj.positions
+    if traj.kind is TrajectoryKind.ODE_GENERAL:
+        raise ValueError("a quadrature trajectory is not uniform in time; "
+                         "the first-integral stencils need a closed form")
+    position = (constant_forbidden_position if traj.kind is TrajectoryKind.CLOSED_FORBIDDEN
+                else constant_allowed_position)
     grid = np.linspace(t[0], t[-1], len(t))
-    if traj.position_fn is not None:
-        return grid, np.asarray(traj.position_fn(grid), dtype=float)
-    from scipy.interpolate import CubicSpline
-
-    return grid, CubicSpline(t, traj.positions)(grid)
+    return grid, np.asarray(position(traj.scenario, traj.params, grid), dtype=float)
 
 
 def firqnl_residual(traj: Trajectory) -> float:
     """Max normalized residual of the trajectory-level first integral.
 
     xdot and xddot come from 5-point stencils, the third derivative from a
-    7-point stencil, all on a uniform time grid (non-uniform inputs are
-    resampled first).  The maximum is taken over interior samples, keeping
-    one node interval clear of the trajectory endpoints where the stencils
-    are weakest.
+    7-point stencil, all on a uniform time grid (a closed form off one is
+    resampled first; a quadrature trajectory raises ValueError).  The
+    maximum is taken over interior samples, keeping one node interval clear
+    of the trajectory endpoints where the stencils are weakest.
     """
     s = traj.scenario
     t, x = _uniform_samples(traj)

@@ -138,8 +138,8 @@ def test_criterion_04_oracle_equivalence(electron_2mev, electron_basis):
     bn = rq.kg_solve_numeric(s_fast, 0.0, span, step=1e-3, method="rk4")
     xs = bn.grid
     kg_err = max(
-        float(np.max(np.abs(bn.phi1(xs) - np.sin(k_f * xs)))),
-        float(np.max(np.abs(bn.phi2(xs) - np.cos(k_f * xs)))),
+        float(np.max(np.abs(bn.phi12(xs)[0] - np.sin(k_f * xs)))),
+        float(np.max(np.abs(bn.phi12(xs)[1] - np.cos(k_f * xs)))),
     )
     assert kg_err <= 1e-6
 
@@ -147,7 +147,7 @@ def test_criterion_04_oracle_equivalence(electron_2mev, electron_basis):
 
     def max_err(method, step):
         b = rq.kg_solve_numeric(s_fast, 0.0, span5, step=step, method=method)
-        return float(np.max(np.abs(b.phi2(b.grid) - np.cos(k_f * b.grid))))
+        return float(np.max(np.abs(b.phi12(b.grid)[1] - np.cos(k_f * b.grid))))
 
     r_euler = max_err("euler", 2e-3) / max_err("euler", 1e-3)
     r_rk4 = max_err("rk4", 0.08) / max_err("rk4", 0.04)

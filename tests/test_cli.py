@@ -106,21 +106,26 @@ class TestFigureCommand:
                      "--step", "2e-3", "--samples", "64", *family]) == 0
         assert calls == [3]
 
-    def test_figure4_nodes_without_reference_member(self, tmp_path):
+    def test_figure4_nodes_without_reference_member(self, tmp_path, capsys):
         # the node times come from the forward (1, 0) member's quadrature
-        # whatever --ab lists: all of it, neither, or only its mirror (-1, 0)
+        # whether --ab lists it or not; its mirror (-1, 0) is refused, since
+        # the reflection is a symmetry of a constant potential only
         window = ["--x0", "-60", "--step", "2e-3", "--samples", "64"]
         assert main(["figure", "4", "--out", str(tmp_path / "all"), *window]) == 0
         assert main(["figure", "4", "--out", str(tmp_path / "two"), "--ab", "4,2;0.5,-1",
                      *window]) == 0
-        assert main(["figure", "4", "--out", str(tmp_path / "mirror"), "--ab=-1,0", *window]) == 0
+        capsys.readouterr()
+        assert main(["figure", "4", "--out", str(tmp_path / "mirror"), "--ab=-1,0", *window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not list((tmp_path / "mirror").glob("*.csv"))
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "a < 0" in err[0]
         two = tmp_path / "two"
         assert sorted(p.name for p in two.glob("*.csv")) == [
             "fig4_nodes.csv", "fig4_traj_a0p5_bm1.csv", "fig4_traj_a4_b2.csv",
         ]
         nodes = (tmp_path / "all" / "fig4_nodes.csv").read_bytes()
         assert (two / "fig4_nodes.csv").read_bytes() == nodes
-        assert (tmp_path / "mirror" / "fig4_nodes.csv").read_bytes() == nodes
         assert (two / "fig4_traj_a4_b2.csv").read_bytes() == (
             tmp_path / "all" / "fig4_traj_a4_b2.csv").read_bytes()
 
@@ -395,3 +400,27 @@ def test_linear_residuals_leave_out_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.splitlines()[-1] == "0 False"
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: with every scipy import failing, the
+    # figures, both residual gates and a closed form's first integral still run
+    src = str(Path(rqtlab.__file__).resolve().parents[1])
+    cfg = _write_cfg(tmp_path, LINEAR_CFG)
+    runs = [["figure", "1", "--samples", "32"], ["figure", "2", "--samples", "32"],
+            ["figure", "4", "--x0", "-60", "--samples", "32"], ["residuals", "--samples", "24"],
+            ["residuals", "--config", cfg, "--x-min", "-60", "--samples", "24"]]
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+import rqtlab as rq
+from rqtlab.cli import main
+print([main([*argv, "--out", {str(tmp_path / "o")!r}]) for argv in {runs!r}])
+s = rq.Scenario(rq.Species.electron(), rq.Potential.constant(0.0), energy=2.0)
+dt = rq.nodes_constant(s).dt_spacing
+traj = rq.trajectory_constant_allowed(s, rq.MobiusParams(4.0, 2.0), (0.0, 3 * dt), dt / 2000)
+print(rq.firqnl_residual(traj) <= 1e-3)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "True"]

@@ -125,16 +125,16 @@ class TestClosedForm:
         assert photon_basis.wronskian == pytest.approx(K_PHOTON_12MEV, rel=1e-6)
 
     def test_origin_values(self, electron_basis):
-        assert float(electron_basis.phi1(0.0)) == 0.0
-        assert float(electron_basis.phi2(0.0)) == 1.0
-        assert float(electron_basis.dphi1(0.0)) == electron_basis.wronskian
+        assert float(electron_basis.phi12(0.0)[0]) == 0.0
+        assert float(electron_basis.phi12(0.0)[1]) == 1.0
+        assert float(electron_basis.dphi12(0.0)[0]) == electron_basis.wronskian
 
     def test_forbidden_basis_hyperbolic(self, forbidden_electron):
         b = rq.kg_closed_constant(forbidden_electron)
         kappa = math.sqrt(0.510998950**2 - 0.3**2) / forbidden_electron.hbar_c
         assert b.wronskian == pytest.approx(kappa, rel=1e-12)
-        assert float(b.phi2(0.0)) == 1.0
-        assert float(b.phi2(100.0)) > 1.0  # cosh grows
+        assert float(b.phi12(0.0)[1]) == 1.0
+        assert float(b.phi12(100.0)[1]) > 1.0  # cosh grows
         assert len(b.phi2_zeros()) == 0
 
     def test_turning_energy_degenerate(self):
@@ -162,8 +162,8 @@ class TestNumericIntegration:
         span = 10 * 2 * math.pi / k
         b = rq.kg_solve_numeric(s, 0.0, span, step=1e-3, method="rk4")
         xs = b.grid
-        err1 = np.max(np.abs(b.phi1(xs) - np.sin(k * xs)))
-        err2 = np.max(np.abs(b.phi2(xs) - np.cos(k * xs)))
+        err1 = np.max(np.abs(b.phi12(xs)[0] - np.sin(k * xs)))
+        err2 = np.max(np.abs(b.phi12(xs)[1] - np.cos(k * xs)))
         assert max(err1, err2) <= 1e-6
 
     def test_euler_first_order(self):
@@ -174,7 +174,7 @@ class TestNumericIntegration:
         def max_err(step):
             b = rq.kg_solve_numeric(s, 0.0, span, step=step, method="euler")
             xs = b.grid
-            return float(np.max(np.abs(b.phi2(xs) - np.cos(k * xs))))
+            return float(np.max(np.abs(b.phi12(xs)[1] - np.cos(k * xs))))
 
         ratio = max_err(2e-3) / max_err(1e-3)
         assert ratio == pytest.approx(2.0, rel=0.15)
@@ -187,15 +187,15 @@ class TestNumericIntegration:
         def max_err(step):
             b = rq.kg_solve_numeric(s, 0.0, span, step=step, method="rk4")
             xs = b.grid
-            return float(np.max(np.abs(b.phi2(xs) - np.cos(k * xs))))
+            return float(np.max(np.abs(b.phi12(xs)[1] - np.cos(k * xs))))
 
         ratio = max_err(0.08) / max_err(0.04)
         assert ratio == pytest.approx(16.0, rel=0.15)
 
     def test_initial_conditions_and_wronskian(self, linear_basis):
         xs = linear_basis.grid
-        assert float(linear_basis.phi1(xs[0])) == 0.0
-        assert float(linear_basis.phi2(xs[0])) == 1.0
+        assert float(linear_basis.phi12(xs[0])[0]) == 0.0
+        assert float(linear_basis.phi12(xs[0])[1]) == 1.0
         assert linear_basis.wronskian > 0
 
     def test_wronskian_drift_linear_default_step(self, linear_electron):
@@ -254,10 +254,10 @@ class TestHermiteInterpolant:
         grid = linear_basis.grid
         x = np.array(xs)
         cell = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, len(grid) - 2)
-        phi1, phi2 = linear_basis.phi12_in_cells(x, cell)
-        assert np.array_equal(linear_basis.phi1(x), phi1)
-        assert np.array_equal(linear_basis.phi2(x), phi2)
-        assert [linear_basis.phi2(v) for v in xs] == phi2.tolist()
+        phi1, phi2 = linear_basis.phi12(x, cell)
+        assert np.array_equal(linear_basis.phi12(x)[0], phi1)
+        assert np.array_equal(linear_basis.phi12(x)[1], phi2)
+        assert [linear_basis.phi12(v)[1] for v in xs] == phi2.tolist()
         # phi12 and dphi12 read both solutions at once: the septic in each
         # cell on a numeric basis, the evaluators on a closed form
         same = lambda got, want: all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
@@ -274,9 +274,28 @@ class TestHermiteInterpolant:
     def test_grid_points_return_the_samples(self, linear_electron, x_min, span, step):
         b = rq.kg_solve_numeric(linear_electron, x_min, x_min + span, step=step)
         xs, *samples = b._samples
-        for f, want in zip((b.phi1, b.phi2, b.dphi1, b.dphi2), samples):
-            assert np.array_equal(f(xs), want)
-            assert f(b.x_max) == want[-1]
+        for read, want in zip((*b.phi12(xs), *b.dphi12(xs)), samples):
+            assert np.array_equal(read, want)
+        for read, want in zip((*b.phi12(b.x_max), *b.dphi12(b.x_max)), samples):
+            assert read == want[-1]
+
+    def test_pointwise_reads_own_the_window(self, linear_basis, electron_basis):
+        # the ends read their samples; 1e-6 fm past either end is an error, not
+        # an extrapolated septic, while reads in given cells are trusted
+        xs, p1, p2, d1, d2 = linear_basis._samples
+        for x, i in ((linear_basis.x_min, 0), (linear_basis.x_max, -1)):
+            assert linear_basis.phi12(x) == (p1[i], p2[i])
+            assert linear_basis.dphi12(x) == (d1[i], d2[i])
+        for x in (linear_basis.x_min - 1e-6, linear_basis.x_max + 1e-6, -500.0, math.nan):
+            for read in (linear_basis.phi12, linear_basis.dphi12):
+                for arg in (x, np.array([-100.0, x])):
+                    with pytest.raises(rq.DomainError, match="outside basis domain"):
+                        read(arg)
+        assert np.isfinite(linear_basis.phi12(xs[0] - 1e-3, 0)).all()
+        # a closed form reads anywhere
+        far = electron_basis.x_max + 1e4
+        assert electron_basis.phi12(far)[1] == math.cos(electron_basis.wronskian * far)
+        assert np.isfinite(electron_basis.dphi12(far)).all()
 
     def test_derivative_is_the_septic_slope(self, linear_electron):
         # against the septic solved from its eight end conditions in each cell
@@ -290,7 +309,7 @@ class TestHermiteInterpolant:
                         + [[math.perm(j, k) for j in range(8)] for k in range(4)], float)
         t = np.array([0.1, 0.37, 0.5, 0.81])
         for cell in (0, 77, len(xs) - 2):
-            for f, df, y, dy in ((b.phi1, b.dphi1, p1, d1), (b.phi2, b.dphi2, p2, d2)):
+            for i, (y, dy) in enumerate(((p1, d1), (p2, d2))):
                 data = [[y[i], h * dy[i], h * h * w[i] * y[i],
                          h ** 3 * (dw[i] * y[i] + w[i] * dy[i])] for i in (cell, cell + 1)]
                 coef = np.linalg.solve(ends, np.concatenate(data))
@@ -298,8 +317,8 @@ class TestHermiteInterpolant:
                 value = np.polynomial.polynomial.polyval(t, coef)
                 slope = np.polynomial.polynomial.polyval(t, coef[1:] * powers[1:]) / h
                 scale = np.max(np.abs(y)) + np.max(np.abs(dy))
-                assert np.max(np.abs(f(x) - value)) <= 1e-13 * scale
-                assert np.max(np.abs(df(x) - slope)) <= 1e-13 * scale
+                assert np.max(np.abs(b.phi12(x)[i] - value)) <= 1e-13 * scale
+                assert np.max(np.abs(b.dphi12(x)[i] - slope)) <= 1e-13 * scale
 
     def test_fixed_fractions_exact_on_constant_potential(self):
         # a Magnus basis is exact on a constant potential, and at k h = 2e-2
@@ -317,7 +336,7 @@ class TestHermiteInterpolant:
         assert np.max(np.abs(phi1 - np.sin(k * x))) <= 1e-13
         assert np.max(np.abs(phi2 - np.cos(k * x))) <= 1e-13
         # the same septic as the read at absolute positions
-        for fixed, general in zip((phi1, phi2), b.phi12_in_cells(x, cell)):
+        for fixed, general in zip((phi1, phi2), b.phi12(x, cell)):
             assert np.max(np.abs(fixed - general)) <= 1e-13
 
     def test_fixed_fractions_match_absolute_reads_on_linear_basis(self, linear_electron):
@@ -332,7 +351,7 @@ class TestHermiteInterpolant:
         gauss = 0.5 * (1.0 + np.polynomial.legendre.leggauss(4)[0])
         cells = [0, 1, 2, seam - 2, seam - 1, seam, seam + 1, len(xs) - 3, len(xs) - 2]
         x = xs[cells] + gauss[:, None] * np.diff(xs)[cells]
-        absolute = b.phi12_in_cells(x, np.array(cells))
+        absolute = b.phi12(x, np.array(cells))
         scale = max(np.max(np.abs(phi)) for phi in absolute)
         for j, cell in enumerate(cells):
             t = (x[:, j] - xs[cell]) / (xs[cell + 1] - xs[cell])
@@ -354,7 +373,7 @@ class TestHermiteInterpolant:
         def max_err(step):
             b = rq.kg_solve_numeric(s, 0.0, 2 * math.pi / k, step=step, method="magnus6")
             x = b.grid[:-1] + 0.37 * step
-            return float(np.max(np.abs(b.phi2(x) - np.cos(k * x))))
+            return float(np.max(np.abs(b.phi12(x)[1] - np.cos(k * x))))
 
         ratio = max_err(0.04) / max_err(0.02)
         assert ratio == pytest.approx(256.0, rel=0.15)

@@ -271,7 +271,7 @@ class TestOdeTrajectory:
         # every chunk of 7 panels, and the nodes run past the sampled range
         monkeypatch.setattr(rq.trajectory, "PANEL_CHUNK", 7)
         grid = linear_basis.grid
-        members = [rq.MobiusParams(a, b, -60.0) for a, b in ((1.0, 0.0), (4.0, 2.0), (-0.5, 1.0))]
+        members = [rq.MobiusParams(a, b, -60.0) for a, b in ((1.0, 0.0), (4.0, 2.0), (0.5, -1.0))]
         nodes = np.array([-59.5003, -58.0013, -56.2007])
         family = self._assert_family_matches_members(
             linear_electron, linear_basis, members, (-59.9993, -57.0011), 33, nodes=nodes)
@@ -292,6 +292,13 @@ class TestOdeTrajectory:
         assert np.all(np.diff(family[1].positions) < 0)
         assert np.all(np.diff(family[1].times) > 0)
         assert np.array_equal(family[0].times, family[2].times)
+
+    def test_mirrored_member_refused_on_linear_potential(self, linear_electron, linear_basis):
+        # the reflection about the range start is a symmetry of a constant
+        # potential only; on V = g x it would leave the basis
+        members = [rq.MobiusParams(1.0, 0.0, -60.0), rq.MobiusParams(-2.0, 0.5, -60.0)]
+        with pytest.raises(rq.DomainError, match="constant potential only"):
+            rq.trajectory_ode_family(linear_electron, linear_basis, members, (-60.0, -50.0), 16)
 
     def test_family_needs_a_member(self, electron_2mev, electron_basis):
         with pytest.raises(ValueError):
@@ -354,13 +361,13 @@ class TestFamilyProperty:
     # samples span -60..-50 fm on the linear_basis grid; nodes may run on to -45 fm
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(ab=st.lists(st.tuples(st.floats(min_value=0.25, max_value=4.0),
-                                 st.floats(min_value=-2.0, max_value=2.0),
-                                 st.sampled_from((1, -1))), min_size=1, max_size=4),
+                                 st.floats(min_value=-2.0, max_value=2.0)), min_size=1, max_size=4),
            nodes=st.lists(st.floats(min_value=-59.9, max_value=-45.0), max_size=6, unique=True),
            n_samples=st.integers(min_value=2, max_value=40))
     def test_family_matches_one_member_calls(self, linear_electron, linear_basis, ab, nodes,
                                              n_samples):
-        members = [rq.MobiusParams(d * a, d * b, -60.0) for a, b, d in ab]
+        # forward members only: a mirrored one is refused off a constant potential
+        members = [rq.MobiusParams(a, b, -60.0) for a, b in ab]
         TestOdeTrajectory._assert_family_matches_members(
             linear_electron, linear_basis, members, (-60.0, -50.0), n_samples, nodes=sorted(nodes))
 
@@ -386,6 +393,24 @@ class TestFirqnlResidual:
             photon_12mev, rq.MobiusParams(2.0, 1.0), (0.0, 3 * dt_n), dt_n / 2000
         )
         assert rq.firqnl_residual(traj) <= 1e-3
+
+    def test_quadrature_trajectory_refused(self, electron_2mev, electron_basis):
+        # sampled uniformly in x, not t, with no exact x(t) to resample
+        traj = rq.trajectory_ode(electron_2mev, electron_basis, rq.MobiusParams(4.0, 2.0),
+                                 (0.0, 600.0), 64)
+        with pytest.raises(ValueError, match="quadrature"):
+            rq.firqnl_residual(traj)
+
+    def test_forbidden_resampled_off_its_clipped_grid(self, forbidden_electron):
+        # clipped samples leave a closed form non-uniform in t: it is read again
+        # from its own x(t) on a uniform grid, not refused
+        s, p = forbidden_electron, rq.MobiusParams(4.0, 2.0)
+        period = 2.0 * math.pi / abs(rq.constant_rates(s).omega)
+        traj, _ = rq.trajectory_constant_forbidden(s, p, (0.0, period), period / 600, 1000.0)
+        grid, x = rq.trajectory._uniform_samples(traj)
+        assert len(grid) == len(traj.times) < 601
+        assert np.array_equal(x, rq.constant_forbidden_position(s, p, grid))
+        assert math.isfinite(rq.firqnl_residual(traj))
 
     def test_too_few_samples(self, electron_2mev):
         dt_n, _ = _node_spacings(electron_2mev)
