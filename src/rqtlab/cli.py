@@ -378,12 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Relativistic quantum trajectory laboratory (CSV datasets)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line, reads) in COMMANDS.items():
-        reads = set(COMMON).union(*reads.values())
+        accepted = set(COMMON).union(*reads.values())
         # no defaults, so that main can tell a given flag from an absent one
         p = sub.add_parser(name, help=help_line, argument_default=argparse.SUPPRESS)
         if name == "figure":
             p.add_argument("figure_id", type=int, choices=sorted(FIGURES))
-        for flag in filter(reads.__contains__, FLAGS):
+        for flag in filter(accepted.__contains__, FLAGS):
             p.add_argument(f"--{flag}", **FLAGS[flag][1])
     return parser
 
