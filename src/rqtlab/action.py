@@ -32,6 +32,8 @@ class MobiusParams:
     direction: int = +1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.x0))):
+            raise ValueError("family parameters a, b and x0 must be finite")
         if self.a == 0.0:
             raise ValueError("family parameter a must be nonzero")
         if self.direction not in (-1, 1):

@@ -106,7 +106,7 @@ def _trajectories(s: Scenario, regime: str, args, anchor, nodes=False):
         else:
             t_hi = 3.0 * nodes_constant(s).dt_spacing
             make = lambda p, dt: (trajectory_constant_allowed(s, p, (0.0, t_hi), dt), [])
-        dt = args.dt if args.dt else t_hi / args.samples
+        dt = args.dt if args.dt is not None else t_hi / args.samples
         return [(p, *make(p, dt)) for p in _family(args, anchor)], None
     basis, x_lo, x_hi, turning = kg_solve_linear(s, anchor, args.x_max, args.step, args.method)
     ab = _family(args, x_lo)
@@ -234,11 +234,12 @@ def cmd_residuals(args, s: Scenario, regime: str) -> int:
     else:
         basis, x_lo, x_hi, turning = kg_solve_linear(s, args.x_min, args.x_max, args.step,
                                                      args.method)
+        # the family pass refuses a bad window or member before any check prints
+        trajs = trajectory_ode_family(s, basis, family, (x_lo + 2.0, min(x_hi, turning)),
+                                      n_samples=max(64, args.samples))
         _status("kg_fd_residual", kg_fd_residual(basis), KG_FD_BOUND, checks)
         xs = np.linspace(x_lo + 2.0, min(x_hi, turning) - 4.0, args.samples)
         title = "rqtlab action residual scan (linear potential)"
-        trajs = trajectory_ode_family(s, basis, family, (x_lo + 2.0, min(x_hi, turning)),
-                                      n_samples=max(64, args.samples))
 
     for j, p in enumerate(family):
         tag = _ab_tag(p)
@@ -373,24 +374,35 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every subcommand with its help line; only ``command`` gets its arguments.
+
+    A process runs one subcommand, and adding the arguments of all seven
+    costs more than a constant-potential command computes.
+    """
     parser = _Parser(prog="rqtlab",
                      description="Relativistic quantum trajectory laboratory (CSV datasets)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line, reads) in COMMANDS.items():
-        accepted = set(COMMON).union(*reads.values())
         # no defaults, so that main can tell a given flag from an absent one
         p = sub.add_parser(name, help=help_line, argument_default=argparse.SUPPRESS)
+        if name != command:
+            continue
         if name == "figure":
             p.add_argument("figure_id", type=int, choices=sorted(FIGURES))
+        accepted = set(COMMON).union(*reads.values())
         for flag in filter(accepted.__contains__, FLAGS):
             p.add_argument(f"--{flag}", **FLAGS[flag][1])
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no option value, so the subcommand is the
+    # first token that is not an option ('--' or '-1' first is an error anyway)
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        given = vars(build_parser().parse_args(argv))
+        given = vars(build_parser(command).parse_args(argv))
         args = argparse.Namespace(**{f.replace("-", "_"): d for f, (d, _) in FLAGS.items()})
         vars(args).update(given)
         if args.samples < 16:

@@ -469,8 +469,10 @@ def kg_solve_numeric(
     solutions stay comparable in magnitude and W = k0 is well scaled.
     Any independent pair is admissible; (a, b) reparameterizes the family.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError("step must be finite and positive")
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise ValueError("x_min and x_max must be finite")
     if x_max <= x_min:
         raise ValueError("x_max must exceed x_min")
     method = method.lower()

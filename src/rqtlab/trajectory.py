@@ -145,8 +145,8 @@ def _merged_time_grid(t_range, dt, extra_times) -> np.ndarray:
     t0, t1 = t_range
     if t1 <= t0:
         raise ValueError("t_range must be increasing")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError("dt must be finite and positive")
     base = t0 + dt * np.arange(int(math.floor((t1 - t0) / dt + 1e-9)) + 1)
     if base[-1] < t1 - 1e-12 * dt:
         base = np.append(base, t1)
@@ -223,6 +223,8 @@ def trajectory_constant_forbidden(
     times) are dropped; the divergence times themselves are computed from
     the tan / log structure, never from samples.
     """
+    if not (x_ceiling > 0 and math.isfinite(x_ceiling)):
+        raise ValueError("x_ceiling must be finite and positive")
     times = _merged_time_grid(t_range, dt, [])
     pos = constant_forbidden_position(s, p, times)
     vel = constant_forbidden_velocity(s, p, times)

@@ -30,6 +30,12 @@ class TestMobiusParams:
         with pytest.raises(ValueError):
             rq.MobiusParams(0.0, 1.0)
 
+    @pytest.mark.parametrize("a, b, x0", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0),
+                                          (1.0, math.nan, 0.0), (1.0, 0.0, -math.inf)])
+    def test_non_finite_labels_rejected(self, a, b, x0):
+        with pytest.raises(ValueError, match="finite"):
+            rq.MobiusParams(a, b, x0)
+
     def test_negative_a_canonicalized(self):
         p = rq.MobiusParams(-2.0, 1.0)
         assert (p.a, p.b, p.direction) == (2.0, -1.0, -1)

@@ -369,6 +369,30 @@ class TestRejectedInput:
         assert f"holds {zeros} phi2 zeros" in err[0]
         assert not (tmp_path / "o" / "nodes.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["figure", "1", "--ab", "nan,0"], "must be finite"),
+        (["figure", "1", "--x0", "inf"], "must be finite"),
+        (["figure", "2", "--ceiling=nan"], "x_ceiling must be finite and positive"),
+        (["figure", "2", "--ceiling=-5"], "x_ceiling must be finite and positive"),
+        (["trajectory", "--dt", "inf"], "dt must be finite and positive"),
+        (["trajectory", "--dt", "0"], "dt must be finite and positive"),
+        (["kg-solve", "--step", "nan"], "step must be finite and positive"),
+        (["kg-solve", "--x-max", "nan"], "must be finite"),
+        (["nodes", "--config", "LINEAR", "--x-max", "nan"], "must be finite"),
+        # the window starts past the turning point, or a mirrored member on
+        # the linear potential: refused before the kg_fd_residual check prints
+        (["residuals", "--config", "LINEAR", "--x-min", "4.5"], "x_range must be increasing"),
+        (["residuals", "--config", "LINEAR", "--ab=-1,0.5"], "constant potential only"),
+    ])
+    def test_bad_value_prints_only_the_error(self, tmp_path, capsys, argv, message):
+        argv = [_write_cfg(tmp_path, LINEAR_CFG) if a == "LINEAR" else a for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+        assert not list(tmp_path.glob("o/*.csv"))
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "--help"])

@@ -12,7 +12,7 @@ import argparse
 
 import pytest
 
-from rqtlab.cli import build_parser, main
+from rqtlab.cli import COMMANDS, build_parser, main
 
 CONFIGS = {
     "allowed": None,
@@ -194,21 +194,52 @@ def _assert_one_error_line(capsys, flag=None):
     return err[0]
 
 
+def _subparsers(parser):
+    """{subcommand: its parser} of the rqtlab parser."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_lists_cover_every_accepted_flag():
     # per subcommand and regime, each flag the parser accepts besides
-    # --config, --out and --hbar-scale is read or rejected, and not both
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    # --config, --out and --hbar-scale is read or rejected, and not both;
+    # the parser carries the flags of the subcommand it is built for
     listed = {}
     for command, regime, flag, _ in NOT_READ + REFUSED + READ:
         key = (command, regime)
         assert flag not in listed.setdefault(key, set()), (key, flag)
         listed[key].add(flag)
-    for command, parser in sub.choices.items():
+    for command in COMMANDS:
+        parser = _subparsers(build_parser(command))[command]
         accepted = {o[2:] for a in parser._actions for o in a.option_strings
                     if o.startswith("--")} - {"config", "out", "hbar-scale", "help"}
         for regime in CONFIGS:
             assert listed.get((command, regime), set()) == accepted, (command, regime)
     assert len(NOT_READ) == 39 and len(READ) + len(REFUSED) <= 69
+
+
+def test_parser_carries_only_the_run_subcommand_arguments():
+    subs = _subparsers(build_parser("nodes"))
+    assert list(subs) == list(COMMANDS)
+    for command, parser in subs.items():
+        names = [o for a in parser._actions for o in a.option_strings or [a.dest]]
+        assert (names == ["-h", "--help"]) == (command != "nodes"), (command, names)
+    assert all(len(p._actions) == 1 for p in _subparsers(build_parser("bogus")).values())
+
+
+def test_top_level_help_names_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command, (_, help_line, _) in COMMANDS.items():
+        assert any(line.split() == [command, *help_line.split()] for line in out.splitlines()), command
+
+
+@pytest.mark.parametrize("argv", [["nope"], ["nope", "--samples", "32"]])
+def test_unknown_subcommand_is_one_line(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert "invalid choice: 'nope'" in _assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, regime, flag, value", NOT_READ + REFUSED)

@@ -242,6 +242,12 @@ class TestNumericIntegration:
         with pytest.raises(ValueError):
             rq.kg_solve_numeric(linear_electron, 0.0, 1.0, step=-1e-3)
 
+    @pytest.mark.parametrize("x_min, x_max, step", [(0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+                                                    (math.nan, 1.0, 1e-3), (0.0, math.inf, 1e-3)])
+    def test_non_finite_step_or_window_rejected(self, linear_electron, x_min, x_max, step):
+        with pytest.raises(ValueError, match="finite"):
+            rq.kg_solve_numeric(linear_electron, x_min, x_max, step=step)
+
 
 # the linear_basis fixture's window in conftest
 LINEAR_WINDOW = st.floats(min_value=-400.0, max_value=8.0)

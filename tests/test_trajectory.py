@@ -177,6 +177,15 @@ class TestForbidden:
         with pytest.raises(rq.SingularEnergyError):
             rq.trajectory_constant_forbidden(s, rq.MobiusParams(4.0, 2.0), (0.0, 1e-20), 1e-23)
 
+    @pytest.mark.parametrize("dt, ceiling, message", [
+        (math.inf, 1e6, "dt must be"), (math.nan, 1e6, "dt must be"), (0.0, 1e6, "dt must be"),
+        (1e-23, math.nan, "x_ceiling"), (1e-23, math.inf, "x_ceiling"), (1e-23, -5.0, "x_ceiling"),
+    ])
+    def test_bad_spacing_or_ceiling_rejected(self, forbidden_electron, dt, ceiling, message):
+        with pytest.raises(ValueError, match=message):
+            rq.trajectory_constant_forbidden(forbidden_electron, rq.MobiusParams(4.0, 2.0),
+                                             (0.0, 1e-20), dt, x_ceiling=ceiling)
+
 
 class TestOdeTrajectory:
     def test_matches_closed_form_constant(self, electron_2mev, electron_basis):
