@@ -193,6 +193,8 @@ def cmd_report(args, s: Scenario, regime: str) -> int:
         print(f"max |pi*hbar/dx / p_classical - 1| : {worst:.3e}")
         checks.append(("node_spacing_monotone", grow))
         _status("local_momentum_within_5pct", worst, 0.05, checks)
+        if args.out:
+            print(f"wrote {_write_intervals(_out_dir(args) / 'node_report.csv', s, rows)}")
     elif regime == FORBIDDEN:
         print("nodes: none (massive particle in a classically forbidden region)")
     else:
@@ -273,11 +275,21 @@ def cmd_trajectory(args, s: Scenario, regime: str) -> int:
     return 0
 
 
+def _write_intervals(path: Path, s: Scenario, rows: list[dict]) -> Path:
+    """The node intervals of linear_node_summary as CSV, lengths in metres."""
+    header = ["rqtlab numeric node intervals", f"energy_mev = {s.energy!r}",
+              f"g_mev_per_fm = {s.potential.g!r}",
+              "columns: n, x_lo_m, x_hi_m, dx_m, p_node_mev_s_per_fm, p_classical_mid"]
+    return write_csv(path, header, (
+        (r["n"], r["x_lo"] * METERS_PER_FM, r["x_hi"] * METERS_PER_FM,
+         r["dx"] * METERS_PER_FM, r["p_node"], r["p_classical_mid"]) for r in rows))
+
+
 def cmd_nodes(args, s: Scenario, regime: str) -> int:
-    out = _out_dir(args)
     if regime == FORBIDDEN:
         print("nodes: none (massive particle in a classically forbidden region)")
         return 0
+    out = _out_dir(args)
     if regime == ALLOWED:
         nd = nodes_constant(s, n_nodes=16)
         print(f"wrote {write_node_report_csv(nd, out / 'nodes.csv', s)}")
@@ -285,13 +297,7 @@ def cmd_nodes(args, s: Scenario, regime: str) -> int:
         return 0
     rows = linear_node_summary(s, kg_solve_linear(s, args.x_min, args.x_max, args.step,
                                                   args.method)[0])
-    header = ["rqtlab numeric node intervals", f"energy_mev = {s.energy!r}",
-              f"g_mev_per_fm = {s.potential.g!r}",
-              "columns: n, x_lo_m, x_hi_m, dx_m, p_node_mev_s_per_fm, p_classical_mid"]
-    path = write_csv(out / "nodes.csv", header, (
-        (r["n"], r["x_lo"] * METERS_PER_FM, r["x_hi"] * METERS_PER_FM,
-         r["dx"] * METERS_PER_FM, r["p_node"], r["p_classical_mid"]) for r in rows))
-    print(f"wrote {path}")
+    print(f"wrote {_write_intervals(out / 'nodes.csv', s, rows)}")
     grow = spacing_grows(rows)
     claim = "; spacing grows toward the turning point" if grow else ""
     print(f"{len(rows) + 1} nodes{claim}")
@@ -349,28 +355,30 @@ FLAGS = {
     "epsilons": ("1,0.5,0.25,0.125", dict(type=str, help="hbar scale factors")),
 }
 
-COMMON = ("config", "out", "hbar-scale")
-_WINDOW = ("method", "step", "x-min", "x-max")
-_CLOSED = ("dt", "samples", "ab", "x0")
-_LINEAR_WINDOW = {ALLOWED: (), FORBIDDEN: (), LINEAR: _WINDOW}
+COMMON = ("config", "hbar-scale")
+_WINDOW = ("out", "method", "step", "x-min", "x-max")
+_CLOSED = ("out", "dt", "samples", "ab", "x0")
+_NODE_REPORT = {ALLOWED: ("out",), FORBIDDEN: (), LINEAR: _WINDOW}
 
 # Each subcommand: its function, help line, and the flags it reads besides
-# COMMON in each regime; a regime whose scenarios the subcommand refuses
-# reads none.  kg-solve integrates any scenario: its one key is None.
+# COMMON in each regime, --out where it writes a file; a regime whose
+# scenarios the subcommand refuses reads none.  kg-solve integrates any
+# scenario: its one key is None.
 COMMANDS = {
     "figure": (cmd_figure, "emit one of the four reference figures",
                {ALLOWED: _CLOSED, FORBIDDEN: (*_CLOSED, "ceiling"),
-                LINEAR: ("samples", "ab", "method", "step", "x0")}),
-    "report": (cmd_report, "node spacings, wavelength, invariant checks", _LINEAR_WINDOW),
+                LINEAR: ("out", "samples", "ab", "method", "step", "x0")}),
+    "report": (cmd_report, "node spacings, wavelength, invariant checks", _NODE_REPORT),
     "residuals": (cmd_residuals, "governing-equation residual scans",
-                  {ALLOWED: ("samples", "ab"), FORBIDDEN: (), LINEAR: ("samples", "ab", *_WINDOW)}),
+                  {ALLOWED: ("out", "samples", "ab"), FORBIDDEN: (),
+                   LINEAR: ("samples", "ab", *_WINDOW)}),
     "trajectory": (cmd_trajectory, "trajectory CSVs for an (a,b) family",
                    {ALLOWED: _CLOSED, FORBIDDEN: (*_CLOSED, "ceiling"),
                     LINEAR: ("samples", "ab", *_WINDOW)}),
-    "nodes": (cmd_nodes, "node report CSV", _LINEAR_WINDOW),
+    "nodes": (cmd_nodes, "node report CSV", _NODE_REPORT),
     "kg-solve": (cmd_kg_solve, "numeric basis CSV dump", {None: _WINDOW}),
     "classical-limit": (cmd_classical_limit, "hbar-scale deviation scan",
-                        {ALLOWED: ("ab", "epsilons"), FORBIDDEN: (), LINEAR: ()}),
+                        {ALLOWED: ("out", "ab", "epsilons"), FORBIDDEN: (), LINEAR: ()}),
 }
 
 

@@ -54,6 +54,9 @@ METHODS = ("magnus6", "rk4", "euler")
 DEFAULT_METHOD = "magnus6"
 DEFAULT_STEP = 2.0e-2
 
+# Most steps kg_solve_numeric takes: about ten arrays of the step count, 0.8 GB.
+MAX_STEPS = 10**7
+
 
 def _omega_sq(s: Scenario, x):
     """Coefficient w(x) in phi'' = w(x) phi (units 1/fm^2)."""
@@ -222,26 +225,23 @@ class KgBasis:
         ev = self._evaluators
         return (ev[2](x), ev[3](x)) if self.is_closed_form else self._hermite(x, derivative=True)
 
-    def phi12_at_fractions(self, t, cell):
-        """(phi1, phi2) at the cell fractions t of each given grid cell.
+    def phi12_at_fractions(self, t, first: int, count: int):
+        """(phi1, phi2) at the cell fractions t of the grid cells first .. first + count - 1.
 
         One row per fraction, one column per cell.  With t fixed the septic
-        is fixed weights A, B of the jets J at a cell's two ends, so every
-        cell from the least to the greatest given is read at once as
-        A @ J[:, :-1] + B @ J[:, 1:] on one contiguous slice of jets, and the
-        given cells are gathered from that; no fraction is rounded back from
-        an absolute position.
+        is fixed weights A, B of the jets J at a cell's two ends, so the run
+        is read at once as A @ J[:, :-1] + B @ J[:, 1:] on its count + 1
+        jets, with no gather; no fraction is rounded back from a position.
         """
         t = np.asarray(t, dtype=float)
         weights = np.array(_septic_weights(t))
         weights[[0, 4]] += 1.0 - t, t  # the chord
-        lo = int(np.min(cell))
-        flat = self._jets(slice(lo, int(np.max(cell)) + 2)).reshape(4, -1)
+        flat = self._jets(slice(first, first + count + 1)).reshape(4, -1)
         # two products: one (8 x 4) over 2 x 16 k jets would start OpenBLAS threads
         left, right = ((w.T @ flat).reshape(len(t), 2, -1) for w in (weights[:4], weights[4:]))
-        read = left[..., :-1] + right[..., 1:]
-        # np.take lays each solution out contiguously for the callers' passes
-        return tuple(np.take(read.transpose(1, 0, 2), np.asarray(cell) - lo, axis=2))
+        read = np.add(left[..., :-1], right[..., 1:], out=left[..., :-1])
+        # each solution's rows stay contiguous for the callers' passes
+        return read[:, 0], read[:, 1]
 
     # -- phi2 roots -------------------------------------------------------
 
@@ -401,15 +401,16 @@ def _chain(step_matrices, n, y0):
     sqrt(n) / 4 steps, the last padded with identity steps.  One pass over
     the positions in a block forms the running products of all blocks at
     once, the block starts are the states of the chain of block products
-    (blocked the same way, down to a stepping loop of fewer than 64
-    steps), and one array product applies the running products to the
-    block starts.  The split keeps each of the pass's array operations
-    thousands of steps long (about 2,000 at figure 4's 270 k steps), where
-    square blocks left them overhead-bound at about sqrt(n); carrying the
-    starts through the same split keeps the states' O(1) roundings to a
-    few dozen.  Products are held as P - I, as a stepping loop holds
-    y + dy, so equal steps do not repeat one rounding of 1 + small; each
-    state runs from its own block start, so block seams stay smooth.
+    (blocked the same way, down to a stepping loop of fewer than 64 steps),
+    and two (size, n_blocks) buffers, reused for all four entries, apply
+    the running products to the block starts.  The split keeps each of the
+    pass's array operations thousands of steps long (about 2,000 at figure
+    4's 270 k steps), where square blocks left them overhead-bound at about
+    sqrt(n); carrying the starts through the same split keeps the states'
+    O(1) roundings to a few dozen.  Products are held as P - I, as a
+    stepping loop holds y + dy, so equal steps do not repeat one rounding
+    of 1 + small; each state runs from its own block start, so block seams
+    stay smooth.
     """
     size = math.isqrt(n // 16)
     if size < 2:
@@ -441,9 +442,14 @@ def _chain(step_matrices, n, y0):
     out = []
     blocks = ((f11, y11, f12, y21), (f11, y12, f12, y22),
               (f21, y11, f22, y21), (f21, y12, f22, y22))
+    fy_a, fy_b = np.empty((size, n_blocks)), np.empty((size, n_blocks))
     for (fa, ya, fb, yb), y in zip(blocks, starts):
         o = np.empty(n_blocks * size + 1)
-        o[:-1].reshape(n_blocks, size)[:] = (y[:-1] + (fa * ya[:-1] + fb * yb[:-1])).T
+        # y + (fa ya + fb yb): the sum commutes exactly, so y may come last
+        np.multiply(fa, ya[:-1], out=fy_a)
+        fy_a += np.multiply(fb, yb[:-1], out=fy_b)
+        fy_a += y[:-1]
+        o[:-1].reshape(n_blocks, size)[:] = fy_a.T
         o[-1] = y[-1]
         out.append(o[:n + 1])
     return out
@@ -479,7 +485,10 @@ def kg_solve_numeric(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} ({', '.join(METHODS)})")
 
-    n_steps = max(int(round((x_max - x_min) / step)), 1)
+    span = (x_max - x_min) / step
+    if not span <= MAX_STEPS:
+        raise ValueError(f"{span:.3g} steps of {step:g} fm, more than MAX_STEPS = {MAX_STEPS:.0e}")
+    n_steps = max(int(round(span)), 1)
     xs = x_min + step * np.arange(n_steps + 1)
 
     k0 = max(local_wavenumber(s, x_min), 1.0 / (x_max - x_min))

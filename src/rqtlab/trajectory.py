@@ -135,6 +135,10 @@ def node_times_constant(s: Scenario, t_lo: float, t_hi: float) -> np.ndarray:
     return (np.arange(n_lo, n_hi + 1) + 0.5) * math.pi / omega
 
 
+# Most samples a closed-form trajectory takes from its dt: 80 MB per array.
+MAX_SAMPLES = 10**7
+
+
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
     """np.unique of a 1-D float array, without the numpy.ma import it pulls in."""
     a = np.sort(a)
@@ -147,7 +151,10 @@ def _merged_time_grid(t_range, dt, extra_times) -> np.ndarray:
         raise ValueError("t_range must be increasing")
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError("dt must be finite and positive")
-    base = t0 + dt * np.arange(int(math.floor((t1 - t0) / dt + 1e-9)) + 1)
+    count = (t1 - t0) / dt
+    if not count <= MAX_SAMPLES:
+        raise ValueError(f"dt gives {count:.3g} samples, more than MAX_SAMPLES = {MAX_SAMPLES:.0e}")
+    base = t0 + dt * np.arange(int(math.floor(count + 1e-9)) + 1)
     if base[-1] < t1 - 1e-12 * dt:
         base = np.append(base, t1)
     times = _sorted_unique(np.concatenate([base, np.asarray(extra_times, dtype=float)]))
@@ -250,12 +257,7 @@ def flow_speed(s: Scenario, basis: KgBasis, p: MobiusParams, x):
     [E - V - m0^2 c^4/(E - V)] [phi2^2 + (a phi1 + b phi2)^2] / (hbar a W).
     """
     (phi1, phi2), kf = basis.phi12(x), kinetic_factor(s, x)
-    return kf * _bracket(p, phi1, phi2, phi2 * phi2) / (s.hbar * p.a * basis.wronskian)
-
-
-def _bracket(p: MobiusParams, phi1, phi2, phi2_sq):
-    """phi2^2 + (a phi1 + b phi2)^2, the member's factor in the flow speed."""
-    return phi2_sq + (p.a * phi1 + p.b * phi2) ** 2
+    return kf * (phi2 * phi2 + (p.a * phi1 + p.b * phi2) ** 2) / (s.hbar * p.a * basis.wronskian)
 
 
 # How far short of a turning point (fm) a truncated range ends: the flow
@@ -288,73 +290,56 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
                            xs: np.ndarray) -> np.ndarray:
     """t(x) at the requested increasing samples for every member, one row each.
 
-    The Gauss panels are walked once, PANEL_CHUNK at a time; phi1, phi2 and
-    the Gauss weights over the kinetic factor of a chunk serve the whole
-    family, so per member only the bracket of 1/xdot = hbar a W / (kf
-    bracket), one divide and the weighted sums remain.  A numeric basis
-    reads a chunk's whole cells at the fixed Gauss fractions, and the
-    panels a sample or node splits in one call before the walk.  The
-    running sums carry from chunk to chunk and are kept at the sample
-    edges only: np.cumsum adds in order, so prepending the carry gives the
-    bits of one cumsum over all panels.
+    The whole panels (a numeric basis's grid cells from the one holding
+    xs[0], a closed form's uniform panels and phi2 zeros) are walked once,
+    PANEL_CHUNK at a time, a numeric basis reading a chunk's run of cells
+    at the fixed Gauss fractions.  The running sums carry from chunk to
+    chunk: np.cumsum adds in order, so prepending the carry gives the bits
+    of one cumsum over all panels.  A sample's time is the running sum up
+    to its panel plus one Gauss sum over the part of the panel before it,
+    less the same for xs[0], so that t(xs[0]) is exactly 0.
     """
+    def panel_times(left, right, read, out):
+        # Gauss points: one row per node, one column per panel.  kf and the weights
+        # serve the whole family; per member only 1/xdot's bracket and the sums remain
+        half = 0.5 * (right - left)
+        pts = 0.5 * (right + left) + half * _GL_NODES[:, None]
+        phi1, phi2 = read(pts)
+        weights, phi2_sq = (half * _GL_WEIGHTS[:, None]) / kinetic_factor(s, pts), phi2 * phi2
+        for row, p in zip(out, members):
+            np.sum(weights / (phi2_sq + (p.a * phi1 + p.b * phi2) ** 2), axis=0, out=row)
+            row *= s.hbar * p.a * basis.wronskian
+
     lo, hi = float(xs[0]), float(xs[-1])
     if basis.is_closed_form:
         n = math.ceil((hi - lo) * basis.wronskian / math.pi * CLOSED_PANELS_PER_NODE)
         edges = _sorted_unique(np.concatenate([np.linspace(lo, hi, n + 1),
-                                               basis.phi2_zeros(lo, hi), xs]))
-        phis = lambda pts, first: basis.phi12(pts)
+                                               basis.phi2_zeros(lo, hi)]))
+        whole = lambda pts, first, m: basis.phi12(pts)
     else:
-        # grid points strictly inside (lo, hi), with the samples inserted;
-        # a sample on a grid point goes after it and is dropped as a repeat
-        grid = basis.grid
-        i0, i1 = np.searchsorted(grid, lo, "right"), np.searchsorted(grid, hi, "left")
-        at = np.searchsorted(grid[i0:i1], xs, "right")
-        edges = np.insert(grid[i0:i1], at, xs)
-        on_grid = np.insert(np.ones(i1 - i0, dtype=bool), at, False)
-        keep = np.concatenate(([True], edges[1:] != edges[:-1]))
-        edges, on_grid = edges[keep], on_grid[keep]
-        # grid cell holding each panel: one more per grid edge passed
-        cell = i0 - 1 + np.cumsum(on_grid)
-        # a panel between two grid edges is its whole cell, with the Gauss
-        # points at fixed fractions of it; the panels a sample splits are
-        # read at their absolute Gauss points, the same points the walk makes
-        cut = np.flatnonzero(~(on_grid[:-1] & on_grid[1:]))
-        left, right = edges[cut], edges[cut + 1]
-        cut_pts = 0.5 * (right + left) + (0.5 * (right - left)) * _GL_NODES[:, None]
-        cut_phis = basis.phi12(cut_pts, cell[cut])
+        # the grid cells from the one holding lo to the one ending at or past hi
+        i0 = np.searchsorted(basis.grid, lo, "right") - 1
+        edges = basis.grid[i0:np.searchsorted(basis.grid, hi, "left") + 1]
         fractions = 0.5 * (1.0 + _GL_NODES)
-
-        def phis(pts, first):
-            m = pts.shape[1]
-            phi12 = basis.phi12_at_fractions(fractions, cell[first:first + m])
-            i, k = np.searchsorted(cut, (first, first + m))
-            for phi, at_cut in zip(phi12, cut_phis):
-                phi[:, cut[i:k] - first] = at_cut[:, i:k]
-            return phi12
-    # edge index of each sample: its time is the sum of the panels before it
-    at_edge = np.clip(np.searchsorted(edges, xs), 0, len(edges) - 1)
-    times = np.zeros((len(members), len(xs)))
+        whole = lambda pts, first, m: basis.phi12_at_fractions(fractions, i0 + first, m)
+    # each sample's panel, by its left edge (a sample on the last edge closes the walk),
+    # and its Gauss sum over the part of that panel before it
+    at = np.searchsorted(edges, xs, "right") - 1
+    times = np.empty((len(members), len(xs)))
+    cells = None if basis.is_closed_form else i0 + np.minimum(at, len(edges) - 2)
+    panel_times(edges[at], xs, lambda pts: basis.phi12(pts, cells), times)
     # one row per member: column 0 carries the sums so far, 1 + i holds panel i
     sums = np.zeros((len(members), PANEL_CHUNK + 1))
     for first in range(0, len(edges) - 1, PANEL_CHUNK):
         e = edges[first:first + PANEL_CHUNK + 1]
         m = len(e) - 1
-        half = 0.5 * (e[1:] - e[:-1])
-        # one row per Gauss node, one column per panel
-        pts = 0.5 * (e[1:] + e[:-1]) + half * _GL_NODES[:, None]
-        phi1, phi2 = phis(pts, first)
-        weights, phi2_sq = (half * _GL_WEIGHTS[:, None]) / kinetic_factor(s, pts), phi2 * phi2
-        for j, p in enumerate(members):
-            panel = sums[j, 1:m + 1]
-            np.sum(weights / _bracket(p, phi1, phi2, phi2_sq), axis=0, out=panel)
-            panel *= s.hbar * p.a * basis.wronskian
+        panel_times(e[:-1], e[1:], lambda pts: whole(pts, first, m), sums[:, 1:m + 1])
         cum = np.cumsum(sums[:, :m + 1], axis=1)
-        # samples whose edge closes a panel of this chunk
-        i, k = np.searchsorted(at_edge, (first, first + m), "right")
-        times[:, i:k] = cum[:, at_edge[i:k] - first]
+        # plus the running sum, for samples whose panel starts at an edge this chunk closes
+        i, k = np.searchsorted(at, (first, first + m), "right")
+        times[:, i:k] += cum[:, at[i:k] - first]
         sums[:, 0] = cum[:, m]
-    return times
+    return times - times[:, :1]
 
 
 def trajectory_ode_family(
@@ -371,19 +356,19 @@ def trajectory_ode_family(
     exactly the one whose conjugate momentum is hbar a W / (...).  xdot is
     finite and of one sign between turning points, so t(x) is smooth and
     strictly monotone.  Every basis takes one path: fixed 4-point Gauss
-    panels summed cumulatively, with every sample a panel edge.  On a
-    sampled basis the panels are its grid cells, so that each panel sees
-    one smooth piece of the septic interpolant; on a closed form each node
-    interval pi / W is split into CLOSED_PANELS_PER_NODE panels, with the
-    phi2 zeros (where xdot peaks) as edges.  A turning point inside the
-    range truncates it TURNING_GUARD short (the flow only reaches it
-    asymptotically), flagged on the result.
+    panels summed cumulatively, with every sample read as the part of its
+    panel before it.  On a sampled basis the panels are its grid cells, so
+    that each sees one smooth piece of the septic interpolant; on a closed
+    form each node interval pi / W is split into CLOSED_PANELS_PER_NODE
+    panels, with the phi2 zeros (where xdot peaks) as edges.  A turning
+    point inside the range truncates it TURNING_GUARD short (the flow only
+    reaches it asymptotically), flagged on the result.
 
     All members share the samples and the Gauss panels, so everything that
     does not depend on (a, b) is evaluated once per chunk of panels for the
     whole family; each member's times and velocities have the same bits as
-    a family of that member alone.  The positions in ``nodes`` are panel
-    edges too, so each member's time at them (its ``node_times``) is the
+    a family of that member alone.  The positions in ``nodes`` are partial
+    panels too, so each member's time at them (its ``node_times``) is the
     quadrature's own, not a read between samples.  They must increase from
     x_range[0] and lie inside the basis and before the first turning point
     past it; they may run past a truncated range.
@@ -417,7 +402,6 @@ def trajectory_ode_family(
     stops = _sorted_unique(np.concatenate([xs, nodes]))
     times = _cumulative_time_gauss(s, basis, members, stops)
     at_xs, at_nodes = np.searchsorted(stops, xs), np.searchsorted(stops, nodes)
-    (phi1, phi2), kf = basis.phi12(xs), kinetic_factor(s, xs)
     out = []
     for p, ts in zip(members, times):
         # a mirror trajectory (constant potential only) reflects the displacement, time forward
@@ -425,8 +409,7 @@ def trajectory_ode_family(
         out.append(Trajectory(
             times=ts[at_xs],
             positions=pos,
-            velocities=p.direction * kf * _bracket(p, phi1, phi2, phi2 * phi2)
-            / (s.hbar * p.a * basis.wronskian),
+            velocities=p.direction * flow_speed(s, basis, p, xs),
             params=p,
             scenario=s,
             kind=TrajectoryKind.ODE_GENERAL,

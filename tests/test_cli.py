@@ -383,6 +383,11 @@ class TestRejectedInput:
         # the linear potential: refused before the kg_fd_residual check prints
         (["residuals", "--config", "LINEAR", "--x-min", "4.5"], "x_range must be increasing"),
         (["residuals", "--config", "LINEAR", "--ab=-1,0.5"], "constant potential only"),
+        # step or sample counts refused before anything is allocated
+        (["kg-solve", "--x-min=-1e308", "--x-max", "1e308"], "more than MAX_STEPS"),
+        (["kg-solve", "--step", "1e-300"], "more than MAX_STEPS"),
+        (["trajectory", "--dt", "1e-300"], "more than MAX_SAMPLES"),
+        (["figure", "1", "--dt", "1e-40"], "more than MAX_SAMPLES"),
     ])
     def test_bad_value_prints_only_the_error(self, tmp_path, capsys, argv, message):
         argv = [_write_cfg(tmp_path, LINEAR_CFG) if a == "LINEAR" else a for a in argv]

@@ -39,6 +39,7 @@ NOT_READ = [
     ("report", "forbidden", "step", "1e-2"),
     ("report", "forbidden", "x-min", "-60"),
     ("report", "forbidden", "x-max", "5"),
+    ("report", "forbidden", "out", "d"),
     ("nodes", "allowed", "method", "rk4"),
     ("nodes", "allowed", "step", "1e-2"),
     ("nodes", "allowed", "x-min", "-60"),
@@ -47,6 +48,7 @@ NOT_READ = [
     ("nodes", "forbidden", "step", "1e-2"),
     ("nodes", "forbidden", "x-min", "-60"),
     ("nodes", "forbidden", "x-max", "5"),
+    ("nodes", "forbidden", "out", "d"),
     ("residuals", "allowed", "method", "rk4"),
     ("residuals", "allowed", "step", "1e-2"),
     ("residuals", "allowed", "x-min", "-60"),
@@ -69,11 +71,11 @@ NOT_READ = [
 # there (the bare command is a one-line error of its own).
 REFUSED = [
     ("residuals", "forbidden", flag, value) for flag, value in
-    (("samples", "32"), ("ab", "2,1"), ("method", "rk4"), ("step", "1e-2"),
+    (("out", "d"), ("samples", "32"), ("ab", "2,1"), ("method", "rk4"), ("step", "1e-2"),
      ("x-min", "-60"), ("x-max", "5"))
 ] + [
     ("classical-limit", regime, flag, value) for regime in ("forbidden", "linear")
-    for flag, value in (("ab", "2,1"), ("epsilons", "1,0.5"))
+    for flag, value in (("out", "d"), ("ab", "2,1"), ("epsilons", "1,0.5"))
 ]
 
 # (subcommand, regime) -> the small run each read flag is compared against
@@ -83,7 +85,9 @@ BASES = {
     ("figure", "linear"): ["--x0", "-60", "--samples", "32"],
     # report prints four digits: at the default magnus6 a step moves them
     # only far below that, so its base takes the first-order scheme
+    ("report", "allowed"): [],
     ("report", "linear"): ["--x-min", "-200", "--method", "euler"],
+    ("nodes", "allowed"): [],
     ("nodes", "linear"): ["--x-min", "-200"],
     ("residuals", "allowed"): ["--samples", "24"],
     ("residuals", "linear"): ["--x-min", "-60", "--samples", "24", "--ab", "1,0;4,2"],
@@ -96,8 +100,16 @@ BASES = {
     ("classical-limit", "allowed"): [],
 }
 
-# (subcommand, regime, flag, value): read, and moves stdout or a CSV
+# (subcommand, regime, flag, value): read, and moves stdout or a CSV; --out
+# moves the CSVs into the directory it names
 READ = [
+    *((command, regime, "out", "o2") for command, regime in (
+        ("figure", "allowed"), ("figure", "forbidden"), ("figure", "linear"),
+        ("report", "allowed"), ("report", "linear"), ("residuals", "allowed"),
+        ("residuals", "linear"), ("trajectory", "allowed"), ("trajectory", "forbidden"),
+        ("trajectory", "linear"), ("nodes", "allowed"), ("nodes", "linear"),
+        ("kg-solve", "allowed"), ("kg-solve", "forbidden"), ("kg-solve", "linear"),
+        ("classical-limit", "allowed"))),
     ("figure", "allowed", "dt", "1e-22"),
     ("figure", "allowed", "samples", "80"),
     ("figure", "allowed", "ab", "2,1"),
@@ -178,7 +190,7 @@ def _with(argv, flag, value):
 
 
 def _run(argv, out, capsys):
-    """(exit code, stdout with the output directory masked, {csv name: bytes})."""
+    """(exit code, stdout with the output directory masked, {csv name: bytes}) of argv --out out."""
     rc = main([*argv, "--out", str(out)])
     stdout = capsys.readouterr().out.replace(str(out), "OUT")
     return rc, stdout, {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
@@ -201,7 +213,7 @@ def _subparsers(parser):
 
 def test_lists_cover_every_accepted_flag():
     # per subcommand and regime, each flag the parser accepts besides
-    # --config, --out and --hbar-scale is read or rejected, and not both;
+    # --config and --hbar-scale is read or rejected, and not both;
     # the parser carries the flags of the subcommand it is built for
     listed = {}
     for command, regime, flag, _ in NOT_READ + REFUSED + READ:
@@ -211,10 +223,10 @@ def test_lists_cover_every_accepted_flag():
     for command in COMMANDS:
         parser = _subparsers(build_parser(command))[command]
         accepted = {o[2:] for a in parser._actions for o in a.option_strings
-                    if o.startswith("--")} - {"config", "out", "hbar-scale", "help"}
+                    if o.startswith("--")} - {"config", "hbar-scale", "help"}
         for regime in CONFIGS:
             assert listed.get((command, regime), set()) == accepted, (command, regime)
-    assert len(NOT_READ) == 39 and len(READ) + len(REFUSED) <= 69
+    assert len(NOT_READ) == 41 and len(READ) + len(REFUSED) <= 88
 
 
 def test_parser_carries_only_the_run_subcommand_arguments():
@@ -266,6 +278,10 @@ def test_flag_read_in_regime_moves_the_output(tmp_path, capsys, configs, base_ru
         base_runs[tuple(base)] = _run(base, tmp_path / "base", capsys)
     rc, stdout, csvs = base_runs[tuple(base)]
     assert rc in (0, 1) and stdout
+    if flag == "out":
+        # the same stdout, with its directory masked, and the same CSVs land there
+        assert _run(base, tmp_path / value, capsys) == (rc, stdout, csvs) and csvs
+        return
     changed = _run(_with(base, flag, value), tmp_path / "flag", capsys)
     assert changed[0] in (0, 1)
     assert changed[1:] != (stdout, csvs)

@@ -248,6 +248,13 @@ class TestNumericIntegration:
         with pytest.raises(ValueError, match="finite"):
             rq.kg_solve_numeric(linear_electron, x_min, x_max, step=step)
 
+    @pytest.mark.parametrize("x_min, x_max, step", [(-1e308, 1e308, 2e-2), (0.0, 1.0, 1e-300),
+                                                    (0.0, 1.0, 1e-7 / 1.5)])
+    def test_step_count_beyond_bound_rejected(self, linear_electron, x_min, x_max, step):
+        # refused from the ratio alone, before any grid is allocated
+        with pytest.raises(ValueError, match="more than MAX_STEPS"):
+            rq.kg_solve_numeric(linear_electron, x_min, x_max, step=step)
+
 
 # the linear_basis fixture's window in conftest
 LINEAR_WINDOW = st.floats(min_value=-400.0, max_value=8.0)
@@ -336,7 +343,7 @@ class TestHermiteInterpolant:
         xs = b.grid
         t = 0.5 * (1.0 + np.polynomial.legendre.leggauss(4)[0])
         cell = np.arange(len(xs) - 1)
-        phi1, phi2 = b.phi12_at_fractions(t, cell)
+        phi1, phi2 = b.phi12_at_fractions(t, 0, len(cell))
         x = xs[:-1] + t[:, None] * np.diff(xs)
         assert phi1.shape == phi2.shape == (4, len(cell))
         assert np.max(np.abs(phi1 - np.sin(k * x))) <= 1e-13
@@ -361,7 +368,7 @@ class TestHermiteInterpolant:
         scale = max(np.max(np.abs(phi)) for phi in absolute)
         for j, cell in enumerate(cells):
             t = (x[:, j] - xs[cell]) / (xs[cell + 1] - xs[cell])
-            for fixed, general in zip(b.phi12_at_fractions(t, np.array([cell])), absolute):
+            for fixed, general in zip(b.phi12_at_fractions(t, cell, 1), absolute):
                 assert np.max(np.abs(fixed[:, 0] - general[:, j])) <= 1e-14 * scale
         # the jets carry the nominal step, the length the integrator stepped;
         # the stored positions round it, so the cell widths here differ from it

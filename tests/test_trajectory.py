@@ -180,6 +180,9 @@ class TestForbidden:
     @pytest.mark.parametrize("dt, ceiling, message", [
         (math.inf, 1e6, "dt must be"), (math.nan, 1e6, "dt must be"), (0.0, 1e6, "dt must be"),
         (1e-23, math.nan, "x_ceiling"), (1e-23, math.inf, "x_ceiling"), (1e-23, -5.0, "x_ceiling"),
+        # refused from the sample count alone, before any grid is allocated
+        (1e-320, 1e6, "more than MAX_SAMPLES"), (1e-40, 1e6, "more than MAX_SAMPLES"),
+        (1e-27 / 1.5, 1e6, "more than MAX_SAMPLES"),
     ])
     def test_bad_spacing_or_ceiling_rejected(self, forbidden_electron, dt, ceiling, message):
         with pytest.raises(ValueError, match=message):
@@ -379,6 +382,108 @@ class TestFamilyProperty:
         members = [rq.MobiusParams(a, b, -60.0) for a, b in ab]
         TestOdeTrajectory._assert_family_matches_members(
             linear_electron, linear_basis, members, (-60.0, -50.0), n_samples, nodes=sorted(nodes))
+
+
+
+def _refined_times(s, basis, p, stops, sub):
+    """t at the increasing stops: every grid cell from stops[0] split into sub equal
+    4-point Gauss panels, with the stops as extra edges, read through flow_speed."""
+    grid = basis.grid
+    i0, i1 = np.searchsorted(grid, stops[0], "right") - 1, np.searchsorted(grid, stops[-1], "left")
+    fine = (grid[i0:i1, None] + np.diff(grid[i0:i1 + 1])[:, None] * (np.arange(sub) / sub)).ravel()
+    edges = np.unique(np.concatenate([fine, stops]))
+    edges = edges[(edges >= stops[0]) & (edges <= stops[-1])]
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    half = 0.5 * np.diff(edges)
+    pts = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * nodes
+    panel = half * np.sum(weights / rq.flow_speed(s, basis, p, pts), axis=1)
+    return np.concatenate([[0.0], np.cumsum(panel)])[np.searchsorted(edges, stops)]
+
+
+class TestPartialCells:
+    """Samples and nodes are read as the part of their grid cell before them."""
+
+    MEMBERS = ((1.0, 0.0), (4.0, 2.0), (0.5, -1.0))
+
+    @pytest.fixture(scope="class")
+    def short_basis(self, linear_electron):
+        return rq.kg_solve_numeric(linear_electron, -60.0, -50.0)
+
+    def _family(self, s, basis, x_range, n_samples, nodes=()):
+        members = [rq.MobiusParams(a, b, x_range[0]) for a, b in self.MEMBERS]
+        return TestOdeTrajectory._assert_family_matches_members(s, basis, members, x_range,
+                                                                n_samples, nodes=nodes)
+
+    def test_stops_on_grid_points_are_running_sums(self, linear_electron, short_basis):
+        # every sample and the node on a grid point: no partial cell but the
+        # empty one, so the times are sums of whole cells
+        grid = short_basis.grid
+        node = grid[123]
+        family = self._family(linear_electron, short_basis, (grid[0], grid[400]), 101, [node])
+        for traj in family:
+            assert np.isin(traj.positions, grid).all()
+            ref = _refined_times(linear_electron, short_basis, traj.params, traj.positions, 1)
+            assert traj.times[0] == 0.0
+            assert np.max(np.abs(traj.times[1:] / ref[1:] - 1.0)) <= 1e-14
+            assert traj.node_times[0] == rq.trajectory_ode_family(
+                linear_electron, short_basis, [traj.params], (grid[0], node), 2)[0].times[1]
+
+    def test_stop_at_x_max(self, linear_electron, short_basis):
+        # the last sample and a node on the basis end close the walk
+        x_max = short_basis.x_max
+        family = self._family(linear_electron, short_basis, (-60.0, x_max), 17, [-55.0031, x_max])
+        for traj in family:
+            assert traj.positions[-1] == x_max
+            assert traj.node_times[-1] == traj.times[-1]
+            stops = np.concatenate([traj.positions[:-1], [-55.0031], [x_max]])
+            ref = _refined_times(linear_electron, short_basis, traj.params, np.sort(stops), 8)
+            assert traj.times[-1] == pytest.approx(ref[-1], rel=1e-12)
+
+    def test_mid_cell_start_is_time_zero(self, linear_electron, short_basis):
+        # neither end nor any sample on a grid point: t(lo) is exactly 0, and
+        # the times are the integral from lo, not from lo's cell
+        lo, hi = -59.99937, -57.00113
+        family = self._family(linear_electron, short_basis, (lo, hi), 33, [-59.5003, -58.0013])
+        for traj in family:
+            assert not np.isin(traj.positions, short_basis.grid).any()
+            assert traj.times[0] == 0.0
+            ref = _refined_times(linear_electron, short_basis, traj.params, traj.positions, 8)
+            assert np.max(np.abs(traj.times[1:] / ref[1:] - 1.0)) <= 1e-12
+
+    def test_nodes_past_a_truncated_range(self, linear_electron, linear_basis):
+        # the range is cut TURNING_GUARD short of the turning point; nodes
+        # between its end and the turning point still get their times
+        turning = rq.turning_points(linear_electron)[0]
+        nodes = [turning - 0.5, turning - 0.6 * rq.trajectory.TURNING_GUARD]
+        family = self._family(linear_electron, linear_basis, (-2.0, 7.0), 41, nodes)
+        for traj in family:
+            assert traj.truncated_at == turning
+            assert traj.positions[-1] < nodes[-1]
+            assert traj.node_times[-1] > traj.times[-1]
+            stops = np.sort(np.concatenate([traj.positions, nodes]))
+            ref = _refined_times(linear_electron, linear_basis, traj.params, stops, 8)
+            assert traj.node_times[0] == pytest.approx(ref[np.searchsorted(stops, nodes[0])],
+                                                       rel=1e-10)
+
+    def test_accuracy_on_a_high_k_window(self, linear_electron):
+        # 4 Gauss points per 2e-2 fm cell, at k h = 0.14: 1/xdot of a = 1 is
+        # smooth, that of a != 1 peaks once per node interval and is
+        # under-resolved.  Bounds are about 3x the errors against cells split
+        # in 8 (which moves by at most 1.3e-13 when split in 16).
+        lo, hi = -5400.0, -5300.0
+        basis = rq.kg_solve_numeric(linear_electron, lo, hi)
+        zeros = basis.phi2_zeros()
+        family = self._family(linear_electron, basis, (lo, hi), 101, zeros)
+        bounds = {(1.0, 0.0): (2.5e-14, 2.5e-14), (4.0, 2.0): (4e-7, 4.5e-7),
+                  (0.5, -1.0): (1.1e-7, 1.4e-7)}
+        for traj in family:
+            stops = np.unique(np.concatenate([traj.positions, zeros]))
+            ref = _refined_times(linear_electron, basis, traj.params, stops, 8)
+            at_samples = ref[np.searchsorted(stops, traj.positions)][1:]
+            at_nodes = ref[np.searchsorted(stops, zeros)]
+            sample_bound, node_bound = bounds[traj.params.a, traj.params.b]
+            assert np.max(np.abs(traj.times[1:] / at_samples - 1.0)) <= sample_bound
+            assert np.max(np.abs(traj.node_times / at_nodes - 1.0)) <= node_bound
 
 
 class TestFirqnlResidual:
