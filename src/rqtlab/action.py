@@ -61,9 +61,7 @@ def dual_params(p: MobiusParams) -> MobiusParams:
 
 @dataclass(frozen=True)
 class ActionSample:
-    x: float            # fm
     s0: float           # MeV s, unwrapped
-    ds0_dx: float       # MeV s / fm
     branch_index: int
 
 
@@ -98,15 +96,10 @@ def reduced_action(basis: KgBasis, p: MobiusParams, x: float) -> ActionSample:
     returned; every downstream quantity is finite there.
     """
     s0, n = _unwrapped_action(basis, p, np.array([x], dtype=float))
-    return ActionSample(
-        x=x,
-        s0=float(s0[0]),
-        ds0_dx=conjugate_momentum(basis, p, x),
-        branch_index=int(n[0]),
-    )
+    return ActionSample(s0=float(s0[0]), branch_index=int(n[0]))
 
 
-def conjugate_momentum(basis: KgBasis, p: MobiusParams, x, sign: int = +1):
+def conjugate_momentum(basis: KgBasis, p: MobiusParams, x):
     """hbar a W / (phi2^2 + (a phi1 + b phi2)^2), signed.
 
     The denominator is positive for any real a != 0 (phi1 and phi2 cannot
@@ -114,10 +107,10 @@ def conjugate_momentum(basis: KgBasis, p: MobiusParams, x, sign: int = +1):
     """
     phi1, phi2 = basis.phi12(x)
     denom = phi2 * phi2 + (p.a * phi1 + p.b * phi2) ** 2
-    return sign * p.direction * basis.scenario.hbar * p.a * basis.wronskian / denom
+    return p.direction * basis.scenario.hbar * p.a * basis.wronskian / denom
 
 
-def _default_fd_step(basis: KgBasis, x: np.ndarray) -> np.ndarray:
+def _fd_step(basis: KgBasis, x: np.ndarray) -> np.ndarray:
     """A thousandth of the local half-oscillation at each of the positions x.
 
     An absolute sub-fm step would make the third difference pure roundoff
@@ -134,15 +127,12 @@ def _default_fd_step(basis: KgBasis, x: np.ndarray) -> np.ndarray:
     return np.minimum(h, span / 100.0)
 
 
-def _rqshje_with_momentum(basis: KgBasis, p: MobiusParams, x: np.ndarray, fd_step: float | None):
+def _rqshje_with_momentum(basis: KgBasis, p: MobiusParams, x: np.ndarray):
     """(residual, S0') at the positions x (an array), as rqshje_residual.
 
     S0' at x is the centre of the stencil, so it comes with the residual.
     """
-    if fd_step is None:
-        h = _default_fd_step(basis, x)
-    else:
-        h = fd_step
+    h = _fd_step(basis, x)
     if not basis.is_closed_form:
         exits = ~((basis.x_min + 2 * h <= x) & (x <= basis.x_max - 2 * h))
         if exits.any():
@@ -165,7 +155,7 @@ def _rqshje_with_momentum(basis: KgBasis, p: MobiusParams, x: np.ndarray, fd_ste
     return np.abs(t1 + t2 + t3) / scale, p0
 
 
-def rqshje_residual(basis: KgBasis, p: MobiusParams, x, fd_step: float | None = None):
+def rqshje_residual(basis: KgBasis, p: MobiusParams, x):
     """Normalized residual of the stationary Hamilton-Jacobi equation.
 
     Uses the m0-cleared form (multiply through by 2 m0 c^2), valid for
@@ -178,13 +168,11 @@ def rqshje_residual(basis: KgBasis, p: MobiusParams, x, fd_step: float | None = 
     of S0'.  The result is |sum| / max(|term|).  Takes a float or an array
     of positions, and returns the same.
     """
-    r = _rqshje_with_momentum(basis, p, np.asarray(x, dtype=float), fd_step)[0]
+    r = _rqshje_with_momentum(basis, p, np.asarray(x, dtype=float))[0]
     return r if r.ndim else float(r)
 
 
-def action_scan(
-    basis: KgBasis, p: MobiusParams, xs, fd_step: float | None = None
-) -> list[tuple[float, float, float, float]]:
+def action_scan(basis: KgBasis, p: MobiusParams, xs) -> list[tuple[float, float, float, float]]:
     """(x, s0, ds0_dx, residual) rows for a sweep of positions.
 
     Each column is read as one array: S0 at the positions, then S0' and the
@@ -192,5 +180,5 @@ def action_scan(
     """
     xs = np.asarray(xs, dtype=float)
     s0, _ = _unwrapped_action(basis, p, xs)
-    residual, ds0_dx = _rqshje_with_momentum(basis, p, xs, fd_step)
+    residual, ds0_dx = _rqshje_with_momentum(basis, p, xs)
     return list(zip(xs.tolist(), s0.tolist(), ds0_dx.tolist(), residual.tolist()))

@@ -26,8 +26,8 @@ from .nodes import (classical_limit_scan, de_broglie_check, linear_node_summary,
                     nodes_constant, nodes_numeric, spacing_grows, write_classical_csv,
                     write_node_report_csv)
 from .scenario import (METERS_PER_FM, Potential, RegionClass, Scenario, Species, constant_rates,
-                       load_config, scenario_from_config, write_csv)
-from .trajectory import (firqnl_residual, trajectory_constant_allowed,
+                       load_config, scenario_from_config, turning_points, write_csv)
+from .trajectory import (MAX_SAMPLES, firqnl_residual, trajectory_constant_allowed,
                          trajectory_constant_forbidden, trajectory_ode_family,
                          velocity_momentum_check, write_trajectory_csv)
 
@@ -82,9 +82,8 @@ def _regime(s: Scenario) -> str:
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The --out directory, made by the first CSV written there."""
+    return Path(args.out or "out")
 
 
 def _trajectories(s: Scenario, regime: str, args, anchor, nodes=False):
@@ -94,8 +93,8 @@ def _trajectories(s: Scenario, regime: str, args, anchor, nodes=False):
     three node intervals (a forbidden region: two periods pi / |omega_f|),
     --dt apart or --samples across.  The linear potential takes one
     time-of-flight pass over the kg_solve_linear window from ``anchor`` (or
-    its default) up to min(x_hi, turning), every member anchored at the
-    window start, where the quadrature sets t = 0.  With ``nodes`` the phi2
+    its default) up to its end or the turning point, every member anchored
+    at the window start, where the quadrature sets t = 0.  With ``nodes`` the phi2
     zeros are panel edges, returned as (positions, times, turning point)
     with the times of the (1, 0) member, which joins the pass if ab lacks it.
     """
@@ -108,12 +107,13 @@ def _trajectories(s: Scenario, regime: str, args, anchor, nodes=False):
             make = lambda p, dt: (trajectory_constant_allowed(s, p, (0.0, t_hi), dt), [])
         dt = args.dt if args.dt is not None else t_hi / args.samples
         return [(p, *make(p, dt)) for p in _family(args, anchor)], None
-    basis, x_lo, x_hi, turning = kg_solve_linear(s, anchor, args.x_max, args.step, args.method)
+    basis = kg_solve_linear(s, anchor, args.x_max, args.step, args.method)
+    x_lo, turning = basis.x_min, turning_points(s)[0]
     ab = _family(args, x_lo)
     zeros = nodes_numeric(basis) if nodes else ()
     ref = next((i for i, p in enumerate(ab) if (p.a, p.b, p.direction) == (1.0, 0.0, 1)), len(ab))
     members = ab if ref < len(ab) or not nodes else [*ab, MobiusParams(1.0, 0.0, x_lo)]
-    trajs = trajectory_ode_family(s, basis, members, (x_lo, min(x_hi, turning)),
+    trajs = trajectory_ode_family(s, basis, members, (x_lo, min(basis.x_max, turning)),
                                   n_samples=args.samples, nodes=zeros)
     found = (zeros, trajs[ref].node_times, turning) if nodes else None
     return [(p, traj, []) for p, traj in zip(ab, trajs)], found
@@ -177,7 +177,7 @@ def cmd_figure(args, s: Scenario, regime: str) -> int:
 
 def cmd_report(args, s: Scenario, regime: str) -> int:
     rows = None if regime != LINEAR else linear_node_summary(
-        s, kg_solve_linear(s, args.x_min, args.x_max, args.step, args.method)[0])
+        s, kg_solve_linear(s, args.x_min, args.x_max, args.step, args.method))
     checks: list[tuple[str, bool]] = []
     print(f"species rest energy : {s.rest_energy} MeV")
     print(f"total energy        : {s.energy} MeV")
@@ -234,13 +234,13 @@ def cmd_residuals(args, s: Scenario, regime: str) -> int:
         title = "rqtlab action residual scan"
         t_range = (0.0, 3 * nd.dt_spacing)
     else:
-        basis, x_lo, x_hi, turning = kg_solve_linear(s, args.x_min, args.x_max, args.step,
-                                                     args.method)
+        basis = kg_solve_linear(s, args.x_min, args.x_max, args.step, args.method)
+        x_lo, x_hi = basis.x_min + 2.0, min(basis.x_max, turning_points(s)[0])
         # the family pass refuses a bad window or member before any check prints
-        trajs = trajectory_ode_family(s, basis, family, (x_lo + 2.0, min(x_hi, turning)),
+        trajs = trajectory_ode_family(s, basis, family, (x_lo, x_hi),
                                       n_samples=max(64, args.samples))
         _status("kg_fd_residual", kg_fd_residual(basis), KG_FD_BOUND, checks)
-        xs = np.linspace(x_lo + 2.0, min(x_hi, turning) - 4.0, args.samples)
+        xs = np.linspace(x_lo, x_hi - 4.0, args.samples)
         title = "rqtlab action residual scan (linear potential)"
 
     for j, p in enumerate(family):
@@ -296,7 +296,7 @@ def cmd_nodes(args, s: Scenario, regime: str) -> int:
         print(f"dt_n = {nd.dt_spacing:.12e} s, dx_n = {nd.dx_spacings[0] * METERS_PER_FM:.12e} m")
         return 0
     rows = linear_node_summary(s, kg_solve_linear(s, args.x_min, args.x_max, args.step,
-                                                  args.method)[0])
+                                                  args.method))
     print(f"wrote {_write_intervals(out / 'nodes.csv', s, rows)}")
     grow = spacing_grows(rows)
     claim = "; spacing grows toward the turning point" if grow else ""
@@ -344,7 +344,7 @@ FLAGS = {
     "out": (None, dict(type=str, help="output directory")),
     "hbar-scale": (None, dict(type=float, help="multiplies every hbar, in (0, 1]")),
     "dt": (None, dict(type=float, help="sample spacing in s (closed forms)")),
-    "samples": (600, dict(type=int, help="sample count (>= 16, default 600)")),
+    "samples": (600, dict(type=int, help="sample count (16 to 10^7, default 600)")),
     "ab": (None, dict(type=str, help="family list 'a,b;a,b;...'")),
     "method": (DEFAULT_METHOD, dict(choices=METHODS, help=f"scheme (default {DEFAULT_METHOD})")),
     "step": (DEFAULT_STEP, dict(type=float, help=f"step in fm (default {DEFAULT_STEP:g})")),
@@ -415,6 +415,8 @@ def main(argv=None) -> int:
         vars(args).update(given)
         if args.samples < 16:
             raise ValueError("sample counts below 16 are not meaningful here")
+        if args.samples > MAX_SAMPLES:
+            raise ValueError(f"{args.samples} samples, more than MAX_SAMPLES = {MAX_SAMPLES:.0e}")
         s = (scenario_from_config(load_config(args.config)) if args.config
              else FIGURES[getattr(args, "figure_id", 1)][0])
         if args.hbar_scale is not None:

@@ -19,9 +19,7 @@ which serves fraction, pointwise, slope and phi2 root reads alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -56,6 +54,10 @@ DEFAULT_STEP = 2.0e-2
 
 # Most steps kg_solve_numeric takes: about ten arrays of the step count, 0.8 GB.
 MAX_STEPS = 10**7
+
+# Rows write_basis_csv writes of a closed form; a longer numeric grid is
+# thinned to every len // BASIS_CSV_POINTS-th point.
+BASIS_CSV_POINTS = 1001
 
 
 def _omega_sq(s: Scenario, x):
@@ -103,30 +105,21 @@ def _septic_weights(t, derivative: bool = False):
             -s * t3 * (1.0 + s * (3.0 - 14.0 * s)), s2 * t3 * (3.0 - 7.0 * s) / 6.0)
 
 
-@dataclass
-class BasisSource:
-    kind: str                  # "closed-form" or "numeric"
-    method: str | None = None  # one of METHODS
-    step: float | None = None  # fm
-
-    def describe(self) -> str:
-        if self.kind == "closed-form":
-            return "closed-form"
-        return f"numeric:{self.method}:step={self.step:g}"
-
-
 class KgBasis:
     """Two independent solutions of the Klein-Gordon equation.
 
-    Closed-form bases hold exact evaluators; numeric bases hold grid
-    samples of phi and phi', read between grid points through the septic
-    Hermite interpolant on the jets (phi, h phi', h^2 phi'', h^3 phi'''),
-    phi'' = w phi and phi''' = w' phi + w phi' (dense output, Hairer,
-    Norsett & Wanner, Solving ODEs I, II.6): the chord of the end samples
-    plus fixed weights of the end jets (_septic_weights).  phi is O(h^8)
-    there and phi' is the septic's derivative; at a grid point both are
-    the samples.  Instances are immutable by convention and safe to share
-    across threads.
+    Without samples, the closed form of a constant potential with
+    wavenumber k = ``wronskian``: (sin kx, cos kx) in an allowed region and
+    for photons, (sinh kx, cosh kx) in a massive forbidden one, by the
+    scenario's region.  A numeric basis holds the grid samples that
+    ``method`` took at the nominal ``step`` (both None on a closed form),
+    read between grid points through the septic Hermite interpolant
+    on the jets (phi, h phi', h^2 phi'', h^3 phi'''), phi'' = w phi and
+    phi''' = w' phi + w phi' (dense output, Hairer, Norsett & Wanner,
+    Solving ODEs I, II.6): the chord of the end samples plus fixed weights
+    of the end jets (_septic_weights).  phi is O(h^8) there and phi' is the
+    septic's derivative; at a grid point both are the samples.  Instances
+    are immutable by convention and safe to share across threads.
     """
 
     def __init__(
@@ -135,10 +128,9 @@ class KgBasis:
         x_min: float,
         x_max: float,
         wronskian: float,
-        source: BasisSource,
-        evaluators: tuple[Callable, Callable, Callable, Callable] | None = None,
         samples: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-        analytic_phi2_zeros: Callable[[float, float], np.ndarray] | None = None,
+        method: str | None = None,
+        step: float | None = None,
     ):
         if x_max <= x_min:
             raise ValueError("x_max must exceed x_min")
@@ -146,19 +138,19 @@ class KgBasis:
         self.x_min = float(x_min)
         self.x_max = float(x_max)
         self.wronskian = float(wronskian)
-        self.source = source
-        self._evaluators = evaluators
+        self.method = method
+        self.step = step
         self._samples = samples
-        self._analytic_zeros = analytic_phi2_zeros
         self._zeros_cache: np.ndarray | None = None
         if self.wronskian == 0.0:
             raise DegenerateBasisError("basis Wronskian vanishes")
+        self._trig = samples is None and constant_rates(scenario).region is RegionClass.ALLOWED
 
     # -- evaluation -------------------------------------------------------
 
     @property
     def is_closed_form(self) -> bool:
-        return self._evaluators is not None
+        return self._samples is None
 
     @property
     def grid(self) -> np.ndarray:
@@ -176,7 +168,7 @@ class KgBasis:
         jet for the cells on both sides, so a run of cells reads one array.
         """
         xs, p1, p2, d1, d2 = self._samples
-        h = self.source.step
+        h = self.step
         x = xs[index]
         hw, hhdw = (h * h) * _omega_sq(self.scenario, x), h ** 3 * _omega_sq_slope(self.scenario, x)
         y, hdy = np.array([p1[index], p2[index]]), h * np.array([d1[index], d2[index]])
@@ -209,7 +201,7 @@ class KgBasis:
         for i, ends in enumerate((d1, d2) if derivative else (p1, p2)):
             departure = sum(w * j for w, j in zip(weights, (*j0[:, i], *j1[:, i])))
             chord = (1.0 - t) * ends[cell] + t * ends[cell + 1]
-            out.append(chord + (departure / self.source.step if derivative else departure))
+            out.append(chord + (departure / self.step if derivative else departure))
         return tuple(out)
 
     def phi12(self, x, cell=None):
@@ -217,13 +209,20 @@ class KgBasis:
 
         A numeric basis reads as _hermite: in the given cells, or in its window only.
         """
-        ev = self._evaluators
-        return (ev[0](x), ev[1](x)) if self.is_closed_form else self._hermite(x, cell)
+        if not self.is_closed_form:
+            return self._hermite(x, cell)
+        kx = self.wronskian * np.asarray(x, dtype=float)
+        return (np.sin(kx), np.cos(kx)) if self._trig else (np.sinh(kx), np.cosh(kx))
 
     def dphi12(self, x):
         """(phi1', phi2') at x, from one read of both solutions; a numeric basis only inside it."""
-        ev = self._evaluators
-        return (ev[2](x), ev[3](x)) if self.is_closed_form else self._hermite(x, derivative=True)
+        if not self.is_closed_form:
+            return self._hermite(x, derivative=True)
+        k = self.wronskian
+        kx = k * np.asarray(x, dtype=float)
+        if self._trig:
+            return k * np.cos(kx), -k * np.sin(kx)
+        return k * np.cosh(kx), k * np.sinh(kx)
 
     def phi12_at_fractions(self, t, first: int, count: int):
         """(phi1, phi2) at the cell fractions t of the grid cells first .. first + count - 1.
@@ -246,12 +245,19 @@ class KgBasis:
     # -- phi2 roots -------------------------------------------------------
 
     def phi2_zeros(self, lo: float | None = None, hi: float | None = None) -> np.ndarray:
-        """All zeros of phi2 in [lo, hi] (defaults to the full domain)."""
+        """All zeros of phi2 in [lo, hi] (defaults to the full domain).
+
+        A closed form's, (m + 1/2) pi / k (cosh has none), run past its domain.
+        """
         lo = self.x_min if lo is None else lo
         hi = self.x_max if hi is None else hi
-        if self._analytic_zeros is not None:
-            # closed forms extend beyond the nominal domain
-            return np.asarray(self._analytic_zeros(lo, hi), dtype=float)
+        if self.is_closed_form:
+            if not self._trig:
+                return np.array([])
+            k = self.wronskian
+            m_lo = math.ceil(lo * k / math.pi - 0.5)
+            m_hi = math.floor(hi * k / math.pi - 0.5)
+            return (np.arange(m_lo, m_hi + 1) + 0.5) * math.pi / k
         if self._zeros_cache is None:
             self._zeros_cache = self._compute_zeros()
         z = self._zeros_cache
@@ -276,44 +282,18 @@ class KgBasis:
 def kg_closed_constant(
     s: Scenario, x_min: float | None = None, x_max: float | None = None
 ) -> KgBasis:
-    """Exact basis for a constant potential.
+    """Exact basis for a constant potential: KgBasis(s, x_min, x_max, k), W = k.
 
-    Allowed region (and photons for either sign of E - U0):
-    phi1 = sin(kx), phi2 = cos(kx); massive forbidden region:
-    phi1 = sinh(kx), phi2 = cosh(kx).  W = k in both cases.
+    The default window is eight oscillations of the trig form, or a few
+    decay lengths of the hyperbolic one: beyond ~8/kappa the
+    cosh^2 - sinh^2 cancellation eats the mantissa.
     """
     r = constant_rates(s)
-    k = r.k
-    allowed = r.region is RegionClass.ALLOWED
-    # (sin, cos) and phi2' = -k sin(kx) when allowed, else (sinh, cosh) and +k sinh(kx)
-    sn, cs, dk = (np.sin, np.cos, -k) if allowed else (np.sinh, np.cosh, k)
-    kx = lambda x: k * np.asarray(x, dtype=float)
-    ev = (lambda x: sn(kx(x)), lambda x: cs(kx(x)),
-          lambda x: k * cs(kx(x)), lambda x: dk * sn(kx(x)))
-
-    def zeros(lo, hi):
-        if not allowed:
-            return np.array([])  # cosh has no real zeros
-        # cos(kx) = 0 at x = (m + 1/2) pi / k
-        m_lo = math.ceil(lo * k / math.pi - 0.5)
-        m_hi = math.floor(hi * k / math.pi - 0.5)
-        return (np.arange(m_lo, m_hi + 1) + 0.5) * math.pi / k
-
     if x_min is None or x_max is None:
-        # trig: eight oscillations; hyperbolic: a few decay lengths (beyond
-        # ~8/kappa the cosh^2 - sinh^2 cancellation eats the mantissa)
-        half_span = 8.0 * math.pi / k if allowed else 6.0 / k
+        half_span = 8.0 * math.pi / r.k if r.region is RegionClass.ALLOWED else 6.0 / r.k
         x_min = -half_span if x_min is None else x_min
         x_max = half_span if x_max is None else x_max
-    return KgBasis(
-        scenario=s,
-        x_min=x_min,
-        x_max=x_max,
-        wronskian=k,
-        source=BasisSource(kind="closed-form"),
-        evaluators=ev,
-        analytic_phi2_zeros=zeros,
-    )
+    return KgBasis(s, x_min, x_max, r.k)
 
 
 # ---------------------------------------------------------------------------
@@ -515,31 +495,24 @@ def kg_solve_numeric(
         x_bad = float(xs[np.argmax(bad)])
         raise IntegrationOverflowError(f"integration overflowed at x = {x_bad:.6g} fm", x=x_bad)
 
-    return KgBasis(
-        scenario=s,
-        x_min=float(xs[0]),
-        x_max=float(xs[-1]),
-        wronskian=k0,
-        source=BasisSource(kind="numeric", method=method, step=step),
-        samples=(xs, p1, p2, d1, d2),
-    )
+    return KgBasis(s, float(xs[0]), float(xs[-1]), k0, (xs, p1, p2, d1, d2), method, step)
 
 
 def kg_solve_linear(s: Scenario, x_min: float | None = None, x_max: float | None = None,
-                    step: float = DEFAULT_STEP, method: str = DEFAULT_METHOD):
-    """(basis, x_lo, x_hi, turning) for the linear potential V = g x.
+                    step: float = DEFAULT_STEP, method: str = DEFAULT_METHOD) -> KgBasis:
+    """The numeric basis of the linear potential V = g x; its grid is the window.
 
-    The numeric basis spans [x_lo, x_hi], by default from LINEAR_X_MIN to
-    TURNING_MARGIN past the turning point (E - m0 c^2) / g, where the
-    allowed region ends and trajectories and scans stop.
+    The grid runs from x_min, LINEAR_X_MIN by default, to within half a
+    step of x_max, by default TURNING_MARGIN past the turning point
+    (E - m0 c^2) / g (turning_points(s)[0]), where the allowed region ends
+    and trajectories and scans stop.
     """
     if not s.potential.g > 0:
         raise ValueError("the linear-potential window needs g > 0 "
                          "(for g < 0 it would span the Klein region)")
-    turning = turning_points(s)[0]
     x_lo = LINEAR_X_MIN if x_min is None else x_min
-    x_hi = turning + TURNING_MARGIN if x_max is None else x_max
-    return kg_solve_numeric(s, x_lo, x_hi, step=step, method=method), x_lo, x_hi, turning
+    x_hi = turning_points(s)[0] + TURNING_MARGIN if x_max is None else x_max
+    return kg_solve_numeric(s, x_lo, x_hi, step=step, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -588,17 +561,18 @@ def kg_fd_residual(basis: KgBasis) -> float:
     return float(np.max(np.abs(lhs[core] - rhs[core])) / scale)
 
 
-def write_basis_csv(basis: KgBasis, path: str | Path, n_points: int = 1001) -> Path:
+def write_basis_csv(basis: KgBasis, path: str | Path) -> Path:
     """Dump sampled basis values; header comments carry the scenario."""
     if basis.is_closed_form:
-        xs = np.linspace(basis.x_min, basis.x_max, n_points)
+        xs = np.linspace(basis.x_min, basis.x_max, BASIS_CSV_POINTS)
+        source = "closed-form"
     else:
-        xs = basis._samples[0]
-        if len(xs) > n_points:
-            stride = max(1, len(xs) // n_points)
-            xs = xs[::stride]
+        xs = basis.grid
+        if len(xs) > BASIS_CSV_POINTS:
+            xs = xs[::len(xs) // BASIS_CSV_POINTS]
+        source = f"numeric:{basis.method}:step={basis.step:g}"
     header = ["rqtlab klein-gordon basis", *scenario_header(basis.scenario),
-              f"source = {basis.source.describe()}",
+              f"source = {source}",
               f"wronskian_per_fm = {basis.wronskian!r}",
               "columns: x_fm, phi1, phi2, dphi1, dphi2"]
     cols = (*basis.phi12(xs), *basis.dphi12(xs))

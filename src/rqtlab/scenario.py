@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -46,21 +46,6 @@ class RegionClass(enum.Enum):
     ALLOWED = "allowed"
     FORBIDDEN = "forbidden"
     TURNING_POINT = "turning-point"
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Fundamental constants; defaults are the CODATA values above."""
-
-    hbar: float = HBAR_MEV_S      # MeV s
-    c: float = C_FM_PER_S         # fm / s
-    hbar_c: float = HBAR_C_MEV_FM  # MeV fm
-
-    def __post_init__(self):
-        if not (self.hbar_c > 0 and self.hbar > 0 and self.c > 0):
-            raise ValueError("constants must be strictly positive")
-        if abs(self.hbar_c - self.hbar * self.c) > 1e-9 * self.hbar_c:
-            raise ValueError("inconsistent constants: hbar_c != hbar * c")
 
 
 @dataclass(frozen=True)
@@ -139,7 +124,6 @@ class Scenario:
     potential: Potential
     energy: float                 # MeV, total
     hbar_scale: float = 1.0       # dimensionless epsilon in (0, 1]
-    constants: Constants = field(default_factory=Constants)
 
     def __post_init__(self):
         if not (math.isfinite(self.energy) and self.energy > 0):
@@ -151,15 +135,15 @@ class Scenario:
     # factor; c does not.
     @property
     def hbar(self) -> float:
-        return self.constants.hbar * self.hbar_scale
+        return HBAR_MEV_S * self.hbar_scale
 
     @property
     def hbar_c(self) -> float:
-        return self.constants.hbar_c * self.hbar_scale
+        return HBAR_C_MEV_FM * self.hbar_scale
 
     @property
     def c(self) -> float:
-        return self.constants.c
+        return C_FM_PER_S
 
     @property
     def rest_energy(self) -> float:
@@ -279,13 +263,15 @@ def scenario_header(s: Scenario) -> list[str]:
 def write_csv(path: str | Path, header: Iterable[str], rows: Iterable) -> Path:
     """Write '# ' header lines, then one line per row.
 
-    Floats are written as %.12e (13 significant digits), ints as they are,
-    so identical inputs give byte-identical files.  One row format is read
-    from the types in the first row and applied to every row, so a column
-    holds one type throughout (an int column ints, any other column floats
-    or numpy scalars).
+    The parent directory is made if missing.  Floats are written as %.12e
+    (13 significant digits), ints as they are, so identical inputs give
+    byte-identical files.  One row format is read from the types in the
+    first row and applied to every row, so a column holds one type
+    throughout (an int column ints, any other column floats or numpy
+    scalars).
     """
     p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
     rows = iter(rows)
     first = next(rows, None)
     with p.open("w") as fh:

@@ -54,7 +54,6 @@ class Trajectory:
     params: MobiusParams
     scenario: Scenario
     kind: TrajectoryKind
-    direction: int = +1
     truncated_at: float | None = None  # fm, turning point hit by the quadrature
     node_times: np.ndarray | None = None  # s, at the nodes given to the quadrature
 
@@ -135,7 +134,7 @@ def node_times_constant(s: Scenario, t_lo: float, t_hi: float) -> np.ndarray:
     return (np.arange(n_lo, n_hi + 1) + 0.5) * math.pi / omega
 
 
-# Most samples a closed-form trajectory takes from its dt: 80 MB per array.
+# Most samples a trajectory takes (a closed form's from its dt): 80 MB per array.
 MAX_SAMPLES = 10**7
 
 
@@ -177,7 +176,6 @@ def trajectory_constant_allowed(
         params=p,
         scenario=s,
         kind=TrajectoryKind.CLOSED_PHOTON if s.species.is_photon else TrajectoryKind.CLOSED_ALLOWED,
-        direction=p.direction,
     )
 
 
@@ -243,7 +241,6 @@ def trajectory_constant_forbidden(
         params=p,
         scenario=s,
         kind=TrajectoryKind.CLOSED_FORBIDDEN,
-        direction=p.direction,
     )
     return traj, divergence_times_forbidden(s, p, t_range)
 
@@ -380,6 +377,8 @@ def trajectory_ode_family(
         raise ValueError("x_range must be increasing")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"{n_samples} samples, more than MAX_SAMPLES = {MAX_SAMPLES:.0e}")
     if not s.potential.is_constant and any(p.direction < 0 for p in members):
         raise DomainError("a member with a < 0 is mirrored about the range start, "
                           "a symmetry of a constant potential only")
@@ -413,7 +412,6 @@ def trajectory_ode_family(
             params=p,
             scenario=s,
             kind=TrajectoryKind.ODE_GENERAL,
-            direction=p.direction,
             truncated_at=truncated_at,
             node_times=ts[at_nodes],
         ))
@@ -508,27 +506,21 @@ def firqnl_residual(traj: Trajectory) -> float:
     return float(np.max(res[keep]))
 
 
-def velocity_momentum_check(
-    traj: Trajectory, basis: KgBasis, p: MobiusParams | None = None
-) -> float:
+def velocity_momentum_check(traj: Trajectory, basis: KgBasis) -> float:
     """Max relative error of xdot * dS0/dx = (E-V) - m0^2 c^4/(E-V).
 
-    ``p`` must be the action-side labels of the trajectory's family member.
-    When omitted it is derived from the trajectory: quadrature trajectories
-    already carry action labels, closed forms carry the time-domain labels
-    and are converted (x0 = 0 anchors only).
+    dS0/dx takes the action-side labels of the trajectory's family member:
+    a quadrature trajectory carries them, and a closed form's time-domain
+    labels are converted (x0 = 0 anchors only; ValueError otherwise).
     """
     if basis.scenario != traj.scenario:
         raise ValueError("trajectory and basis must share one scenario")
-    if p is None:
-        if traj.kind is TrajectoryKind.ODE_GENERAL:
-            p = traj.params
-        else:
-            if traj.params.x0 != 0.0:
-                raise ValueError(
-                    "cannot infer action labels for a shifted closed form; pass p"
-                )
-            p = dual_params(traj.params)
+    if traj.kind is TrajectoryKind.ODE_GENERAL:
+        p = traj.params
+    elif traj.params.x0 != 0.0:
+        raise ValueError("cannot infer action labels for a shifted closed form")
+    else:
+        p = dual_params(traj.params)
     s = traj.scenario
     x = traj.positions
     lhs = traj.velocities * conjugate_momentum(basis, p, x)

@@ -220,7 +220,7 @@ def test_criterion_07_residual_suite(
 
     # generic members at their recorded bounds
     hj42 = max(
-        rq.rqshje_residual(electron_basis, p42, float(x), fd_step=1e-3)
+        rq.rqshje_residual(electron_basis, p42, float(x))
         for x in np.linspace(-300.0, 300.0, 31)
     )
     t42 = rq.trajectory_constant_allowed(s, p42, (0.0, 3 * nd.dt_spacing), nd.dt_spacing / 2000)

@@ -398,6 +398,25 @@ class TestRejectedInput:
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
         assert not list(tmp_path.glob("o/*.csv"))
 
+    @pytest.mark.parametrize("argv, message", [
+        (["kg-solve", "--x-min=-1e308", "--x-max", "1e308"], "more than MAX_STEPS"),
+        (["figure", "4", "--ab=-1,0"], "constant potential only"),
+        # sample counts refused before anything is allocated
+        (["trajectory", "--config", "LINEAR", "--samples", "1000000000000000"], "MAX_SAMPLES"),
+        (["figure", "4", "--samples", "1000000000000000"], "MAX_SAMPLES"),
+        (["residuals", "--samples", "1000000000000000"], "MAX_SAMPLES"),
+        (["figure", "1", "--samples", "10000001"], "MAX_SAMPLES"),
+    ])
+    def test_refused_input_leaves_no_out_directory(self, tmp_path, capsys, argv, message):
+        # the --out directory is made by the first CSV written, so a refusal leaves none
+        argv = [_write_cfg(tmp_path, LINEAR_CFG) if a == "LINEAR" else a for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+        assert not (tmp_path / "o").exists()
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "--help"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rqtlab as rq
+from rqtlab.cli import KG_FD_BOUND
 from rqtlab.kg import (LINEAR_X_MIN, TURNING_MARGIN, _magnus6_matrix, _omega_sq, _omega_sq_slope,
                        _rk4_matrix, local_wavenumber)
 
@@ -210,6 +211,18 @@ class TestNumericIntegration:
     def test_fd_residual_within_bound(self, linear_basis):
         assert rq.kg_fd_residual(linear_basis) <= 1e-4
 
+    def test_fd_residual_sees_a_fault_near_the_edge(self, electron_2mev):
+        # a phi2 sample ten grid points from the end, off by 1e-6, is a fault
+        # the residual must grade (0.98); a margin of hundreds of points would
+        # leave only the sound interior (1.1e-8)
+        b = rq.kg_solve_numeric(electron_2mev, 0.0, 20.0, method="magnus6")
+        xs, p1, p2, d1, d2 = b._samples
+        p2 = p2.copy()
+        p2[-11] *= 1.0 + 1e-6
+        bad = rq.KgBasis(electron_2mev, b.x_min, b.x_max, b.wronskian, (xs, p1, p2, d1, d2),
+                         b.method, b.step)
+        assert rq.kg_fd_residual(b) <= KG_FD_BOUND < rq.kg_fd_residual(bad)
+
     @pytest.mark.parametrize("method", ["rk4", "euler"])
     def test_matches_reference_loop(self, linear_electron, method):
         b = rq.kg_solve_numeric(linear_electron, -50.0, 8.0, step=1e-3, method=method)
@@ -358,7 +371,7 @@ class TestHermiteInterpolant:
         # absolute Gauss point is rounded to its position's ulp, which moves
         # phi by up to |phi'| ulp(x) / 2 (1.4e-14 of the largest |phi| at
         # -400 fm), so each cell is read at the fractions its rounded points give
-        b = rq.kg_solve_linear(linear_electron)[0]
+        b = rq.kg_solve_linear(linear_electron)
         xs, _, _, d1, d2 = b._samples
         seam = rq.trajectory.PANEL_CHUNK
         gauss = 0.5 * (1.0 + np.polynomial.legendre.leggauss(4)[0])
@@ -373,8 +386,8 @@ class TestHermiteInterpolant:
         # the jets carry the nominal step, the length the integrator stepped;
         # the stored positions round it, so the cell widths here differ from it
         jets = b._jets(np.array(cells))
-        assert np.array_equal(jets[1], b.source.step * np.array([d1[cells], d2[cells]]))
-        assert np.any(np.diff(xs)[cells] != b.source.step)
+        assert np.array_equal(jets[1], b.step * np.array([d1[cells], d2[cells]]))
+        assert np.any(np.diff(xs)[cells] != b.step)
 
     def test_eighth_order_between_grid_points(self):
         # a Magnus basis is exact at the grid points of a constant potential,
@@ -394,20 +407,29 @@ class TestHermiteInterpolant:
 
 class TestLinearWindow:
     def test_default_window(self, linear_electron):
-        basis, x_lo, x_hi, turning = rq.kg_solve_linear(linear_electron)
-        assert turning == rq.turning_points(linear_electron)[0]
-        assert (x_lo, x_hi) == (LINEAR_X_MIN, turning + TURNING_MARGIN)
-        assert (basis.x_min, basis.source.method, basis.source.step) == (
-            x_lo, rq.kg.DEFAULT_METHOD, rq.kg.DEFAULT_STEP)
+        basis = rq.kg_solve_linear(linear_electron)
+        turning = rq.turning_points(linear_electron)[0]
+        assert (basis.x_min, basis.method, basis.step) == (
+            LINEAR_X_MIN, rq.kg.DEFAULT_METHOD, rq.kg.DEFAULT_STEP)
+        assert abs(basis.x_max - (turning + TURNING_MARGIN)) <= 0.5 * basis.step
         ref = rq.kg_solve_numeric(linear_electron, LINEAR_X_MIN, turning + TURNING_MARGIN)
         assert all(np.array_equal(a, b) for a, b in zip(basis._samples, ref._samples, strict=True))
 
     def test_given_window_and_scheme(self, linear_electron):
-        basis, x_lo, x_hi, _ = rq.kg_solve_linear(linear_electron, -60.0, 1.0, step=5e-3,
-                                                  method="rk4")
-        assert (x_lo, x_hi) == (-60.0, 1.0)
+        basis = rq.kg_solve_linear(linear_electron, -60.0, 1.0, step=5e-3, method="rk4")
+        assert basis.x_min == -60.0 and abs(basis.x_max - 1.0) <= 0.5 * 5e-3
         ref = rq.kg_solve_numeric(linear_electron, -60.0, 1.0, step=5e-3, method="rk4")
         assert all(np.array_equal(a, b) for a, b in zip(basis._samples, ref._samples, strict=True))
+
+    @pytest.mark.parametrize("x_max, end", [(5.005, 5.0), (5.015, 5.02)])
+    def test_window_ends_on_the_grid(self, linear_electron, x_max, end):
+        # an off-grid x_max ends the window at the grid end that the rounded
+        # step count reaches, and a pass over the whole window is accepted
+        basis = rq.kg_solve_linear(linear_electron, -60.0, x_max)
+        assert basis.x_max == basis.grid[-1] == pytest.approx(end, abs=1e-12)
+        traj = rq.trajectory_ode(linear_electron, basis, rq.MobiusParams(1.0, 0.0, -60.0),
+                                 (basis.x_min, basis.x_max), 16)
+        assert traj.positions[-1] == basis.x_max
 
     def test_needs_a_rising_linear_potential(self, electron_2mev):
         falling = rq.Scenario(rq.Species.electron(), rq.Potential.linear(-0.25), energy=2.0)
@@ -523,10 +545,11 @@ class TestPhi2Zeros:
 
 class TestBasisCsv:
     def test_header_and_columns(self, tmp_path, linear_basis):
-        path = rq.write_basis_csv(linear_basis, tmp_path / "basis.csv", n_points=101)
+        path = rq.write_basis_csv(linear_basis, tmp_path / "basis.csv")
         lines = path.read_text().splitlines()
         header = [l for l in lines if l.startswith("#")]
         data = [l for l in lines if not l.startswith("#")]
         assert any("columns: x_fm, phi1, phi2, dphi1, dphi2" in h for h in header)
         assert any("energy_mev" in h for h in header)
+        assert "# source = numeric:rk4:step=0.002" in header
         assert len(data[0].split(",")) == 5

@@ -85,7 +85,7 @@ class TestClosedAllowed:
         dt_n, _ = _node_spacings(electron_2mev)
         p = rq.MobiusParams(-2.0, -1.0)  # canonicalizes to a=2, b=1, direction -1
         traj = rq.trajectory_constant_allowed(electron_2mev, p, (0.0, dt_n), dt_n / 64)
-        assert traj.direction == -1
+        assert traj.params.direction == -1
         assert np.all(np.diff(traj.positions) < 0)
 
     def test_turning_energy_rejected(self):
@@ -262,7 +262,7 @@ class TestOdeTrajectory:
             assert np.array_equal(traj.node_times, one.node_times)
             assert len(traj.node_times) == len(nodes)
             assert traj.truncated_at == one.truncated_at
-            assert traj.direction == one.direction
+            assert traj.params.direction == one.params.direction
         return family
 
     @pytest.mark.parametrize("chunk", [None, 7])
@@ -300,7 +300,7 @@ class TestOdeTrajectory:
         p, mirrored = rq.MobiusParams(4.0, 2.0), rq.MobiusParams(-1.0, 0.5)
         family = self._assert_family_matches_members(
             electron_2mev, electron_basis, [p, mirrored, p], (0.0, dx_n), 30)
-        assert family[1].direction == -1
+        assert family[1].params.direction == -1
         assert np.all(np.diff(family[1].positions) < 0)
         assert np.all(np.diff(family[1].times) > 0)
         assert np.array_equal(family[0].times, family[2].times)
@@ -315,6 +315,13 @@ class TestOdeTrajectory:
     def test_family_needs_a_member(self, electron_2mev, electron_basis):
         with pytest.raises(ValueError):
             rq.trajectory_ode_family(electron_2mev, electron_basis, [], (0.0, 1.0), 30)
+
+    @pytest.mark.parametrize("n_samples", [rq.trajectory.MAX_SAMPLES + 1, 10**15])
+    def test_sample_count_beyond_bound_rejected(self, electron_2mev, electron_basis, n_samples):
+        # refused before anything is allocated
+        with pytest.raises(ValueError, match="more than MAX_SAMPLES"):
+            rq.trajectory_ode_family(electron_2mev, electron_basis, [rq.MobiusParams(1.0, 0.0)],
+                                     (0.0, 1.0), n_samples)
 
     def test_basis_coverage_required(self, electron_2mev, linear_basis):
         with pytest.raises(rq.DomainError):
@@ -631,7 +638,6 @@ class TestVelocityMomentum:
         p = rq.MobiusParams(4.0, 2.0)
         ode = rq.trajectory_ode(electron_2mev, electron_basis, p, (0.0, 2 * dx_n), 40)
         assert rq.velocity_momentum_check(ode, electron_basis) <= 1e-6
-        assert rq.velocity_momentum_check(ode, electron_basis, p) <= 1e-6
 
     def test_linear_trajectory(self, linear_electron, linear_basis):
         traj = rq.trajectory_ode(
@@ -655,7 +661,7 @@ class TestVelocityMomentum:
         traj = rq.trajectory_constant_allowed(
             electron_2mev, rq.MobiusParams(4.0, 2.0, x0=50.0), (0.0, dt_n), dt_n / 50
         )
-        with pytest.raises(ValueError, match="pass p"):
+        with pytest.raises(ValueError, match="shifted closed form"):
             rq.velocity_momentum_check(traj, electron_basis)
 
     def test_scenario_mismatch_rejected(self, electron_2mev, photon_basis):
