@@ -27,9 +27,9 @@ from .nodes import (classical_limit_scan, de_broglie_check, linear_node_summary,
                     write_node_report_csv)
 from .scenario import (METERS_PER_FM, Potential, RegionClass, Scenario, Species, constant_rates,
                        load_config, scenario_from_config, turning_points, write_csv)
-from .trajectory import (MAX_SAMPLES, firqnl_residual, trajectory_constant_allowed,
-                         trajectory_constant_forbidden, trajectory_ode_family,
-                         velocity_momentum_check, write_trajectory_csv)
+from .trajectory import (MAX_SAMPLES, firqnl_residual, refuse_mirrored,
+                         trajectory_constant_allowed, trajectory_constant_forbidden,
+                         trajectory_ode_family, velocity_momentum_check, write_trajectory_csv)
 
 DEFAULT_AB = ((1.0, 0.0), (4.0, 2.0), (0.5, -1.0))
 
@@ -235,15 +235,16 @@ def cmd_residuals(args, s: Scenario, regime: str) -> int:
         t_range = (0.0, 3 * nd.dt_spacing)
     else:
         basis = kg_solve_linear(s, args.x_min, args.x_max, args.step, args.method)
-        x_lo, x_hi = basis.x_min + 2.0, min(basis.x_max, turning_points(s)[0])
-        # the family pass refuses a bad window or member before any check prints
-        trajs = trajectory_ode_family(s, basis, family, (x_lo, x_hi),
-                                      n_samples=max(64, args.samples))
+        # 2 fm in from the window start, 4 fm short of its end or the turning point
+        x_lo, x_hi = basis.x_min + 2.0, min(basis.x_max, turning_points(s)[0]) - 4.0
+        if x_hi <= x_lo:
+            raise ValueError("x_range must be increasing")
+        refuse_mirrored(s, family)
         _status("kg_fd_residual", kg_fd_residual(basis), KG_FD_BOUND, checks)
-        xs = np.linspace(x_lo, x_hi - 4.0, args.samples)
+        xs = np.linspace(x_lo, x_hi, args.samples)
         title = "rqtlab action residual scan (linear potential)"
 
-    for j, p in enumerate(family):
+    for p in family:
         tag = _ab_tag(p)
         rows = action_scan(basis, p, xs)
         header = [title, f"a = {p.a!r}", f"b = {p.b!r}", "columns: x_fm, s0_mev_s, ds0dx, residual"]
@@ -260,10 +261,10 @@ def cmd_residuals(args, s: Scenario, regime: str) -> int:
                     RQSHJE_BOUND_STRAIGHT if straight else RQSHJE_BOUND_GENERIC, checks)
             _status(f"firqnl_{tag}", r_fq,
                     FIRQNL_BOUND_STRAIGHT if straight else FIRQNL_BOUND_GENERIC, checks)
+            _status(f"velocity_momentum_{tag}", velocity_momentum_check(traj, basis),
+                    VELMOM_BOUND, checks)
         else:
-            traj = trajs[j]
             _status(f"rqshje_{tag}", r_hj, RQSHJE_BOUND_LINEAR, checks)
-        _status(f"velocity_momentum_{tag}", velocity_momentum_check(traj, basis), VELMOM_BOUND, checks)
     return _verdict(checks)
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import DegenerateBasisError, DomainError, SingularEnergyError
 
 # CODATA 2018 recommended values, in MeV / fm / s.  hbar_c is derived as
@@ -102,18 +104,15 @@ class Potential:
     def is_constant(self) -> bool:
         return self.kind is PotentialKind.CONSTANT
 
+    # V, V' and V'' of a float or array x: "+ 0.0 * x" gives a constant the shape of x
     def value(self, x):
-        if self.kind is PotentialKind.CONSTANT:
-            return self.u0 if not hasattr(x, "shape") else self.u0 + 0.0 * x
-        return self.g * x
+        return self.u0 + 0.0 * x if self.is_constant else self.g * x
 
     def derivative(self, x):
-        if self.kind is PotentialKind.CONSTANT:
-            return 0.0 if not hasattr(x, "shape") else 0.0 * x
-        return self.g if not hasattr(x, "shape") else self.g + 0.0 * x
+        return (0.0 if self.is_constant else self.g) + 0.0 * x
 
     def second_derivative(self, x):
-        return 0.0 if not hasattr(x, "shape") else 0.0 * x
+        return 0.0 * x
 
 
 @dataclass(frozen=True)
@@ -180,14 +179,8 @@ def kinetic_factor(s: Scenario, x) -> float:
     Vanishes at turning points; for a photon it reduces to E - V.
     """
     u = s.energy - s.potential.value(x)
-    if hasattr(u, "shape"):
-        import numpy as np
-
-        if np.any(u == 0.0):
-            raise SingularEnergyError("E - V(x) = 0 inside evaluation range")
-        return u - s.rest_energy**2 / u
-    if u == 0.0:
-        raise SingularEnergyError(f"E - V(x) = 0 at x = {x}")
+    if np.any(u == 0.0):
+        raise SingularEnergyError("E - V(x) = 0 inside evaluation range")
     return u - s.rest_energy**2 / u
 
 

@@ -257,6 +257,13 @@ def flow_speed(s: Scenario, basis: KgBasis, p: MobiusParams, x):
     return kf * (phi2 * phi2 + (p.a * phi1 + p.b * phi2) ** 2) / (s.hbar * p.a * basis.wronskian)
 
 
+def refuse_mirrored(s: Scenario, members: list[MobiusParams]) -> None:
+    """DomainError for a member with a < 0 off a constant potential."""
+    if not s.potential.is_constant and any(p.direction < 0 for p in members):
+        raise DomainError("a member with a < 0 is mirrored about the range start, "
+                          "a symmetry of a constant potential only")
+
+
 # How far short of a turning point (fm) a truncated range ends: the flow
 # only reaches it asymptotically, and 1/xdot diverges there.
 TURNING_GUARD = 1.0e-3
@@ -379,9 +386,7 @@ def trajectory_ode_family(
         raise ValueError("need at least 2 samples")
     if n_samples > MAX_SAMPLES:
         raise ValueError(f"{n_samples} samples, more than MAX_SAMPLES = {MAX_SAMPLES:.0e}")
-    if not s.potential.is_constant and any(p.direction < 0 for p in members):
-        raise DomainError("a member with a < 0 is mirrored about the range start, "
-                          "a symmetry of a constant potential only")
+    refuse_mirrored(s, members)
     nodes = np.asarray(nodes, dtype=float)
     if np.any(np.diff(nodes, prepend=lo) <= 0.0):
         raise ValueError("nodes must increase from the start of x_range")
@@ -507,22 +512,20 @@ def firqnl_residual(traj: Trajectory) -> float:
 
 
 def velocity_momentum_check(traj: Trajectory, basis: KgBasis) -> float:
-    """Max relative error of xdot * dS0/dx = (E-V) - m0^2 c^4/(E-V).
+    """Max relative error of xdot * dS0/dx = (E-V) - m0^2 c^4/(E-V) on a closed form.
 
-    dS0/dx takes the action-side labels of the trajectory's family member:
-    a quadrature trajectory carries them, and a closed form's time-domain
-    labels are converted (x0 = 0 anchors only; ValueError otherwise).
+    xdot is the derivative of x(t), and dS0/dx takes the time-domain labels
+    converted to the action side (x0 = 0 anchors only).  A quadrature
+    trajectory's xdot is the kinetic factor over the momentum, so the
+    identity would hold by construction there: ValueError.
     """
     if basis.scenario != traj.scenario:
         raise ValueError("trajectory and basis must share one scenario")
     if traj.kind is TrajectoryKind.ODE_GENERAL:
-        p = traj.params
-    elif traj.params.x0 != 0.0:
+        raise ValueError("a quadrature trajectory's velocity is defined from its momentum")
+    if traj.params.x0 != 0.0:
         raise ValueError("cannot infer action labels for a shifted closed form")
-    else:
-        p = dual_params(traj.params)
-    s = traj.scenario
-    x = traj.positions
+    s, x, p = traj.scenario, traj.positions, dual_params(traj.params)
     lhs = traj.velocities * conjugate_momentum(basis, p, x)
     rhs = kinetic_factor(s, x)
     scale = np.maximum(np.abs(rhs), 1e-12 * s.energy)

@@ -213,6 +213,16 @@ class TestResidualsCommand:
         assert "kg_fd_residual" in out
         assert "FAIL" not in out
 
+    def test_linear_euler_basis_fails_every_check(self, tmp_path, capsys):
+        # Euler at 0.05 fm is wrong by O(1) on this window, where the default
+        # basis passes: a linear gate that cannot fail would print PASS here
+        rc = main(["residuals", "--config", _write_cfg(tmp_path, LINEAR_CFG), "--method", "euler",
+                   "--step", "0.05", "--x-min", "-60", "--samples", "32",
+                   "--out", str(tmp_path / "r")])
+        checks = [l for l in capsys.readouterr().out.splitlines() if l.startswith("check ")]
+        assert rc == 1
+        assert len(checks) == 4 and all(": FAIL (" in l for l in checks), checks
+
     def test_photon(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "species = photon\nenergy_mev = 1.2\n")
         rc = main([
@@ -388,6 +398,8 @@ class TestRejectedInput:
         (["kg-solve", "--step", "1e-300"], "more than MAX_STEPS"),
         (["trajectory", "--dt", "1e-300"], "more than MAX_SAMPLES"),
         (["figure", "1", "--dt", "1e-40"], "more than MAX_SAMPLES"),
+        # the scan ends 4 fm short of the turning point, so from x-min 1 it would run backwards
+        (["residuals", "--config", "LINEAR", "--x-min", "1"], "x_range must be increasing"),
     ])
     def test_bad_value_prints_only_the_error(self, tmp_path, capsys, argv, message):
         argv = [_write_cfg(tmp_path, LINEAR_CFG) if a == "LINEAR" else a for a in argv]

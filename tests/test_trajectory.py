@@ -633,17 +633,18 @@ class TestVelocityMomentum:
         prod = traj.velocities * rq.conjugate_momentum(photon_basis, pd, traj.positions)
         assert np.allclose(prod, 1.2, rtol=1e-12)
 
-    def test_ode_trajectory_uses_action_labels(self, electron_2mev, electron_basis):
-        _, dx_n = _node_spacings(electron_2mev)
-        p = rq.MobiusParams(4.0, 2.0)
-        ode = rq.trajectory_ode(electron_2mev, electron_basis, p, (0.0, 2 * dx_n), 40)
-        assert rq.velocity_momentum_check(ode, electron_basis) <= 1e-6
-
-    def test_linear_trajectory(self, linear_electron, linear_basis):
-        traj = rq.trajectory_ode(
-            linear_electron, linear_basis, rq.MobiusParams(1.0, 0.0, -350.0), (-350.0, 5.0), 60
-        )
-        assert rq.velocity_momentum_check(traj, linear_basis) <= 1e-6
+    @pytest.mark.parametrize("scenario, basis, p, x_range, n", [
+        # two node intervals (dx_n = 320.6 fm) of the closed form, and the linear basis
+        ("electron_2mev", "electron_basis", rq.MobiusParams(4.0, 2.0), (0.0, 641.2), 40),
+        ("linear_electron", "linear_basis", rq.MobiusParams(1.0, 0.0, -350.0), (-350.0, 5.0), 60),
+    ], ids=["closed_form_basis", "linear_basis"])
+    def test_quadrature_trajectory_refused(self, request, scenario, basis, p, x_range, n):
+        # a quadrature trajectory's xdot is the kinetic factor over the
+        # momentum, so the identity would hold by construction
+        s, basis = request.getfixturevalue(scenario), request.getfixturevalue(basis)
+        ode = rq.trajectory_ode(s, basis, p, x_range, n)
+        with pytest.raises(ValueError, match="quadrature trajectory"):
+            rq.velocity_momentum_check(ode, basis)
 
     def test_product_vanishes_at_turning_point(self, linear_electron, linear_basis):
         p = rq.MobiusParams(1.0, 0.0, -350.0)
