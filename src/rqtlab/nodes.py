@@ -33,7 +33,6 @@ class NodeReport:
     dt_spacing: float           # s
     dx_spacings: np.ndarray     # fm, per interval
     wavelength: float           # fm
-    mean_momentum: float        # MeV s / fm
     ratio: float                # dx / (lambda / 2)
 
 
@@ -55,23 +54,22 @@ class ClassicalLimitReport:
 def nodes_constant(s: Scenario, n_nodes: int = 8, x0: float = 0.0) -> NodeReport:
     """Analytic nodes for a constant potential (massive allowed or photon).
 
+    The spacings are pi / omega and pi / k of ``constant_rates``:
     t_n = (n + 1/2) pi hbar |E-U0| / ((E-U0)^2 - m0^2 c^4),
     dx_n = pi hbar c / sqrt((E-U0)^2 - m0^2 c^4); the photon values follow
-    with m0 = 0.
+    with m0 = 0.  lambda is h c / sqrt((E-U0)^2 - m0^2 c^4), de Broglie's
+    h / p, so the ratio compares two routes to the spacing.
     """
     r = constant_rates(s, RegionClass.ALLOWED)
-    q = math.sqrt(r.q2)
-    dt = math.pi * s.hbar * abs(r.u) / r.q2
-    dx = math.pi * s.hbar_c / q
+    dt, dx = math.pi / r.omega, math.pi / r.k
     ns = np.arange(n_nodes)
-    lam = 2.0 * math.pi * s.hbar_c / q
+    lam = 2.0 * math.pi * s.hbar_c / math.sqrt(r.q2)
     return NodeReport(
         node_times=(ns + 0.5) * dt,
         node_positions=x0 + (ns + 0.5) * dx,
         dt_spacing=dt,
         dx_spacings=np.full(max(n_nodes - 1, 1), dx),
         wavelength=lam,
-        mean_momentum=q / s.c,
         ratio=dx / (lam / 2.0),
     )
 

@@ -46,11 +46,10 @@ class TrajectoryKind(enum.Enum):
 
 @dataclass
 class Trajectory:
-    """A sampled (t, x) path with exact per-sample velocities."""
+    """A sampled (t, x) path."""
 
     times: np.ndarray       # s, strictly increasing
     positions: np.ndarray   # fm
-    velocities: np.ndarray  # fm / s
     params: MobiusParams
     scenario: Scenario
     kind: TrajectoryKind
@@ -117,15 +116,6 @@ def constant_forbidden_position(s: Scenario, p: MobiusParams, t):
         return p.x0 + p.direction * np.log(np.abs(z)) / (2.0 * r.k)
 
 
-def constant_forbidden_velocity(s: Scenario, p: MobiusParams, t):
-    r = constant_rates(s, RegionClass.FORBIDDEN)
-    t = np.asarray(t, dtype=float)
-    z = p.a * np.tan(r.omega * t) + p.b
-    sec2 = 1.0 / np.cos(r.omega * t) ** 2
-    with np.errstate(divide="ignore"):
-        return p.direction * p.a * r.omega * sec2 / (2.0 * r.k * z)
-
-
 def node_times_constant(s: Scenario, t_lo: float, t_hi: float) -> np.ndarray:
     """Family-crossing times (n + 1/2) pi / omega inside (t_lo, t_hi)."""
     omega = constant_rates(s, RegionClass.ALLOWED).omega
@@ -172,7 +162,6 @@ def trajectory_constant_allowed(
     return Trajectory(
         times=times,
         positions=constant_allowed_position(s, p, times),
-        velocities=constant_allowed_velocity(s, p, times),
         params=p,
         scenario=s,
         kind=TrajectoryKind.CLOSED_PHOTON if s.species.is_photon else TrajectoryKind.CLOSED_ALLOWED,
@@ -232,12 +221,10 @@ def trajectory_constant_forbidden(
         raise ValueError("x_ceiling must be finite and positive")
     times = _merged_time_grid(t_range, dt, [])
     pos = constant_forbidden_position(s, p, times)
-    vel = constant_forbidden_velocity(s, p, times)
     keep = np.isfinite(pos) & (np.abs(pos) <= x_ceiling)
     traj = Trajectory(
         times=times[keep],
         positions=pos[keep],
-        velocities=vel[keep],
         params=p,
         scenario=s,
         kind=TrajectoryKind.CLOSED_FORBIDDEN,
@@ -370,10 +357,10 @@ def trajectory_ode_family(
 
     All members share the samples and the Gauss panels, so everything that
     does not depend on (a, b) is evaluated once per chunk of panels for the
-    whole family; each member's times and velocities have the same bits as
-    a family of that member alone.  The positions in ``nodes`` are partial
-    panels too, so each member's time at them (its ``node_times``) is the
-    quadrature's own, not a read between samples.  They must increase from
+    whole family; each member's times have the same bits as a family of
+    that member alone.  The positions in ``nodes`` are partial panels too,
+    so each member's time at them (its ``node_times``) is the quadrature's
+    own, not a read between samples.  They must increase from
     x_range[0] and lie inside the basis and before the first turning point
     past it; they may run past a truncated range.
     """
@@ -413,7 +400,6 @@ def trajectory_ode_family(
         out.append(Trajectory(
             times=ts[at_xs],
             positions=pos,
-            velocities=p.direction * flow_speed(s, basis, p, xs),
             params=p,
             scenario=s,
             kind=TrajectoryKind.ODE_GENERAL,
@@ -512,21 +498,24 @@ def firqnl_residual(traj: Trajectory) -> float:
 
 
 def velocity_momentum_check(traj: Trajectory, basis: KgBasis) -> float:
-    """Max relative error of xdot * dS0/dx = (E-V) - m0^2 c^4/(E-V) on a closed form.
+    """Max relative error of xdot * dS0/dx = (E-V) - m0^2 c^4/(E-V) on an allowed closed form.
 
     xdot is the derivative of x(t), and dS0/dx takes the time-domain labels
     converted to the action side (x0 = 0 anchors only).  A quadrature
     trajectory's xdot is the kinetic factor over the momentum, so the
-    identity would hold by construction there: ValueError.
+    identity would hold by construction there, and a forbidden region has
+    no allowed-region xdot: ValueError for both.
     """
     if basis.scenario != traj.scenario:
         raise ValueError("trajectory and basis must share one scenario")
     if traj.kind is TrajectoryKind.ODE_GENERAL:
         raise ValueError("a quadrature trajectory's velocity is defined from its momentum")
+    if traj.kind is TrajectoryKind.CLOSED_FORBIDDEN:
+        raise ValueError("the velocity-momentum check covers allowed-region closed forms")
     if traj.params.x0 != 0.0:
         raise ValueError("cannot infer action labels for a shifted closed form")
     s, x, p = traj.scenario, traj.positions, dual_params(traj.params)
-    lhs = traj.velocities * conjugate_momentum(basis, p, x)
+    lhs = constant_allowed_velocity(s, traj.params, traj.times) * conjugate_momentum(basis, p, x)
     rhs = kinetic_factor(s, x)
     scale = np.maximum(np.abs(rhs), 1e-12 * s.energy)
     return float(np.max(np.abs(lhs - rhs) / scale))

@@ -144,11 +144,15 @@ class TestReportCommand:
         assert "3.206015187601e-13" in out  # dx_n in metres
         assert "ratio dx/(lambda/2) : 1.000000000000" in out
         assert "FAIL" not in out
+        # the allowed-region report states closed forms and gates nothing
+        assert not [line for line in out.splitlines() if line.startswith("check ")]
 
     def test_photon_report(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "species = photon\nenergy_mev = 1.2\n")
         assert main(["report", "--config", cfg]) == 0
-        assert "5.166008267650e-13" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "5.166008267650e-13" in out
+        assert not [line for line in out.splitlines() if line.startswith("check ")]
 
     def test_forbidden_reports_no_nodes(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "species = electron\nenergy_mev = 2\nu0_mev = 1.7\n")
@@ -162,6 +166,7 @@ class TestReportCommand:
         assert main(["report", "--config", cfg, "--x-min", "-120", "--step", "2e-3"]) == 0
         out = capsys.readouterr().out
         assert "spacing growth toward turning point: True" in out
+        assert "check local_momentum_within_5pct: PASS" in out
 
     @pytest.mark.parametrize("x_min, zeros", [(None, 34), ("-110", 3)])
     def test_linear_node_count_is_the_zero_count(self, tmp_path, capsys, x_min, zeros):

@@ -42,6 +42,26 @@ class TestAnalyticNodes:
         assert nd1.dt_spacing / nd2.dt_spacing == 2.0
         assert nd1.dx_spacings[0] / nd2.dx_spacings[0] == 2.0
 
+    @pytest.mark.parametrize("species", [rq.Species.electron(), rq.Species.photon()],
+                             ids=["electron", "photon"])
+    def test_spacings_are_the_constant_rates(self, species):
+        # one source of the rates: pi / omega and pi / k, to the bit, over
+        # both signs of E - U0 and several hbar scales
+        checked = 0
+        for energy in (0.8, 1.2, 2.0, 3.7):
+            for u0 in (-1.3, 0.0, 0.5, 2.4, 5.0):
+                for eps in (1.0, 0.5, 0.02):
+                    s = rq.Scenario(species, rq.Potential.constant(u0), energy=energy,
+                                    hbar_scale=eps)
+                    if (energy - u0) ** 2 <= 1.01 * s.rest_energy**2:
+                        continue
+                    r = rq.constant_rates(s, rq.RegionClass.ALLOWED)
+                    nd = rq.nodes_constant(s)
+                    assert nd.dt_spacing == math.pi / r.omega
+                    assert nd.dx_spacings[0] == math.pi / r.k
+                    checked += 1
+        assert checked >= 40
+
     def test_forbidden_region_rejected(self, forbidden_electron):
         with pytest.raises(rq.DomainError):
             rq.nodes_constant(forbidden_electron)

@@ -34,7 +34,8 @@ class TestClosedAllowed:
         dt_n, _ = _node_spacings(electron_2mev)
         p = rq.MobiusParams(4.0, 2.0)
         traj = rq.trajectory_constant_allowed(electron_2mev, p, (0.0, dt_n), dt_n / 4096)
-        mid_v = 0.5 * (traj.velocities[1:] + traj.velocities[:-1])
+        v = rq.constant_allowed_velocity(electron_2mev, p, traj.times)
+        mid_v = 0.5 * (v[1:] + v[:-1])
         quot = np.diff(traj.positions) / np.diff(traj.times)
         assert np.max(np.abs(quot / mid_v - 1.0)) <= 1e-4
 
@@ -212,12 +213,12 @@ class TestOdeTrajectory:
             assert err <= 1e-6 * dx_n
             assert err <= 1e-12 * dx_n  # the closed-form time-of-flight resolution
 
-    def test_velocity_field_positive_and_stored(self, electron_2mev, electron_basis):
+    def test_velocity_field_positive(self, electron_2mev, electron_basis):
         _, dx_n = _node_spacings(electron_2mev)
         ode = rq.trajectory_ode(
             electron_2mev, electron_basis, rq.MobiusParams(4.0, 2.0), (0.0, 2 * dx_n), 40
         )
-        assert np.all(ode.velocities > 0)
+        assert np.all(rq.flow_speed(electron_2mev, electron_basis, ode.params, ode.positions) > 0)
         assert np.all(np.diff(ode.times) > 0)
 
     def test_linear_monotone_and_truncated(self, linear_electron, linear_basis):
@@ -258,7 +259,6 @@ class TestOdeTrajectory:
             one = rq.trajectory_ode_family(s, basis, [p], x_range, n_samples, nodes=nodes)[0]
             assert np.array_equal(traj.times, one.times)
             assert np.array_equal(traj.positions, one.positions)
-            assert np.array_equal(traj.velocities, one.velocities)
             assert np.array_equal(traj.node_times, one.node_times)
             assert len(traj.node_times) == len(nodes)
             assert traj.truncated_at == one.truncated_at
@@ -630,7 +630,8 @@ class TestVelocityMomentum:
         assert rq.velocity_momentum_check(traj, photon_basis) <= 1e-6
         # xdot dS0/dx equals E - U0 for the photon
         pd = rq.dual_params(rq.MobiusParams(4.0, 2.0))
-        prod = traj.velocities * rq.conjugate_momentum(photon_basis, pd, traj.positions)
+        xdot = rq.constant_allowed_velocity(photon_12mev, traj.params, traj.times)
+        prod = xdot * rq.conjugate_momentum(photon_basis, pd, traj.positions)
         assert np.allclose(prod, 1.2, rtol=1e-12)
 
     @pytest.mark.parametrize("scenario, basis, p, x_range, n", [
@@ -645,6 +646,14 @@ class TestVelocityMomentum:
         ode = rq.trajectory_ode(s, basis, p, x_range, n)
         with pytest.raises(ValueError, match="quadrature trajectory"):
             rq.velocity_momentum_check(ode, basis)
+
+    def test_forbidden_trajectory_refused(self, forbidden_electron):
+        # the allowed-region closed form gives xdot; a forbidden region has none
+        traj, _ = rq.trajectory_constant_forbidden(
+            forbidden_electron, rq.MobiusParams(4.0, 2.0), (0.0, 1e-21), 1e-23
+        )
+        with pytest.raises(ValueError, match="allowed-region closed forms"):
+            rq.velocity_momentum_check(traj, rq.kg_closed_constant(forbidden_electron))
 
     def test_product_vanishes_at_turning_point(self, linear_electron, linear_basis):
         p = rq.MobiusParams(1.0, 0.0, -350.0)
