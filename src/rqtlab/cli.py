@@ -180,7 +180,7 @@ def cmd_report(args, s: Scenario, regime: str) -> int:
     checks: list[tuple[str, bool]] = []
     print(f"species rest energy : {s.rest_energy} MeV")
     print(f"total energy        : {s.energy} MeV")
-    print(f"potential           : {s.potential.kind.value} "
+    print(f"potential           : {s.potential.kind} "
           f"(u0 = {s.potential.u0} MeV, g = {s.potential.g} MeV/fm)")
     print(f"hbar_scale          : {s.hbar_scale}")
 

@@ -55,8 +55,8 @@ DEFAULT_STEP = 2.0e-2
 # Most steps kg_solve_numeric takes: about ten arrays of the step count, 0.8 GB.
 MAX_STEPS = 10**7
 
-# Rows write_basis_csv writes of a closed form; a longer numeric grid is
-# thinned to every len // BASIS_CSV_POINTS-th point.
+# write_basis_csv thins a numeric grid longer than this to every
+# len // BASIS_CSV_POINTS-th sample.
 BASIS_CSV_POINTS = 1001
 
 
@@ -562,18 +562,10 @@ def kg_fd_residual(basis: KgBasis) -> float:
 
 
 def write_basis_csv(basis: KgBasis, path: str | Path) -> Path:
-    """Dump sampled basis values; header comments carry the scenario."""
-    if basis.is_closed_form:
-        xs = np.linspace(basis.x_min, basis.x_max, BASIS_CSV_POINTS)
-        source = "closed-form"
-    else:
-        xs = basis.grid
-        if len(xs) > BASIS_CSV_POINTS:
-            xs = xs[::len(xs) // BASIS_CSV_POINTS]
-        source = f"numeric:{basis.method}:step={basis.step:g}"
+    """Dump a numeric basis's stored samples (a closed form's ``grid`` raises DomainError)."""
+    stride = max(len(basis.grid) // BASIS_CSV_POINTS, 1)
     header = ["rqtlab klein-gordon basis", *scenario_header(basis.scenario),
-              f"source = {source}",
+              f"source = numeric:{basis.method}:step={basis.step:g}",
               f"wronskian_per_fm = {basis.wronskian!r}",
               "columns: x_fm, phi1, phi2, dphi1, dphi2"]
-    cols = (*basis.phi12(xs), *basis.dphi12(xs))
-    return write_csv(path, header, zip(*(np.asarray(c, dtype=float).tolist() for c in (xs, *cols))))
+    return write_csv(path, header, zip(*(c[::stride].tolist() for c in basis._samples)))

@@ -95,14 +95,13 @@ def nodes_numeric(basis: KgBasis) -> np.ndarray:
     return basis.phi2_zeros()
 
 
-def de_broglie_check(s: Scenario, report: NodeReport) -> float:
-    """Ratio of the node spacing to half the de Broglie wavelength.
+def de_broglie_check(report: NodeReport) -> float:
+    """Ratio of the node spacing to half the de Broglie wavelength: ``report.ratio``.
 
     lambda = h c / sqrt((E-U0)^2 - m0^2 c^4) with h = 2 pi hbar; the ratio
     is exactly 1 analytically, and hbar cancels so it is scale invariant.
     """
-    lam = 2.0 * math.pi * s.hbar_c / math.sqrt(constant_rates(s, RegionClass.ALLOWED).q2)
-    return float(np.mean(report.dx_spacings)) / (lam / 2.0)
+    return report.ratio
 
 
 def mean_momentum(basis: KgBasis, p: MobiusParams, x_a: float, x_b: float) -> float:
@@ -215,15 +214,14 @@ def spacing_grows(rows: list[dict]) -> bool:
 # ---------------------------------------------------------------------------
 # Output.
 
-def write_node_report_csv(report: NodeReport, path, scenario: Scenario | None = None):
-    header = ["rqtlab node report"]
-    if scenario is not None:
-        header += [f"species_rest_mev = {scenario.rest_energy!r}",
-                   f"energy_mev = {scenario.energy!r}",
-                   f"u0_mev = {scenario.potential.u0!r}",
-                   f"hbar_scale = {scenario.hbar_scale!r}"]
-    header += ["dx_m column is the spacing to the next node (last row repeats)",
-               "columns: n, t_n_s, x_n_m, dx_m, lambda_half_m, ratio"]
+def write_node_report_csv(report: NodeReport, path, scenario: Scenario):
+    header = ["rqtlab node report",
+              f"species_rest_mev = {scenario.rest_energy!r}",
+              f"energy_mev = {scenario.energy!r}",
+              f"u0_mev = {scenario.potential.u0!r}",
+              f"hbar_scale = {scenario.hbar_scale!r}",
+              "dx_m column is the spacing to the next node (last row repeats)",
+              "columns: n, t_n_s, x_n_m, dx_m, lambda_half_m, ratio"]
     half_lam = report.wavelength / 2.0 * METERS_PER_FM
     last = len(report.dx_spacings) - 1
     rows = ((n, t, x * METERS_PER_FM, report.dx_spacings[min(n, last)] * METERS_PER_FM,

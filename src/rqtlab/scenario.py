@@ -30,7 +30,8 @@ ELECTRON_REST_MEV = 0.510998950
 
 METERS_PER_FM = 1.0e-15
 
-# A point counts as a turning point when |(E-V)^2 - (m0 c^2)^2| <= this * E^2.
+# (E - V)^2 counts as the turning value (m0 c^2)^2 when they differ by at
+# most this * E^2; constant_rates refuses a constant potential in the band.
 TURNING_TOL_FACTOR = 1.0e-12
 
 
@@ -47,7 +48,6 @@ def m_to_fm(x_m: float) -> float:
 class RegionClass(enum.Enum):
     ALLOWED = "allowed"
     FORBIDDEN = "forbidden"
-    TURNING_POINT = "turning-point"
 
 
 @dataclass(frozen=True)
@@ -73,36 +73,36 @@ class Species:
         return cls(rest_energy=0.0)
 
 
-class PotentialKind(enum.Enum):
-    CONSTANT = "constant"
-    LINEAR = "linear"
-
-
 @dataclass(frozen=True)
 class Potential:
-    """Constant (V = U0) or linear (V = g x) external potential."""
+    """Constant (V = U0, g = 0) or linear (V = g x, U0 = 0) external potential."""
 
-    kind: PotentialKind
     u0: float = 0.0  # MeV, constant case
     g: float = 0.0   # MeV / fm, linear case
 
     def __post_init__(self):
         if not (math.isfinite(self.u0) and math.isfinite(self.g)):
             raise ValueError("potential parameters must be finite")
+        if self.u0 != 0.0 and self.g != 0.0:
+            raise ValueError("a potential is constant (u0) or linear (g), not both")
 
     @classmethod
     def constant(cls, u0: float = 0.0) -> "Potential":
-        return cls(kind=PotentialKind.CONSTANT, u0=u0)
+        return cls(u0=u0)
 
     @classmethod
     def linear(cls, g: float) -> "Potential":
         if g == 0.0:
             raise ValueError("linear potential needs a nonzero slope")
-        return cls(kind=PotentialKind.LINEAR, g=g)
+        return cls(g=g)
 
     @property
     def is_constant(self) -> bool:
-        return self.kind is PotentialKind.CONSTANT
+        return self.g == 0.0
+
+    @property
+    def kind(self) -> str:
+        return "constant" if self.is_constant else "linear"
 
     # V, V' and V'' of a float or array x: "+ 0.0 * x" gives a constant the shape of x
     def value(self, x):
@@ -150,19 +150,6 @@ class Scenario:
 
     def with_hbar_scale(self, eps: float) -> "Scenario":
         return replace(self, hbar_scale=eps)
-
-
-def classify_region(s: Scenario, x: float) -> RegionClass:
-    """Classify x as allowed / forbidden / turning point.
-
-    Allowed means (E - V)^2 > (m0 c^2)^2; the turning-point band is
-    relative to E^2 so the test behaves uniformly across energy scales.
-    """
-    u = s.energy - s.potential.value(x)
-    d = u * u - s.rest_energy**2
-    if abs(d) <= TURNING_TOL_FACTOR * s.energy**2:
-        return RegionClass.TURNING_POINT
-    return RegionClass.ALLOWED if d > 0 else RegionClass.FORBIDDEN
 
 
 def turning_points(s: Scenario) -> list[float]:
@@ -246,7 +233,7 @@ def scenario_header(s: Scenario) -> list[str]:
     return [
         f"species_rest_mev = {s.rest_energy!r}",
         f"energy_mev = {s.energy!r}",
-        f"potential = {s.potential.kind.value}",
+        f"potential = {s.potential.kind}",
         f"u0_mev = {s.potential.u0!r}",
         f"g_mev_per_fm = {s.potential.g!r}",
         f"hbar_scale = {s.hbar_scale!r}",
@@ -290,7 +277,7 @@ CONFIG_KEYS = (
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
+    """Parse ``key = value`` lines; '#' starts a comment, blanks ignored, a repeated key refused."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -298,8 +285,10 @@ def parse_config_text(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"config line {lineno}: {key!r} given twice")
+        out[key] = value
     return out
 
 
@@ -322,6 +311,9 @@ def scenario_from_config(cfg: Mapping[str, str]) -> Scenario:
         raise ValueError(f"unknown species {species_name!r} (electron or photon)")
 
     pot_name = cfg.get("potential", "constant").lower()
+    stray = {"constant": "g_mev_per_fm", "linear": "u0_mev"}.get(pot_name)
+    if stray in cfg:
+        raise ValueError(f"a {pot_name} potential does not read {stray}")
     if pot_name == "constant":
         potential = Potential.constant(u0=float(cfg.get("u0_mev", "0")))
     elif pot_name == "linear":

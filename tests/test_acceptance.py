@@ -85,8 +85,8 @@ def test_criterion_01_node_law_identity(electron_2mev):
 
 def test_criterion_02_half_wavelength_law(electron_2mev, photon_12mev):
     """de Broglie ratio dx / (lambda/2) = 1 within 1e-12."""
-    r_e = rq.de_broglie_check(electron_2mev, rq.nodes_constant(electron_2mev))
-    r_p = rq.de_broglie_check(photon_12mev, rq.nodes_constant(photon_12mev))
+    r_e = rq.de_broglie_check(rq.nodes_constant(electron_2mev))
+    r_p = rq.de_broglie_check(rq.nodes_constant(photon_12mev))
     assert abs(r_e - 1.0) <= 1e-12
     assert abs(r_p - 1.0) <= 1e-12
     _report(2, f"half-wavelength law: ratios 1 {abs(r_e - 1):.1e} (electron), "

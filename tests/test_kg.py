@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import rqtlab as rq
 from rqtlab.cli import KG_FD_BOUND
-from rqtlab.kg import (LINEAR_X_MIN, TURNING_MARGIN, _magnus6_matrix, _omega_sq, _omega_sq_slope,
-                       _rk4_matrix, local_wavenumber)
+from rqtlab.kg import (BASIS_CSV_POINTS, LINEAR_X_MIN, TURNING_MARGIN, _magnus6_matrix, _omega_sq,
+                       _omega_sq_slope, _rk4_matrix, local_wavenumber)
 
 # wavenumbers from sqrt((E-U0)^2 - m0^2 c^4) / (hbar c), frozen from the
 # defining arithmetic
@@ -553,3 +553,20 @@ class TestBasisCsv:
         assert any("energy_mev" in h for h in header)
         assert "# source = numeric:rk4:step=0.002" in header
         assert len(data[0].split(",")) == 5
+
+    def test_rows_are_the_thinned_samples(self, tmp_path, linear_basis, linear_electron):
+        small = rq.kg_solve_numeric(linear_electron, 0.0, 1.0, step=0.01)
+        for basis, stride in ((linear_basis, len(linear_basis.grid) // BASIS_CSV_POINTS),
+                              (small, 1)):
+            assert (len(basis.grid) > BASIS_CSV_POINTS) == (stride > 1)
+            cols = [c[::stride] for c in basis._samples]
+            # the interpolant reads its samples at a grid point, bit for bit
+            reads = (*basis.phi12(cols[0]), *basis.dphi12(cols[0]))
+            assert all(np.array_equal(r, c) for r, c in zip(reads, cols[1:]))
+            text = rq.write_basis_csv(basis, tmp_path / "basis.csv").read_text()
+            data = [l for l in text.splitlines() if not l.startswith("#")]
+            assert data == [",".join(f"{v:.12e}" for v in row) for row in zip(*cols)]
+
+    def test_closed_form_refused(self, tmp_path, electron_basis):
+        with pytest.raises(rq.DomainError):
+            rq.write_basis_csv(electron_basis, tmp_path / "basis.csv")

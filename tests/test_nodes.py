@@ -116,17 +116,22 @@ class TestNumericNodes:
 class TestDeBroglie:
     def test_electron_ratio_unity(self, electron_2mev):
         nd = rq.nodes_constant(electron_2mev)
-        assert abs(rq.de_broglie_check(electron_2mev, nd) - 1.0) <= 1e-12
+        assert abs(rq.de_broglie_check(nd) - 1.0) <= 1e-12
         assert nd.wavelength == pytest.approx(641.20, rel=1e-5)
 
     def test_photon_ratio_unity(self, photon_12mev):
         nd = rq.nodes_constant(photon_12mev)
-        assert abs(rq.de_broglie_check(photon_12mev, nd) - 1.0) <= 1e-12
+        assert abs(rq.de_broglie_check(nd) - 1.0) <= 1e-12
 
     def test_ratio_invariant_under_hbar_scale(self, electron_2mev):
         for eps in (1.0, 0.5, 0.125):
             s = electron_2mev.with_hbar_scale(eps)
-            assert rq.de_broglie_check(s, rq.nodes_constant(s)) == pytest.approx(1.0, abs=1e-13)
+            assert rq.de_broglie_check(rq.nodes_constant(s)) == pytest.approx(1.0, abs=1e-13)
+
+    def test_reads_the_report_ratio(self, electron_2mev, photon_12mev):
+        for s in (electron_2mev, photon_12mev, electron_2mev.with_hbar_scale(0.5)):
+            nd = rq.nodes_constant(s)
+            assert rq.de_broglie_check(nd) == nd.ratio
 
 
 class TestMeanMomentum:
