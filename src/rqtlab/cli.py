@@ -25,7 +25,8 @@ from .kg import (DEFAULT_METHOD, DEFAULT_STEP, DRIFT_TOL_NUMERIC, METHODS, kg_cl
 from .nodes import (classical_limit_scan, linear_node_summary, nodes_constant, nodes_numeric,
                     spacing_grows, write_classical_csv, write_node_report_csv)
 from .scenario import (METERS_PER_FM, Potential, RegionClass, Scenario, Species, constant_rates,
-                       load_config, scenario_from_config, turning_points, write_csv)
+                       load_config, scenario_from_config, scenario_header, turning_points,
+                       write_csv)
 from .trajectory import (MAX_SAMPLES, firqnl_residual, refuse_mirrored,
                          trajectory_constant_allowed, trajectory_constant_forbidden,
                          trajectory_ode_family, velocity_momentum_check, write_trajectory_csv)
@@ -72,6 +73,11 @@ def _family(args, x0: float = 0.0, default=DEFAULT_AB) -> list[MobiusParams]:
         out.append(MobiusParams(a=float(parts[0]), b=float(parts[1]), x0=x0))
     if not out:
         raise ValueError("empty --ab list")
+    # a member's tag names its file, so two members with one tag would write it twice
+    tags = [_ab_tag(p) for p in out]
+    twice = [tag for i, tag in enumerate(tags) if tag in tags[:i]]
+    if twice:
+        raise ValueError(f"--ab repeats the member {twice[0]}")
     return out
 
 
@@ -164,8 +170,7 @@ def cmd_figure(args, s: Scenario, regime: str) -> int:
     elif fig == 4:
         zeros, t_at, turning = nodes
         header = ["rqtlab linear-potential nodes (times from the a=1, b=0 member)",
-                  f"energy_mev = {s.energy!r}", f"g_mev_per_fm = {s.potential.g!r}",
-                  "columns: n, t_n_s, x_n_m"]
+                  *scenario_header(s), "columns: n, t_n_s, x_n_m"]
         rows = zip(range(len(zeros)), t_at.tolist(), (zeros * METERS_PER_FM).tolist())
         written.append(write_csv(out / "fig4_nodes.csv", header, rows))
         print(f"figure 4: turning point at {turning * METERS_PER_FM:.12e} m, {len(zeros)} nodes")
@@ -234,21 +239,21 @@ def cmd_residuals(args, s: Scenario, regime: str) -> int:
     for p in family:
         tag = _ab_tag(p)
         rows = action_scan(basis, p, xs)
-        header = [title, f"a = {p.a!r}", f"b = {p.b!r}", "columns: x_fm, s0_mev_s, ds0dx, residual"]
+        header = [title, *scenario_header(s), f"a = {p.a!r}", f"b = {p.b!r}",
+                  "columns: x_fm, s0_mev_s, ds0dx, residual"]
         print(f"wrote {write_csv(out / f'residuals_{tag}.csv', header, rows)}")
         r_hj = max(r[3] for r in rows)
         if regime == ALLOWED:
             straight = p.a == 1.0 and p.b == 0.0
-            traj = trajectory_constant_allowed(s, p, t_range, nd.dt_spacing / 2000.0)
-            # analytic-vanishing tier: derivatives are exactly zero, so
-            # sample coarsely to keep the difference noise at bay
-            coarse = trajectory_constant_allowed(s, p, t_range, nd.dt_spacing / 16) if straight else traj
-            r_fq = firqnl_residual(coarse)
+            # 6,001 samples are dt_n / 2000 apart, with the node times among them; the
+            # analytic-vanishing tier's derivatives are exactly zero, so it takes 49
+            # (dt_n / 16) to keep the difference noise at bay
+            r_fq = firqnl_residual(s, p, t_range, 49 if straight else 6001)
             _status(f"rqshje_{tag}", r_hj,
                     RQSHJE_BOUND_STRAIGHT if straight else RQSHJE_BOUND_GENERIC, checks)
             _status(f"firqnl_{tag}", r_fq,
                     FIRQNL_BOUND_STRAIGHT if straight else FIRQNL_BOUND_GENERIC, checks)
-            _status(f"velocity_momentum_{tag}", velocity_momentum_check(traj, basis),
+            _status(f"velocity_momentum_{tag}", velocity_momentum_check(s, p, t_range, 6001),
                     VELMOM_BOUND, checks)
         else:
             _status(f"rqshje_{tag}", r_hj, RQSHJE_BOUND_LINEAR, checks)
@@ -265,8 +270,7 @@ def cmd_trajectory(args, s: Scenario, regime: str) -> int:
 
 def _write_intervals(path: Path, s: Scenario, rows: list[dict]) -> Path:
     """The node intervals of linear_node_summary as CSV, lengths in metres."""
-    header = ["rqtlab numeric node intervals", f"energy_mev = {s.energy!r}",
-              f"g_mev_per_fm = {s.potential.g!r}",
+    header = ["rqtlab numeric node intervals", *scenario_header(s),
               "columns: n, x_lo_m, x_hi_m, dx_m, p_node_mev_s_per_fm, p_classical_mid"]
     return write_csv(path, header, (
         (r["n"], r["x_lo"] * METERS_PER_FM, r["x_hi"] * METERS_PER_FM,
@@ -309,7 +313,7 @@ def cmd_classical_limit(args, s: Scenario, regime: str) -> int:
     out = _out_dir(args)
     p = _family(args, default=((4.0, 2.0),))[0]
     rep = classical_limit_scan(s, p, tuple(float(e) for e in args.epsilons.split(",")))
-    print(f"wrote {write_classical_csv(rep, out / 'classical_limit.csv')}")
+    print(f"wrote {write_classical_csv(rep, out / 'classical_limit.csv', s)}")
     print(f"fitted scaling exponent = {rep.exponent:.6f}")
     print(f"check classical_limit_scaling: {'PASS' if rep.scaling_holds else 'FAIL'}")
     return _verdict([("classical_limit_scaling", rep.scaling_holds)])

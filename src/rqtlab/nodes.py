@@ -21,6 +21,7 @@ from .scenario import (
     RegionClass,
     Scenario,
     constant_rates,
+    scenario_header,
     write_csv,
 )
 from .trajectory import constant_allowed_position
@@ -215,11 +216,7 @@ def spacing_grows(rows: list[dict]) -> bool:
 # Output.
 
 def write_node_report_csv(report: NodeReport, path, scenario: Scenario):
-    header = ["rqtlab node report",
-              f"species_rest_mev = {scenario.rest_energy!r}",
-              f"energy_mev = {scenario.energy!r}",
-              f"u0_mev = {scenario.potential.u0!r}",
-              f"hbar_scale = {scenario.hbar_scale!r}",
+    header = ["rqtlab node report", *scenario_header(scenario),
               "dx_m column is the spacing to the next node (last row repeats)",
               "columns: n, t_n_s, x_n_m, dx_m, lambda_half_m, ratio"]
     half_lam = report.wavelength / 2.0 * METERS_PER_FM
@@ -230,8 +227,9 @@ def write_node_report_csv(report: NodeReport, path, scenario: Scenario):
     return write_csv(path, header, rows)
 
 
-def write_classical_csv(report: ClassicalLimitReport, path):
-    header = ["rqtlab classical-limit scan", f"fitted_exponent = {report.exponent:.12e}",
+def write_classical_csv(report: ClassicalLimitReport, path, scenario: Scenario):
+    header = ["rqtlab classical-limit scan", *scenario_header(scenario),
+              f"fitted_exponent = {report.exponent:.12e}",
               "columns: epsilon, deviation_m, bound_m"]
     return write_csv(path, header, zip(report.epsilons, report.deviations * METERS_PER_FM,
                                        report.bounds * METERS_PER_FM))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .action import MobiusParams, conjugate_momentum, dual_params
 from .errors import DomainError
-from .kg import KgBasis
+from .kg import KgBasis, kg_closed_constant
 from .scenario import (
     METERS_PER_FM,
     RegionClass,
@@ -440,38 +440,30 @@ def _firqnl_terms(s: Scenario, x, xd, xdd, xddd):
     return t1, t2, t3, t4, t5, t6
 
 
-def _uniform_samples(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Uniformly spaced (t, x); a closed form off a uniform grid is resampled exactly.
+def _uniform_times(t_range: tuple[float, float], n: int) -> np.ndarray:
+    t0, t1 = t_range
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise ValueError("t_range must be finite and increasing")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"{n} samples, more than MAX_SAMPLES = {MAX_SAMPLES:.0e}")
+    return np.linspace(t0, t1, n)
 
-    A quadrature trajectory is sampled uniformly in x, not t, and has no
-    exact x(t) to resample: ValueError.
+
+def firqnl_residual(s: Scenario, p: MobiusParams, t_range: tuple[float, float], n: int) -> float:
+    """Max normalized residual of the trajectory-level first integral on a closed form.
+
+    x(t) is the closed form of the scenario's region (photon included),
+    sampled at n uniform times over t_range.  xdot and xddot come from
+    5-point stencils, the third derivative from a 7-point stencil.  In an
+    allowed region the maximum keeps one node interval clear of the range
+    ends, where the stencils are weakest.
     """
-    t = traj.times
-    if len(t) < 7:
+    if n < 7:
         raise ValueError("need at least 7 samples for the difference stencils")
-    dts = np.diff(t)
-    if np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        return t, traj.positions
-    if traj.kind is TrajectoryKind.ODE_GENERAL:
-        raise ValueError("a quadrature trajectory is not uniform in time; "
-                         "the first-integral stencils need a closed form")
-    position = (constant_forbidden_position if traj.kind is TrajectoryKind.CLOSED_FORBIDDEN
-                else constant_allowed_position)
-    grid = np.linspace(t[0], t[-1], len(t))
-    return grid, np.asarray(position(traj.scenario, traj.params, grid), dtype=float)
-
-
-def firqnl_residual(traj: Trajectory) -> float:
-    """Max normalized residual of the trajectory-level first integral.
-
-    xdot and xddot come from 5-point stencils, the third derivative from a
-    7-point stencil, all on a uniform time grid (a closed form off one is
-    resampled first; a quadrature trajectory raises ValueError).  The
-    maximum is taken over interior samples, keeping one node interval clear
-    of the trajectory endpoints where the stencils are weakest.
-    """
-    s = traj.scenario
-    t, x = _uniform_samples(traj)
+    t = _uniform_times(t_range, n)
+    r = constant_rates(s)
+    allowed = r.region is RegionClass.ALLOWED
+    x = (constant_allowed_position if allowed else constant_forbidden_position)(s, p, t)
     h = t[1] - t[0]
     xd = (-x[4:] + 8 * x[3:-1] - 8 * x[1:-3] + x[:-4]) / (12.0 * h)
     xdd = (-x[4:] + 16 * x[3:-1] - 30 * x[2:-2] + 16 * x[1:-3] - x[:-4]) / (12.0 * h * h)
@@ -489,33 +481,29 @@ def firqnl_residual(traj: Trajectory) -> float:
     res = np.abs(total) / scale
 
     keep = np.ones(len(tin), dtype=bool)
-    if traj.kind in (TrajectoryKind.CLOSED_ALLOWED, TrajectoryKind.CLOSED_PHOTON):
-        guard = math.pi / constant_rates(s).omega  # one node interval
+    if allowed:
+        guard = math.pi / r.omega  # one node interval
         keep &= (tin >= t[0] + guard) & (tin <= t[-1] - guard)
         if not np.any(keep):
             keep[:] = True
     return float(np.max(res[keep]))
 
 
-def velocity_momentum_check(traj: Trajectory, basis: KgBasis) -> float:
+def velocity_momentum_check(s: Scenario, p: MobiusParams, t_range: tuple[float, float],
+                            n: int) -> float:
     """Max relative error of xdot * dS0/dx = (E-V) - m0^2 c^4/(E-V) on an allowed closed form.
 
-    xdot is the derivative of x(t), and dS0/dx takes the time-domain labels
-    converted to the action side (x0 = 0 anchors only).  A quadrature
-    trajectory's xdot is the kinetic factor over the momentum, so the
-    identity would hold by construction there, and a forbidden region has
-    no allowed-region xdot: ValueError for both.
+    x and xdot are the closed form's at n uniform times over t_range, and
+    dS0/dx takes the time-domain labels converted to the action side
+    (x0 = 0 anchors only).  A forbidden region has no allowed-region xdot:
+    DomainError.
     """
-    if basis.scenario != traj.scenario:
-        raise ValueError("trajectory and basis must share one scenario")
-    if traj.kind is TrajectoryKind.ODE_GENERAL:
-        raise ValueError("a quadrature trajectory's velocity is defined from its momentum")
-    if traj.kind is TrajectoryKind.CLOSED_FORBIDDEN:
-        raise ValueError("the velocity-momentum check covers allowed-region closed forms")
-    if traj.params.x0 != 0.0:
+    if p.x0 != 0.0:
         raise ValueError("cannot infer action labels for a shifted closed form")
-    s, x, p = traj.scenario, traj.positions, dual_params(traj.params)
-    lhs = constant_allowed_velocity(s, traj.params, traj.times) * conjugate_momentum(basis, p, x)
+    t = _uniform_times(t_range, n)
+    x = constant_allowed_position(s, p, t)
+    momentum = conjugate_momentum(kg_closed_constant(s), dual_params(p), x)
+    lhs = constant_allowed_velocity(s, p, t) * momentum
     rhs = kinetic_factor(s, x)
     scale = np.maximum(np.abs(rhs), 1e-12 * s.energy)
     return float(np.max(np.abs(lhs - rhs) / scale))

@@ -200,9 +200,7 @@ def test_criterion_06_wronskian_constancy(
                f"numeric <= {max(d4, d5):.1e}")
 
 
-def test_criterion_07_residual_suite(
-    electron_2mev, photon_12mev, electron_basis, photon_basis, linear_basis
-):
+def test_criterion_07_residual_suite(electron_2mev, photon_12mev, electron_basis, linear_basis):
     """Hamilton-Jacobi, first-integral, and velocity-momentum residuals."""
     s, sp_ = electron_2mev, photon_12mev
     nd, ndp = rq.nodes_constant(s), rq.nodes_constant(sp_)
@@ -210,12 +208,9 @@ def test_criterion_07_residual_suite(
 
     # analytic-vanishing tier
     hj10 = max(rq.rqshje_residual(electron_basis, p10, x) for x in (-311.0, 8.0, 702.0))
-    t10 = rq.trajectory_constant_allowed(s, p10, (0.0, 3 * nd.dt_spacing), nd.dt_spacing / 16)
-    fq10 = rq.firqnl_residual(t10)
-    vm10 = rq.velocity_momentum_check(
-        rq.trajectory_constant_allowed(s, p10, (0.0, 3 * nd.dt_spacing), nd.dt_spacing / 100),
-        electron_basis,
-    )
+    t3 = (0.0, 3 * nd.dt_spacing)
+    fq10 = rq.firqnl_residual(s, p10, t3, 49)
+    vm10 = rq.velocity_momentum_check(s, p10, t3, 301)
     assert hj10 <= 1e-6 and fq10 <= 1e-6 and vm10 <= 1e-6
 
     # generic members at their recorded bounds
@@ -223,20 +218,13 @@ def test_criterion_07_residual_suite(
         rq.rqshje_residual(electron_basis, p42, float(x))
         for x in np.linspace(-300.0, 300.0, 31)
     )
-    t42 = rq.trajectory_constant_allowed(s, p42, (0.0, 3 * nd.dt_spacing), nd.dt_spacing / 2000)
-    fq42 = rq.firqnl_residual(t42)
-    vm42 = rq.velocity_momentum_check(
-        rq.trajectory_constant_allowed(s, p42, (0.0, 3 * nd.dt_spacing), nd.dt_spacing / 100),
-        electron_basis,
-    )
+    fq42 = rq.firqnl_residual(s, p42, t3, 6001)
+    vm42 = rq.velocity_momentum_check(s, p42, t3, 301)
     assert hj42 <= 1e-4 and fq42 <= 1e-3 and vm42 <= 1e-6
 
-    tp = rq.trajectory_photon(sp_, rq.MobiusParams(2.0, 1.0), (0.0, 3 * ndp.dt_spacing), ndp.dt_spacing / 2000)
-    fq_ph = rq.firqnl_residual(tp)
-    vm_ph = rq.velocity_momentum_check(
-        rq.trajectory_photon(sp_, rq.MobiusParams(2.0, 1.0), (0.0, 3 * ndp.dt_spacing), ndp.dt_spacing / 100),
-        photon_basis,
-    )
+    p21, t3p = rq.MobiusParams(2.0, 1.0), (0.0, 3 * ndp.dt_spacing)
+    fq_ph = rq.firqnl_residual(sp_, p21, t3p, 6001)
+    vm_ph = rq.velocity_momentum_check(sp_, p21, t3p, 301)
     assert fq_ph <= 1e-3 and vm_ph <= 1e-6
 
     hj_lin = max(

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import rqtlab
-from rqtlab.cli import main
+from rqtlab.cli import FIGURES, main
+from rqtlab.scenario import scenario_header
 
 C_M_PER_S = 2.99792458e8
 
@@ -42,6 +43,13 @@ class TestFigureCommand:
             "fig1_traj_a1_b0.csv",
             "fig1_traj_a4_b2.csv",
         ]
+
+    def test_figure1_member_and_its_mirror_are_two_files(self, tmp_path):
+        # (1, 0) and (-1, -0) have different tags, so neither repeats the other
+        assert main(["figure", "1", "--out", str(tmp_path / "f"), "--samples", "32",
+                     "--ab", "1,0;-1,-0"]) == 0
+        assert sorted(p.name for p in (tmp_path / "f").glob("fig1_traj_*.csv")) == [
+            "fig1_traj_a1_b0.csv", "fig1_traj_am1_bm0.csv"]
 
     def test_figure1_deterministic(self, tmp_path):
         main(["figure", "1", "--out", str(tmp_path / "a"), "--samples", "120"])
@@ -334,6 +342,32 @@ class TestOtherCommands:
         assert "1.603007593801e-13" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure", "1"], ["figure", "2"], ["figure", "3"], ["figure", "4", "--x0", "-60"],
+    ["report", "--hbar-scale", "0.5"], ["report", "--config", "LINEAR", "--x-min", "-200"],
+    ["residuals", "--samples", "32"],
+    ["residuals", "--config", "LINEAR", "--x-min", "-60", "--samples", "32"],
+    ["trajectory", "--samples", "32"], ["nodes"],
+    ["nodes", "--config", "LINEAR", "--x-min", "-200", "--hbar-scale", "0.5"],
+    ["kg-solve"], ["classical-limit"],
+], ids=" ".join)
+def test_every_csv_echoes_the_scenario(tmp_path, argv):
+    cfg = _write_cfg(tmp_path, LINEAR_CFG)
+    if "LINEAR" in argv:
+        s = rqtlab.scenario_from_config(rqtlab.parse_config_text(LINEAR_CFG))
+    else:
+        s = FIGURES[int(argv[1]) if argv[0] == "figure" else 1][0]
+    if "--hbar-scale" in argv:
+        s = s.with_hbar_scale(float(argv[argv.index("--hbar-scale") + 1]))
+    argv = [cfg if a == "LINEAR" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    paths = sorted((tmp_path / "o").glob("*.csv"))
+    assert paths
+    for path in paths:
+        header = [l for l in path.read_text().splitlines() if l.startswith("#")]
+        assert all(f"# {line}" in header for line in scenario_header(s)), path.name
+
+
 class TestRejectedInput:
     def test_nan_energy(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "energy_mev = nan\n")
@@ -423,6 +457,9 @@ class TestRejectedInput:
         (["figure", "4", "--samples", "1000000000000000"], "MAX_SAMPLES"),
         (["residuals", "--samples", "1000000000000000"], "MAX_SAMPLES"),
         (["figure", "1", "--samples", "10000001"], "MAX_SAMPLES"),
+        # a member's tag names its file, which a repeated member would write twice
+        (["residuals", "--ab", "4,2;4,2"], "repeats the member a4_b2"),
+        (["figure", "1", "--ab", "1,0;1,0"], "repeats the member a1_b0"),
     ])
     def test_refused_input_leaves_no_out_directory(self, tmp_path, capsys, argv, message):
         # the --out directory is made by the first CSV written, so a refusal leaves none
@@ -483,8 +520,7 @@ from rqtlab.cli import main
 print([main([*argv, "--out", {str(tmp_path / "o")!r}]) for argv in {runs!r}])
 s = rq.Scenario(rq.Species.electron(), rq.Potential.constant(0.0), energy=2.0)
 dt = rq.nodes_constant(s).dt_spacing
-traj = rq.trajectory_constant_allowed(s, rq.MobiusParams(4.0, 2.0), (0.0, 3 * dt), dt / 2000)
-print(rq.firqnl_residual(traj) <= 1e-3)
+print(rq.firqnl_residual(s, rq.MobiusParams(4.0, 2.0), (0.0, 3 * dt), 6001) <= 1e-3)
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout

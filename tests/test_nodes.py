@@ -225,7 +225,7 @@ class TestReports:
 
     def test_classical_csv(self, tmp_path, electron_2mev):
         rep = rq.classical_limit_scan(electron_2mev, rq.MobiusParams(4.0, 2.0), [1.0, 0.5])
-        path = rq.write_classical_csv(rep, tmp_path / "cl.csv")
+        path = rq.write_classical_csv(rep, tmp_path / "cl.csv", electron_2mev)
         lines = path.read_text().splitlines()
         assert any("columns: epsilon, deviation_m, bound_m" in l for l in lines)
         assert len([l for l in lines if not l.startswith("#")]) == 2

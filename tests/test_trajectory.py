@@ -496,50 +496,32 @@ class TestPartialCells:
 class TestFirqnlResidual:
     def test_straight_line_tier(self, electron_2mev):
         dt_n, _ = _node_spacings(electron_2mev)
-        traj = rq.trajectory_constant_allowed(
-            electron_2mev, rq.MobiusParams(1.0, 0.0), (0.0, 3 * dt_n), dt_n / 16
-        )
-        assert rq.firqnl_residual(traj) <= 1e-8
+        assert rq.firqnl_residual(electron_2mev, rq.MobiusParams(1.0, 0.0), (0.0, 3 * dt_n),
+                                  49) <= 1e-8
 
     def test_generic_member(self, electron_2mev):
         dt_n, _ = _node_spacings(electron_2mev)
-        traj = rq.trajectory_constant_allowed(
-            electron_2mev, rq.MobiusParams(4.0, 2.0), (0.0, 3 * dt_n), dt_n / 2000
-        )
-        assert rq.firqnl_residual(traj) <= 1e-3
+        assert rq.firqnl_residual(electron_2mev, rq.MobiusParams(4.0, 2.0), (0.0, 3 * dt_n),
+                                  6001) <= 1e-3
 
     def test_photon(self, photon_12mev):
         dt_n, _ = _node_spacings(photon_12mev)
-        traj = rq.trajectory_photon(
-            photon_12mev, rq.MobiusParams(2.0, 1.0), (0.0, 3 * dt_n), dt_n / 2000
-        )
-        assert rq.firqnl_residual(traj) <= 1e-3
+        assert rq.firqnl_residual(photon_12mev, rq.MobiusParams(2.0, 1.0), (0.0, 3 * dt_n),
+                                  6001) <= 1e-3
 
-    def test_quadrature_trajectory_refused(self, electron_2mev, electron_basis):
-        # sampled uniformly in x, not t, with no exact x(t) to resample
-        traj = rq.trajectory_ode(electron_2mev, electron_basis, rq.MobiusParams(4.0, 2.0),
-                                 (0.0, 600.0), 64)
-        with pytest.raises(ValueError, match="quadrature"):
-            rq.firqnl_residual(traj)
-
-    def test_forbidden_resampled_off_its_clipped_grid(self, forbidden_electron):
-        # clipped samples leave a closed form non-uniform in t: it is read again
-        # from its own x(t) on a uniform grid, not refused
+    @pytest.mark.parametrize("n", [600, 2000])
+    def test_forbidden_window_between_divergences(self, forbidden_electron, n):
+        # the forbidden closed form is finite strictly between two blow-up times
         s, p = forbidden_electron, rq.MobiusParams(4.0, 2.0)
         period = 2.0 * math.pi / abs(rq.constant_rates(s).omega)
-        traj, _ = rq.trajectory_constant_forbidden(s, p, (0.0, period), period / 600, 1000.0)
-        grid, x = rq.trajectory._uniform_samples(traj)
-        assert len(grid) == len(traj.times) < 601
-        assert np.array_equal(x, rq.constant_forbidden_position(s, p, grid))
-        assert math.isfinite(rq.firqnl_residual(traj))
+        t_a, t_b = (e.t_star for e in rq.divergence_times_forbidden(s, p, (0.0, period))[:2])
+        window = (t_a + 0.1 * (t_b - t_a), t_b - 0.1 * (t_b - t_a))
+        assert rq.firqnl_residual(s, p, window, n) <= 1e-3
 
     def test_too_few_samples(self, electron_2mev):
         dt_n, _ = _node_spacings(electron_2mev)
-        traj = rq.trajectory_constant_allowed(
-            electron_2mev, rq.MobiusParams(1.0, 0.0), (0.0, 0.4 * dt_n), 0.1 * dt_n
-        )
-        with pytest.raises(ValueError):
-            rq.firqnl_residual(traj)
+        with pytest.raises(ValueError, match="at least 7 samples"):
+            rq.firqnl_residual(electron_2mev, rq.MobiusParams(1.0, 0.0), (0.0, 0.4 * dt_n), 4)
 
     def test_formula_matches_symbolic_reduction(self):
         """The hard-coded first-integral terms equal the Hamilton-Jacobi
@@ -607,53 +589,33 @@ class TestFirqnlResidual:
 
 class TestVelocityMomentum:
     @pytest.mark.parametrize("a,b", AB_GRID)
-    def test_closed_allowed_family(self, electron_2mev, electron_basis, a, b):
+    def test_closed_allowed_family(self, electron_2mev, a, b):
         dt_n, _ = _node_spacings(electron_2mev)
-        traj = rq.trajectory_constant_allowed(
-            electron_2mev, rq.MobiusParams(a, b), (0.0, 2 * dt_n), dt_n / 100
-        )
-        assert rq.velocity_momentum_check(traj, electron_basis) <= 1e-6
+        assert rq.velocity_momentum_check(electron_2mev, rq.MobiusParams(a, b), (0.0, 2 * dt_n),
+                                          201) <= 1e-6
 
     @pytest.mark.parametrize("a,b", [(-1.0, 0.5), (-4.0, 2.0), (-0.5, -1.0)])
-    def test_closed_allowed_mirrored_members(self, electron_2mev, electron_basis, a, b):
+    def test_closed_allowed_mirrored_members(self, electron_2mev, a, b):
         dt_n, _ = _node_spacings(electron_2mev)
-        traj = rq.trajectory_constant_allowed(
-            electron_2mev, rq.MobiusParams(a, b), (0.0, 2 * dt_n), dt_n / 100
-        )
-        assert rq.velocity_momentum_check(traj, electron_basis) <= 1e-6
+        assert rq.velocity_momentum_check(electron_2mev, rq.MobiusParams(a, b), (0.0, 2 * dt_n),
+                                          201) <= 1e-6
 
     def test_photon_energy_relation(self, photon_12mev, photon_basis):
         dt_n, _ = _node_spacings(photon_12mev)
-        traj = rq.trajectory_photon(
-            photon_12mev, rq.MobiusParams(4.0, 2.0), (0.0, 2 * dt_n), dt_n / 100
-        )
-        assert rq.velocity_momentum_check(traj, photon_basis) <= 1e-6
+        p = rq.MobiusParams(4.0, 2.0)
+        assert rq.velocity_momentum_check(photon_12mev, p, (0.0, 2 * dt_n), 201) <= 1e-6
         # xdot dS0/dx equals E - U0 for the photon
-        pd = rq.dual_params(rq.MobiusParams(4.0, 2.0))
-        xdot = rq.constant_allowed_velocity(photon_12mev, traj.params, traj.times)
-        prod = xdot * rq.conjugate_momentum(photon_basis, pd, traj.positions)
+        t = np.linspace(0.0, 2 * dt_n, 201)
+        x = rq.constant_allowed_position(photon_12mev, p, t)
+        xdot = rq.constant_allowed_velocity(photon_12mev, p, t)
+        prod = xdot * rq.conjugate_momentum(photon_basis, rq.dual_params(p), x)
         assert np.allclose(prod, 1.2, rtol=1e-12)
-
-    @pytest.mark.parametrize("scenario, basis, p, x_range, n", [
-        # two node intervals (dx_n = 320.6 fm) of the closed form, and the linear basis
-        ("electron_2mev", "electron_basis", rq.MobiusParams(4.0, 2.0), (0.0, 641.2), 40),
-        ("linear_electron", "linear_basis", rq.MobiusParams(1.0, 0.0, -350.0), (-350.0, 5.0), 60),
-    ], ids=["closed_form_basis", "linear_basis"])
-    def test_quadrature_trajectory_refused(self, request, scenario, basis, p, x_range, n):
-        # a quadrature trajectory's xdot is the kinetic factor over the
-        # momentum, so the identity would hold by construction
-        s, basis = request.getfixturevalue(scenario), request.getfixturevalue(basis)
-        ode = rq.trajectory_ode(s, basis, p, x_range, n)
-        with pytest.raises(ValueError, match="quadrature trajectory"):
-            rq.velocity_momentum_check(ode, basis)
 
     def test_forbidden_trajectory_refused(self, forbidden_electron):
         # the allowed-region closed form gives xdot; a forbidden region has none
-        traj, _ = rq.trajectory_constant_forbidden(
-            forbidden_electron, rq.MobiusParams(4.0, 2.0), (0.0, 1e-21), 1e-23
-        )
-        with pytest.raises(ValueError, match="allowed-region closed forms"):
-            rq.velocity_momentum_check(traj, rq.kg_closed_constant(forbidden_electron))
+        with pytest.raises(rq.DomainError):
+            rq.velocity_momentum_check(forbidden_electron, rq.MobiusParams(4.0, 2.0),
+                                       (0.0, 1e-21), 100)
 
     def test_product_vanishes_at_turning_point(self, linear_electron, linear_basis):
         p = rq.MobiusParams(1.0, 0.0, -350.0)
@@ -666,21 +628,11 @@ class TestVelocityMomentum:
         assert abs(near) < 1e-3 * abs(far)
         assert near == pytest.approx(rq.kinetic_factor(linear_electron, 5.95), rel=1e-9)
 
-    def test_shifted_closed_form_needs_explicit_labels(self, electron_2mev, electron_basis):
+    def test_shifted_closed_form_needs_explicit_labels(self, electron_2mev):
         dt_n, _ = _node_spacings(electron_2mev)
-        traj = rq.trajectory_constant_allowed(
-            electron_2mev, rq.MobiusParams(4.0, 2.0, x0=50.0), (0.0, dt_n), dt_n / 50
-        )
         with pytest.raises(ValueError, match="shifted closed form"):
-            rq.velocity_momentum_check(traj, electron_basis)
-
-    def test_scenario_mismatch_rejected(self, electron_2mev, photon_basis):
-        dt_n, _ = _node_spacings(electron_2mev)
-        traj = rq.trajectory_constant_allowed(
-            electron_2mev, rq.MobiusParams(1.0, 0.0), (0.0, dt_n), dt_n / 50
-        )
-        with pytest.raises(ValueError, match="share"):
-            rq.velocity_momentum_check(traj, photon_basis)
+            rq.velocity_momentum_check(electron_2mev, rq.MobiusParams(4.0, 2.0, x0=50.0),
+                                       (0.0, dt_n), 51)
 
 
 class TestTrajectoryCsv:
