@@ -10,10 +10,10 @@ comments.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -311,7 +311,9 @@ def cmd_kg_solve(args, s: Scenario, regime) -> int:
 
 def cmd_classical_limit(args, s: Scenario, regime: str) -> int:
     out = _out_dir(args)
-    p = _family(args, default=((4.0, 2.0),))[0]
+    p, *more = _family(args, default=((4.0, 2.0),))
+    if more:
+        raise ValueError(f"classical-limit scans one member; --ab lists {len(more) + 1}")
     rep = classical_limit_scan(s, p, tuple(float(e) for e in args.epsilons.split(",")))
     print(f"wrote {write_classical_csv(rep, out / 'classical_limit.csv', s)}")
     print(f"fitted scaling exponent = {rep.exponent:.6f}")
@@ -322,29 +324,21 @@ def cmd_classical_limit(args, s: Scenario, regime: str) -> int:
 # ---------------------------------------------------------------------------
 # command line
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that raises its errors as ValueError, so that main
-    reports them as every other bad input: one 'error:' line and exit 2."""
-
-    def error(self, message):
-        raise ValueError(message)
-
-
-# Every flag by name: its default, filled in after the unread-flag check, and argparse keywords.
+# Each flag: its default, filled in after the unread-flag check, type or choices, and help.
 FLAGS = {
-    "config": (None, dict(type=str, help="key = value scenario file")),
-    "out": (None, dict(type=str, help="output directory")),
-    "hbar-scale": (None, dict(type=float, help="multiplies every hbar, in (0, 1]")),
-    "dt": (None, dict(type=float, help="sample spacing in s (closed forms)")),
-    "samples": (600, dict(type=int, help="sample count (16 to 10^7, default 600)")),
-    "ab": (None, dict(type=str, help="family list 'a,b;a,b;...'")),
-    "method": (DEFAULT_METHOD, dict(choices=METHODS, help=f"scheme (default {DEFAULT_METHOD})")),
-    "step": (DEFAULT_STEP, dict(type=float, help=f"step in fm (default {DEFAULT_STEP:g})")),
-    "x-min": (None, dict(type=float, help="left end of the numeric window in fm")),
-    "x-max": (None, dict(type=float, help="right end of the numeric window in fm")),
-    "x0": (None, dict(type=float, help="anchor position in fm")),
-    "ceiling": (1.0e6, dict(type=float, help="|x| clip in fm (forbidden region)")),
-    "epsilons": ("1,0.5,0.25,0.125", dict(type=str, help="hbar scale factors")),
+    "config": (None, str, "key = value scenario file"),
+    "out": (None, str, "output directory"),
+    "hbar-scale": (None, float, "multiplies every hbar, in (0, 1]"),
+    "dt": (None, float, "sample spacing in s (closed forms)"),
+    "samples": (600, int, "sample count (16 to 10^7, default 600)"),
+    "ab": (None, str, "family list 'a,b;a,b;...'"),
+    "method": (DEFAULT_METHOD, METHODS, f"scheme (default {DEFAULT_METHOD})"),
+    "step": (DEFAULT_STEP, float, f"step in fm (default {DEFAULT_STEP:g})"),
+    "x-min": (None, float, "left end of the numeric window in fm"),
+    "x-max": (None, float, "right end of the numeric window in fm"),
+    "x0": (None, float, "anchor position in fm"),
+    "ceiling": (1.0e6, float, "|x| clip in fm (forbidden region)"),
+    "epsilons": ("1,0.5,0.25,0.125", str, "hbar scale factors"),
 }
 
 COMMON = ("config", "hbar-scale")
@@ -374,51 +368,77 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """Every subcommand with its help line; only ``command`` gets its arguments.
+def _help(command: str | None, accepted=()) -> None:
+    """Print rqtlab --help, a line per subcommand, or rqtlab <command> --help, its flags; exit 0."""
+    if command is None:
+        rows = [(name, line) for name, (_, line, _) in COMMANDS.items()]
+    else:
+        rows = [(f"--{f} {{{','.join(kind)}}}" if isinstance(kind, tuple) else f"--{f}", text)
+                for f, (_, kind, text) in FLAGS.items() if f in accepted]
+    figure = " {" + ",".join(map(str, FIGURES)) + "}" if command == "figure" else ""
+    print("\n".join([f"usage: rqtlab {command or '<command>'}{figure} [--flag value ...]",
+                     *(f"  {name:<30} {text}" for name, text in rows)]))
+    raise SystemExit(0)
 
-    A process runs one subcommand, and adding the arguments of all seven
-    costs more than a constant-potential command computes.
+
+def parse(argv: list[str]) -> tuple[str, dict]:
+    """The subcommand and {flag: value} of the flags argv gives, figure's number as figure_id.
+
+    Flags are exact names, given once, as --flag value or --flag=value; a value is not
+    empty and may begin with one '-'.  -h or --help prints the help and exits 0; a
+    malformed command line raises ValueError.
     """
-    parser = _Parser(prog="rqtlab",
-                     description="Relativistic quantum trajectory laboratory (CSV datasets)")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, reads) in COMMANDS.items():
-        # no defaults, so that main can tell a given flag from an absent one
-        p = sub.add_parser(name, help=help_line, argument_default=argparse.SUPPRESS)
-        if name != command:
-            continue
-        if name == "figure":
-            p.add_argument("figure_id", type=int, choices=sorted(FIGURES))
-        accepted = set(COMMON).union(*reads.values())
-        for flag in filter(accepted.__contains__, FLAGS):
-            p.add_argument(f"--{flag}", **FLAGS[flag][1])
-    return parser
+    command, *rest = argv or [""]
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in COMMANDS:
+        what = f"invalid choice: {command!r}" if command[:1] not in ("", "-") else "no subcommand"
+        raise ValueError(f"{what}; the first argument is one of {', '.join(COMMANDS)}")
+    accepted = set(COMMON).union(*COMMANDS[command][2].values())
+    if "-h" in rest or "--help" in rest:
+        _help(command, accepted)
+    given, tokens = {}, iter(rest)
+    for token in tokens:
+        flag, eq, value = token[2:].partition("=")
+        if not token.startswith("--"):
+            if command != "figure" or "figure_id" in given or token not in map(str, FIGURES):
+                raise ValueError(f"unexpected argument {token!r} (figure takes one: 1 to 4)")
+            given["figure_id"] = int(token)
+        elif flag not in accepted:
+            raise ValueError(f"{command} takes no flag --{flag}")
+        elif flag in given:
+            raise ValueError(f"--{flag} given twice")
+        elif not eq and (value := next(tokens, "--")).startswith("--") or not value:
+            raise ValueError(f"--{flag} needs a value")
+        else:
+            kind = FLAGS[flag][1]
+            try:  # a value outside the choices fails tuple.index
+                given[flag] = kind[kind.index(value)] if isinstance(kind, tuple) else kind(value)
+            except ValueError:
+                raise ValueError(f"bad --{flag} value {value!r}") from None
+    if command == "figure" and "figure_id" not in given:
+        raise ValueError("figure needs its number, 1 to 4")
+    return command, given
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # the top-level parser takes no option value, so the subcommand is the
-    # first token that is not an option ('--' or '-1' first is an error anyway)
-    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        given = vars(build_parser(command).parse_args(argv))
-        args = argparse.Namespace(**{f.replace("-", "_"): d for f, (d, _) in FLAGS.items()})
-        vars(args).update(given)
+        command, given = parse(sys.argv[1:] if argv is None else argv)
+        args = SimpleNamespace(**{f.replace("-", "_"): d for f, (d, _, _) in FLAGS.items()})
+        vars(args).update((f.replace("-", "_"), v) for f, v in given.items())
         if args.samples < 16:
             raise ValueError("sample counts below 16 are not meaningful here")
         if args.samples > MAX_SAMPLES:
             raise ValueError(f"{args.samples} samples, more than MAX_SAMPLES = {MAX_SAMPLES:.0e}")
         s = (scenario_from_config(load_config(args.config)) if args.config
-             else FIGURES[getattr(args, "figure_id", 1)][0])
+             else FIGURES[given.get("figure_id", 1)][0])
         if args.hbar_scale is not None:
             s = s.with_hbar_scale(args.hbar_scale)
-        func, _, reads = COMMANDS[args.command]
+        func, _, reads = COMMANDS[command]
         regime = None if None in reads else _regime(s)
-        unread = [f"--{f}" for f in FLAGS
-                  if f.replace("-", "_") in given and f not in (*COMMON, *reads[regime])]
+        unread = [f"--{f}" for f in FLAGS if f in given and f not in (*COMMON, *reads[regime])]
         if unread:
-            raise ValueError(f"{args.command} does not read {', '.join(unread)} {WHERE[regime]}")
+            raise ValueError(f"{command} does not read {', '.join(unread)} {WHERE[regime]}")
         return func(args, s, regime)
     except (ValueError, OSError, IntegrationOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,6 +43,7 @@ class ClassicalLimitReport:
     deviations: np.ndarray  # fm
     bounds: np.ndarray      # fm
     exponent: float         # fitted log-log slope
+    params: MobiusParams    # the scanned member
 
     @property
     def scaling_holds(self) -> bool:
@@ -168,7 +169,7 @@ def classical_limit_scan(s: Scenario, p: MobiusParams, epsilons) -> ClassicalLim
     bounds = np.array(bounds)
     exponent = float(np.polyfit(np.log(eps_arr), np.log(deviations), 1)[0])
     return ClassicalLimitReport(
-        epsilons=eps_arr, deviations=deviations, bounds=bounds, exponent=exponent
+        epsilons=eps_arr, deviations=deviations, bounds=bounds, exponent=exponent, params=p
     )
 
 
@@ -229,6 +230,7 @@ def write_node_report_csv(report: NodeReport, path, scenario: Scenario):
 
 def write_classical_csv(report: ClassicalLimitReport, path, scenario: Scenario):
     header = ["rqtlab classical-limit scan", *scenario_header(scenario),
+              f"a = {report.params.a!r}", f"b = {report.params.b!r}",
               f"fitted_exponent = {report.exponent:.12e}",
               "columns: epsilon, deviation_m, bound_m"]
     return write_csv(path, header, zip(report.epsilons, report.deviations * METERS_PER_FM,

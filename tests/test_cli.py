@@ -327,6 +327,13 @@ class TestOtherCommands:
         assert data.shape == (4, 3)
         assert np.all(data[:, 1] <= data[:, 2])  # deviation under bound
 
+    @pytest.mark.parametrize("ab, a, b", [(None, "4.0", "2.0"), ("0.5,-1", "0.5", "-1.0")])
+    def test_classical_limit_echoes_its_member(self, tmp_path, ab, a, b):
+        family = ["--ab", ab] if ab else []
+        assert main(["classical-limit", *family, "--out", str(tmp_path / "cl")]) == 0
+        header = (tmp_path / "cl" / "classical_limit.csv").read_text().splitlines()
+        assert f"# a = {a}" in header and f"# b = {b}" in header
+
     def test_classical_limit_failure_is_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(rqtlab.ClassicalLimitReport, "scaling_holds",
                             property(lambda self: False))
@@ -396,8 +403,8 @@ class TestRejectedInput:
         ["kg-solve", "--samples", "100"], ["classical-limit", "--step", "1e-2"], ["figure", "5"],
     ])
     def test_flag_the_subcommand_does_not_read(self, tmp_path, capsys, argv):
-        # each subcommand takes only the flags it reads; argparse errors are
-        # one line and exit 2, like every other bad input
+        # each subcommand takes only the flags it reads; a malformed command
+        # line is one error line and exit 2, like every other bad input
         assert main([*argv, "--out", str(tmp_path / "x")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -460,6 +467,8 @@ class TestRejectedInput:
         # a member's tag names its file, which a repeated member would write twice
         (["residuals", "--ab", "4,2;4,2"], "repeats the member a4_b2"),
         (["figure", "1", "--ab", "1,0;1,0"], "repeats the member a1_b0"),
+        # the scan takes one member, and would drop the others without a word
+        (["classical-limit", "--ab", "4,2;0.5,-1"], "scans one member; --ab lists 2"),
     ])
     def test_refused_input_leaves_no_out_directory(self, tmp_path, capsys, argv, message):
         # the --out directory is made by the first CSV written, so a refusal leaves none
@@ -490,6 +499,18 @@ def test_cli_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
+
+
+def test_cli_runs_leave_out_argparse(tmp_path):
+    # building argparse parsers, and the gettext catalogue lookups they make,
+    # cost more CPU than a constant-potential command computes
+    src = str(Path(rqtlab.__file__).resolve().parents[1])
+    runs = [["report", "--out", str(tmp_path)], ["figure", "1", "--out", str(tmp_path)]]
+    code = (f"import sys, rqtlab.cli; print([rqtlab.cli.main(a) for a in {runs!r}], "
+            "[m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines()[-1] == "[0, 0] []"
 
 
 def test_linear_residuals_leave_out_numpy_ma(tmp_path):

@@ -4,15 +4,13 @@ A regime is the allowed or forbidden region of a constant potential, or the
 linear potential.  A flag that a subcommand accepts but does not read in the
 scenario's regime is one `error:` line and exit 2; every flag it does read
 moves stdout or a CSV.  Both lists are written out here by hand, and a
-completeness test checks that together they cover every flag the parser
+completeness test checks that together they cover every flag the subcommand
 accepts.
 """
 
-import argparse
-
 import pytest
 
-from rqtlab.cli import COMMANDS, build_parser, main
+from rqtlab.cli import COMMANDS, COMMON, FLAGS, main, parse
 
 CONFIGS = {
     "allowed": None,
@@ -206,36 +204,85 @@ def _assert_one_error_line(capsys, flag=None):
     return err[0]
 
 
-def _subparsers(parser):
-    """{subcommand: its parser} of the rqtlab parser."""
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+def _accepted(command):
+    """The flags the subcommand accepts: COMMON and those it reads in some regime."""
+    return set(COMMON).union(*COMMANDS[command][2].values())
 
 
 def test_lists_cover_every_accepted_flag():
-    # per subcommand and regime, each flag the parser accepts besides
-    # --config and --hbar-scale is read or rejected, and not both;
-    # the parser carries the flags of the subcommand it is built for
+    # per subcommand and regime, each flag the subcommand accepts besides
+    # --config and --hbar-scale is read or rejected, and not both
     listed = {}
     for command, regime, flag, _ in NOT_READ + REFUSED + READ:
         key = (command, regime)
         assert flag not in listed.setdefault(key, set()), (key, flag)
         listed[key].add(flag)
     for command in COMMANDS:
-        parser = _subparsers(build_parser(command))[command]
-        accepted = {o[2:] for a in parser._actions for o in a.option_strings
-                    if o.startswith("--")} - {"config", "hbar-scale", "help"}
+        accepted = _accepted(command) - {"config", "hbar-scale"}
+        assert accepted <= set(FLAGS), command
         for regime in CONFIGS:
             assert listed.get((command, regime), set()) == accepted, (command, regime)
     assert len(NOT_READ) == 41 and len(READ) + len(REFUSED) <= 88
 
 
-def test_parser_carries_only_the_run_subcommand_arguments():
-    subs = _subparsers(build_parser("nodes"))
-    assert list(subs) == list(COMMANDS)
-    for command, parser in subs.items():
-        names = [o for a in parser._actions for o in a.option_strings or [a.dest]]
-        assert (names == ["-h", "--help"]) == (command != "nodes"), (command, names)
-    assert all(len(p._actions) == 1 for p in _subparsers(build_parser("bogus")).values())
+def test_flag_outside_the_subcommand_is_one_line(tmp_path, monkeypatch, capsys):
+    # a subcommand takes only the flags it reads in some regime: any other
+    # flag of the table is refused by name before anything runs
+    monkeypatch.chdir(tmp_path)
+    value = {flag: v for _, _, flag, v in NOT_READ + REFUSED + READ}
+    for command in COMMANDS:
+        argv = ["figure", "1"] if command == "figure" else [command]
+        for flag in sorted(set(FLAGS) - _accepted(command)):
+            assert main([*argv, f"--{flag}", value[flag]]) == 2, (command, flag)
+            assert f"{command} takes no flag --{flag}" in _assert_one_error_line(capsys, flag)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # accepted: both value forms, values led by one '-', a --method choice
+    (["figure", "2", "--samples", "32", "--x0=5"], {"figure_id": 2, "samples": 32, "x0": 5.0}),
+    (["figure", "--samples=32", "3"], {"figure_id": 3, "samples": 32}),
+    (["kg-solve", "--x-min", "-60", "--x-max=-50"], {"x-min": -60.0, "x-max": -50.0}),
+    (["trajectory", "--ab", "-1,0;4,2", "--config=a=b.cfg"],
+     {"ab": "-1,0;4,2", "config": "a=b.cfg"}),
+    (["kg-solve", "--method", "rk4"], {"method": "rk4"}),
+    # refused: one error line naming the flag, or the subcommand's first argument
+    (["figure", "1", "--samp", "32"], "figure takes no flag --samp"),
+    (["report", "--out=d", "--x-m", "-60"], "report takes no flag --x-m"),
+    (["figure", "1", "--samples"], "--samples needs a value"),
+    (["figure", "1", "--samples", "--dt", "1e-23"], "--samples needs a value"),
+    (["report", "--config", ""], "--config needs a value"),
+    (["figure", "1", "--ab="], "--ab needs a value"),
+    (["figure", "1", "--samples", "32", "--samples=64"], "--samples given twice"),
+    (["figure", "1", "--samples", "3.5"], "bad --samples value '3.5'"),
+    (["kg-solve", "--step", "fine"], "bad --step value 'fine'"),
+    (["kg-solve", "--method", "rk5"], "bad --method value 'rk5'"),
+    (["figure", "5"], "unexpected argument '5'"),
+    (["figure", "-1"], "unexpected argument '-1'"),
+    (["figure", "1", "2"], "unexpected argument '2'"),
+    (["report", "1"], "unexpected argument '1'"),
+    (["figure", "--samples", "32"], "figure needs its number"),
+    ([], "no subcommand"),
+    (["--samples", "32", "report"], "no subcommand"),
+    # help, also after other flags, and before a malformed one
+    (["figure", "1", "--samples", "32", "-h"], "help"),
+    (["figure", "--bogus", "--help"], "help"),
+])
+def test_command_line_contract(tmp_path, monkeypatch, capsys, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    if isinstance(expected, dict):
+        assert parse(argv) == (argv[0], expected)
+    elif expected == "help":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "figure {1,2,3,4}" in out and "--method {magnus6,rk4,euler}" in out
+        assert all(f"--{flag} " in out for flag in _accepted("figure"))
+    else:
+        assert main(argv) == 2
+        assert expected in _assert_one_error_line(capsys)
+    assert not list(tmp_path.iterdir())
 
 
 def test_top_level_help_names_every_subcommand(capsys):
@@ -257,8 +304,11 @@ def test_unknown_subcommand_is_one_line(tmp_path, capsys, argv):
 @pytest.mark.parametrize("command, regime, flag, value", NOT_READ + REFUSED)
 def test_flag_not_read_in_regime_is_rejected(tmp_path, capsys, configs, command, regime, flag,
                                              value):
-    argv = [*_command(command, regime, configs), f"--{flag}", value]
-    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    # --out names the directory the refusal must not make; given twice, the
+    # flag would be refused as a repeat before the regime is known
+    out = str(tmp_path / "o")
+    argv = [*_command(command, regime, configs), f"--{flag}", out if flag == "out" else value]
+    assert main(argv if flag == "out" else [*argv, "--out", out]) == 2
     line = _assert_one_error_line(capsys, flag)
     assert regime in line
     assert not (tmp_path / "o").exists()
