@@ -7,7 +7,6 @@ equations by residual analysis.
 """
 
 from .action import (
-    ActionSample,
     MobiusParams,
     action_scan,
     conjugate_momentum,
@@ -48,11 +47,10 @@ from .scenario import (
     RegionClass,
     Scenario,
     Species,
-    classical_momentum,
     constant_rates,
-    fm_to_m,
     kinetic_factor,
     load_config,
+    local_rates,
     m_to_fm,
     parse_config_text,
     scenario_from_config,
@@ -67,7 +65,6 @@ from .trajectory import (
     constant_forbidden_position,
     divergence_times_forbidden,
     firqnl_residual,
-    flow_speed,
     node_times_constant,
     trajectory_constant_allowed,
     trajectory_constant_forbidden,
@@ -77,67 +74,3 @@ from .trajectory import (
     velocity_momentum_check,
     write_trajectory_csv,
 )
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ActionSample",
-    "ClassicalLimitReport",
-    "DegenerateBasisError",
-    "DivergenceEvent",
-    "DomainError",
-    "action_scan",
-    "IntegrationOverflowError",
-    "KgBasis",
-    "MobiusParams",
-    "NodeReport",
-    "Potential",
-    "RegionClass",
-    "Scenario",
-    "SingularEnergyError",
-    "Species",
-    "Trajectory",
-    "TrajectoryKind",
-    "classical_limit_scan",
-    "classical_momentum",
-    "conjugate_momentum",
-    "constant_rates",
-    "constant_allowed_position",
-    "constant_allowed_velocity",
-    "constant_forbidden_position",
-    "de_broglie_check",
-    "divergence_times_forbidden",
-    "dual_params",
-    "firqnl_residual",
-    "flow_speed",
-    "fm_to_m",
-    "kg_closed_constant",
-    "kg_fd_residual",
-    "kg_solve_linear",
-    "kg_solve_numeric",
-    "kinetic_factor",
-    "linear_node_summary",
-    "load_config",
-    "m_to_fm",
-    "mean_momentum",
-    "node_times_constant",
-    "nodes_constant",
-    "nodes_numeric",
-    "parse_config_text",
-    "reduced_action",
-    "rqshje_residual",
-    "scenario_from_config",
-    "spacing_grows",
-    "trajectory_constant_allowed",
-    "trajectory_constant_forbidden",
-    "trajectory_ode",
-    "trajectory_ode_family",
-    "trajectory_photon",
-    "turning_points",
-    "velocity_momentum_check",
-    "wronskian_drift",
-    "write_basis_csv",
-    "write_classical_csv",
-    "write_node_report_csv",
-    "write_trajectory_csv",
-]

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kg import KgBasis, local_wavenumber
+from .scenario import local_rates
 
 
 @dataclass(frozen=True)
@@ -59,22 +60,17 @@ def dual_params(p: MobiusParams) -> MobiusParams:
     return MobiusParams(a=1.0 / p.a, b=-p.direction * p.b / p.a, x0=p.x0, direction=p.direction)
 
 
-@dataclass(frozen=True)
-class ActionSample:
-    s0: float           # MeV s, unwrapped
-    branch_index: int
-
-
-def _unwrapped_action(basis: KgBasis, p: MobiusParams, x: np.ndarray):
-    """Unwrapped S0 and branch index at each of the positions x (an array).
+def reduced_action(basis: KgBasis, p: MobiusParams, xs):
+    """Unwrapped S0 and branch index at each of the positions xs (a 1-D array).
 
     The branch index counts the zeros of phi2 crossed moving from x0 to x
-    (signed).  On a zero of phi2, whether phi2 reads exactly 0 there or x
-    is one of the basis's zeros, the one-sided limit (pi/2 + n pi) * hbar
-    is returned: the sign of phi2 at a root is rounding noise, and would
-    put atan on either branch.  A numeric basis raises DomainError for an x
-    outside it, from its reader.
+    (signed), so it vanishes at x0.  On a zero of phi2, whether phi2 reads
+    exactly 0 there or x is one of the basis's zeros, the one-sided limit
+    (pi/2 + n pi) * hbar is returned: the sign of phi2 at a root is
+    rounding noise, and would put atan on either branch.  A numeric basis
+    raises DomainError for an x outside it, from its reader.
     """
+    x = np.asarray(xs, dtype=float)
     zeros = basis.phi2_zeros(min(p.x0, float(x.min())), max(p.x0, float(x.max())))
     left = np.searchsorted(zeros, x, side="left")
     n = left - np.searchsorted(zeros, p.x0, side="right")
@@ -87,16 +83,6 @@ def _unwrapped_action(basis: KgBasis, p: MobiusParams, x: np.ndarray):
     phase = [math.pi / 2.0 + k * math.pi if zero else math.atan(v) + k * math.pi
              for v, k, zero in zip(r.tolist(), n.tolist(), on_zero.tolist())]
     return p.direction * basis.scenario.hbar * np.array(phase), n
-
-
-def reduced_action(basis: KgBasis, p: MobiusParams, x: float) -> ActionSample:
-    """Unwrapped S0 at x, anchored so the branch index vanishes at x0.
-
-    At a zero of phi2 the one-sided limit (pi/2 + n pi) * hbar is
-    returned; every downstream quantity is finite there.
-    """
-    s0, n = _unwrapped_action(basis, p, np.array([x], dtype=float))
-    return ActionSample(s0=float(s0[0]), branch_index=int(n[0]))
 
 
 def conjugate_momentum(basis: KgBasis, p: MobiusParams, x):
@@ -127,11 +113,21 @@ def _fd_step(basis: KgBasis, x: np.ndarray) -> np.ndarray:
     return np.minimum(h, span / 100.0)
 
 
-def _rqshje_with_momentum(basis: KgBasis, p: MobiusParams, x: np.ndarray):
-    """(residual, S0') at the positions x (an array), as rqshje_residual.
+def rqshje_residual(basis: KgBasis, p: MobiusParams, xs):
+    """Normalized residual of the stationary Hamilton-Jacobi equation, and S0'.
 
-    S0' at x is the centre of the stencil, so it comes with the residual.
+    Uses the m0-cleared form (multiply through by 2 m0 c^2), valid for
+    massive particles and photons alike:
+
+        c^2 S0'^2 - (hbar^2 c^2 / 2) [ (3/2)(S0''/S0')^2 - S0'''/S0' ]
+            + m0^2 c^4 - (E - V)^2 = 0.
+
+    S0' is analytic; S0'' and S0''' come from 5-point central differences
+    of S0'.  The residual is |sum| / max(|term|).  Takes a 1-D array of
+    positions and returns two arrays: the residual at each, and S0' there,
+    the centre of its stencil.
     """
+    x = np.asarray(xs, dtype=float)
     h = _fd_step(basis, x)
     if not basis.is_closed_form:
         exits = ~((basis.x_min + 2 * h <= x) & (x <= basis.x_max - 2 * h))
@@ -144,32 +140,12 @@ def _rqshje_with_momentum(basis: KgBasis, p: MobiusParams, x: np.ndarray):
     pm2, pm1, p0, pp1, pp2 = conjugate_momentum(basis, p, stencil)
     s0pp = (-pp2 + 8 * pp1 - 8 * pm1 + pm2) / (12.0 * h)
     s0ppp = (-pp2 + 16 * pp1 - 30 * p0 + 16 * pm1 - pm2) / (12.0 * (h * h))
-    u = s.energy - s.potential.value(x)
-    # squares as products: numpy squares arrays exactly but sends a float64
-    # scalar's ** 2 to pow, so a scalar read could differ by an ulp
     cp, ratio = s.c * p0, s0pp / p0
     t1 = cp * cp
     t2 = -(s.hbar**2 * s.c**2 / 2.0) * (1.5 * (ratio * ratio) - s0ppp / p0)
-    t3 = s.rest_energy**2 - u * u
+    t3 = -local_rates(s, x)[1]
     scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.abs(t3))
     return np.abs(t1 + t2 + t3) / scale, p0
-
-
-def rqshje_residual(basis: KgBasis, p: MobiusParams, x):
-    """Normalized residual of the stationary Hamilton-Jacobi equation.
-
-    Uses the m0-cleared form (multiply through by 2 m0 c^2), valid for
-    massive particles and photons alike:
-
-        c^2 S0'^2 - (hbar^2 c^2 / 2) [ (3/2)(S0''/S0')^2 - S0'''/S0' ]
-            + m0^2 c^4 - (E - V)^2 = 0.
-
-    S0' is analytic; S0'' and S0''' come from 5-point central differences
-    of S0'.  The result is |sum| / max(|term|).  Takes a float or an array
-    of positions, and returns the same.
-    """
-    r = _rqshje_with_momentum(basis, p, np.asarray(x, dtype=float))[0]
-    return r if r.ndim else float(r)
 
 
 def action_scan(basis: KgBasis, p: MobiusParams, xs) -> list[tuple[float, float, float, float]]:
@@ -179,6 +155,6 @@ def action_scan(basis: KgBasis, p: MobiusParams, xs) -> list[tuple[float, float,
     residual from one call on all the stencils.
     """
     xs = np.asarray(xs, dtype=float)
-    s0, _ = _unwrapped_action(basis, p, xs)
-    residual, ds0_dx = _rqshje_with_momentum(basis, p, xs)
+    s0, _ = reduced_action(basis, p, xs)
+    residual, ds0_dx = rqshje_residual(basis, p, xs)
     return list(zip(xs.tolist(), s0.tolist(), ds0_dx.tolist(), residual.tolist()))

@@ -191,7 +191,8 @@ def cmd_report(args, s: Scenario, regime: str) -> int:
 
     if rows:
         print(f"numeric nodes       : {len(rows) + 1}")
-        worst = max(abs(r["p_node"] / r["p_classical_mid"] - 1.0) for r in rows)
+        # np.max, not max: a NaN interval (one crossing the forbidden band) must fail the gate
+        worst = float(np.max([abs(r["p_node"] / r["p_classical_mid"] - 1.0) for r in rows]))
         grow = spacing_grows(rows)
         print(f"spacing growth toward turning point: {grow}")
         print(f"max |pi*hbar/dx / p_classical - 1| : {worst:.3e}")

@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateBasisError, DomainError, IntegrationOverflowError
-from .scenario import (RegionClass, Scenario, constant_rates, scenario_header, turning_points,
-                       write_csv)
+from .scenario import (RegionClass, Scenario, constant_rates, local_rates, scenario_header,
+                       turning_points, write_csv)
 
 # Wronskian drift a numeric basis is allowed before it counts as broken
 # (the kg-solve gate).
@@ -61,9 +61,11 @@ BASIS_CSV_POINTS = 1001
 
 
 def _omega_sq(s: Scenario, x):
-    """Coefficient w(x) in phi'' = w(x) phi (units 1/fm^2)."""
-    u = s.energy - s.potential.value(x)
-    return (s.rest_energy**2 - u * u) / s.hbar_c**2
+    """Coefficient w(x) = -q2 / (hbar c)^2 in phi'' = w(x) phi (units 1/fm^2).
+
+    q2 / -(hbar c)^2 has the bits of -q2 / (hbar c)^2 and saves negating an array.
+    """
+    return local_rates(s, x)[1] / -s.hbar_c**2
 
 
 def _omega_sq_slope(s: Scenario, x):
@@ -555,7 +557,7 @@ def kg_fd_residual(basis: KgBasis) -> float:
     xin = xs[2:-2]
     s = basis.scenario
     lhs = s.hbar_c**2 * d2
-    rhs = (s.rest_energy**2 - (s.energy - s.potential.value(xin)) ** 2) * phi[2:-2]
+    rhs = -local_rates(s, xin)[1] * phi[2:-2]
     core = slice(FD_EDGE_MARGIN, -FD_EDGE_MARGIN)
     scale = float(np.max(np.maximum(np.abs(lhs[core]), np.abs(rhs[core]))))
     return float(np.max(np.abs(lhs[core] - rhs[core])) / scale)

@@ -21,6 +21,7 @@ from .scenario import (
     RegionClass,
     Scenario,
     constant_rates,
+    local_rates,
     scenario_header,
     write_csv,
 )
@@ -123,9 +124,8 @@ def mean_momentum(basis: KgBasis, p: MobiusParams, x_a: float, x_b: float) -> fl
     between = zeros[(zeros > x_a + tol) & (zeros < x_b - tol)]
     if len(between):
         raise ValueError("x_a and x_b are not adjacent nodes")
-    s_a = reduced_action(basis, p, x_a).s0
-    s_b = reduced_action(basis, p, x_b).s0
-    return (s_b - s_a) / span
+    s_a, s_b = reduced_action(basis, p, [x_a, x_b])[0]
+    return float(s_b - s_a) / span
 
 
 # Node intervals, and samples over them, of each classical_limit_scan
@@ -184,24 +184,12 @@ def linear_node_summary(s: Scenario, basis: KgBasis) -> list[dict]:
     if len(zeros) < 3:
         raise DomainError(f"the window {basis.x_min:g} to {basis.x_max:g} fm holds {len(zeros)} "
                           "phi2 zeros; the node-spacing checks need at least 3")
-    rows = []
-    for i in range(len(zeros) - 1):
-        dx = float(zeros[i + 1] - zeros[i])
-        mid = 0.5 * (zeros[i] + zeros[i + 1])
-        u = s.energy - s.potential.value(mid)
-        q2 = u * u - s.rest_energy**2
-        p_classical = math.sqrt(q2) / s.c if q2 > 0 else float("nan")
-        rows.append(
-            {
-                "n": i,
-                "x_lo": float(zeros[i]),
-                "x_hi": float(zeros[i + 1]),
-                "dx": dx,
-                "p_node": math.pi * s.hbar / dx,
-                "p_classical_mid": p_classical,
-            }
-        )
-    return rows
+    x_lo, x_hi = zeros[:-1], zeros[1:]
+    q2 = local_rates(s, 0.5 * (x_lo + x_hi))[1]
+    p_classical = np.sqrt(np.where(q2 > 0, q2, np.nan)) / s.c
+    return [{"n": n, "x_lo": lo, "x_hi": hi, "dx": hi - lo, "p_node": math.pi * s.hbar / (hi - lo),
+             "p_classical_mid": p}
+            for n, (lo, hi, p) in enumerate(zip(x_lo.tolist(), x_hi.tolist(), p_classical.tolist()))]
 
 
 def spacing_grows(rows: list[dict]) -> bool:

@@ -35,11 +35,6 @@ METERS_PER_FM = 1.0e-15
 TURNING_TOL_FACTOR = 1.0e-12
 
 
-def fm_to_m(x_fm: float) -> float:
-    """Convert a length from femtometres to metres."""
-    return x_fm * METERS_PER_FM
-
-
 def m_to_fm(x_m: float) -> float:
     """Convert a length from metres to femtometres."""
     return x_m / METERS_PER_FM
@@ -104,15 +99,12 @@ class Potential:
     def kind(self) -> str:
         return "constant" if self.is_constant else "linear"
 
-    # V, V' and V'' of a float or array x: "+ 0.0 * x" gives a constant the shape of x
+    # V and V' of a float or array x: "+ 0.0 * x" gives a constant the shape of x
     def value(self, x):
         return self.u0 + 0.0 * x if self.is_constant else self.g * x
 
     def derivative(self, x):
         return (0.0 if self.is_constant else self.g) + 0.0 * x
-
-    def second_derivative(self, x):
-        return 0.0 * x
 
 
 @dataclass(frozen=True)
@@ -160,6 +152,17 @@ def turning_points(s: Scenario) -> list[float]:
     return sorted([(s.energy - s.rest_energy) / g, (s.energy + s.rest_energy) / g])
 
 
+def local_rates(s: Scenario, x):
+    """u = E - V(x) and q2 = u^2 - m0^2 c^4 (MeV^2) at a float or an array x.
+
+    q2 sets the wavenumber sqrt(|q2|) / (hbar c), the Klein-Gordon
+    coefficient -q2 / (hbar c)^2 and the classical momentum sqrt(q2) / c;
+    it is positive in an allowed region and negative in a forbidden one.
+    """
+    u = s.energy - s.potential.value(x)
+    return u, u * u - s.rest_energy**2
+
+
 def kinetic_factor(s: Scenario, x) -> float:
     """(E - V) - m0^2 c^4 / (E - V), the bracketed velocity factor.
 
@@ -169,15 +172,6 @@ def kinetic_factor(s: Scenario, x) -> float:
     if np.any(u == 0.0):
         raise SingularEnergyError("E - V(x) = 0 inside evaluation range")
     return u - s.rest_energy**2 / u
-
-
-def classical_momentum(s: Scenario, x: float = 0.0) -> float:
-    """sqrt((E-V)^2 - m0^2 c^4) / c in MeV s / fm (allowed regions)."""
-    u = s.energy - s.potential.value(x)
-    d = u * u - s.rest_energy**2
-    if d <= 0:
-        raise SingularEnergyError(f"no real momentum at x = {x}")
-    return math.sqrt(d) / s.c
 
 
 @dataclass(frozen=True)
@@ -207,10 +201,9 @@ def constant_rates(s: Scenario, region: RegionClass | None = None) -> ConstantRa
     """
     if not s.potential.is_constant:
         raise ValueError("closed forms need a constant potential")
-    u = s.energy - s.potential.u0
+    u, q2 = local_rates(s, 0.0)
     if u == 0.0:
         raise SingularEnergyError("E = U0")
-    q2 = u * u - s.rest_energy**2
     if abs(q2) <= TURNING_TOL_FACTOR * s.energy**2:
         raise DegenerateBasisError("turning energy: (E - U0)^2 = m0^2 c^4, closed forms degenerate")
     found = RegionClass.ALLOWED if q2 > 0 else RegionClass.FORBIDDEN

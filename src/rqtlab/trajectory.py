@@ -31,6 +31,7 @@ from .scenario import (
     Scenario,
     constant_rates,
     kinetic_factor,
+    local_rates,
     scenario_header,
     turning_points,
     write_csv,
@@ -135,6 +136,12 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 
 
 def _merged_time_grid(t_range, dt, extra_times) -> np.ndarray:
+    """The times t0 + i dt over t_range, with extra_times merged in.
+
+    A grid time within 1e-9 dt of an extra time is that time up to rounding
+    (2.5 dt_n and 500 dt can differ by an ulp), so it gives way: the extra
+    times stay samples, and no two samples nearly repeat.
+    """
     t0, t1 = t_range
     if t1 <= t0:
         raise ValueError("t_range must be increasing")
@@ -146,7 +153,12 @@ def _merged_time_grid(t_range, dt, extra_times) -> np.ndarray:
     base = t0 + dt * np.arange(int(math.floor(count + 1e-9)) + 1)
     if base[-1] < t1 - 1e-12 * dt:
         base = np.append(base, t1)
-    times = _sorted_unique(np.concatenate([base, np.asarray(extra_times, dtype=float)]))
+    extra = np.sort(np.asarray(extra_times, dtype=float))
+    # each grid time's nearest extra time below and at or above it
+    fence = np.concatenate(([-np.inf], extra, [np.inf]))
+    i = np.searchsorted(fence, base)
+    base = base[np.minimum(base - fence[i - 1], fence[i] - base) > 1e-9 * dt]
+    times = _sorted_unique(np.concatenate([base, extra]))
     return times[(times >= t0 - 1e-15) & (times <= t1 + 1e-15)]
 
 
@@ -234,15 +246,6 @@ def trajectory_constant_forbidden(
 
 # ---------------------------------------------------------------------------
 # Quadrature trajectory for general potentials.
-
-def flow_speed(s: Scenario, basis: KgBasis, p: MobiusParams, x):
-    """dx/dt of the action flow at x, in fm/s (positive-x convention).
-
-    [E - V - m0^2 c^4/(E - V)] [phi2^2 + (a phi1 + b phi2)^2] / (hbar a W).
-    """
-    (phi1, phi2), kf = basis.phi12(x), kinetic_factor(s, x)
-    return kf * (phi2 * phi2 + (p.a * phi1 + p.b * phi2) ** 2) / (s.hbar * p.a * basis.wronskian)
-
 
 def refuse_mirrored(s: Scenario, members: list[MobiusParams]) -> None:
     """DomainError for a member with a < 0 off a constant potential."""
@@ -423,18 +426,17 @@ def _firqnl_terms(s: Scenario, x, xd, xdd, xddd):
 
     Obtained by substituting the velocity-momentum relation into the
     stationary Hamilton-Jacobi equation and clearing denominators; the
-    constant-potential and photon forms are the dV/dx = 0 reductions.
+    constant-potential and photon forms are the dV/dx = 0 reductions.  V''
+    vanishes on both potentials, so its term is left out.
     """
-    u = s.energy - s.potential.value(x)
+    u, q = local_rates(s, x)
     m4 = s.rest_energy**2
-    q = u * u - m4
     vp = s.potential.derivative(x)
-    vpp = s.potential.second_derivative(x)
     hb2 = s.hbar**2
     t1 = q * q
     t2 = -(xd * xd / s.c**2) * u * u * q
     t3 = 0.5 * hb2 * (1.5 * (xdd / xd) ** 2 - xddd / xd) * u * u
-    t4 = -0.5 * hb2 * (xdd * vp + xd * xd * vpp) * u * (u * u + m4) / q
+    t4 = -0.5 * hb2 * (xdd * vp) * u * (u * u + m4) / q
     t5 = -0.75 * hb2 * (xd * vp) ** 2 * ((u * u + m4) / q) ** 2
     t6 = -hb2 * (xd * vp) ** 2 * m4 / q
     return t1, t2, t3, t4, t5, t6

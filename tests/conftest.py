@@ -6,6 +6,15 @@ import rqtlab as rq
 AB_GRID = [(a, b) for a in (0.5, 1.0, 4.0) for b in (-2.0, 0.0, 2.0)]
 
 
+def flow_speed(s, basis, p, x):
+    """dx/dt of the action flow at x, in fm/s (positive-x convention): the reference 1/xdot.
+
+    [E - V - m0^2 c^4/(E - V)] [phi2^2 + (a phi1 + b phi2)^2] / (hbar a W).
+    """
+    (phi1, phi2), kf = basis.phi12(x), rq.kinetic_factor(s, x)
+    return kf * (phi2 * phi2 + (p.a * phi1 + p.b * phi2) ** 2) / (s.hbar * p.a * basis.wronskian)
+
+
 @pytest.fixture(scope="session")
 def electron_2mev():
     return rq.Scenario(

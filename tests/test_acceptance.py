@@ -78,8 +78,8 @@ def test_criterion_01_node_law_identity(electron_2mev):
     assert dt_meas == pytest.approx(dt_n, rel=1e-9)
     assert dx_meas == pytest.approx(dx_n, rel=1e-9)
     assert dt_meas == pytest.approx(EXPECTED_DT_N, rel=1e-5)
-    assert rq.fm_to_m(dx_meas) == pytest.approx(EXPECTED_DX_N, rel=1e-4)
-    _report(1, f"node law: dt_n = {dt_meas:.6e} s, dx_n = {rq.fm_to_m(dx_meas):.6e} m "
+    assert dx_meas * 1e-15 == pytest.approx(EXPECTED_DX_N, rel=1e-4)
+    _report(1, f"node law: dt_n = {dt_meas:.6e} s, dx_n = {dx_meas * 1e-15:.6e} m "
                f"from {len(common)} common crossings over a 3x3 (a,b) grid")
 
 
@@ -164,15 +164,9 @@ def test_criterion_05_action_quantum(electron_basis, linear_basis):
     worst = 0.0
     for a, b in AB_GRID:
         p_c = rq.MobiusParams(a, b)
-        jump_c = (
-            rq.reduced_action(electron_basis, p_c, float(zs_c[1])).s0
-            - rq.reduced_action(electron_basis, p_c, float(zs_c[0])).s0
-        )
+        jump_c = np.diff(rq.reduced_action(electron_basis, p_c, zs_c[:2])[0])[0]
         p_l = rq.MobiusParams(a, b, x0=float(zs_l[0]) - 1.0)
-        jump_l = (
-            rq.reduced_action(linear_basis, p_l, float(zs_l[5])).s0
-            - rq.reduced_action(linear_basis, p_l, float(zs_l[4])).s0
-        )
+        jump_l = np.diff(rq.reduced_action(linear_basis, p_l, zs_l[4:6])[0])[0]
         worst = max(
             worst,
             abs(jump_c / (math.pi * HBAR) - 1.0),
@@ -207,17 +201,14 @@ def test_criterion_07_residual_suite(electron_2mev, photon_12mev, electron_basis
     p10, p42 = rq.MobiusParams(1.0, 0.0), rq.MobiusParams(4.0, 2.0)
 
     # analytic-vanishing tier
-    hj10 = max(rq.rqshje_residual(electron_basis, p10, x) for x in (-311.0, 8.0, 702.0))
+    hj10 = float(np.max(rq.rqshje_residual(electron_basis, p10, [-311.0, 8.0, 702.0])[0]))
     t3 = (0.0, 3 * nd.dt_spacing)
     fq10 = rq.firqnl_residual(s, p10, t3, 49)
     vm10 = rq.velocity_momentum_check(s, p10, t3, 301)
     assert hj10 <= 1e-6 and fq10 <= 1e-6 and vm10 <= 1e-6
 
     # generic members at their recorded bounds
-    hj42 = max(
-        rq.rqshje_residual(electron_basis, p42, float(x))
-        for x in np.linspace(-300.0, 300.0, 31)
-    )
+    hj42 = float(np.max(rq.rqshje_residual(electron_basis, p42, np.linspace(-300.0, 300.0, 31))[0]))
     fq42 = rq.firqnl_residual(s, p42, t3, 6001)
     vm42 = rq.velocity_momentum_check(s, p42, t3, 301)
     assert hj42 <= 1e-4 and fq42 <= 1e-3 and vm42 <= 1e-6
@@ -227,10 +218,7 @@ def test_criterion_07_residual_suite(electron_2mev, photon_12mev, electron_basis
     vm_ph = rq.velocity_momentum_check(sp_, p21, t3p, 301)
     assert fq_ph <= 1e-3 and vm_ph <= 1e-6
 
-    hj_lin = max(
-        rq.rqshje_residual(linear_basis, p42, float(x))
-        for x in np.linspace(-390.0, 0.0, 31)
-    )
+    hj_lin = float(np.max(rq.rqshje_residual(linear_basis, p42, np.linspace(-390.0, 0.0, 31))[0]))
     assert hj_lin <= 1e-3
     _report(7, f"residual suite: straight tier <= {max(hj10, fq10, vm10):.1e}, "
                f"generic {hj42:.1e}/{fq42:.1e}/{vm42:.1e}, photon {fq_ph:.1e}, "

@@ -65,33 +65,29 @@ class TestMobiusParams:
 
 class TestReducedAction:
     def test_zero_at_origin(self, electron_basis):
-        smp = rq.reduced_action(electron_basis, rq.MobiusParams(1.0, 0.0), 0.0)
-        assert smp.s0 == 0.0
-        assert smp.branch_index == 0
+        s0, branch = rq.reduced_action(electron_basis, rq.MobiusParams(1.0, 0.0), [0.0])
+        assert s0.tolist() == [0.0]
+        assert branch.tolist() == [0]
 
     def test_quarter_period_limit(self, electron_basis):
         # phi2 -> 0 there; the limit is pi hbar / 2
         k = electron_basis.wronskian
-        smp = rq.reduced_action(electron_basis, rq.MobiusParams(1.0, 0.0), math.pi / (2 * k))
-        assert smp.s0 == pytest.approx(math.pi * HBAR / 2, rel=1e-12)
+        s0, _ = rq.reduced_action(electron_basis, rq.MobiusParams(1.0, 0.0), [math.pi / (2 * k)])
+        assert s0[0] == pytest.approx(math.pi * HBAR / 2, rel=1e-12)
 
     def test_straight_line_action_linear_in_x(self, electron_basis):
         p = rq.MobiusParams(1.0, 0.0)
         k = electron_basis.wronskian
-        for x in (10.0, 500.0, 1500.0):  # spans several branches
-            smp = rq.reduced_action(electron_basis, p, x)
-            assert smp.s0 == pytest.approx(HBAR * k * x, rel=1e-12)
+        xs = np.array([10.0, 500.0, 1500.0])  # spans several branches
+        s0, _ = rq.reduced_action(electron_basis, p, xs)
+        assert s0 == pytest.approx(HBAR * k * xs, rel=1e-12)
 
     @pytest.mark.parametrize("a,b", AB_GRID)
     def test_pi_hbar_jump_per_interval(self, electron_basis, a, b):
         p = rq.MobiusParams(a, b)
         zs = electron_basis.phi2_zeros(0.0, 1500.0)
-        for i in range(3):
-            jump = (
-                rq.reduced_action(electron_basis, p, float(zs[i + 1])).s0
-                - rq.reduced_action(electron_basis, p, float(zs[i])).s0
-            )
-            assert jump == pytest.approx(math.pi * HBAR, rel=1e-12)
+        jumps = np.diff(rq.reduced_action(electron_basis, p, zs[:4])[0])
+        assert jumps == pytest.approx(np.full(3, math.pi * HBAR), rel=1e-12)
 
     @pytest.mark.parametrize("a,b", [(0.5, -2.0), (4.0, 2.0)])
     def test_jump_against_quadrature_oracle(self, electron_basis, a, b):
@@ -102,31 +98,26 @@ class TestReducedAction:
 
     def test_monotone_for_positive_a(self, electron_basis):
         p = rq.MobiusParams(4.0, 2.0)
-        xs = np.linspace(-400.0, 400.0, 160)
-        s0s = [rq.reduced_action(electron_basis, p, float(x)).s0 for x in xs]
-        assert np.all(np.diff(s0s) > 0)
+        s0, _ = rq.reduced_action(electron_basis, p, np.linspace(-400.0, 400.0, 160))
+        assert np.all(np.diff(s0) > 0)
 
     def test_descending_through_zero_continuous(self, electron_basis):
         # branch counting must also work for x < x0
         p = rq.MobiusParams(2.0, 1.0, x0=200.0)
-        xs = np.linspace(-300.0, 200.0, 120)
-        s0s = [rq.reduced_action(electron_basis, p, float(x)).s0 for x in xs]
-        assert np.all(np.diff(s0s) > 0)
+        s0, _ = rq.reduced_action(electron_basis, p, np.linspace(-300.0, 200.0, 120))
+        assert np.all(np.diff(s0) > 0)
 
     def test_branch_index_counts_zeros(self, electron_basis):
         k = electron_basis.wronskian
         p = rq.MobiusParams(1.0, 0.0)
         x = 2.2 * math.pi / k  # past zeros at pi/2k, 3pi/2k (scaled by 1/k)
-        assert rq.reduced_action(electron_basis, p, x).branch_index == 2
+        assert rq.reduced_action(electron_basis, p, [x])[1].tolist() == [2]
 
     def test_numeric_basis_jump(self, linear_electron, linear_basis):
         zs = linear_basis.phi2_zeros()
         p = rq.MobiusParams(4.0, 2.0, x0=float(zs[0]) - 1.0)
-        jump = (
-            rq.reduced_action(linear_basis, p, float(zs[5])).s0
-            - rq.reduced_action(linear_basis, p, float(zs[4])).s0
-        )
-        assert jump == pytest.approx(math.pi * HBAR, rel=1e-10)
+        s_4, s_5 = rq.reduced_action(linear_basis, p, zs[4:6])[0]
+        assert s_5 - s_4 == pytest.approx(math.pi * HBAR, rel=1e-10)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(a=st.floats(min_value=0.05, max_value=20.0) | st.floats(min_value=-20.0, max_value=-0.05),
@@ -136,14 +127,15 @@ class TestReducedAction:
         # at a node the sign of phi2 is rounding noise; S0 must still climb pi hbar
         p = rq.MobiusParams(a, b, x0=x0)
         zs = linear_basis.phi2_zeros()
-        s0 = np.array([rq.reduced_action(linear_basis, p, float(z)).s0 for z in zs])
+        s0, _ = rq.reduced_action(linear_basis, p, zs)
         assert np.allclose(np.diff(s0), p.direction * math.pi * HBAR, rtol=1e-10, atol=0.0)
 
 
 class TestConjugateMomentum:
     def test_straight_line_equals_classical(self, electron_2mev, electron_basis):
         p = rq.MobiusParams(1.0, 0.0)
-        p_cl = rq.classical_momentum(electron_2mev)
+        s = electron_2mev  # U0 = 0: p = sqrt(E^2 - m0^2 c^4) / c
+        p_cl = math.sqrt(s.energy**2 - s.rest_energy**2) / s.c
         for x in (0.0, 37.0, 911.0):
             assert rq.conjugate_momentum(electron_basis, p, x) == pytest.approx(
                 p_cl, rel=1e-12
@@ -169,10 +161,8 @@ class TestConjugateMomentum:
         p = rq.MobiusParams(4.0, 2.0)
         h = 1e-4
         for x in (13.0, 57.0, 200.0):
-            fd = (
-                rq.reduced_action(electron_basis, p, x + h).s0
-                - rq.reduced_action(electron_basis, p, x - h).s0
-            ) / (2 * h)
+            s_lo, s_hi = rq.reduced_action(electron_basis, p, [x - h, x + h])[0]
+            fd = (s_hi - s_lo) / (2 * h)
             assert fd == pytest.approx(
                 rq.conjugate_momentum(electron_basis, p, x), rel=1e-6
             )
@@ -181,31 +171,25 @@ class TestConjugateMomentum:
 class TestRqshjeResidual:
     def test_straight_line_tier(self, electron_basis):
         p = rq.MobiusParams(1.0, 0.0)
-        for x in (-311.0, 8.0, 702.0):
-            assert rq.rqshje_residual(electron_basis, p, x) <= 1e-6
+        residual, _ = rq.rqshje_residual(electron_basis, p, [-311.0, 8.0, 702.0])
+        assert np.all(residual <= 1e-6)
 
     def test_generic_member_default_step(self, electron_basis):
         p = rq.MobiusParams(4.0, 2.0)
-        worst = max(
-            rq.rqshje_residual(electron_basis, p, float(x))
-            for x in np.linspace(-300.0, 300.0, 41)
-        )
-        assert worst <= 1e-4
+        residual, _ = rq.rqshje_residual(electron_basis, p, np.linspace(-300.0, 300.0, 41))
+        assert np.all(residual <= 1e-4)
 
     def test_linear_numeric_tier(self, linear_basis):
         p = rq.MobiusParams(4.0, 2.0)
-        worst = max(
-            rq.rqshje_residual(linear_basis, p, float(x))
-            for x in np.linspace(-390.0, 0.0, 41)
-        )
-        assert worst <= 1e-3
+        residual, _ = rq.rqshje_residual(linear_basis, p, np.linspace(-390.0, 0.0, 41))
+        assert np.all(residual <= 1e-3)
 
     def test_photon_straight_tier(self, photon_basis):
-        assert rq.rqshje_residual(photon_basis, rq.MobiusParams(1.0, 0.0), 77.0) <= 1e-6
+        assert rq.rqshje_residual(photon_basis, rq.MobiusParams(1.0, 0.0), [77.0])[0][0] <= 1e-6
 
     def test_stencil_domain_error(self, linear_basis):
         with pytest.raises(rq.DomainError):
-            rq.rqshje_residual(linear_basis, rq.MobiusParams(1.0, 0.0), -399.9999)
+            rq.rqshje_residual(linear_basis, rq.MobiusParams(1.0, 0.0), [-399.9999])
 
     @pytest.mark.parametrize("ab, rel", [((0.25, 2.0), 1e-4), ((4.0, 2.0), 5e-3)])
     def test_linear_residual_does_not_follow_the_basis_step(self, linear_window_bases, ab, rel):
@@ -215,16 +199,16 @@ class TestRqshjeResidual:
         # by 157 %); it reads 2.9e-3 there and 3.1e-7 at (4, 2)
         xs, bases = linear_window_bases
         p = rq.MobiusParams(*ab)
-        fine, coarse = (float(np.max(rq.rqshje_residual(b, p, xs))) for b in bases)
+        fine, coarse = (float(np.max(rq.rqshje_residual(b, p, xs)[0])) for b in bases)
         assert abs(coarse / fine - 1.0) <= rel
 
     def test_default_stencil_is_one_array_call(self, electron_basis, linear_basis):
-        # the array read gives each position the step a scalar read gives it
+        # the array read gives each position the step a one-position read gives it
         xs = np.linspace(-390.0, 0.0, 9)
         for basis in (electron_basis, linear_basis):
             p = rq.MobiusParams(4.0, 2.0)
-            together = rq.rqshje_residual(basis, p, xs)
-            assert together.tolist() == [rq.rqshje_residual(basis, p, float(x)) for x in xs]
+            together = rq.rqshje_residual(basis, p, xs)[0]
+            assert together.tolist() == [rq.rqshje_residual(basis, p, [x])[0][0] for x in xs]
 
 
 @pytest.fixture(scope="module")

@@ -176,6 +176,18 @@ class TestReportCommand:
         assert "spacing growth toward turning point: True" in out
         assert "check local_momentum_within_5pct: PASS" in out
 
+    def test_interval_across_the_forbidden_band_fails_the_momentum_gate(self, tmp_path, capsys):
+        # the window runs past the turning point, and interval 8 spans the forbidden
+        # band: its classical momentum is NaN, which must not come out as a PASS
+        out_dir = tmp_path / "r"
+        assert main(["report", "--config", _write_cfg(tmp_path, LINEAR_CFG), "--x-min", "-40",
+                     "--x-max", "30", "--hbar-scale", "0.05", "--out", str(out_dir)]) == 1
+        out = capsys.readouterr().out
+        assert "check local_momentum_within_5pct: FAIL (nan <= 5e-02)\n" in out
+        assert out.endswith("FAILED checks: node_spacing_monotone, local_momentum_within_5pct\n")
+        p_mid = _read_csv(out_dir / "node_report.csv")[:, -1]
+        assert np.isnan(p_mid).tolist() == [n == 8 for n in range(len(p_mid))]
+
     @pytest.mark.parametrize("x_min, zeros", [(None, 34), ("-110", 3)])
     def test_linear_node_count_is_the_zero_count(self, tmp_path, capsys, x_min, zeros):
         # the default window prints what it always has; three zeros, two

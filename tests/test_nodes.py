@@ -18,7 +18,7 @@ class TestAnalyticNodes:
         nd = rq.nodes_constant(electron_2mev)
         assert nd.dt_spacing == pytest.approx(1.10612e-21, rel=1e-5)
         assert nd.dx_spacings[0] == pytest.approx(320.60, rel=1e-5)
-        assert rq.fm_to_m(nd.dx_spacings[0]) == pytest.approx(3.2060e-13, rel=1e-4)
+        assert nd.dx_spacings[0] * 1e-15 == pytest.approx(3.2060e-13, rel=1e-4)
 
     def test_first_node(self, electron_2mev):
         nd = rq.nodes_constant(electron_2mev)
@@ -103,6 +103,24 @@ class TestNumericNodes:
         worst = max(abs(r["p_node"] / r["p_classical_mid"] - 1.0) for r in rows)
         assert worst <= 0.05
 
+    def test_linear_rows_match_a_loop_over_intervals(self, linear_electron):
+        # the rows are read as arrays; a loop over the intervals gives the same bits, NaN
+        # included, on a window whose interval 8 spans the forbidden band
+        s = linear_electron.with_hbar_scale(0.05)
+        basis = rq.kg_solve_linear(s, -40.0, 30.0)
+        zeros = rq.nodes_numeric(basis)
+        loop = []
+        for n in range(len(zeros) - 1):
+            lo, hi = float(zeros[n]), float(zeros[n + 1])
+            u = s.energy - s.potential.value(0.5 * (zeros[n] + zeros[n + 1]))
+            q2 = u * u - s.rest_energy**2
+            p_classical = math.sqrt(q2) / s.c if q2 > 0 else math.nan
+            loop.append([n, lo, hi, hi - lo, math.pi * s.hbar / (hi - lo), p_classical])
+        rows = [list(r.values()) for r in rq.linear_node_summary(s, basis)]
+        assert [r[:5] for r in rows] == [r[:5] for r in loop]
+        assert np.array_equal([r[5] for r in rows], [r[5] for r in loop], equal_nan=True)
+        assert [math.isnan(r[5]) for r in rows] == [n == 8 for n in range(len(rows))]
+
     def test_step_density_precondition(self):
         s = rq.Scenario(
             rq.Species.electron(), rq.Potential.constant(0.0), energy=2.0, hbar_scale=0.01
@@ -138,7 +156,8 @@ class TestMeanMomentum:
     def test_equals_classical_on_constant(self, electron_2mev, electron_basis):
         zs = electron_basis.phi2_zeros(0.0, 700.0)
         val = rq.mean_momentum(electron_basis, rq.MobiusParams(1.0, 0.0), float(zs[0]), float(zs[1]))
-        assert val == pytest.approx(rq.classical_momentum(electron_2mev), rel=1e-12)
+        s = electron_2mev  # U0 = 0: p = sqrt(E^2 - m0^2 c^4) / c
+        assert val == pytest.approx(math.sqrt(s.energy**2 - s.rest_energy**2) / s.c, rel=1e-12)
 
     def test_family_invariant(self, electron_basis):
         zs = electron_basis.phi2_zeros(0.0, 700.0)

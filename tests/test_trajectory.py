@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rqtlab as rq
-from conftest import AB_GRID
+from conftest import AB_GRID, flow_speed
 
 HBAR = 6.582119569e-22
 C = 2.99792458e23
@@ -74,6 +74,18 @@ class TestClosedAllowed:
         )
         for n in range(2):
             assert np.any(np.isclose(traj.times, (n + 0.5) * dt_n, rtol=0, atol=1e-30))
+
+    @pytest.mark.parametrize("scenario", ["electron_2mev", "photon_12mev"])
+    def test_no_two_samples_nearly_repeat(self, request, scenario):
+        # the CLI's grid, 600 steps over three node intervals: the node times fall on
+        # grid times 100, 300 and 500 dt, up to an ulp, and each is kept in its place
+        s = request.getfixturevalue(scenario)
+        dt_n, _ = _node_spacings(s)
+        dt = 3 * dt_n / 600
+        traj = rq.trajectory_constant_allowed(s, rq.MobiusParams(4.0, 2.0), (0.0, 3 * dt_n), dt)
+        assert np.all(np.diff(traj.times) > 1e-9 * dt)
+        assert np.all(np.isin(rq.node_times_constant(s, 0.0, 3 * dt_n), traj.times))
+        assert len(traj.times) == 601
 
     def test_anchor_for_zero_b(self, electron_2mev):
         dt_n, _ = _node_spacings(electron_2mev)
@@ -218,7 +230,7 @@ class TestOdeTrajectory:
         ode = rq.trajectory_ode(
             electron_2mev, electron_basis, rq.MobiusParams(4.0, 2.0), (0.0, 2 * dx_n), 40
         )
-        assert np.all(rq.flow_speed(electron_2mev, electron_basis, ode.params, ode.positions) > 0)
+        assert np.all(flow_speed(electron_2mev, electron_basis, ode.params, ode.positions) > 0)
         assert np.all(np.diff(ode.times) > 0)
 
     def test_linear_monotone_and_truncated(self, linear_electron, linear_basis):
@@ -246,7 +258,7 @@ class TestOdeTrajectory:
         nodes, weights = np.polynomial.legendre.leggauss(4)
         half = 0.5 * np.diff(edges)
         pts = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * nodes
-        panel = half * np.sum(weights / rq.flow_speed(s, basis, p, pts), axis=1)
+        panel = half * np.sum(weights / flow_speed(s, basis, p, pts), axis=1)
         ref = np.concatenate([[0.0], np.cumsum(panel)])[np.searchsorted(edges, xs)]
         assert traj.times[0] == 0.0
         assert np.max(np.abs(traj.times[1:] / ref[1:] - 1.0)) <= 1e-14
@@ -349,7 +361,7 @@ class TestNodeTimes:
         times = rq.trajectory_ode_family(s, basis, [p], (basis.x_min, basis.x_max), 16,
                                          nodes=nodes)[0].node_times
         edges = np.concatenate(([basis.x_min], nodes))
-        inv = lambda x: 1.0 / float(rq.flow_speed(s, basis, p, x))
+        inv = lambda x: 1.0 / float(flow_speed(s, basis, p, x))
         ref = np.cumsum([quad(inv, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                          for lo, hi in zip(edges[:-1], edges[1:])])
         assert len(times) == 34
@@ -403,7 +415,7 @@ def _refined_times(s, basis, p, stops, sub):
     nodes, weights = np.polynomial.legendre.leggauss(4)
     half = 0.5 * np.diff(edges)
     pts = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * nodes
-    panel = half * np.sum(weights / rq.flow_speed(s, basis, p, pts), axis=1)
+    panel = half * np.sum(weights / flow_speed(s, basis, p, pts), axis=1)
     return np.concatenate([[0.0], np.cumsum(panel)])[np.searchsorted(edges, stops)]
 
 
@@ -524,18 +536,24 @@ class TestFirqnlResidual:
             rq.firqnl_residual(electron_2mev, rq.MobiusParams(1.0, 0.0), (0.0, 0.4 * dt_n), 4)
 
     def test_formula_matches_symbolic_reduction(self):
-        """The hard-coded first-integral terms equal the Hamilton-Jacobi
+        """The library's first-integral terms equal the Hamilton-Jacobi
         equation with the velocity-momentum relation substituted in.
 
         Works in position space: with w(x) the velocity field along the
-        trajectory, xdd = w w' and xddd = w (w w'' + w'^2).  The difference
-        of the two sides is a fixed rational function of the independent
-        atoms (E, m0^2 c^4, hbar, c, V, V', V'', w, w', w''), so exact
-        vanishing at random rational points certifies the identity.
+        trajectory, xdd = w w' and xddd = w (w w'' + w'^2).  The terms are
+        read from _firqnl_terms on a scenario whose fields are symbols.  V''
+        is 0 on both potentials, and the library leaves its term out, so
+        V'' is set to 0.  The difference of the two sides is then a fixed
+        rational function of the independent atoms (E, m0^2 c^4, hbar, c,
+        V, V', w, w', w''), so exact vanishing at random rational points
+        certifies the identity.
         """
         import random
+        from types import SimpleNamespace
 
         import sympy as sp
+
+        from rqtlab.trajectory import _firqnl_terms
 
         x = sp.Symbol("x")
         E, m4, hbar, c = sp.symbols("E m4 hbar c", positive=True)
@@ -557,21 +575,14 @@ class TestFirqnlResidual:
         xd = w(x)
         xdd = w(x) * sp.diff(w(x), x)
         xddd = w(x) * (w(x) * sp.diff(w(x), x, 2) + sp.diff(w(x), x) ** 2)
-        vp = sp.diff(V(x), x)
-        vpp = sp.diff(V(x), x, 2)
-        terms = (
-            Q**2,
-            -(xd**2 / c**2) * u**2 * Q,
-            sp.Rational(1, 2) * hbar**2 * (sp.Rational(3, 2) * (xdd / xd) ** 2 - xddd / xd) * u**2,
-            -sp.Rational(1, 2) * hbar**2 * (xdd * vp + xd**2 * vpp) * u * (u**2 + m4) / Q,
-            -sp.Rational(3, 4) * hbar**2 * (xd * vp) ** 2 * ((u**2 + m4) / Q) ** 2,
-            -(hbar**2) * (xd * vp) ** 2 * m4 / Q,
-        )
-        diff = sum(terms) - lhs * u**2 * w(x) ** 2 / c**2
+        potential = SimpleNamespace(value=lambda _: V(x), derivative=lambda _: sp.diff(V(x), x))
+        s = SimpleNamespace(energy=E, rest_energy=sp.sqrt(m4), hbar=hbar, c=c, potential=potential)
+        # the float coefficients 0.5, 0.75 and 1.5 are exact binary fractions
+        terms = [sp.nsimplify(term, rational=True) for term in _firqnl_terms(s, x, xd, xdd, xddd)]
+        diff = (sum(terms) - lhs * u**2 * w(x) ** 2 / c**2).subs(sp.Derivative(V(x), (x, 2)), 0)
 
         rng = random.Random(8)
         atoms = [
-            sp.Derivative(V(x), (x, 2)),
             sp.Derivative(V(x), x),
             sp.Derivative(w(x), (x, 2)),
             sp.Derivative(w(x), x),
@@ -582,9 +593,14 @@ class TestFirqnlResidual:
             hbar,
             c,
         ]
-        for _ in range(3):
+        checked = 0
+        while checked < 3:
             vals = {a: sp.Rational(rng.randint(2, 80), rng.randint(1, 9)) for a in atoms}
+            u_val = vals[E] - vals[V(x)]
+            if u_val == 0 or u_val**2 == vals[m4]:
+                continue  # E = V or a turning point: the terms' denominators vanish
             assert sp.simplify(diff.subs(vals)) == 0
+            checked += 1
 
 
 class TestVelocityMomentum:
@@ -619,10 +635,10 @@ class TestVelocityMomentum:
 
     def test_product_vanishes_at_turning_point(self, linear_electron, linear_basis):
         p = rq.MobiusParams(1.0, 0.0, -350.0)
-        far = rq.flow_speed(linear_electron, linear_basis, p, -300.0) * rq.conjugate_momentum(
+        far = flow_speed(linear_electron, linear_basis, p, -300.0) * rq.conjugate_momentum(
             linear_basis, p, -300.0
         )
-        near = rq.flow_speed(linear_electron, linear_basis, p, 5.95) * rq.conjugate_momentum(
+        near = flow_speed(linear_electron, linear_basis, p, 5.95) * rq.conjugate_momentum(
             linear_basis, p, 5.95
         )
         assert abs(near) < 1e-3 * abs(far)
