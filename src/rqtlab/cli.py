@@ -61,18 +61,22 @@ VELMOM_BOUND = 1e-6
 KG_FD_BOUND = 1e-4
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    """A comma-separated list of numbers."""
+    return tuple(float(v) for v in text.split(","))
+
+
+def _pairs(text: str) -> tuple[tuple[float, float], ...]:
+    """The family list 'a,b;a,b;...' as (a, b) pairs; empty chunks are skipped."""
+    pairs = tuple(_floats(chunk) for chunk in text.split(";") if chunk.strip())
+    if not pairs or any(len(pair) != 2 for pair in pairs):
+        raise ValueError("expected 'a,b;a,b;...'")
+    return pairs
+
+
 def _family(args, x0: float = 0.0, default=DEFAULT_AB) -> list[MobiusParams]:
-    """The --ab family list 'a,b;a,b;...', or the default one, anchored at x0."""
-    if not args.ab:
-        return [MobiusParams(a, b, x0) for a, b in default]
-    out = []
-    for chunk in filter(None, (c.strip() for c in args.ab.split(";"))):
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad (a,b) chunk {chunk!r}; expected 'a,b'")
-        out.append(MobiusParams(a=float(parts[0]), b=float(parts[1]), x0=x0))
-    if not out:
-        raise ValueError("empty --ab list")
+    """The --ab family, or the default one, anchored at x0."""
+    out = [MobiusParams(a, b, x0) for a, b in args.ab or default]
     # a member's tag names its file, so two members with one tag would write it twice
     tags = [_ab_tag(p) for p in out]
     twice = [tag for i, tag in enumerate(tags) if tag in tags[:i]]
@@ -315,7 +319,7 @@ def cmd_classical_limit(args, s: Scenario, regime: str) -> int:
     p, *more = _family(args, default=((4.0, 2.0),))
     if more:
         raise ValueError(f"classical-limit scans one member; --ab lists {len(more) + 1}")
-    rep = classical_limit_scan(s, p, tuple(float(e) for e in args.epsilons.split(",")))
+    rep = classical_limit_scan(s, p, args.epsilons)
     print(f"wrote {write_classical_csv(rep, out / 'classical_limit.csv', s)}")
     print(f"fitted scaling exponent = {rep.exponent:.6f}")
     print(f"check classical_limit_scaling: {'PASS' if rep.scaling_holds else 'FAIL'}")
@@ -332,14 +336,14 @@ FLAGS = {
     "hbar-scale": (None, float, "multiplies every hbar, in (0, 1]"),
     "dt": (None, float, "sample spacing in s (closed forms)"),
     "samples": (600, int, "sample count (16 to 10^7, default 600)"),
-    "ab": (None, str, "family list 'a,b;a,b;...'"),
+    "ab": (None, _pairs, "family list 'a,b;a,b;...'"),
     "method": (DEFAULT_METHOD, METHODS, f"scheme (default {DEFAULT_METHOD})"),
     "step": (DEFAULT_STEP, float, f"step in fm (default {DEFAULT_STEP:g})"),
     "x-min": (None, float, "left end of the numeric window in fm"),
     "x-max": (None, float, "right end of the numeric window in fm"),
     "x0": (None, float, "anchor position in fm"),
     "ceiling": (1.0e6, float, "|x| clip in fm (forbidden region)"),
-    "epsilons": ("1,0.5,0.25,0.125", str, "hbar scale factors"),
+    "epsilons": ((1.0, 0.5, 0.25, 0.125), _floats, "hbar scale factors"),
 }
 
 COMMON = ("config", "hbar-scale")

@@ -1,8 +1,8 @@
 """Trajectory generation and the dynamical residual checks.
 
 Closed forms cover the constant potential (allowed and forbidden massive
-regions) and the photon; general potentials go through a time-of-flight
-quadrature of the velocity field.
+regions) and the photon.  The time of flight is exact on a closed-form
+basis and a Gauss quadrature over a sampled basis's grid cells.
 
 Two labelings of the same trajectory family appear in the formulation:
 the flow generated by the reduced action carries constants (a, b) from
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .action import MobiusParams, conjugate_momentum, dual_params
+from .action import MobiusParams, conjugate_momentum, dual_params, reduced_action
 from .errors import DomainError
 from .kg import KgBasis, kg_closed_constant
 from .scenario import (
@@ -268,12 +268,6 @@ _GL_WEIGHTS = np.array(
 )
 
 
-# Gauss panels per node interval pi / W on a closed-form basis.  1/xdot is
-# smooth there; at 1024 the time of flight stays within 2e-13 node spacings
-# of the closed form for a in [0.25, 4], b in [-2, 2] (256 leave 2e-10).
-CLOSED_PANELS_PER_NODE = 1024
-
-
 # Gauss panels evaluated per array operation in the time of flight: each
 # Gauss-point array stays at 256 KiB however many panels the range holds.
 # Figure 4 ran fastest at this size, of 1 << 12 .. 1 << 15.
@@ -282,16 +276,16 @@ PANEL_CHUNK = 1 << 13
 
 def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusParams],
                            xs: np.ndarray) -> np.ndarray:
-    """t(x) at the requested increasing samples for every member, one row each.
+    """t(x) on a sampled basis at the increasing samples xs, one row per member.
 
-    The whole panels (a numeric basis's grid cells from the one holding
-    xs[0], a closed form's uniform panels and phi2 zeros) are walked once,
-    PANEL_CHUNK at a time, a numeric basis reading a chunk's run of cells
+    The whole panels, the basis's grid cells from the one holding xs[0],
+    are walked once, PANEL_CHUNK at a time, each chunk's run of cells read
     at the fixed Gauss fractions.  The running sums carry from chunk to
     chunk: np.cumsum adds in order, so prepending the carry gives the bits
     of one cumsum over all panels.  A sample's time is the running sum up
-    to its panel plus one Gauss sum over the part of the panel before it,
-    less the same for xs[0], so that t(xs[0]) is exactly 0.
+    to its panel plus one Gauss sum over the part of the panel before it
+    (also PANEL_CHUNK samples at a time), less the same for xs[0], so that
+    t(xs[0]) is exactly 0.
     """
     def panel_times(left, right, read, out):
         # Gauss points: one row per node, one column per panel.  kf and the weights
@@ -304,30 +298,26 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
             np.sum(weights / (phi2_sq + (p.a * phi1 + p.b * phi2) ** 2), axis=0, out=row)
             row *= s.hbar * p.a * basis.wronskian
 
-    lo, hi = float(xs[0]), float(xs[-1])
-    if basis.is_closed_form:
-        n = math.ceil((hi - lo) * basis.wronskian / math.pi * CLOSED_PANELS_PER_NODE)
-        edges = _sorted_unique(np.concatenate([np.linspace(lo, hi, n + 1),
-                                               basis.phi2_zeros(lo, hi)]))
-        whole = lambda pts, first, m: basis.phi12(pts)
-    else:
-        # the grid cells from the one holding lo to the one ending at or past hi
-        i0 = np.searchsorted(basis.grid, lo, "right") - 1
-        edges = basis.grid[i0:np.searchsorted(basis.grid, hi, "left") + 1]
-        fractions = 0.5 * (1.0 + _GL_NODES)
-        whole = lambda pts, first, m: basis.phi12_at_fractions(fractions, i0 + first, m)
+    # the grid cells from the one holding xs[0] to the one ending at or past xs[-1]
+    i0 = np.searchsorted(basis.grid, xs[0], "right") - 1
+    edges = basis.grid[i0:np.searchsorted(basis.grid, xs[-1], "left") + 1]
+    fractions = 0.5 * (1.0 + _GL_NODES)
     # each sample's panel, by its left edge (a sample on the last edge closes the walk),
-    # and its Gauss sum over the part of that panel before it
+    # and its Gauss sum over the part of that panel before it, PANEL_CHUNK samples at a time
     at = np.searchsorted(edges, xs, "right") - 1
+    cells = i0 + np.minimum(at, len(edges) - 2)
     times = np.empty((len(members), len(xs)))
-    cells = None if basis.is_closed_form else i0 + np.minimum(at, len(edges) - 2)
-    panel_times(edges[at], xs, lambda pts: basis.phi12(pts, cells), times)
+    for c in range(0, len(xs), PANEL_CHUNK):
+        part = slice(c, c + PANEL_CHUNK)
+        panel_times(edges[at[part]], xs[part], lambda pts: basis.phi12(pts, cells[part]),
+                    times[:, part])
     # one row per member: column 0 carries the sums so far, 1 + i holds panel i
     sums = np.zeros((len(members), PANEL_CHUNK + 1))
     for first in range(0, len(edges) - 1, PANEL_CHUNK):
         e = edges[first:first + PANEL_CHUNK + 1]
         m = len(e) - 1
-        panel_times(e[:-1], e[1:], lambda pts: whole(pts, first, m), sums[:, 1:m + 1])
+        panel_times(e[:-1], e[1:], lambda pts: basis.phi12_at_fractions(fractions, i0 + first, m),
+                    sums[:, 1:m + 1])
         cum = np.cumsum(sums[:, :m + 1], axis=1)
         # plus the running sum, for samples whose panel starts at an edge this chunk closes
         i, k = np.searchsorted(at, (first, first + m), "right")
@@ -344,28 +334,24 @@ def trajectory_ode_family(
     n_samples: int,
     nodes=(),
 ) -> list[Trajectory]:
-    """t(x) of each member by quadrature of 1/xdot, in one pass over the family.
+    """t(x) of each member, the integral of 1/xdot = S0'/kf from x_range[0], for a family.
 
-    The parameters are the action-side labels: the flow integrated is
-    exactly the one whose conjugate momentum is hbar a W / (...).  xdot is
-    finite and of one sign between turning points, so t(x) is smooth and
-    strictly monotone.  Every basis takes one path: fixed 4-point Gauss
-    panels summed cumulatively, with every sample read as the part of its
-    panel before it.  On a sampled basis the panels are its grid cells, so
-    that each sees one smooth piece of the septic interpolant; on a closed
-    form each node interval pi / W is split into CLOSED_PANELS_PER_NODE
-    panels, with the phi2 zeros (where xdot peaks) as edges.  A turning
-    point inside the range truncates it TURNING_GUARD short (the flow only
-    reaches it asymptotically), flagged on the result.
+    The parameters are the action-side labels; kf is the kinetic factor
+    (E - V) - m0^2 c^4 / (E - V).  xdot is finite and of one sign between turning
+    points, so t(x) is smooth and strictly monotone.  On a closed-form
+    basis kf is constant, so the time is exact: (S0(x) - S0(x_range[0])) /
+    kf, from reduced_action.  A sampled basis takes _cumulative_time_gauss
+    over its grid cells, each one smooth piece of the septic interpolant,
+    with all members sharing the panels and what does not depend on (a, b).
+    A turning point inside the range truncates it TURNING_GUARD short (the
+    flow only reaches it asymptotically), flagged on the result.
 
-    All members share the samples and the Gauss panels, so everything that
-    does not depend on (a, b) is evaluated once per chunk of panels for the
-    whole family; each member's times have the same bits as a family of
-    that member alone.  The positions in ``nodes`` are partial panels too,
-    so each member's time at them (its ``node_times``) is the quadrature's
-    own, not a read between samples.  They must increase from
-    x_range[0] and lie inside the basis and before the first turning point
-    past it; they may run past a truncated range.
+    Each member's times have the same bits as a family of that member
+    alone.  The positions in ``nodes`` are read as samples are, so each
+    member's time at them (its ``node_times``) is not a read between
+    samples.  They must increase from x_range[0] and lie inside the basis
+    and before the first turning point past it; they may run past a
+    truncated range.
     """
     if not members:
         raise ValueError("need at least one family member")
@@ -394,7 +380,11 @@ def trajectory_ode_family(
 
     xs = np.linspace(lo, hi, n_samples)
     stops = _sorted_unique(np.concatenate([xs, nodes]))
-    times = _cumulative_time_gauss(s, basis, members, stops)
+    if basis.is_closed_form:
+        s0 = np.array([p.direction * reduced_action(basis, p, stops)[0] for p in members])
+        times = (s0 - s0[:, :1]) / kinetic_factor(s, 0.0)
+    else:
+        times = _cumulative_time_gauss(s, basis, members, stops)
     at_xs, at_nodes = np.searchsorted(stops, xs), np.searchsorted(stops, nodes)
     out = []
     for p, ts in zip(members, times):

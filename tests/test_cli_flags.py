@@ -244,7 +244,7 @@ def test_flag_outside_the_subcommand_is_one_line(tmp_path, monkeypatch, capsys):
     (["figure", "--samples=32", "3"], {"figure_id": 3, "samples": 32}),
     (["kg-solve", "--x-min", "-60", "--x-max=-50"], {"x-min": -60.0, "x-max": -50.0}),
     (["trajectory", "--ab", "-1,0;4,2", "--config=a=b.cfg"],
-     {"ab": "-1,0;4,2", "config": "a=b.cfg"}),
+     {"ab": ((-1.0, 0.0), (4.0, 2.0)), "config": "a=b.cfg"}),
     (["kg-solve", "--method", "rk4"], {"method": "rk4"}),
     # refused: one error line naming the flag, or the subcommand's first argument
     (["figure", "1", "--samp", "32"], "figure takes no flag --samp"),
@@ -267,6 +267,15 @@ def test_flag_outside_the_subcommand_is_one_line(tmp_path, monkeypatch, capsys):
     # help, also after other flags, and before a malformed one
     (["figure", "1", "--samples", "32", "-h"], "help"),
     (["figure", "--bogus", "--help"], "help"),
+    # --ab and --epsilons are parsed as lists of numbers; an empty chunk is skipped
+    (["trajectory", "--ab", " 4, 2;0.5,-1;"], {"ab": ((4.0, 2.0), (0.5, -1.0))}),
+    (["classical-limit", "--epsilons", "1,0.5"], {"epsilons": (1.0, 0.5)}),
+    (["figure", "1", "--ab", "1,x"], "bad --ab value '1,x'"),
+    (["figure", "1", "--ab", "1"], "bad --ab value '1'"),
+    (["figure", "1", "--ab", "1,2,3"], "bad --ab value '1,2,3'"),
+    (["figure", "1", "--ab", ";"], "bad --ab value ';'"),
+    (["classical-limit", "--epsilons", "1,x"], "bad --epsilons value '1,x'"),
+    (["classical-limit", "--epsilons", ","], "bad --epsilons value ','"),
 ])
 def test_command_line_contract(tmp_path, monkeypatch, capsys, argv, expected):
     monkeypatch.chdir(tmp_path)

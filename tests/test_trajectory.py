@@ -223,7 +223,30 @@ class TestOdeTrajectory:
             ref0 = rq.constant_allowed_position(s, pd, t_shift)
             err = np.max(np.abs((ode.positions - x_lo) - (ref - ref0)))
             assert err <= 1e-6 * dx_n
-            assert err <= 1e-12 * dx_n  # the closed-form time-of-flight resolution
+            assert err <= 1e-13 * dx_n  # the exact closed-form time, to rounding
+
+    @pytest.mark.parametrize("species, u0, energy", [("electron", 0.0, 2.0), ("photon", 0.0, 1.2),
+                                                     ("electron", 1.7, 2.0), ("electron", 4.0, 2.0)])
+    def test_closed_form_time_is_the_integral_of_momentum_over_kf(self, species, u0, energy):
+        # t = (S0(x) - S0(x_lo)) / kf against adaptive quadrature of S0' / kf between
+        # samples, over the closed form's default window: allowed, photon, forbidden
+        # (U0 = 1.7 MeV) and Klein region (U0 = 4 MeV, E - U0 < -m0 c^2)
+        from scipy.integrate import quad
+
+        s = rq.Scenario(getattr(rq.Species, species)(), rq.Potential.constant(u0), energy=energy)
+        basis = rq.kg_closed_constant(s)
+        members = [rq.MobiusParams(a, b) for a, b in ((1.0, 0.0), (4.0, 2.0), (0.5, -1.0),
+                                                      (-2.0, 1.0))]
+        xs = np.linspace(basis.x_min, basis.x_max, 60)
+        family = rq.trajectory_ode_family(s, basis, members, (basis.x_min, basis.x_max), 60)
+        for p, traj in zip(members, family):
+            dt_dx = lambda x: float(rq.conjugate_momentum(basis, p, x) / rq.kinetic_factor(s, x))
+            steps = [quad(dt_dx, x0, x1, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for x0, x1 in zip(xs[:-1], xs[1:])]
+            ref = p.direction * np.concatenate(([0.0], np.cumsum(steps)))
+            assert traj.times[0] == 0.0
+            # relative to the time of flight over the window
+            assert np.max(np.abs(traj.times - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_velocity_field_positive(self, electron_2mev, electron_basis):
         _, dx_n = _node_spacings(electron_2mev)
@@ -262,6 +285,17 @@ class TestOdeTrajectory:
         ref = np.concatenate([[0.0], np.cumsum(panel)])[np.searchsorted(edges, xs)]
         assert traj.times[0] == 0.0
         assert np.max(np.abs(traj.times[1:] / ref[1:] - 1.0)) <= 1e-14
+
+    def test_sample_chunks_leave_the_times_unchanged(self, linear_electron, linear_basis,
+                                                     monkeypatch):
+        # the samples' partial cells are read PANEL_CHUNK at a time, like the whole
+        # ones; off the grid, every sample's partial cell is a Gauss sum of its own
+        s, basis, p = linear_electron, linear_basis, rq.MobiusParams(4.0, 2.0, -299.9993)
+        x_range = (-299.9993, -100.0011)
+        default = rq.trajectory_ode(s, basis, p, x_range, 201)
+        assert not np.isin(default.positions, basis.grid).any()
+        monkeypatch.setattr(rq.trajectory, "PANEL_CHUNK", 7)
+        assert np.array_equal(rq.trajectory_ode(s, basis, p, x_range, 201).times, default.times)
 
     @staticmethod
     def _assert_family_matches_members(s, basis, members, x_range, n_samples, nodes=()):
