@@ -52,7 +52,7 @@ METHODS = ("magnus6", "rk4", "euler")
 DEFAULT_METHOD = "magnus6"
 DEFAULT_STEP = 2.0e-2
 
-# Most steps kg_solve_numeric takes: about ten arrays of the step count, 0.8 GB.
+# Most steps kg_solve_numeric takes: a basis of five such arrays, 0.4 GB, built at 1.1 times that.
 MAX_STEPS = 10**7
 
 # write_basis_csv thins a numeric grid longer than this to every
@@ -325,6 +325,12 @@ _COSH_M1 = [1.0 / math.factorial(2 * k) for k in range(5, 0, -1)]
 _SINHC = [1.0 / math.factorial(2 * k + 1) for k in range(4, -1, -1)]
 _SERIES_MAX = 1.0e-2
 
+# Positions of _chain's pass gathered before one transposed write into the
+# states' rows, so that each write fills two cache lines of a row.  Figure 4's
+# kg build took a median 54 ms at 16, 61 ms at 4, 57 ms at 64, and 68 ms with
+# one strided column written per position (1), warm, one CPU.
+_WRITE_BATCH = 16
+
 
 def _magnus6_matrix(w1, w2, w3, h):
     """One sixth-order Magnus step under phi'' = w phi, as entries of M - I.
@@ -377,22 +383,26 @@ def _magnus6_matrix(w1, w2, w3, h):
 def _chain(step_matrices, n, y0):
     """States y_0 .. y_n of y_{i+1} = M_i y_i, y = [[phi1, phi2], [dphi1, dphi2]].
 
+    Returns one (4, n + 1) array, rows phi1, phi2, dphi1, dphi2.
     ``step_matrices`` maps an array of step indices to fresh arrays of the
     entries of M - I (see _rk4_matrix and _magnus6_matrix).  A blocked
     prefix product: the n steps form about 4 sqrt(n) blocks of about
     sqrt(n) / 4 steps, the last padded with identity steps.  One pass over
     the positions in a block forms the running products of all blocks at
-    once, the block starts are the states of the chain of block products
-    (blocked the same way, down to a stepping loop of fewer than 64 steps),
-    and two (size, n_blocks) buffers, reused for all four entries, apply
-    the running products to the block starts.  The split keeps each of the
-    pass's array operations thousands of steps long (about 2,000 at figure
-    4's 270 k steps), where square blocks left them overhead-bound at about
-    sqrt(n); carrying the starts through the same split keeps the states'
-    O(1) roundings to a few dozen.  Products are held as P - I, as a
-    stepping loop holds y + dy, so equal steps do not repeat one rounding
-    of 1 + small; each state runs from its own block start, so block seams
-    stay smooth.
+    once and writes them, _WRITE_BATCH positions at a time, into the
+    returned array, one row of positions per block.  The block starts are
+    the states of the chain of block products (blocked the same way, down
+    to a stepping loop of fewer than 64 steps), and the running products
+    become the states in place, a chunk of blocks at a time, in temporaries
+    that reuse the batch buffer: the returned array is the only buffer of
+    the step count (8.7 MB beside a 1.1 MB batch at figure 4's 270 k
+    steps).  The split keeps each of the pass's array operations thousands
+    of steps long (about 2,000 at figure 4), where square blocks left them
+    overhead-bound at about sqrt(n); carrying the starts through the same
+    split keeps the states' O(1) roundings to a few dozen.  Products are
+    held as P - I, as a stepping loop holds y + dy, so equal steps do not
+    repeat one rounding of 1 + small; each state runs from its own block
+    start, so block seams stay smooth.
     """
     size = math.isqrt(n // 16)
     if size < 2:
@@ -401,14 +411,19 @@ def _chain(step_matrices, n, y0):
             y11, y12, y21, y22 = states[-1]
             states.append((y11 + (t11 * y11 + t12 * y21), y12 + (t11 * y12 + t12 * y22),
                            y21 + (t21 * y11 + t22 * y21), y22 + (t21 * y12 + t22 * y22)))
-        return [np.array(e) for e in zip(*states)]
+        return np.array(list(zip(*states)))
     n_blocks = -(-n // size)
     first = size * np.arange(n_blocks)  # each block's first step
-    run = [np.empty((size, n_blocks)) for _ in range(4)]
+    states = np.empty((4, n_blocks * size + 1))
+    rows = states[:, :-1].reshape(4, n_blocks, size)  # ends as rows[:, i, j] = y_{first[i] + j}
+    batch = np.empty((4, _WRITE_BATCH, n_blocks))
     q = [np.zeros(n_blocks) for _ in range(4)]
     for j in range(size):
-        for e, v in zip(run, q):
-            e[j] = v
+        k = j % _WRITE_BATCH
+        for e, v in zip(batch, q):
+            e[k] = v
+        if k == _WRITE_BATCH - 1 or j == size - 1:
+            rows[:, :, j - k:j + 1] = batch[:, :k + 1].transpose(0, 2, 1)
         a, b, c, d = m = step_matrices(first + j)
         if first[-1] + j >= n:
             for e in m:
@@ -418,23 +433,21 @@ def _chain(step_matrices, n, y0):
         q = (q11 + (a + (a * q11 + b * q21)), q12 + (b + (a * q12 + b * q22)),
              q21 + (c + (c * q11 + d * q21)), q22 + (d + (c * q12 + d * q22)))
     last_block = n_blocks - 1
-    y11, y12, y21, y22 = starts = _chain(lambda i: [e[np.minimum(i, last_block)] for e in q],
-                                         n_blocks, y0)
-    f11, f12, f21, f22 = run
-    out = []
-    blocks = ((f11, y11, f12, y21), (f11, y12, f12, y22),
-              (f21, y11, f22, y21), (f21, y12, f22, y22))
-    fy_a, fy_b = np.empty((size, n_blocks)), np.empty((size, n_blocks))
-    for (fa, ya, fb, yb), y in zip(blocks, starts):
-        o = np.empty(n_blocks * size + 1)
-        # y + (fa ya + fb yb): the sum commutes exactly, so y may come last
-        np.multiply(fa, ya[:-1], out=fy_a)
-        fy_a += np.multiply(fb, yb[:-1], out=fy_b)
-        fy_a += y[:-1]
-        o[:-1].reshape(n_blocks, size)[:] = fy_a.T
-        o[-1] = y[-1]
-        out.append(o[:n + 1])
-    return out
+    starts = _chain(lambda i: [e[np.minimum(i, last_block)] for e in q], n_blocks, y0)
+    # y + (fa ya + fb yb), the sum commuted exactly so that y comes last: rows 0 and 1
+    # read (f11, f12) with (ya, yb) = (y11, y21) and (y12, y22), rows 2 and 3 read (f21, f22)
+    chunk = _WRITE_BATCH * n_blocks // size
+    for r in range(0, n_blocks, chunk):
+        blocks = slice(r, min(r + chunk, n_blocks))
+        fy_a, fy_b = batch.reshape(2, -1)[:, :2 * size * (blocks.stop - r)].reshape(2, 2, -1, size)
+        ya, yb = starts[:2, blocks, None], starts[2:, blocks, None]
+        for e in (0, 2):
+            np.multiply(rows[e, blocks], ya, out=fy_a)
+            fy_a += np.multiply(rows[e + 1, blocks], yb, out=fy_b)
+            fy_a += starts[e:e + 2, blocks, None]
+            rows[e:e + 2, blocks] = fy_a
+    states[:, -1] = starts[:, -1]
+    return states[:, :n + 1]
 
 
 def kg_solve_numeric(

@@ -49,7 +49,7 @@ class TrajectoryKind(enum.Enum):
 class Trajectory:
     """A sampled (t, x) path."""
 
-    times: np.ndarray       # s, strictly increasing
+    times: np.ndarray       # s; a time grid increases, a quadrature's run from 0 with kf's sign
     positions: np.ndarray   # fm
     params: MobiusParams
     scenario: Scenario
@@ -284,8 +284,8 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
     chunk: np.cumsum adds in order, so prepending the carry gives the bits
     of one cumsum over all panels.  A sample's time is the running sum up
     to its panel plus one Gauss sum over the part of the panel before it
-    (also PANEL_CHUNK samples at a time), less the same for xs[0], so that
-    t(xs[0]) is exactly 0.
+    (also PANEL_CHUNK Gauss points at a time), less the same for xs[0], so
+    that t(xs[0]) is exactly 0.
     """
     def panel_times(left, right, read, out):
         # Gauss points: one row per node, one column per panel.  kf and the weights
@@ -303,12 +303,13 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
     edges = basis.grid[i0:np.searchsorted(basis.grid, xs[-1], "left") + 1]
     fractions = 0.5 * (1.0 + _GL_NODES)
     # each sample's panel, by its left edge (a sample on the last edge closes the walk),
-    # and its Gauss sum over the part of that panel before it, PANEL_CHUNK samples at a time
+    # and its Gauss sum over the part of that panel before it, PANEL_CHUNK Gauss points at a time
     at = np.searchsorted(edges, xs, "right") - 1
     cells = i0 + np.minimum(at, len(edges) - 2)
     times = np.empty((len(members), len(xs)))
-    for c in range(0, len(xs), PANEL_CHUNK):
-        part = slice(c, c + PANEL_CHUNK)
+    per_chunk = PANEL_CHUNK // len(_GL_NODES)
+    for c in range(0, len(xs), per_chunk):
+        part = slice(c, c + per_chunk)
         panel_times(edges[at[part]], xs[part], lambda pts: basis.phi12(pts, cells[part]),
                     times[:, part])
     # one row per member: column 0 carries the sums so far, 1 + i holds panel i
@@ -336,15 +337,16 @@ def trajectory_ode_family(
 ) -> list[Trajectory]:
     """t(x) of each member, the integral of 1/xdot = S0'/kf from x_range[0], for a family.
 
-    The parameters are the action-side labels; kf is the kinetic factor
-    (E - V) - m0^2 c^4 / (E - V).  xdot is finite and of one sign between turning
-    points, so t(x) is smooth and strictly monotone.  On a closed-form
-    basis kf is constant, so the time is exact: (S0(x) - S0(x_range[0])) /
-    kf, from reduced_action.  A sampled basis takes _cumulative_time_gauss
-    over its grid cells, each one smooth piece of the septic interpolant,
-    with all members sharing the panels and what does not depend on (a, b).
-    A turning point inside the range truncates it TURNING_GUARD short (the
-    flow only reaches it asymptotically), flagged on the result.
+    The parameters are the action-side labels; kf is the kinetic factor (E - V) -
+    m0^2 c^4 / (E - V).  xdot is finite and of one sign between turning points, so
+    t(x) is smooth and strictly monotone with kf's sign: the times fall from 0 where
+    kf < 0 (a forbidden or Klein-region closed form).  On a closed-form basis kf is
+    constant, so the time is exact: (S0(x) - S0(x_range[0])) / kf, from
+    reduced_action.  A sampled basis takes _cumulative_time_gauss over its grid
+    cells, each one smooth piece of the septic interpolant, with all members sharing
+    the panels and what does not depend on (a, b).  A turning point inside the range
+    truncates it TURNING_GUARD short (the flow only reaches it asymptotically),
+    flagged on the result.
 
     Each member's times have the same bits as a family of that member
     alone.  The positions in ``nodes`` are read as samples are, so each

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import rqtlab as rq
@@ -13,6 +15,22 @@ def flow_speed(s, basis, p, x):
     """
     (phi1, phi2), kf = basis.phi12(x), rq.kinetic_factor(s, x)
     return kf * (phi2 * phi2 + (p.a * phi1 + p.b * phi2) ** 2) / (s.hbar * p.a * basis.wronskian)
+
+
+def traced_peak(call):
+    """(call(), the traced bytes at its peak, and those it leaves), over the bytes traced before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return out, peak, held
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rqtlab as rq
+from conftest import traced_peak
 from rqtlab.cli import KG_FD_BOUND
-from rqtlab.kg import (BASIS_CSV_POINTS, LINEAR_X_MIN, TURNING_MARGIN, _magnus6_matrix, _omega_sq,
-                       _omega_sq_slope, _rk4_matrix, local_wavenumber)
+from rqtlab.kg import (BASIS_CSV_POINTS, DEFAULT_STEP, LINEAR_X_MIN, TURNING_MARGIN,
+                       _magnus6_matrix, _omega_sq, _omega_sq_slope, _rk4_matrix, local_wavenumber)
 
 # wavenumbers from sqrt((E-U0)^2 - m0^2 c^4) / (hbar c), frozen from the
 # defining arithmetic
@@ -231,11 +232,49 @@ class TestNumericIntegration:
         assert len(xs) == ref.shape[1] == 58001
         for got, want in zip((p1, p2, d1, d2), ref):
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
-        for n in (1, 2, 3, 5, 10, 71, 151):  # the stepping loop, and padded last blocks
+        # the stepping loop (n < 64), and padded last blocks: 151 steps make 51 blocks
+        # of 3, shorter than the 16-position write batch; 5,000 make 295 blocks of 17,
+        # longer than it, a multiple of neither the batch nor the 277-block row chunk;
+        # 4,624 = 16 * 17^2 fills its 272 blocks exactly, so that y_n is the state
+        # after the last block, in the final slot
+        for n in (1, 2, 3, 5, 10, 71, 151, 4624, 5000):
             b = rq.kg_solve_numeric(linear_electron, -50.0, -50.0 + n * 1e-3, step=1e-3,
                                     method=method)
             ref = _reference_loop(linear_electron, -50.0, -50.0 + n * 1e-3, 1e-3, method)
-            assert np.allclose(np.array(b._samples[1:]), ref, rtol=1e-13, atol=0.0)
+            got = np.array(b._samples[1:])
+            assert got.shape == ref.shape == (4, n + 1)
+            assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
+    def test_magnus6_matches_sequential_product(self, linear_electron):
+        # the blocked chain against y_{i+1} = (I + E_i) y_i taken one step at a time,
+        # on the same _magnus6_matrix steps: the stepping loop, padded and exact fills,
+        # and the default linear window's 20,398 steps from -400 fm (583 blocks of 35)
+        s, h = linear_electron, DEFAULT_STEP
+        for n in (10, 151, 4624, 5000, 20398):
+            b = rq.kg_solve_numeric(s, -400.0, -400.0 + n * h, step=h, method="magnus6")
+            mid = (-400.0 + 0.5 * h) + h * np.arange(n)
+            off = math.sqrt(0.15) * h
+            steps = _magnus6_matrix(_omega_sq(s, mid - off), _omega_sq(s, mid),
+                                    _omega_sq(s, mid + off), h)
+            y = (0.0, 1.0, b.wronskian, 0.0)
+            ref = [y]
+            for t11, t12, t21, t22 in zip(*(e.tolist() for e in steps)):
+                y11, y12, y21, y22 = y
+                y = (y11 + (t11 * y11 + t12 * y21), y12 + (t11 * y12 + t12 * y22),
+                     y21 + (t21 * y11 + t22 * y21), y22 + (t21 * y12 + t22 * y22))
+                ref.append(y)
+            got, ref = np.array(b._samples[1:]), np.array(ref).T
+            assert got.shape == ref.shape == (4, n + 1)
+            for g, want in zip(got, ref):
+                assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_build_peaks_near_the_basis_it_returns(self, linear_electron):
+        # figure 4's window (270,398 steps): the four state arrays are the build's only
+        # buffers of the step count, so its peak stays within 1.25 times what it keeps
+        b, peak, held = traced_peak(lambda: rq.kg_solve_linear(linear_electron, -5400.0))
+        assert len(b.grid) == 270399
+        assert held >= sum(a.nbytes for a in b._samples)
+        assert peak <= 1.25 * held
 
     def test_overflow_reports_position(self):
         # deep forbidden region: exponential growth overruns float64

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rqtlab as rq
-from conftest import AB_GRID, flow_speed
+from conftest import AB_GRID, flow_speed, traced_peak
 
 HBAR = 6.582119569e-22
 C = 2.99792458e23
@@ -239,7 +239,12 @@ class TestOdeTrajectory:
                                                       (-2.0, 1.0))]
         xs = np.linspace(basis.x_min, basis.x_max, 60)
         family = rq.trajectory_ode_family(s, basis, members, (basis.x_min, basis.x_max), 60)
+        kf = rq.kinetic_factor(s, 0.0)
+        assert (kf < 0.0) == (u0 > 0.0)
         for p, traj in zip(members, family):
+            # the times take kf's sign: they fall from 0 on the forbidden (figure 2's)
+            # and on the Klein-region closed form
+            assert np.all(np.sign(np.diff(traj.times)) == np.sign(kf))
             dt_dx = lambda x: float(rq.conjugate_momentum(basis, p, x) / rq.kinetic_factor(s, x))
             steps = [quad(dt_dx, x0, x1, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                      for x0, x1 in zip(xs[:-1], xs[1:])]
@@ -383,6 +388,20 @@ class TestOdeTrajectory:
         )
         assert np.all(np.diff(traj.positions) < 0)
         assert np.all(np.diff(traj.times) > 0)
+
+    def test_figure4_family_adds_little_memory_over_its_basis(self, linear_electron):
+        # figure 4's three members, 600 samples and 5,897 nodes: the panel loop's and
+        # the samples' partial-cell reads each work on PANEL_CHUNK Gauss points at a time
+        s = linear_electron
+        basis = rq.kg_solve_linear(s, -5400.0)
+        nodes = rq.nodes_numeric(basis)
+        assert len(nodes) == 5897
+        members = [rq.MobiusParams(a, b, basis.x_min) for a, b in ((1.0, 0.0), (4.0, 2.0),
+                                                                   (0.5, -1.0))]
+        x_range = (basis.x_min, min(basis.x_max, rq.turning_points(s)[0]))
+        _, peak, _ = traced_peak(lambda: rq.trajectory_ode_family(s, basis, members, x_range,
+                                                                  600, nodes=nodes))
+        assert peak <= 3.5 * 2**20
 
 
 class TestNodeTimes:
