@@ -338,7 +338,7 @@ FLAGS = {
     "samples": (600, int, "sample count (16 to 10^7, default 600)"),
     "ab": (None, _pairs, "family list 'a,b;a,b;...'"),
     "method": (DEFAULT_METHOD, METHODS, f"scheme (default {DEFAULT_METHOD})"),
-    "step": (DEFAULT_STEP, float, f"step in fm (default {DEFAULT_STEP:g})"),
+    "step": (DEFAULT_STEP, float, f"step in fm where |E - V| peaks (default {DEFAULT_STEP:g})"),
     "x-min": (None, float, "left end of the numeric window in fm"),
     "x-max": (None, float, "right end of the numeric window in fm"),
     "x0": (None, float, "anchor position in fm"),

@@ -6,14 +6,18 @@ The stationary equation in the internal units reads
 
 so constant potentials have sin/cos (allowed, and photons in both sign
 cases) or sinh/cosh (massive forbidden) bases in closed form, and general
-potentials are integrated with a fixed-step scheme: the sixth-order
-Magnus method by default (at DEFAULT_STEP), RK4 and Euler on request.
-Each step of any scheme is one 2x2 matrix on (phi, phi'), shared by both
-solutions; the grid is chained by a blocked prefix product of these
-matrices.  Between grid points a numeric basis is read through one
-septic Hermite interpolant: a fixed linear map of the per-point jets
-(phi, h phi', h^2 w phi, h^3 (w' phi + w phi')) at a cell's two ends,
-which serves fraction, pointwise, slope and phi2 root reads alike.
+potentials are integrated on a grid spaced by phase: the sixth-order
+Magnus method by default, RK4 and Euler on request.  The grid takes the
+given step (DEFAULT_STEP) where |E - V| is largest and longer steps, up to
+STEP_CAP times it, where |E - V| is smaller, so that no step spans more
+phase than that first one; on a constant potential it is uniform.  Each
+step of any scheme is one 2x2 matrix on (phi, phi'), shared by both
+solutions, over the cell between two stored positions; the grid is
+chained by a blocked prefix product of these matrices.  Between grid
+points a numeric basis is read through one septic Hermite interpolant: a
+fixed linear map of the per-point jets (phi, h phi', h^2 w phi, h^3 (w'
+phi + w phi')) at a cell's two ends, h the cell's width, which serves
+fraction, pointwise, slope and phi2 root reads alike.
 """
 
 from __future__ import annotations
@@ -52,7 +56,16 @@ METHODS = ("magnus6", "rk4", "euler")
 DEFAULT_METHOD = "magnus6"
 DEFAULT_STEP = 2.0e-2
 
-# Most steps kg_solve_numeric takes: a basis of five such arrays, 0.4 GB, built at 1.1 times that.
+# Largest grid step, in nominal steps: where |E - V| < U / STEP_CAP (U the
+# window's largest |E - V|) the grid is uniform at STEP_CAP * step.  Figure
+# 4's window (-5400 to 7.956 fm, step 2e-2 fm) takes 156,831 steps at 2.5 and
+# keeps its 33 oracle nodes within 2.0e-11 fm (270,398 uniform steps: 3.0e-11
+# fm); a cap of 5 took 140,608 steps and 7.3e-11 fm, 10 took 136,552 and
+# 2.8e-10 fm, and 25 took 135,416 and 1.7e-9 fm.
+STEP_CAP = 2.5
+
+# Most steps kg_solve_numeric takes, counted on its phase grid before the grid
+# is made: a basis of five such arrays, 0.4 GB, built at 1.1 times that.
 MAX_STEPS = 10**7
 
 # write_basis_csv thins a numeric grid longer than this to every
@@ -113,10 +126,11 @@ class KgBasis:
     Without samples, the closed form of a constant potential with
     wavenumber k = ``wronskian``: (sin kx, cos kx) in an allowed region and
     for photons, (sinh kx, cosh kx) in a massive forbidden one, by the
-    scenario's region.  A numeric basis holds the grid samples that
-    ``method`` took at the nominal ``step`` (both None on a closed form),
-    read between grid points through the septic Hermite interpolant
-    on the jets (phi, h phi', h^2 phi'', h^3 phi'''), phi'' = w phi and
+    scenario's region.  A numeric basis holds the samples that ``method``
+    took on its grid, whose ``step`` is the one where |E - V| is largest
+    (both None on a closed form), read between grid points through the
+    septic Hermite interpolant on the jets (phi, h phi', h^2 phi'', h^3
+    phi'''), h each cell's width, phi'' = w phi and
     phi''' = w' phi + w phi' (dense output, Hairer, Norsett & Wanner,
     Solving ODEs I, II.6): the chord of the end samples plus fixed weights
     of the end jets (_septic_weights).  phi is O(h^8) there and phi' is the
@@ -160,34 +174,40 @@ class KgBasis:
             raise DomainError("closed-form basis carries no sample grid")
         return self._samples[0]
 
-    def _jets(self, index):
+    def _jets(self, index, h, out=None):
         """Jets J = (phi, h phi', h^2 phi'', h^3 phi''') at the grid points index.
 
         One (4, 2, ...) array: jet component, then phi1 and phi2, with
-        phi'' = w phi and phi''' = w' phi + w phi'.  h is the nominal step,
-        not each cell's xs[i + 1] - xs[i]: the integrator stepped exactly h,
-        the stored positions only round it, and one h gives a grid point one
-        jet for the cells on both sides, so a run of cells reads one array.
+        phi'' = w phi and phi''' = w' phi + w phi'.  h, broadcast against
+        index, is the width of the cell that reads them: a grid point's jets
+        scale by the cell on its left for that cell's septic and by the one
+        on its right for the next.  ``out``, a (4, 2, ...) array, takes them.
         """
         xs, p1, p2, d1, d2 = self._samples
-        h = self.step
         x = xs[index]
         hw, hhdw = (h * h) * _omega_sq(self.scenario, x), h ** 3 * _omega_sq_slope(self.scenario, x)
-        y, hdy = np.array([p1[index], p2[index]]), h * np.array([d1[index], d2[index]])
-        return np.array([y, hdy, hw * y, hhdw * y + hw * hdy])
+        jets = np.empty((4, 2, *np.shape(x))) if out is None else out
+        y, hdy, hhw, hhhdw = jets
+        y[0], y[1] = p1[index], p2[index]
+        hdy[0], hdy[1] = d1[index], d2[index]
+        hdy *= h
+        np.multiply(hw, y, out=hhw)
+        np.multiply(hhdw, y, out=hhhdw)
+        hhhdw += hw * hdy
+        return jets
 
     def _hermite(self, x, cell=None, derivative: bool = False, jets=None):
         """(phi1, phi2) at x, or their derivatives, inside the given grid cells.
 
         The chord of the stored end values (or slopes) plus _septic_weights
-        at t = (x - x_cell) / (x_cell+1 - x_cell) times the end jets (over h
-        for slopes): O(h^8) in phi, O(h^7) in phi', and exactly the samples
-        at a grid point.  Without cell, each x is read in the cell holding
-        it (the last cell holds x_max) and an x outside [x_min, x_max] raises
-        DomainError; given cells, derived from the grid, are trusted.  cell
-        may have fewer dimensions than x and broadcast against it.  ``jets``
-        are (_jets(cell), _jets(cell + 1)) for a caller that reads the same
-        cells again.
+        at t = (x - x_cell) / (x_cell+1 - x_cell) times the end jets (over
+        the cell's width for slopes): O(h^8) in phi, O(h^7) in phi', and
+        exactly the samples at a grid point.  Without cell, each x is read
+        in the cell holding it (the last cell holds x_max) and an x outside
+        [x_min, x_max] raises DomainError; given cells, derived from the
+        grid, are trusted.  cell may have fewer dimensions than x and
+        broadcast against it.  ``jets`` are (_jets(cell, h), _jets(cell + 1,
+        h)), h the cells' widths, for a caller that reads the same cells again.
         """
         xs, p1, p2, d1, d2 = self._samples
         if cell is None:
@@ -196,14 +216,15 @@ class KgBasis:
                 raise DomainError(f"x = {float(outside[0])} outside basis domain")
             cell = np.minimum(np.searchsorted(xs, x, side="right") - 1, len(xs) - 2)
         left_x = xs[cell]
-        t = (x - left_x) / (xs[cell + 1] - left_x)
+        width = xs[cell + 1] - left_x
+        t = (x - left_x) / width
         weights = _septic_weights(t, derivative)
-        j0, j1 = (self._jets(cell), self._jets(cell + 1)) if jets is None else jets
+        j0, j1 = (self._jets(cell, width), self._jets(cell + 1, width)) if jets is None else jets
         out = []
         for i, ends in enumerate((d1, d2) if derivative else (p1, p2)):
             departure = sum(w * j for w, j in zip(weights, (*j0[:, i], *j1[:, i])))
             chord = (1.0 - t) * ends[cell] + t * ends[cell + 1]
-            out.append(chord + (departure / self.step if derivative else departure))
+            out.append(chord + (departure / width if derivative else departure))
         return tuple(out)
 
     def phi12(self, x, cell=None):
@@ -226,21 +247,36 @@ class KgBasis:
             return k * np.cos(kx), -k * np.sin(kx)
         return k * np.cosh(kx), k * np.sinh(kx)
 
-    def phi12_at_fractions(self, t, first: int, count: int):
+    @staticmethod
+    def fraction_buffer(n_fractions: int, count: int) -> np.ndarray:
+        """Work space of phi12_at_fractions for runs of up to count cells at n_fractions."""
+        return np.empty(4 * (2 + n_fractions) * count)
+
+    def phi12_at_fractions(self, t, first: int, count: int, out=None):
         """(phi1, phi2) at the cell fractions t of the grid cells first .. first + count - 1.
 
         One row per fraction, one column per cell.  With t fixed the septic
-        is fixed weights A, B of the jets J at a cell's two ends, so the run
-        is read at once as A @ J[:, :-1] + B @ J[:, 1:] on its count + 1
-        jets, with no gather; no fraction is rounded back from a position.
+        is fixed weights A, B of the jets J0, J1 at a cell's two ends, so the
+        run is read at once as A @ J0 + B @ J1, each cell's jets scaled by
+        its width; no fraction is rounded back from a position.  ``out``, a
+        fraction_buffer for at least count cells, holds the jets and the two
+        products, so that a caller reading run after run allocates them once;
+        the rows returned are then views of it.
         """
         t = np.asarray(t, dtype=float)
         weights = np.array(_septic_weights(t))
         weights[[0, 4]] += 1.0 - t, t  # the chord
-        flat = self._jets(slice(first, first + count + 1)).reshape(4, -1)
+        if out is None:
+            out = self.fraction_buffer(len(t), count)
+        jets, products = np.split(out[:4 * (2 + len(t)) * count], [8 * count])
+        jets, products = jets.reshape(4, 2, count), products.reshape(2, len(t), 2 * count)
+        xs = self._samples[0]
+        width = xs[first + 1:first + count + 1] - xs[first:first + count]
         # two products: one (8 x 4) over 2 x 16 k jets would start OpenBLAS threads
-        left, right = ((w.T @ flat).reshape(len(t), 2, -1) for w in (weights[:4], weights[4:]))
-        read = np.add(left[..., :-1], right[..., 1:], out=left[..., :-1])
+        for w, end, product in zip((weights[:4], weights[4:]), (first, first + 1), products):
+            self._jets(slice(end, end + count), width, jets)
+            np.matmul(w.T, jets.reshape(4, -1), out=product)
+        read = np.add(*products, out=products[0]).reshape(len(t), 2, count)
         # each solution's rows stay contiguous for the callers' passes
         return read[:, 0], read[:, 1]
 
@@ -270,8 +306,9 @@ class KgBasis:
         xs, _, p2 = self._samples[:3]
         j = np.flatnonzero(p2[:-1] * p2[1:] < 0.0)
         lo, hi = xs[j], xs[j + 1]
-        x = lo + p2[j] / (p2[j] - p2[j + 1]) * (hi - lo)
-        jets = self._jets(j), self._jets(j + 1)
+        width = hi - lo
+        x = lo + p2[j] / (p2[j] - p2[j + 1]) * width
+        jets = self._jets(j, width), self._jets(j + 1, width)
         for _ in range(3):  # Newton: two steps reach rounding level on grids nodes_numeric takes
             step = self._hermite(x, j, jets=jets)[1] / self._hermite(x, j, True, jets)[1]
             x = np.clip(x - step, lo, hi)
@@ -299,7 +336,7 @@ def kg_closed_constant(
 
 
 # ---------------------------------------------------------------------------
-# Fixed-step numeric integration.
+# Numeric integration on the phase grid.
 
 def _rk4_matrix(w1, w2, w3, h):
     """One RK4 step of (phi, phi') under phi'' = w phi, as entries of M - I.
@@ -321,9 +358,12 @@ def _rk4_matrix(w1, w2, w3, h):
 # Taylor coefficients in delta of cosh(sqrt(delta)) - 1 (1/(2k)!, k >= 1) and
 # of sinh(sqrt(delta)) / sqrt(delta) (1/(2k+1)!, k >= 0), highest first.  Up
 # to |delta| = _SERIES_MAX the first omitted terms are below 1e-17 relative.
-_COSH_M1 = [1.0 / math.factorial(2 * k) for k in range(5, 0, -1)]
-_SINHC = [1.0 / math.factorial(2 * k + 1) for k in range(4, -1, -1)]
-_SERIES_MAX = 1.0e-2
+# Figure 4's steps sized by phase all sit at |delta| = 1.9e-2, inside the
+# series; beyond it the closed forms took a _magnus6_matrix call of 1,585
+# steps from 75 to 137 us (one CPU).
+_COSH_M1 = [1.0 / math.factorial(2 * k) for k in range(6, 0, -1)]
+_SINHC = [1.0 / math.factorial(2 * k + 1) for k in range(5, -1, -1)]
+_SERIES_MAX = 5.0e-2
 
 # Positions of _chain's pass gathered before one transposed write into the
 # states' rows, so that each write fills two cache lines of a row.  Figure 4's
@@ -349,10 +389,10 @@ def _magnus6_matrix(w1, w2, w3, h):
     Omega^2 = delta I with delta = p^2 + q r, so that
     M = exp(Omega) = cosh(sqrt(delta)) I + sinh(sqrt(delta)) / sqrt(delta) Omega
     exactly (cos / sin of sqrt(-delta) for delta < 0).  Both factors are
-    entire in delta: a Taylor series gives them at small |delta|, and
-    cosh r - 1 = 2 sinh^2(r/2) and cos r - 1 = -2 sin^2(r/2) beyond (figure
-    4 reaches |delta| = 1.9e-2 at its start), so M - I keeps its full
-    precision.  On a constant potential beta = gamma = 0 and the step is exact.
+    entire in delta: a Taylor series gives them up to |delta| = _SERIES_MAX
+    (figure 4's steps sized by phase sit at 1.9e-2), and cosh r - 1 =
+    2 sinh^2(r/2) and cos r - 1 = -2 sin^2(r/2) beyond, so M - I keeps its
+    full precision.  On a constant potential beta = gamma = 0 and the step is exact.
     """
     # scalar factors first, so that each array operation is one numpy call
     k = h * h / 180.0
@@ -450,6 +490,60 @@ def _chain(step_matrices, n, y0):
     return states[:, :n + 1]
 
 
+def _phase_grid(s: Scenario, x_min: float, x_max: float, step: float) -> np.ndarray:
+    """Grid positions x_0 = x_min < x_1 < ... < x_n, each step sized by its phase.
+
+    A step at x is h(x) = min(step U / |E - V(x)|, STEP_CAP step), U the
+    largest |E - V| in the window: no step spans more of the integral of
+    |E - V| dx, the phase up to the mass term, than step U, the nominal step
+    where |E - V| is largest.  Counting steps by G(x), the integral of 1 / h
+    from x_min, the grid is x_i = G^-1(i) for i = 0 .. n, with n the nearest
+    whole number to G(x_max) (at least 1), so it ends within half a local
+    step of x_max.  E - V is linear in x, so 1 / h is linear between the cuts
+    where |E - V| = U / STEP_CAP: on a piece from a, with y = (x - a) / step,
+    the count is j = r y + slope y^2 / 2 (r and r + slope y the values of
+    step / h at a and x), which inverts to y = 2 j / (r + sqrt(r^2 + 2 slope j)).
+    A constant potential is one piece with r = 1 and slope 0, whose grid is
+    x_min + step * arange(n + 1) bit for bit.  On the linear potential the
+    band around E = V where the cap holds is uniform at STEP_CAP step, and
+    figure 4's first piece is x_i = E/g - d_0 sqrt(1 - 2 i step / d_0), with
+    d_0 = E/g - x_min.  A window of more than MAX_STEPS steps is refused from
+    G(x_max) alone, before any array is allocated.
+    """
+    u = lambda x: s.energy - s.potential.value(x)
+    u_max = max(abs(u(x_min)), abs(u(x_max)))
+    rate = lambda x: max(abs(u(x)) / u_max, 1.0 / STEP_CAP) if u_max else 1.0  # step / h(x)
+    g = s.potential.g
+    cuts = [x_min, x_max]
+    if g:
+        centre, reach = s.energy / g, u_max / (STEP_CAP * abs(g))
+        cuts[1:1] = [x for x in (centre - reach, centre + reach) if x_min < x < x_max]
+    pieces, count = [], 0.0  # (start, count at the start, r, slope) of each piece
+    for a, b in zip(cuts, cuts[1:]):
+        y, r, r_end = (b - a) / step, rate(a), rate(b)
+        pieces.append((a, count, r, (r_end - r) / y if y else 0.0))
+        count += y * (0.5 * (r + r_end))
+    if not count <= MAX_STEPS:
+        raise ValueError(f"{count:.3g} steps, {step:g} fm where |E - V| is largest, "
+                         f"more than MAX_STEPS = {MAX_STEPS:.0e}")
+    n = max(int(round(count)), 1)
+    xs = np.empty(n + 1)
+    ends = [math.ceil(c) for _, c, _, _ in pieces[1:]] + [n + 1]
+    for (a, c, r, slope), lo, hi in zip(pieces, [0, *ends], ends):
+        j = np.arange(lo, hi, dtype=float)
+        j -= c
+        # r + sqrt(r^2 + 2 slope j); the floor keeps a last point past a short
+        # window's end on the capped step
+        root = np.multiply(j, 2.0 * slope)
+        root += r * r
+        np.sqrt(np.maximum(root, STEP_CAP**-2, out=root), out=root)
+        root += r
+        x = np.multiply(j, 2.0 * step, out=xs[lo:hi])
+        x /= root
+        x += a
+    return xs
+
+
 def kg_solve_numeric(
     s: Scenario,
     x_min: float,
@@ -457,13 +551,15 @@ def kg_solve_numeric(
     step: float = DEFAULT_STEP,
     method: str = DEFAULT_METHOD,
 ) -> KgBasis:
-    """Integrate the Klein-Gordon equation on a fixed grid.
+    """Integrate the Klein-Gordon equation on the window's phase grid (_phase_grid).
 
-    ``method`` is one of METHODS: "magnus6" (the default; exact on a
-    constant potential, sixth order otherwise, with w at the three Gauss
-    points of each step), "rk4" (w at the start, middle and end) or
-    "euler" (first order, w at the start).  The basis is read between grid
-    points through the septic Hermite interpolant (KgBasis).
+    Each step is the difference of two stored positions, so the integrator
+    steps exactly the cells that the basis reports.  ``method`` is one of
+    METHODS: "magnus6" (the default; exact on a constant potential, sixth
+    order otherwise, with w at the three Gauss points of each step), "rk4"
+    (w at the start, middle and end) or "euler" (first order, w at the
+    start).  The basis is read between grid points through the septic
+    Hermite interpolant (KgBasis).
 
     Initial conditions at x_min: phi1 = 0, phi1' = k0 and phi2 = 1,
     phi2' = 0, with k0 = max(local |k|, 1/(x_max - x_min)) so the two
@@ -480,28 +576,24 @@ def kg_solve_numeric(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} ({', '.join(METHODS)})")
 
-    span = (x_max - x_min) / step
-    if not span <= MAX_STEPS:
-        raise ValueError(f"{span:.3g} steps of {step:g} fm, more than MAX_STEPS = {MAX_STEPS:.0e}")
-    n_steps = max(int(round(span)), 1)
-    xs = x_min + step * np.arange(n_steps + 1)
-
+    xs = _phase_grid(s, x_min, x_max, step)
+    n_steps = len(xs) - 1
     k0 = max(local_wavenumber(s, x_min), 1.0 / (x_max - x_min))
 
     # Every step is one 2x2 matrix; _chain builds them a block position at a time.
-    h = step
-
     def matrices(i):
+        i = np.minimum(i, n_steps - 1)  # _chain's padding steps, which it sets to I
+        x, x_next = xs[i], xs[1:][i]
+        h = x_next - x
         if method == "magnus6":
+            mid = x + 0.5 * h
             off = math.sqrt(0.15) * h  # the outer Gauss points sit sqrt(15)/10 h from the middle
-            mid = (x_min + 0.5 * h) + h * i
             return _magnus6_matrix(_omega_sq(s, mid - off), _omega_sq(s, mid),
                                    _omega_sq(s, mid + off), h)
-        x = x_min + h * i
         w1 = _omega_sq(s, x)
         if method == "euler":
-            return np.zeros(i.shape), np.full(i.shape, h), h * w1, np.zeros(i.shape)
-        return _rk4_matrix(w1, _omega_sq(s, x + 0.5 * h), _omega_sq(s, x_min + h * (i + 1)), h)
+            return np.zeros(i.shape), h, h * w1, np.zeros(i.shape)
+        return _rk4_matrix(w1, _omega_sq(s, x + 0.5 * h), _omega_sq(s, x_next), h)
 
     with np.errstate(over="ignore", invalid="ignore"):
         p1, p2, d1, d2 = _chain(matrices, n_steps, (0.0, 1.0, k0, 0.0))
@@ -518,7 +610,7 @@ def kg_solve_linear(s: Scenario, x_min: float | None = None, x_max: float | None
     """The numeric basis of the linear potential V = g x; its grid is the window.
 
     The grid runs from x_min, LINEAR_X_MIN by default, to within half a
-    step of x_max, by default TURNING_MARGIN past the turning point
+    local step of x_max, by default TURNING_MARGIN past the turning point
     (E - m0 c^2) / g (turning_points(s)[0]), where the allowed region ends
     and trajectories and scans stop.
     """
@@ -562,12 +654,20 @@ def kg_fd_residual(basis: KgBasis) -> float:
     has no grid, raises DomainError.
     """
     xs, phi = basis.grid, basis._samples[2]
-    h = float(xs[1] - xs[0])
-    if len(xs) < 2 * FD_EDGE_MARGIN + 5:
+    n = len(xs)
+    if n < 2 * FD_EDGE_MARGIN + 5:
         raise ValueError("too few samples for the residual stencil")
-    # 5-point second derivative, O(h^4)
-    d2 = (-phi[4:] + 16 * phi[3:-1] - 30 * phi[2:-2] + 16 * phi[1:-3] - phi[:-4]) / (12.0 * h * h)
+    # 5-point second derivative on the local spacings, O(h^4): with the stencil at
+    # offsets o_m from its centre, point k weighs 2 e2(o_m, m != k) / prod(o_k - o_m,
+    # m != k), its Lagrange polynomial's second derivative (Fornberg, Math. Comp. 51
+    # (1988) 699); on a uniform grid, (-1, 16, -30, 16, -1) / (12 h^2)
     xin = xs[2:-2]
+    offsets = [xs[m:n - 4 + m] - xin for m in range(5)]
+    d2 = 0.0
+    for k, o in enumerate(offsets):
+        a, b, c, d = (offsets[m] for m in range(5) if m != k)
+        weight = 2.0 * ((a + b) * (c + d) + a * b + c * d) / ((o - a) * (o - b) * (o - c) * (o - d))
+        d2 = d2 + weight * phi[k:n - 4 + k]
     s = basis.scenario
     lhs = s.hbar_c**2 * d2
     rhs = -local_rates(s, xin)[1] * phi[2:-2]

@@ -83,13 +83,15 @@ def nodes_numeric(basis: KgBasis) -> np.ndarray:
     Empty output is valid: a massive forbidden-region basis (cosh) has no
     zeros.  Numeric bases must be sampled at no coarser than a twentieth
     of the shortest local half-oscillation so each sample pair brackets at
-    most one sign change.
+    most one sign change.  No cell of the phase grid spans more phase than
+    the basis's step does where |E - V| is largest, at an end of the
+    window, so that step against the larger end wavenumber bounds them all.
     """
     if not basis.is_closed_form:
         s = basis.scenario
         xs = basis.grid
         k_max = max(local_wavenumber(s, float(xs[0])), local_wavenumber(s, float(xs[-1])))
-        step = float(xs[1] - xs[0])
+        step = basis.step
         if k_max > 0 and step > math.pi / (20.0 * k_max):
             raise DomainError(
                 f"basis step {step:g} fm too coarse for node bracketing; "

@@ -269,9 +269,11 @@ _GL_WEIGHTS = np.array(
 
 
 # Gauss panels evaluated per array operation in the time of flight: each
-# Gauss-point array stays at 256 KiB however many panels the range holds.
-# Figure 4 ran fastest at this size, of 1 << 12 .. 1 << 15.
-PANEL_CHUNK = 1 << 13
+# Gauss-point array stays at 192 KiB however many panels the range holds.
+# Figure 4's family (156,831 cells, one CPU) took a median 32.3 ms at 4,096,
+# 28.7 ms at 6,144 and 28.2 ms at 8,192, and its chunk buffers raised the
+# traced peak to 2.2, 3.1 and 4.0 MiB.
+PANEL_CHUNK = 6144
 
 
 def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusParams],
@@ -285,17 +287,30 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
     of one cumsum over all panels.  A sample's time is the running sum up
     to its panel plus one Gauss sum over the part of the panel before it
     (also PANEL_CHUNK Gauss points at a time), less the same for xs[0], so
-    that t(xs[0]) is exactly 0.
+    that t(xs[0]) is exactly 0.  One set of chunk buffers serves every
+    chunk: the Gauss points (then phi2^2), their weights, two terms of
+    1/xdot and the read of a run of cells.
     """
+    n_nodes = len(_GL_NODES)
+    buffers = np.empty((4, n_nodes * PANEL_CHUNK))
+    reads = basis.fraction_buffer(n_nodes, PANEL_CHUNK)
+
     def panel_times(left, right, read, out):
         # Gauss points: one row per node, one column per panel.  kf and the weights
         # serve the whole family; per member only 1/xdot's bracket and the sums remain
+        pts, weights, term, other = (b[:n_nodes * len(left)].reshape(n_nodes, -1) for b in buffers)
         half = 0.5 * (right - left)
-        pts = 0.5 * (right + left) + half * _GL_NODES[:, None]
+        np.add(0.5 * (right + left), np.multiply(half, _GL_NODES[:, None], out=pts), out=pts)
         phi1, phi2 = read(pts)
-        weights, phi2_sq = (half * _GL_WEIGHTS[:, None]) / kinetic_factor(s, pts), phi2 * phi2
+        np.multiply(half, _GL_WEIGHTS[:, None], out=weights)
+        weights /= kinetic_factor(s, pts)
+        phi2_sq = np.multiply(phi2, phi2, out=pts)
         for row, p in zip(out, members):
-            np.sum(weights / (phi2_sq + (p.a * phi1 + p.b * phi2) ** 2), axis=0, out=row)
+            np.multiply(p.a, phi1, out=term)
+            term += np.multiply(p.b, phi2, out=other)
+            np.square(term, out=term)
+            np.divide(weights, np.add(phi2_sq, term, out=term), out=term)
+            np.sum(term, axis=0, out=row)
             row *= s.hbar * p.a * basis.wronskian
 
     # the grid cells from the one holding xs[0] to the one ending at or past xs[-1]
@@ -317,7 +332,8 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
     for first in range(0, len(edges) - 1, PANEL_CHUNK):
         e = edges[first:first + PANEL_CHUNK + 1]
         m = len(e) - 1
-        panel_times(e[:-1], e[1:], lambda pts: basis.phi12_at_fractions(fractions, i0 + first, m),
+        panel_times(e[:-1], e[1:],
+                    lambda pts: basis.phi12_at_fractions(fractions, i0 + first, m, reads),
                     sums[:, 1:m + 1])
         cum = np.cumsum(sums[:, :m + 1], axis=1)
         # plus the running sum, for samples whose panel starts at an edge this chunk closes

@@ -5,14 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rqtlab as rq
 from conftest import traced_peak
 from rqtlab.cli import KG_FD_BOUND
-from rqtlab.kg import (BASIS_CSV_POINTS, DEFAULT_STEP, LINEAR_X_MIN, TURNING_MARGIN,
-                       _magnus6_matrix, _omega_sq, _omega_sq_slope, _rk4_matrix, local_wavenumber)
+from rqtlab.kg import (BASIS_CSV_POINTS, DEFAULT_STEP, LINEAR_X_MIN, STEP_CAP, TURNING_MARGIN,
+                       _SERIES_MAX, _magnus6_matrix, _omega_sq, _omega_sq_slope, _rk4_matrix, local_wavenumber)
 
 # wavenumbers from sqrt((E-U0)^2 - m0^2 c^4) / (hbar c), frozen from the
 # defining arithmetic
@@ -20,22 +20,23 @@ K_ELECTRON_2MEV = 9.799057e-3
 K_PHOTON_12MEV = 6.081278e-3
 
 
-def _reference_loop(s, x_min, x_max, step, method):
+def _reference_loop(s, xs, x_max, method):
     """The scalar stepping loops kg_solve_numeric once ran, as a reference.
 
-    Returns (phi1, phi2, dphi1, dphi2) on the same grid, one step at a time
-    with the RK4 stages written out.
+    Returns (phi1, phi2, dphi1, dphi2) on the grid xs of a window asked to
+    end at x_max, one step of xs[i + 1] - xs[i] at a time with the RK4
+    stages written out.
     """
-    n = max(int(round((x_max - x_min) / step)), 1)
-    xs = x_min + step * np.arange(n + 1)
-    k0 = max(local_wavenumber(s, x_min), 1.0 / (x_max - x_min))
+    n = len(xs) - 1
+    k0 = max(local_wavenumber(s, xs[0]), 1.0 / (x_max - xs[0]))
+    steps = np.diff(xs)
     w_nodes = np.asarray(_omega_sq(s, xs), dtype=float).tolist()
-    w_mids = np.asarray(_omega_sq(s, xs[:-1] + 0.5 * step), dtype=float).tolist()
+    w_mids = np.asarray(_omega_sq(s, xs[:-1] + 0.5 * steps), dtype=float).tolist()
     out = np.empty((4, n + 1))
     a, b, c, d = 0.0, k0, 1.0, 0.0
     out[:, 0] = a, c, b, d
-    h, h2, h6 = step, 0.5 * step, step / 6.0
-    for i in range(n):
+    for i, h in enumerate(steps.tolist()):
+        h2, h6 = 0.5 * h, h / 6.0
         w1, w2, w3 = w_nodes[i], w_mids[i], w_nodes[i + 1]
         if method == "euler":
             a, b, c, d = a + h * b, b + h * w1 * a, c + h * d, d + h * w1 * c
@@ -226,34 +227,41 @@ class TestNumericIntegration:
 
     @pytest.mark.parametrize("method", ["rk4", "euler"])
     def test_matches_reference_loop(self, linear_electron, method):
-        b = rq.kg_solve_numeric(linear_electron, -50.0, 8.0, step=1e-3, method=method)
-        ref = _reference_loop(linear_electron, -50.0, 8.0, 1e-3, method)
-        xs, p1, p2, d1, d2 = b._samples
-        assert len(xs) == ref.shape[1] == 58001
+        full = rq.kg_solve_numeric(linear_electron, -50.0, 8.0, step=1e-3, method=method)
+        ref = _reference_loop(linear_electron, full.grid, 8.0, method)
+        xs, p1, p2, d1, d2 = full._samples
+        assert len(xs) == ref.shape[1] == 33641
         for got, want in zip((p1, p2, d1, d2), ref):
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
         # the stepping loop (n < 64), and padded last blocks: 151 steps make 51 blocks
         # of 3, shorter than the 16-position write batch; 5,000 make 295 blocks of 17,
         # longer than it, a multiple of neither the batch nor the 277-block row chunk;
         # 4,624 = 16 * 17^2 fills its 272 blocks exactly, so that y_n is the state
-        # after the last block, in the final slot
+        # after the last block, in the final slot.  A window that ends on the n-th
+        # point of the full grid takes the same n steps.
         for n in (1, 2, 3, 5, 10, 71, 151, 4624, 5000):
-            b = rq.kg_solve_numeric(linear_electron, -50.0, -50.0 + n * 1e-3, step=1e-3,
-                                    method=method)
-            ref = _reference_loop(linear_electron, -50.0, -50.0 + n * 1e-3, 1e-3, method)
+            end = float(full.grid[n])
+            b = rq.kg_solve_numeric(linear_electron, -50.0, end, step=1e-3, method=method)
+            ref = _reference_loop(linear_electron, b.grid, end, method)
             got = np.array(b._samples[1:])
             assert got.shape == ref.shape == (4, n + 1)
             assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
 
     def test_magnus6_matches_sequential_product(self, linear_electron):
         # the blocked chain against y_{i+1} = (I + E_i) y_i taken one step at a time,
-        # on the same _magnus6_matrix steps: the stepping loop, padded and exact fills,
-        # and the default linear window's 20,398 steps from -400 fm (583 blocks of 35)
-        s, h = linear_electron, DEFAULT_STEP
-        for n in (10, 151, 4624, 5000, 20398):
-            b = rq.kg_solve_numeric(s, -400.0, -400.0 + n * h, step=h, method="magnus6")
-            mid = (-400.0 + 0.5 * h) + h * np.arange(n)
-            off = math.sqrt(0.15) * h
+        # on the same _magnus6_matrix steps over each cell of the grid: the stepping
+        # loop, padded and exact fills on windows that end on the n-th point of the
+        # default linear window's grid, and that window's 11,831 steps from -400 fm
+        # (439 blocks of 27, the last padded)
+        s = linear_electron
+        full = rq.kg_solve_linear(s)
+        assert len(full.grid) == 11832
+        for n in (10, 151, 4624, 5000, 11831):
+            b = full if n == 11831 else rq.kg_solve_numeric(s, -400.0, float(full.grid[n]))
+            xs = b.grid
+            assert len(xs) == n + 1
+            h = np.diff(xs)
+            mid, off = xs[:-1] + 0.5 * h, math.sqrt(0.15) * h
             steps = _magnus6_matrix(_omega_sq(s, mid - off), _omega_sq(s, mid),
                                     _omega_sq(s, mid + off), h)
             y = (0.0, 1.0, b.wronskian, 0.0)
@@ -269,10 +277,11 @@ class TestNumericIntegration:
                 assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_build_peaks_near_the_basis_it_returns(self, linear_electron):
-        # figure 4's window (270,398 steps): the four state arrays are the build's only
-        # buffers of the step count, so its peak stays within 1.25 times what it keeps
+        # figure 4's window (156,831 steps): the grid and the four state arrays are the
+        # build's only buffers of the step count, so its peak stays within 1.25 times
+        # what it keeps
         b, peak, held = traced_peak(lambda: rq.kg_solve_linear(linear_electron, -5400.0))
-        assert len(b.grid) == 270399
+        assert len(b.grid) == 156832
         assert held >= sum(a.nbytes for a in b._samples)
         assert peak <= 1.25 * held
 
@@ -363,17 +372,18 @@ class TestHermiteInterpolant:
         assert np.isfinite(electron_basis.dphi12(far)).all()
 
     def test_derivative_is_the_septic_slope(self, linear_electron):
-        # against the septic solved from its eight end conditions in each cell
+        # against the septic solved from its eight end conditions in each cell, in
+        # the cell's own width h
         b = rq.kg_solve_numeric(linear_electron, -60.0, -50.0, step=0.05)
         xs, p1, p2, d1, d2 = b._samples
         w, dw = _omega_sq(linear_electron, xs), _omega_sq_slope(linear_electron, xs)
-        h = xs[1] - xs[0]
         # row k at t = 0 and t = 1: the k-th derivative of t^j, j = 0 .. 7
         powers = np.arange(8)
         ends = np.array([[math.factorial(k) * (j == k) for j in range(8)] for k in range(4)]
                         + [[math.perm(j, k) for j in range(8)] for k in range(4)], float)
         t = np.array([0.1, 0.37, 0.5, 0.81])
         for cell in (0, 77, len(xs) - 2):
+            h = xs[cell + 1] - xs[cell]
             for i, (y, dy) in enumerate(((p1, d1), (p2, d2))):
                 data = [[y[i], h * dy[i], h * h * w[i] * y[i],
                          h ** 3 * (dw[i] * y[i] + w[i] * dy[i])] for i in (cell, cell + 1)]
@@ -422,11 +432,12 @@ class TestHermiteInterpolant:
             t = (x[:, j] - xs[cell]) / (xs[cell + 1] - xs[cell])
             for fixed, general in zip(b.phi12_at_fractions(t, cell, 1), absolute):
                 assert np.max(np.abs(fixed[:, 0] - general[:, j])) <= 1e-14 * scale
-        # the jets carry the nominal step, the length the integrator stepped;
-        # the stored positions round it, so the cell widths here differ from it
-        jets = b._jets(np.array(cells))
-        assert np.array_equal(jets[1], b.step * np.array([d1[cells], d2[cells]]))
-        assert np.any(np.diff(xs)[cells] != b.step)
+        # the jets at both ends of a cell carry its width, the step the integrator
+        # took there; on the phase grid the widths differ from cell to cell
+        width = np.diff(xs)[cells]
+        for at in (np.array(cells), np.array(cells) + 1):
+            assert np.array_equal(b._jets(at, width)[1], width * np.array([d1[at], d2[at]]))
+        assert len(set(width.tolist())) > 2
 
     def test_eighth_order_between_grid_points(self):
         # a Magnus basis is exact at the grid points of a constant potential,
@@ -442,6 +453,69 @@ class TestHermiteInterpolant:
 
         ratio = max_err(0.04) / max_err(0.02)
         assert ratio == pytest.approx(256.0, rel=0.15)
+
+
+class TestPhaseGrid:
+    """Each step is step U / |E - V|, at most STEP_CAP step, U the window's largest |E - V|."""
+
+    # E = 2 MeV: E - V changes sign at E / g, 8 fm for g = 0.25 MeV/fm
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(g=st.floats(min_value=0.05, max_value=2.0), sign=st.sampled_from([1.0, -1.0]),
+           x_min=st.floats(min_value=-500.0, max_value=100.0),
+           span=st.floats(min_value=0.5, max_value=500.0),
+           step=st.floats(min_value=5e-3, max_value=5e-2))
+    @example(g=0.25, sign=1.0, x_min=-40.0, span=70.0, step=DEFAULT_STEP)  # across E = V
+    @example(g=0.25, sign=-1.0, x_min=-5.0, span=100.0, step=DEFAULT_STEP)  # U at x_max
+    @example(g=0.25, sign=1.0, x_min=-5400.0, span=5407.956004, step=DEFAULT_STEP)  # figure 4
+    def test_rule_on_linear_windows(self, g, sign, x_min, span, step):
+        s = rq.Scenario(rq.Species.electron(), rq.Potential.linear(sign * g), energy=2.0)
+        x_max = x_min + span
+        xs = rq.kg._phase_grid(s, x_min, x_max, step)
+        if span < 10.0:
+            assert np.array_equal(rq.kg_solve_numeric(s, x_min, x_max, step).grid, xs)
+        u = lambda x: np.abs(s.energy - s.potential.value(x))
+        top = max(u(x_min), u(x_max))
+        h = np.diff(xs)
+        # each position is rounded on the window's scale, its start plus its offset,
+        # which moves a cell's width by a few ulps of that scale
+        rounding = 4.0 * np.spacing(max(abs(x_min), abs(x_max), span))
+        assert xs[0] == x_min and np.all(h > 0.0)
+        # |E - V| <= U, so no step is shorter than step, and none longer than the cap
+        assert np.all(h >= step - rounding) and np.all(h <= STEP_CAP * step + rounding)
+        # |E - V| at a cell's midpoint times its width: the cell's integral of |E - V|
+        # where E - V keeps its sign, and below it where it does not
+        mid = u(0.5 * (xs[:-1] + xs[1:]))
+        assert np.all(mid * (h - rounding) <= top * step * (1.0 + 1e-12))
+        local = lambda x: min(step * top / u(x), STEP_CAP * step) if u(x) else STEP_CAP * step
+        assert abs(xs[-1] - x_max) <= 0.5 * max(local(xs[-1]), local(x_max)) + rounding
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(u0=st.sampled_from([0.0, 1.7, 2.0, -3.0]), x_min=st.floats(min_value=-500.0, max_value=500.0),
+           span=st.floats(min_value=1e-3, max_value=200.0),
+           step=st.floats(min_value=1e-3, max_value=5e-2))
+    def test_constant_potential_grid_is_uniform(self, u0, x_min, span, step):
+        # bit for bit the grid of a uniform step; u0 = 2 MeV puts E - V = 0 everywhere
+        s = rq.Scenario(rq.Species.electron(), rq.Potential.constant(u0), energy=2.0)
+        xs = rq.kg._phase_grid(s, x_min, x_min + span, step)
+        n = max(int(round(span / step)), 1)
+        assert np.array_equal(xs, x_min + step * np.arange(n + 1))
+        if u0 == 0.0 and span < 5.0:
+            assert np.array_equal(rq.kg_solve_numeric(s, x_min, x_min + span, step).grid, xs)
+
+    def test_figure4_step_count(self, linear_electron):
+        # 156,831 steps where a uniform 2e-2 fm grid took 270,398: 113,568 sized by
+        # phase from -5400 fm, then 5e-2 fm steps from -2155.2 fm, where
+        # |E - V| = U / STEP_CAP, to the window's end
+        xs = rq.kg._phase_grid(linear_electron, -5400.0, 7.956004, DEFAULT_STEP)
+        assert len(xs) == 156832
+        h = np.diff(xs)
+        cut = 8.0 - 0.4 * 5408.0
+        assert h[0] == pytest.approx(DEFAULT_STEP, rel=1e-5)
+        assert np.all(np.abs(h[xs[:-1] > cut + 0.1] / (STEP_CAP * DEFAULT_STEP) - 1.0) <= 1e-9)
+        # the closed form x_i = E/g - d0 sqrt(1 - 2 i step / d0), d0 = 5408 fm
+        i = np.arange(0, 113000, 997)
+        closed = 8.0 - 5408.0 * np.sqrt(1.0 - 2.0 * i * DEFAULT_STEP / 5408.0)
+        assert np.max(np.abs(xs[i] - closed)) <= 1e-9
 
 
 class TestLinearWindow:
@@ -460,10 +534,11 @@ class TestLinearWindow:
         ref = rq.kg_solve_numeric(linear_electron, -60.0, 1.0, step=5e-3, method="rk4")
         assert all(np.array_equal(a, b) for a, b in zip(basis._samples, ref._samples, strict=True))
 
-    @pytest.mark.parametrize("x_max, end", [(5.005, 5.0), (5.015, 5.02)])
+    @pytest.mark.parametrize("x_max, end", [(5.005, 5.0), (5.03, 5.05)])
     def test_window_ends_on_the_grid(self, linear_electron, x_max, end):
         # an off-grid x_max ends the window at the grid end that the rounded
-        # step count reaches, and a pass over the whole window is accepted
+        # step count reaches, here on the 5e-2 fm capped steps next to the
+        # turning point, and a pass over the whole window is accepted
         basis = rq.kg_solve_linear(linear_electron, -60.0, x_max)
         assert basis.x_max == basis.grid[-1] == pytest.approx(end, abs=1e-12)
         traj = rq.trajectory_ode(linear_electron, basis, rq.MobiusParams(1.0, 0.0, -60.0),
@@ -480,14 +555,19 @@ class TestLinearWindow:
 class TestMagnus:
     def test_sixth_order_on_linear_window(self, linear_electron):
         # at the far end of figure 4's window k is about 7 /fm, so the
-        # sixth-order error stands above rounding at these steps
+        # sixth-order error stands above rounding at these steps.  The window
+        # lies where every step is sized by phase, so a grid at step / m holds
+        # the grid at step as every m-th point, up to rounding; their common
+        # points are compared
         fine = rq.kg_solve_numeric(linear_electron, -5400.0, -4400.0, step=2.5e-3)
 
         def max_err(step):
             b = rq.kg_solve_numeric(linear_electron, -5400.0, -4400.0, step=step)
-            stride = round(step / 2.5e-3)
-            return max(float(np.max(np.abs(got - want[::stride])))
-                       for got, want in zip(b._samples[1:], fine._samples[1:]))
+            want = [f[::round(step / 2.5e-3)] for f in fine._samples]
+            n = min(len(b.grid), len(want[0]))
+            assert np.max(np.abs(b.grid[:n] - want[0][:n])) <= 1e-9
+            return max(float(np.max(np.abs(got[:n] - w[:n])))
+                       for got, w in zip(b._samples[1:], want[1:]))
 
         ratio = max_err(0.1) / max_err(0.05)
         assert ratio == pytest.approx(64.0, rel=0.15)
@@ -511,12 +591,14 @@ class TestMagnus:
         assert rq.wronskian_drift(rq.kg_solve_numeric(forbidden_electron, 0.0, 50.0)) <= 1.2e-15
 
     def test_step_matrix_at_full_precision(self):
-        # the Taylor branch (|delta| <= 1e-2) and the closed forms beyond it,
+        # the Taylor branch (|delta| <= 5e-2) and the closed forms beyond it,
         # against cosh - 1 and sinh(r) / r in 40 digits; on a constant w the
         # step has p = 0, q = h and r = h w, so delta = w at h = 1
         import mpmath as mp
 
-        delta = np.array([1e-9, -1e-9, 3e-4, -4e-3, 9.99e-3, -1.01e-2, 1.9e-2, 0.5, -30.0])
+        delta = np.array([1e-9, -1e-9, 3e-4, -4e-3, 9.99e-3, -1.01e-2, 1.9e-2, 4.99e-2, -4.99e-2,
+                          5.01e-2, -5.01e-2, 0.5, -30.0])
+        assert _SERIES_MAX == 5e-2
         e11, m12, m21, e22 = _magnus6_matrix(delta, delta.copy(), delta.copy(), 1.0)
         assert np.array_equal(e11, e22) and np.array_equal(m21, m12 * delta)
         with mp.workdps(40):
@@ -527,7 +609,8 @@ class TestMagnus:
                 assert abs(sinhc / want[1] - 1) <= 4e-16
 
     @pytest.mark.parametrize("w2, h", [(2.4e-2, 0.02), (20.0, 0.02), (-20.0, 0.02),
-                                       (30.0, 0.05), (-40.0, 0.02), (500.0, 0.02)])
+                                       (30.0, 0.05), (-40.0, 0.02), (500.0, 0.02),
+                                       (-150.0, 0.02)])
     def test_step_matrix_against_commutator_series(self, w2, h):
         # the closed form of Omega against its commutator series, and M - I
         # against exp(Omega) - I, both in 40 digits; the cases put delta on
@@ -548,7 +631,7 @@ class TestMagnus:
             delta = omega[0, 0] ** 2 + omega[0, 1] * omega[1, 0]
             m = mp.expm(omega) - mp.eye(2)
             want = [float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1])]
-        assert (abs(delta) > 1e-2) == (abs(w2) * h * h > 1e-2)
+        assert (abs(delta) > _SERIES_MAX) == (abs(w2) * h * h > _SERIES_MAX)
         scale = max(abs(v) for v in want)
         assert np.max(np.abs(got - want)) <= 4e-16 * scale
 

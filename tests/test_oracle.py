@@ -48,6 +48,23 @@ def test_figure4_nodes_against_reference_polish(fig4):
     assert np.max(np.abs(nodes - ref)) <= 1e-11
 
 
+def test_figure4_third_newton_step_moves_no_root(fig4):
+    # the roots take three Newton steps on the septic; on figure 4's phase grid,
+    # whose cells reach 5e-2 fm, two already reach rounding level
+    _, basis, _, _ = fig4
+    xs, _, p2 = basis._samples[:3]
+    j = np.flatnonzero(p2[:-1] * p2[1:] < 0.0)
+    lo, hi = xs[j], xs[j + 1]
+    x = lo + p2[j] / (p2[j] - p2[j + 1]) * (hi - lo)
+    jets = basis._jets(j, hi - lo), basis._jets(j + 1, hi - lo)
+    for _ in range(2):
+        x = np.clip(x - basis._hermite(x, j, jets=jets)[1] / basis._hermite(x, j, True, jets)[1],
+                    lo, hi)
+    nodes = basis.phi2_zeros()
+    assert len(x) == len(nodes) == 5897
+    assert np.all(np.abs(nodes - np.sort(x)) <= 2 * np.spacing(np.abs(nodes)))
+
+
 def test_figure4_time_of_flight_against_oracle(fig4):
     s, basis, turning, ref = fig4
     traj = rq.trajectory_ode(s, basis, rq.MobiusParams(1.0, 0.0), (ref["x_min_fm"], turning),

@@ -272,22 +272,27 @@ class TestOdeTrajectory:
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_numeric_panels_match_one_array_quadrature(self, linear_electron, linear_basis,
                                                        monkeypatch, chunk):
-        # every sample sits on a grid point; chunk 7 puts panel seams everywhere
+        # chunk 7 puts panel seams everywhere
         if chunk is not None:
             monkeypatch.setattr(rq.trajectory, "PANEL_CHUNK", chunk)
         s, basis, p = linear_electron, linear_basis, rq.MobiusParams(4.0, 2.0)
         traj = rq.trajectory_ode(s, basis, p, (-300.0, -100.0), 201)
-        xs = traj.positions
-        assert np.isin(xs, basis.grid).all()
-        # the same 4-point Gauss panels, all at once, with the septic read
-        # at each absolute Gauss point through flow_speed
-        inner = basis.grid[(basis.grid > -300.0) & (basis.grid < -100.0)]
-        edges = np.unique(np.concatenate([inner, xs]))
+        xs, grid = traj.positions, basis.grid
+        # the same 4-point Gauss panels, all at once, with the septic read at each
+        # absolute Gauss point through flow_speed: every grid cell from the one
+        # holding xs[0], and each sample's cell from its left edge to the sample
         nodes, weights = np.polynomial.legendre.leggauss(4)
-        half = 0.5 * np.diff(edges)
-        pts = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * nodes
-        panel = half * np.sum(weights / flow_speed(s, basis, p, pts), axis=1)
-        ref = np.concatenate([[0.0], np.cumsum(panel)])[np.searchsorted(edges, xs)]
+
+        def gauss(lo, hi):
+            half = 0.5 * (hi - lo)
+            pts = 0.5 * (hi + lo)[:, None] + half[:, None] * nodes
+            return half * np.sum(weights / flow_speed(s, basis, p, pts), axis=1)
+
+        cell = np.searchsorted(grid, xs, "right") - 1
+        edges = grid[cell[0]:cell[-1] + 1]
+        whole = np.concatenate([[0.0], np.cumsum(gauss(edges[:-1], edges[1:]))])
+        ref = whole[cell - cell[0]] + gauss(grid[cell], xs)
+        ref -= ref[0]
         assert traj.times[0] == 0.0
         assert np.max(np.abs(traj.times[1:] / ref[1:] - 1.0)) <= 1e-14
 
@@ -403,6 +408,31 @@ class TestOdeTrajectory:
                                                                   600, nodes=nodes))
         assert peak <= 3.5 * 2**20
 
+    def test_whole_cells_are_read_into_one_buffer(self, linear_electron, linear_basis,
+                                                  monkeypatch):
+        # every chunk of whole cells is read into the one buffer that the call
+        # allocates, and the reads are views of it
+        reads = []
+        fractions = rq.KgBasis.phi12_at_fractions
+
+        def spy(basis, t, first, count, out=None):
+            phi = fractions(basis, t, first, count, out)
+            reads.append((out, *phi))
+            return phi
+
+        monkeypatch.setattr(rq.KgBasis, "phi12_at_fractions", spy)
+        family = lambda: rq.trajectory_ode_family(
+            linear_electron, linear_basis, [rq.MobiusParams(4.0, 2.0, -300.0)], (-300.0, -100.0), 16)
+        family()
+        assert len(reads) >= 2
+        buffer = reads[0][0]
+        assert isinstance(buffer, np.ndarray)
+        assert all(out is buffer and np.shares_memory(phi1, buffer) and np.shares_memory(phi2, buffer)
+                   for out, phi1, phi2 in reads)
+        # a second call allocates a buffer of its own
+        family()
+        assert reads[-1][0] is not buffer
+
 
 class TestNodeTimes:
     def test_against_direct_quadrature(self, linear_electron, linear_basis):
@@ -487,18 +517,20 @@ class TestPartialCells:
                                                                 n_samples, nodes=nodes)
 
     def test_stops_on_grid_points_are_running_sums(self, linear_electron, short_basis):
-        # every sample and the node on a grid point: no partial cell but the
+        # both samples and every node on a grid point: no partial cell but the
         # empty one, so the times are sums of whole cells
         grid = short_basis.grid
-        node = grid[123]
-        family = self._family(linear_electron, short_basis, (grid[0], grid[400]), 101, [node])
+        nodes = grid[3:400:4]
+        family = self._family(linear_electron, short_basis, (grid[0], grid[400]), 2, nodes)
         for traj in family:
-            assert np.isin(traj.positions, grid).all()
-            ref = _refined_times(linear_electron, short_basis, traj.params, traj.positions, 1)
-            assert traj.times[0] == 0.0
-            assert np.max(np.abs(traj.times[1:] / ref[1:] - 1.0)) <= 1e-14
-            assert traj.node_times[0] == rq.trajectory_ode_family(
-                linear_electron, short_basis, [traj.params], (grid[0], node), 2)[0].times[1]
+            stops = np.concatenate([traj.positions[:1], nodes, traj.positions[1:]])
+            assert np.isin(stops, grid).all()
+            times = np.concatenate([traj.times[:1], traj.node_times, traj.times[1:]])
+            ref = _refined_times(linear_electron, short_basis, traj.params, stops, 1)
+            assert times[0] == 0.0
+            assert np.max(np.abs(times[1:] / ref[1:] - 1.0)) <= 1e-14
+            assert traj.node_times[30] == rq.trajectory_ode_family(
+                linear_electron, short_basis, [traj.params], (grid[0], grid[123]), 2)[0].times[1]
 
     def test_stop_at_x_max(self, linear_electron, short_basis):
         # the last sample and a node on the basis end close the walk
@@ -536,6 +568,37 @@ class TestPartialCells:
             ref = _refined_times(linear_electron, linear_basis, traj.params, stops, 8)
             assert traj.node_times[0] == pytest.approx(ref[np.searchsorted(stops, nodes[0])],
                                                        rel=1e-10)
+
+    @pytest.fixture(scope="class")
+    def figure4_basis(self, linear_electron):
+        return rq.kg_solve_linear(linear_electron, -5400.0)
+
+    @pytest.mark.parametrize("lo, hi, bounds", [
+        # figure 4's cells are 5e-2 fm wide here, STEP_CAP times its step at
+        # -5400 fm, at k h = 0.032 to 0.020 and 3.7e-3 to 4.9e-4.  Bounds are about
+        # 3x the errors against cells split in 8; -50..0 fm holds no node
+        (-500.0, -300.0, {(1.0, 0.0): (1.5e-14, 1.5e-14), (4.0, 2.0): (2e-13, 2.5e-14),
+                          (0.5, -1.0): (1.7e-13, 2.7e-14)}),
+        (-50.0, 0.0, {(1.0, 0.0): (1e-14, None), (4.0, 2.0): (1.5e-14, None),
+                      (0.5, -1.0): (1.7e-14, None)}),
+    ])
+    def test_accuracy_on_low_k_windows(self, linear_electron, figure4_basis, lo, hi, bounds):
+        basis = figure4_basis
+        zeros = basis.phi2_zeros(lo, hi)
+        assert np.all(np.diff(basis.grid)[(basis.grid[:-1] >= lo) & (basis.grid[:-1] < hi)]
+                      >= 0.05 - 1e-12)
+        family = self._family(linear_electron, basis, (lo, hi), 101, zeros)
+        for traj in family:
+            stops = np.unique(np.concatenate([traj.positions, zeros]))
+            ref = _refined_times(linear_electron, basis, traj.params, stops, 8)
+            sample_bound, node_bound = bounds[traj.params.a, traj.params.b]
+            at_samples = ref[np.searchsorted(stops, traj.positions)][1:]
+            assert np.max(np.abs(traj.times[1:] / at_samples - 1.0)) <= sample_bound
+            if node_bound is None:
+                assert len(zeros) == 0
+            else:
+                at_nodes = ref[np.searchsorted(stops, zeros)]
+                assert np.max(np.abs(traj.node_times / at_nodes - 1.0)) <= node_bound
 
     def test_accuracy_on_a_high_k_window(self, linear_electron):
         # 4 Gauss points per 2e-2 fm cell, at k h = 0.14: 1/xdot of a = 1 is
