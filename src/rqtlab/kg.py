@@ -174,27 +174,20 @@ class KgBasis:
             raise DomainError("closed-form basis carries no sample grid")
         return self._samples[0]
 
-    def _jets(self, index, h, out=None):
+    def _jets(self, index, h):
         """Jets J = (phi, h phi', h^2 phi'', h^3 phi''') at the grid points index.
 
         One (4, 2, ...) array: jet component, then phi1 and phi2, with
         phi'' = w phi and phi''' = w' phi + w phi'.  h, broadcast against
         index, is the width of the cell that reads them: a grid point's jets
         scale by the cell on its left for that cell's septic and by the one
-        on its right for the next.  ``out``, a (4, 2, ...) array, takes them.
+        on its right for the next.
         """
         xs, p1, p2, d1, d2 = self._samples
         x = xs[index]
         hw, hhdw = (h * h) * _omega_sq(self.scenario, x), h ** 3 * _omega_sq_slope(self.scenario, x)
-        jets = np.empty((4, 2, *np.shape(x))) if out is None else out
-        y, hdy, hhw, hhhdw = jets
-        y[0], y[1] = p1[index], p2[index]
-        hdy[0], hdy[1] = d1[index], d2[index]
-        hdy *= h
-        np.multiply(hw, y, out=hhw)
-        np.multiply(hhdw, y, out=hhhdw)
-        hhhdw += hw * hdy
-        return jets
+        y, hdy = np.array([p1[index], p2[index]]), h * np.array([d1[index], d2[index]])
+        return np.array([y, hdy, hw * y, hhdw * y + hw * hdy])
 
     def _hermite(self, x, cell=None, derivative: bool = False, jets=None):
         """(phi1, phi2) at x, or their derivatives, inside the given grid cells.
@@ -247,36 +240,27 @@ class KgBasis:
             return k * np.cos(kx), -k * np.sin(kx)
         return k * np.cosh(kx), k * np.sinh(kx)
 
-    @staticmethod
-    def fraction_buffer(n_fractions: int, count: int) -> np.ndarray:
-        """Work space of phi12_at_fractions for runs of up to count cells at n_fractions."""
-        return np.empty(4 * (2 + n_fractions) * count)
+    def samples_on_grid(self, index):
+        """(phi1, phi2, phi1', phi2') stored at the grid points index."""
+        return tuple(v[index] for v in self._samples[1:])
 
-    def phi12_at_fractions(self, t, first: int, count: int, out=None):
+    def phi12_at_fractions(self, t, first: int, count: int):
         """(phi1, phi2) at the cell fractions t of the grid cells first .. first + count - 1.
 
         One row per fraction, one column per cell.  With t fixed the septic
         is fixed weights A, B of the jets J0, J1 at a cell's two ends, so the
         run is read at once as A @ J0 + B @ J1, each cell's jets scaled by
-        its width; no fraction is rounded back from a position.  ``out``, a
-        fraction_buffer for at least count cells, holds the jets and the two
-        products, so that a caller reading run after run allocates them once;
-        the rows returned are then views of it.
+        its width, with no gather; no fraction is rounded back from a position.
         """
         t = np.asarray(t, dtype=float)
         weights = np.array(_septic_weights(t))
         weights[[0, 4]] += 1.0 - t, t  # the chord
-        if out is None:
-            out = self.fraction_buffer(len(t), count)
-        jets, products = np.split(out[:4 * (2 + len(t)) * count], [8 * count])
-        jets, products = jets.reshape(4, 2, count), products.reshape(2, len(t), 2 * count)
         xs = self._samples[0]
         width = xs[first + 1:first + count + 1] - xs[first:first + count]
         # two products: one (8 x 4) over 2 x 16 k jets would start OpenBLAS threads
-        for w, end, product in zip((weights[:4], weights[4:]), (first, first + 1), products):
-            self._jets(slice(end, end + count), width, jets)
-            np.matmul(w.T, jets.reshape(4, -1), out=product)
-        read = np.add(*products, out=products[0]).reshape(len(t), 2, count)
+        left, right = (w.T @ self._jets(slice(end, end + count), width).reshape(4, -1)
+                       for w, end in ((weights[:4], first), (weights[4:], first + 1)))
+        read = np.add(left, right, out=left).reshape(len(t), 2, count)
         # each solution's rows stay contiguous for the callers' passes
         return read[:, 0], read[:, 1]
 
@@ -435,9 +419,9 @@ def _chain(step_matrices, n, y0):
     to a stepping loop of fewer than 64 steps), and the running products
     become the states in place, a chunk of blocks at a time, in temporaries
     that reuse the batch buffer: the returned array is the only buffer of
-    the step count (8.7 MB beside a 1.1 MB batch at figure 4's 270 k
+    the step count (5.0 MB beside a 0.8 MB batch at figure 4's 156,831
     steps).  The split keeps each of the pass's array operations thousands
-    of steps long (about 2,000 at figure 4), where square blocks left them
+    of steps long (about 1,600 at figure 4), where square blocks left them
     overhead-bound at about sqrt(n); carrying the starts through the same
     split keeps the states' O(1) roundings to a few dozen.  Products are
     held as P - I, as a stepping loop holds y + dy, so equal steps do not

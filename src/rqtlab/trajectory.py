@@ -270,9 +270,9 @@ _GL_WEIGHTS = np.array(
 
 # Gauss panels evaluated per array operation in the time of flight: each
 # Gauss-point array stays at 192 KiB however many panels the range holds.
-# Figure 4's family (156,831 cells, one CPU) took a median 32.3 ms at 4,096,
-# 28.7 ms at 6,144 and 28.2 ms at 8,192, and its chunk buffers raised the
-# traced peak to 2.2, 3.1 and 4.0 MiB.
+# A figure 4 process took 2,666 minor faults at 6,144, 2,480 at 4,096 and
+# 7,625 at 8,192, and fig4_linear's cpu_s read medians of 0.129-0.139 s,
+# 0.141-0.149 s and 0.160 s (three to five benchmark runs each).
 PANEL_CHUNK = 6144
 
 
@@ -280,38 +280,52 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
                            xs: np.ndarray) -> np.ndarray:
     """t(x) on a sampled basis at the increasing samples xs, one row per member.
 
+    1/xdot = hbar theta' / kf, with theta = atan((a phi1 + b phi2) / phi2)
+    the action's angle (S0 = hbar theta) and theta' = a W / (phi2^2 +
+    (a phi1 + b phi2)^2).  Each panel's time is split at kf(mid), the
+    value at the panel's middle: hbar (dtheta / kf(mid) plus the 4-point
+    Gauss sum of theta' (1/kf - 1/kf(mid))).  dtheta, the turn of the
+    vector (phi2, a phi1 + b phi2) between the panel's ends, is exact (the
+    atan2 of their cross and dot products, so a panel must turn theta by
+    less than pi), and the Gauss points see theta', which for a != 1 peaks
+    once per node interval, only weighted by the change of 1/kf across the
+    panel: on the linear potential about h / (2 |E/g - x|) of 1/kf, on a
+    constant potential none, so that the time is exact there.  The turn
+    follows the stored samples, so it is scaled by the basis's wronskian,
+    which the Gauss points read theta' with, over the samples' own
+    Wronskian at the panel's left end: their drift (2.6e-14 over figure 4)
+    then does not enter the time.
+
     The whole panels, the basis's grid cells from the one holding xs[0],
     are walked once, PANEL_CHUNK at a time, each chunk's run of cells read
-    at the fixed Gauss fractions.  The running sums carry from chunk to
-    chunk: np.cumsum adds in order, so prepending the carry gives the bits
-    of one cumsum over all panels.  A sample's time is the running sum up
-    to its panel plus one Gauss sum over the part of the panel before it
-    (also PANEL_CHUNK Gauss points at a time), less the same for xs[0], so
-    that t(xs[0]) is exactly 0.  One set of chunk buffers serves every
-    chunk: the Gauss points (then phi2^2), their weights, two terms of
-    1/xdot and the read of a run of cells.
+    at the fixed Gauss fractions and its ends at the grid samples.  The
+    running sums carry from chunk to chunk: np.cumsum adds in order, so
+    prepending the carry gives the bits of one cumsum over all panels.  A
+    sample's time is the running sum up to its panel plus the time over
+    the part of the panel before it (also PANEL_CHUNK Gauss points at a
+    time), less the same for xs[0], so that t(xs[0]) is exactly 0.
     """
-    n_nodes = len(_GL_NODES)
-    buffers = np.empty((4, n_nodes * PANEL_CHUNK))
-    reads = basis.fraction_buffer(n_nodes, PANEL_CHUNK)
-
-    def panel_times(left, right, read, out):
-        # Gauss points: one row per node, one column per panel.  kf and the weights
-        # serve the whole family; per member only 1/xdot's bracket and the sums remain
-        pts, weights, term, other = (b[:n_nodes * len(left)].reshape(n_nodes, -1) for b in buffers)
-        half = 0.5 * (right - left)
-        np.add(0.5 * (right + left), np.multiply(half, _GL_NODES[:, None], out=pts), out=pts)
+    def panel_times(left, right, read, ends, out):
+        # Gauss points: one row per node, one column per panel.  kf, the weights and
+        # the panel ends' cross products serve the whole family; per member only
+        # theta's bracket, the sums and the turn between the ends remain
+        half, mid = 0.5 * (right - left), 0.5 * (right + left)
+        pts = mid + half * _GL_NODES[:, None]
         phi1, phi2 = read(pts)
-        np.multiply(half, _GL_WEIGHTS[:, None], out=weights)
-        weights /= kinetic_factor(s, pts)
-        phi2_sq = np.multiply(phi2, phi2, out=pts)
+        at_mid = 1.0 / kinetic_factor(s, mid)
+        weights = 1.0 / kinetic_factor(s, pts)
+        weights -= at_mid
+        weights *= half * (s.hbar * _GL_WEIGHTS[:, None])
+        # ends: phi1, phi2, phi1', phi2' at the left end, phi1, phi2 at the right
+        l1, l2, dl1, dl2, r1, r2 = ends
+        at_mid *= (s.hbar * basis.wronskian) / (dl1 * l2 - l1 * dl2)
+        phi2_sq = phi2 * phi2
+        cross, dot = r1 * l2 - l1 * r2, l2 * r2
         for row, p in zip(out, members):
-            np.multiply(p.a, phi1, out=term)
-            term += np.multiply(p.b, phi2, out=other)
-            np.square(term, out=term)
-            np.divide(weights, np.add(phi2_sq, term, out=term), out=term)
-            np.sum(term, axis=0, out=row)
-            row *= s.hbar * p.a * basis.wronskian
+            np.sum(weights / (phi2_sq + (p.a * phi1 + p.b * phi2) ** 2), axis=0, out=row)
+            row *= p.a * basis.wronskian
+            turn = np.arctan2(p.a * cross, dot + (p.a * l1 + p.b * l2) * (p.a * r1 + p.b * r2))
+            row += at_mid * turn
 
     # the grid cells from the one holding xs[0] to the one ending at or past xs[-1]
     i0 = np.searchsorted(basis.grid, xs[0], "right") - 1
@@ -326,15 +340,16 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
     for c in range(0, len(xs), per_chunk):
         part = slice(c, c + per_chunk)
         panel_times(edges[at[part]], xs[part], lambda pts: basis.phi12(pts, cells[part]),
+                    (*basis.samples_on_grid(i0 + at[part]), *basis.phi12(xs[part], cells[part])),
                     times[:, part])
     # one row per member: column 0 carries the sums so far, 1 + i holds panel i
     sums = np.zeros((len(members), PANEL_CHUNK + 1))
     for first in range(0, len(edges) - 1, PANEL_CHUNK):
         e = edges[first:first + PANEL_CHUNK + 1]
         m = len(e) - 1
-        panel_times(e[:-1], e[1:],
-                    lambda pts: basis.phi12_at_fractions(fractions, i0 + first, m, reads),
-                    sums[:, 1:m + 1])
+        ends = basis.samples_on_grid(slice(i0 + first, i0 + first + m + 1))
+        panel_times(e[:-1], e[1:], lambda pts: basis.phi12_at_fractions(fractions, i0 + first, m),
+                    (*(v[:-1] for v in ends), *(v[1:] for v in ends[:2])), sums[:, 1:m + 1])
         cum = np.cumsum(sums[:, :m + 1], axis=1)
         # plus the running sum, for samples whose panel starts at an edge this chunk closes
         i, k = np.searchsorted(at, (first, first + m), "right")
@@ -359,8 +374,9 @@ def trajectory_ode_family(
     kf < 0 (a forbidden or Klein-region closed form).  On a closed-form basis kf is
     constant, so the time is exact: (S0(x) - S0(x_range[0])) / kf, from
     reduced_action.  A sampled basis takes _cumulative_time_gauss over its grid
-    cells, each one smooth piece of the septic interpolant, with all members sharing
-    the panels and what does not depend on (a, b).  A turning point inside the range
+    cells, each one smooth piece of the septic interpolant: each cell's exact change
+    of S0 over kf at its middle, plus a Gauss sum for kf's change across it, with all
+    members sharing the panels and what does not depend on (a, b).  A turning point inside the range
     truncates it TURNING_GUARD short (the flow only reaches it asymptotically),
     flagged on the result.
 

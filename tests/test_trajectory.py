@@ -278,15 +278,21 @@ class TestOdeTrajectory:
         s, basis, p = linear_electron, linear_basis, rq.MobiusParams(4.0, 2.0)
         traj = rq.trajectory_ode(s, basis, p, (-300.0, -100.0), 201)
         xs, grid = traj.positions, basis.grid
-        # the same 4-point Gauss panels, all at once, with the septic read at each
-        # absolute Gauss point through flow_speed: every grid cell from the one
-        # holding xs[0], and each sample's cell from its left edge to the sample
+        # the same panels, all at once, with the septic read at each absolute point
+        # through flow_speed: every grid cell from the one holding xs[0], and each
+        # sample's cell from its left edge to the sample.  A panel's time is hbar
+        # dtheta / kf(mid) plus 4-point Gauss of 1/xdot (1 - kf / kf(mid))
         nodes, weights = np.polynomial.legendre.leggauss(4)
 
         def gauss(lo, hi):
-            half = 0.5 * (hi - lo)
-            pts = 0.5 * (hi + lo)[:, None] + half[:, None] * nodes
-            return half * np.sum(weights / flow_speed(s, basis, p, pts), axis=1)
+            half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+            pts = mid[:, None] + half[:, None] * nodes
+            kf_mid = rq.kinetic_factor(s, mid)
+            rest = (1.0 - rq.kinetic_factor(s, pts) / kf_mid[:, None]) / flow_speed(s, basis, p, pts)
+            (l1, l2), (r1, r2) = basis.phi12(lo), basis.phi12(hi)
+            turn = np.arctan2(p.a * (r1 * l2 - l1 * r2),
+                              l2 * r2 + (p.a * l1 + p.b * l2) * (p.a * r1 + p.b * r2))
+            return s.hbar * turn / kf_mid + half * np.sum(weights * rest, axis=1)
 
         cell = np.searchsorted(grid, xs, "right") - 1
         edges = grid[cell[0]:cell[-1] + 1]
@@ -407,31 +413,6 @@ class TestOdeTrajectory:
         _, peak, _ = traced_peak(lambda: rq.trajectory_ode_family(s, basis, members, x_range,
                                                                   600, nodes=nodes))
         assert peak <= 3.5 * 2**20
-
-    def test_whole_cells_are_read_into_one_buffer(self, linear_electron, linear_basis,
-                                                  monkeypatch):
-        # every chunk of whole cells is read into the one buffer that the call
-        # allocates, and the reads are views of it
-        reads = []
-        fractions = rq.KgBasis.phi12_at_fractions
-
-        def spy(basis, t, first, count, out=None):
-            phi = fractions(basis, t, first, count, out)
-            reads.append((out, *phi))
-            return phi
-
-        monkeypatch.setattr(rq.KgBasis, "phi12_at_fractions", spy)
-        family = lambda: rq.trajectory_ode_family(
-            linear_electron, linear_basis, [rq.MobiusParams(4.0, 2.0, -300.0)], (-300.0, -100.0), 16)
-        family()
-        assert len(reads) >= 2
-        buffer = reads[0][0]
-        assert isinstance(buffer, np.ndarray)
-        assert all(out is buffer and np.shares_memory(phi1, buffer) and np.shares_memory(phi2, buffer)
-                   for out, phi1, phi2 in reads)
-        # a second call allocates a buffer of its own
-        family()
-        assert reads[-1][0] is not buffer
 
 
 class TestNodeTimes:
@@ -600,17 +581,61 @@ class TestPartialCells:
                 at_nodes = ref[np.searchsorted(stops, zeros)]
                 assert np.max(np.abs(traj.node_times / at_nodes - 1.0)) <= node_bound
 
+    @pytest.mark.parametrize("lo, hi, bounds", [
+        # timed from a start inside figure 4's window, where k has fallen to 0.56 and
+        # 0.41 of its value at -5400 fm but the phase grid's cells keep k h = 0.14
+        # (-3000 fm) and 0.13 (-2200 fm).  Bounds are about 3x the errors against
+        # cells split in 8.  On -3000..-500 fm the uniform 2e-2 fm grid read (1, 0)
+        # to 7.2e-14 / 7.3e-14, (4, 2) to 8.7e-12 / 1.1e-10 and (0.5, -1) to
+        # 4.7e-13 / 5.8e-12, and the 4-point sum alone on the phase grid (4, 2) to
+        # 9.0e-9 / 1.8e-7; on -2200..-1700 fm, where it spent 2.4 times the phase
+        # grid's points per radian, (4, 2) to 8.1e-13 / 1.6e-13 and (0.5, -1) to
+        # 6.9e-14 / 7.9e-14
+        (-3000.0, -500.0, {(1.0, 0.0): (7e-14, 7e-14), (4.0, 2.0): (1e-12, 9e-12),
+                           (0.5, -1.0): (2e-13, 1e-12)}),
+        (-2200.0, -1700.0, {(1.0, 0.0): (5e-14, 5e-14), (4.0, 2.0): (6.5e-12, 1.2e-11),
+                            (0.5, -1.0): (2e-12, 4e-12)}),
+    ])
+    def test_accuracy_from_a_start_inside_figure4(self, linear_electron, figure4_basis,
+                                                  lo, hi, bounds):
+        basis = figure4_basis
+        zeros = basis.phi2_zeros(lo, hi)
+        family = self._family(linear_electron, basis, (lo, hi), 101, zeros)
+        for traj in family:
+            stops = np.unique(np.concatenate([traj.positions, zeros]))
+            ref = _refined_times(linear_electron, basis, traj.params, stops, 8)
+            sample_bound, node_bound = bounds[traj.params.a, traj.params.b]
+            at_samples = ref[np.searchsorted(stops, traj.positions)][1:]
+            assert np.max(np.abs(traj.times[1:] / at_samples - 1.0)) <= sample_bound
+            at_nodes = ref[np.searchsorted(stops, zeros)]
+            assert np.max(np.abs(traj.node_times / at_nodes - 1.0)) <= node_bound
+
+    def test_constant_potential_times_are_the_closed_forms(self):
+        # kf is constant, so every Gauss weight is exactly 0 and each cell's time is
+        # its turn of theta over kf: the closed form's (S0(x) - S0(x0)) / kf, here at
+        # k h = 0.10, where the 4-point sum alone read (4, 2) 4.6e-9 off
+        s = rq.Scenario(rq.Species.electron(), rq.Potential.constant(0.0), energy=1000.0)
+        members = [rq.MobiusParams(a, b) for a, b in self.MEMBERS]
+        numeric = rq.trajectory_ode_family(s, rq.kg_solve_numeric(s, 0.0, 20.0), members,
+                                           (0.0, 20.0), 101)
+        closed = rq.trajectory_ode_family(s, rq.kg_closed_constant(s, 0.0, 20.0), members,
+                                          (0.0, 20.0), 101)
+        for got, want in zip(numeric, closed):
+            assert np.max(np.abs(got.times[1:] / want.times[1:] - 1.0)) <= 5e-14
+
     def test_accuracy_on_a_high_k_window(self, linear_electron):
         # 4 Gauss points per 2e-2 fm cell, at k h = 0.14: 1/xdot of a = 1 is
-        # smooth, that of a != 1 peaks once per node interval and is
-        # under-resolved.  Bounds are about 3x the errors against cells split
-        # in 8 (which moves by at most 1.3e-13 when split in 16).
+        # smooth, that of a != 1 peaks once per node interval, and the Gauss
+        # points see it only weighted by 1/kf's change across the cell (the 4-point
+        # sum alone read (4, 2) to 1.5e-7 and (0.5, -1) to 4.5e-8 here).  Bounds are
+        # about 3x the errors against cells split in 8 (which moves by at most
+        # 1.3e-13 when split in 16).
         lo, hi = -5400.0, -5300.0
         basis = rq.kg_solve_numeric(linear_electron, lo, hi)
         zeros = basis.phi2_zeros()
         family = self._family(linear_electron, basis, (lo, hi), 101, zeros)
-        bounds = {(1.0, 0.0): (2.5e-14, 2.5e-14), (4.0, 2.0): (4e-7, 4.5e-7),
-                  (0.5, -1.0): (1.1e-7, 1.4e-7)}
+        bounds = {(1.0, 0.0): (2.5e-14, 2.5e-14), (4.0, 2.0): (2.6e-12, 2.5e-12),
+                  (0.5, -1.0): (4.5e-13, 1.8e-12)}
         for traj in family:
             stops = np.unique(np.concatenate([traj.positions, zeros]))
             ref = _refined_times(linear_electron, basis, traj.params, stops, 8)
