@@ -148,8 +148,8 @@ def rqshje_residual(basis: KgBasis, p: MobiusParams, xs):
     return np.abs(t1 + t2 + t3) / scale, p0
 
 
-def action_scan(basis: KgBasis, p: MobiusParams, xs) -> list[tuple[float, float, float, float]]:
-    """(x, s0, ds0_dx, residual) rows for a sweep of positions.
+def action_scan(basis: KgBasis, p: MobiusParams, xs) -> np.ndarray:
+    """(x, s0, ds0_dx, residual) rows for a sweep of positions, as one (N, 4) array.
 
     Each column is read as one array: S0 at the positions, then S0' and the
     residual from one call on all the stencils.
@@ -157,4 +157,4 @@ def action_scan(basis: KgBasis, p: MobiusParams, xs) -> list[tuple[float, float,
     xs = np.asarray(xs, dtype=float)
     s0, _ = reduced_action(basis, p, xs)
     residual, ds0_dx = rqshje_residual(basis, p, xs)
-    return list(zip(xs.tolist(), s0.tolist(), ds0_dx.tolist(), residual.tolist()))
+    return np.column_stack((xs, s0, ds0_dx, residual))

@@ -95,7 +95,7 @@ def _out_dir(args) -> Path:
     return Path(args.out or "out")
 
 
-def _trajectories(s: Scenario, regime: str, args, anchor, nodes=False):
+def _trajectories(s: Scenario, regime: str, args, anchor, checks: list, nodes=False):
     """[(p, trajectory, divergence events)] for each member, and the nodes or None.
 
     A constant potential takes the closed forms anchored at ``anchor`` over
@@ -106,6 +106,7 @@ def _trajectories(s: Scenario, regime: str, args, anchor, nodes=False):
     at the window start, where the quadrature sets t = 0.  With ``nodes`` the phi2
     zeros are panel edges, returned as (positions, times, turning point)
     with the times of the (1, 0) member, which joins the pass if ab lacks it.
+    The linear basis's Wronskian drift is gated into ``checks``.
     """
     if regime != LINEAR:
         if regime == FORBIDDEN:
@@ -124,6 +125,7 @@ def _trajectories(s: Scenario, regime: str, args, anchor, nodes=False):
     members = ab if ref < len(ab) or not nodes else [*ab, MobiusParams(1.0, 0.0, x_lo)]
     trajs = trajectory_ode_family(s, basis, members, (x_lo, min(basis.x_max, turning)),
                                   n_samples=args.samples, nodes=zeros)
+    _gate_drift(basis, checks)
     found = (zeros, trajs[ref].node_times, turning) if nodes else None
     return [(p, traj, []) for p, traj in zip(ab, trajs)], found
 
@@ -138,6 +140,11 @@ def _status(name: str, value: float, bound: float, checks: list) -> None:
     ok = value <= bound
     checks.append((name, ok))
     print(f"check {name}: {'PASS' if ok else 'FAIL'} ({value:.3e} <= {bound:.0e})")
+
+
+def _gate_drift(basis, checks: list) -> None:
+    """Gate a numeric basis's Wronskian drift at kg-solve's bound, DRIFT_TOL_NUMERIC."""
+    _status("wronskian_drift", wronskian_drift(basis), DRIFT_TOL_NUMERIC, checks)
 
 
 def _verdict(checks: list) -> int:
@@ -159,7 +166,8 @@ def cmd_figure(args, s: Scenario, regime: str) -> int:
     if (regime, s.species.is_photon) != (_regime(ref), ref.species.is_photon):
         kind = "photon" if ref.species.is_photon else "massive"
         raise ValueError(f"figure {fig} needs a {kind} scenario {WHERE[_regime(ref)]}")
-    members, nodes = _trajectories(s, regime, args, x0, nodes=fig == 4)
+    checks: list[tuple[str, bool]] = []
+    members, nodes = _trajectories(s, regime, args, x0, checks, nodes=fig == 4)
     written = []
     for p, traj, events in members:
         written.append(write_trajectory_csv(traj, out / f"fig{fig}_traj_{_ab_tag(p)}.csv"))
@@ -175,17 +183,18 @@ def cmd_figure(args, s: Scenario, regime: str) -> int:
         zeros, t_at, turning = nodes
         header = ["rqtlab linear-potential nodes (times from the a=1, b=0 member)",
                   *scenario_header(s), "columns: n, t_n_s, x_n_m"]
-        rows = zip(range(len(zeros)), t_at.tolist(), (zeros * METERS_PER_FM).tolist())
-        written.append(write_csv(out / "fig4_nodes.csv", header, rows))
+        columns = (np.arange(len(zeros)), t_at, zeros * METERS_PER_FM)
+        written.append(write_csv(out / "fig4_nodes.csv", header, columns))
         print(f"figure 4: turning point at {turning * METERS_PER_FM:.12e} m, {len(zeros)} nodes")
     for w in written:
         print(f"wrote {w}")
-    return 0
+    return _verdict(checks)
 
 
 def cmd_report(args, s: Scenario, regime: str) -> int:
-    rows = None if regime != LINEAR else linear_node_summary(
-        s, kg_solve_linear(s, args.x_min, args.x_max, args.step, args.method))
+    basis = None if regime != LINEAR else kg_solve_linear(s, args.x_min, args.x_max, args.step,
+                                                          args.method)
+    rows = None if basis is None else linear_node_summary(s, basis)
     checks: list[tuple[str, bool]] = []
     print(f"species rest energy : {s.rest_energy} MeV")
     print(f"total energy        : {s.energy} MeV")
@@ -202,6 +211,7 @@ def cmd_report(args, s: Scenario, regime: str) -> int:
         print(f"max |pi*hbar/dx / p_classical - 1| : {worst:.3e}")
         checks.append(("node_spacing_monotone", grow))
         _status("local_momentum_within_5pct", worst, 0.05, checks)
+        _gate_drift(basis, checks)
         if args.out:
             print(f"wrote {_write_intervals(_out_dir(args) / 'node_report.csv', s, rows)}")
     elif regime == FORBIDDEN:
@@ -246,8 +256,9 @@ def cmd_residuals(args, s: Scenario, regime: str) -> int:
         rows = action_scan(basis, p, xs)
         header = [title, *scenario_header(s), f"a = {p.a!r}", f"b = {p.b!r}",
                   "columns: x_fm, s0_mev_s, ds0dx, residual"]
-        print(f"wrote {write_csv(out / f'residuals_{tag}.csv', header, rows)}")
-        r_hj = max(r[3] for r in rows)
+        print(f"wrote {write_csv(out / f'residuals_{tag}.csv', header, rows.T)}")
+        # np.max, not max: a NaN residual anywhere in the column must fail the gate
+        r_hj = float(np.max(rows[:, 3]))
         if regime == ALLOWED:
             straight = p.a == 1.0 and p.b == 0.0
             # 6,001 samples are dt_n / 2000 apart, with the node times among them; the
@@ -268,18 +279,20 @@ def cmd_residuals(args, s: Scenario, regime: str) -> int:
 def cmd_trajectory(args, s: Scenario, regime: str) -> int:
     out = _out_dir(args)
     anchor = args.x_min if regime == LINEAR else args.x0 or 0.0
-    for p, traj, _ in _trajectories(s, regime, args, anchor)[0]:
+    checks: list[tuple[str, bool]] = []
+    for p, traj, _ in _trajectories(s, regime, args, anchor, checks)[0]:
         print(f"wrote {write_trajectory_csv(traj, out / f'traj_{_ab_tag(p)}.csv')}")
-    return 0
+    return _verdict(checks)
 
 
 def _write_intervals(path: Path, s: Scenario, rows: list[dict]) -> Path:
     """The node intervals of linear_node_summary as CSV, lengths in metres."""
     header = ["rqtlab numeric node intervals", *scenario_header(s),
               "columns: n, x_lo_m, x_hi_m, dx_m, p_node_mev_s_per_fm, p_classical_mid"]
-    return write_csv(path, header, (
-        (r["n"], r["x_lo"] * METERS_PER_FM, r["x_hi"] * METERS_PER_FM,
-         r["dx"] * METERS_PER_FM, r["p_node"], r["p_classical_mid"]) for r in rows))
+    n, x_lo, x_hi, dx, p_node, p_mid = (np.array([r[k] for r in rows]) for k in (
+        "n", "x_lo", "x_hi", "dx", "p_node", "p_classical_mid"))
+    return write_csv(path, header, (n, x_lo * METERS_PER_FM, x_hi * METERS_PER_FM,
+                                    dx * METERS_PER_FM, p_node, p_mid))
 
 
 def cmd_nodes(args, s: Scenario, regime: str) -> int:
@@ -292,13 +305,15 @@ def cmd_nodes(args, s: Scenario, regime: str) -> int:
         print(f"wrote {write_node_report_csv(nd, out / 'nodes.csv', s)}")
         print(f"dt_n = {nd.dt_spacing:.12e} s, dx_n = {nd.dx_spacings[0] * METERS_PER_FM:.12e} m")
         return 0
-    rows = linear_node_summary(s, kg_solve_linear(s, args.x_min, args.x_max, args.step,
-                                                  args.method))
+    basis = kg_solve_linear(s, args.x_min, args.x_max, args.step, args.method)
+    rows = linear_node_summary(s, basis)
     print(f"wrote {_write_intervals(out / 'nodes.csv', s, rows)}")
     grow = spacing_grows(rows)
+    checks = [("node_spacing_monotone", grow)]
+    _gate_drift(basis, checks)
     claim = "; spacing grows toward the turning point" if grow else ""
     print(f"{len(rows) + 1} nodes{claim}")
-    return _verdict([("node_spacing_monotone", grow)])
+    return _verdict(checks)
 
 
 def cmd_kg_solve(args, s: Scenario, regime) -> int:

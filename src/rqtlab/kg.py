@@ -41,6 +41,10 @@ DRIFT_TOL_NUMERIC = 1.0e-5
 DRIFT_PROBES = 512
 FD_EDGE_MARGIN = 4
 
+# wronskian_drift reads W this many samples at a time: the gate runs on figure 4's
+# basis after its time of flight, and a basis-sized W raised that run's peak by 2 MiB.
+DRIFT_CHUNK = 8192
+
 # Default linear-potential window: its left end, and how far the numeric
 # basis runs past the turning point (both fm), so that the septic reader
 # and the phi2 roots are defined right up to the turning point.
@@ -621,9 +625,10 @@ def wronskian_drift(basis: KgBasis) -> float:
         (p1, p2), (d1, d2) = basis.phi12(xs), basis.dphi12(xs)
     else:
         xs, p1, p2, d1, d2 = basis._samples
-    w = d1 * p2 - p1 * d2
-    w_ref = w[0]
-    return float(np.max(np.abs(w - w_ref)) / abs(w_ref))
+    w_ref = d1[0] * p2[0] - p1[0] * d2[0]
+    chunks = [slice(i, i + DRIFT_CHUNK) for i in range(0, len(xs), DRIFT_CHUNK)]
+    return float(np.max([np.max(np.abs(d1[c] * p2[c] - p1[c] * d2[c] - w_ref)) for c in chunks])
+                 / abs(w_ref))
 
 
 def kg_fd_residual(basis: KgBasis) -> float:
@@ -667,4 +672,4 @@ def write_basis_csv(basis: KgBasis, path: str | Path) -> Path:
               f"source = numeric:{basis.method}:step={basis.step:g}",
               f"wronskian_per_fm = {basis.wronskian!r}",
               "columns: x_fm, phi1, phi2, dphi1, dphi2"]
-    return write_csv(path, header, zip(*(c[::stride].tolist() for c in basis._samples)))
+    return write_csv(path, header, [c[::stride] for c in basis._samples])

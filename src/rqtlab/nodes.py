@@ -210,12 +210,12 @@ def write_node_report_csv(report: NodeReport, path, scenario: Scenario):
     header = ["rqtlab node report", *scenario_header(scenario),
               "dx_m column is the spacing to the next node (last row repeats)",
               "columns: n, t_n_s, x_n_m, dx_m, lambda_half_m, ratio"]
-    half_lam = report.wavelength / 2.0 * METERS_PER_FM
-    last = len(report.dx_spacings) - 1
-    rows = ((n, t, x * METERS_PER_FM, report.dx_spacings[min(n, last)] * METERS_PER_FM,
-             half_lam, report.ratio)
-            for n, (t, x) in enumerate(zip(report.node_times, report.node_positions)))
-    return write_csv(path, header, rows)
+    n = np.arange(len(report.node_times))
+    dx = report.dx_spacings[np.minimum(n, len(report.dx_spacings) - 1)]
+    return write_csv(path, header, (n, report.node_times, report.node_positions * METERS_PER_FM,
+                                    dx * METERS_PER_FM,
+                                    np.full(len(n), report.wavelength / 2.0 * METERS_PER_FM),
+                                    np.full(len(n), report.ratio)))
 
 
 def write_classical_csv(report: ClassicalLimitReport, path, scenario: Scenario):
@@ -223,5 +223,5 @@ def write_classical_csv(report: ClassicalLimitReport, path, scenario: Scenario):
               f"a = {report.params.a!r}", f"b = {report.params.b!r}",
               f"fitted_exponent = {report.exponent:.12e}",
               "columns: epsilon, deviation_m, bound_m"]
-    return write_csv(path, header, zip(report.epsilons, report.deviations * METERS_PER_FM,
-                                       report.bounds * METERS_PER_FM))
+    return write_csv(path, header, (report.epsilons, report.deviations * METERS_PER_FM,
+                                    report.bounds * METERS_PER_FM))

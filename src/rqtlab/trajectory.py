@@ -546,5 +546,4 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> Path:
     if traj.truncated_at is not None:
         header.append(f"truncated_at_fm = {traj.truncated_at!r}")
     header.append("columns: t_s, x_m")
-    rows = zip(traj.times.tolist(), (traj.positions * METERS_PER_FM).tolist())
-    return write_csv(path, header, rows)
+    return write_csv(path, header, (traj.times, traj.positions * METERS_PER_FM))

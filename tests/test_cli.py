@@ -258,6 +258,52 @@ class TestResidualsCommand:
         assert "FAIL" not in capsys.readouterr().out
 
 
+    def test_nan_residual_mid_column_fails_its_gate(self, tmp_path, capsys, monkeypatch):
+        # a NaN that is not in the first row: Python's max would skip it and print PASS
+        scan = rqtlab.cli.action_scan
+
+        def with_nan(basis, p, xs):
+            rows = scan(basis, p, xs)
+            rows[len(rows) // 2, 3] = np.nan
+            return rows
+
+        monkeypatch.setattr(rqtlab.cli, "action_scan", with_nan)
+        rc = main(["residuals", "--config", _write_cfg(tmp_path, LINEAR_CFG), "--samples", "24",
+                   "--x-min", "-60", "--step", "2e-3", "--ab", "1,0", "--out", str(tmp_path / "r")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "check rqshje_a1_b0: FAIL (nan <= 1e-03)\n" in out
+        assert np.isnan(_read_csv(tmp_path / "r" / "residuals_a1_b0.csv")[12, 3])
+
+
+class TestWronskianDriftGate:
+    """figure 4 and the linear report, nodes and trajectory gate their basis's drift."""
+
+    def test_figure4_rk4_fails(self, tmp_path, capsys):
+        # RK4 at the default step puts figure 4's nodes 0.63 fm off the oracle
+        assert main(["figure", "4", "--method", "rk4", "--out", str(tmp_path / "f4")]) == 1
+        out = capsys.readouterr().out
+        assert "check wronskian_drift: FAIL (1.093e-02 <= 1e-05)\n" in out
+        assert out.endswith("FAILED checks: wronskian_drift\n")
+
+    @pytest.mark.parametrize("command", ["report", "nodes", "trajectory"])
+    def test_linear_euler_basis_fails(self, tmp_path, capsys, command):
+        rc = main([command, "--config", _write_cfg(tmp_path, LINEAR_CFG), "--method", "euler",
+                   "--step", "2e-3", "--x-min", "-120", "--out", str(tmp_path / "e")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "check wronskian_drift: FAIL (3.189e-03 <= 1e-05)\n" in out
+        assert out.endswith("FAILED checks: wronskian_drift\n")
+
+    @pytest.mark.parametrize("command", [["figure", "4", "--x0", "-60"], ["report"], ["nodes"],
+                                         ["trajectory", "--x-min", "-60"]])
+    def test_default_basis_passes(self, tmp_path, capsys, command):
+        cfg = [] if command[0] == "figure" else ["--config", _write_cfg(tmp_path, LINEAR_CFG)]
+        assert main([*command, *cfg, "--out", str(tmp_path / "d")]) == 0
+        drift = [l for l in capsys.readouterr().out.splitlines() if "wronskian_drift" in l]
+        assert len(drift) == 1 and drift[0].startswith("check wronskian_drift: PASS (")
+
+
 class TestOtherCommands:
     def test_trajectory_files(self, tmp_path):
         assert main([

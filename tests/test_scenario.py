@@ -141,30 +141,90 @@ class TestConstantRates:
             rq.constant_rates(linear_electron)
 
 
+def _lines(path):
+    """The body lines of a written CSV."""
+    return path.read_text().splitlines()[1:]
+
+
+# values the writer's fast path must hand on, or must get right at its edges
+PINNED_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e-99, math.nextafter(1e-99, 0.0), math.nextafter(1e-99, 1.0), -1e-99,
+    9.9999999999995e98, math.nextafter(9.9999999999995e98, math.inf), 1e99,
+    math.nextafter(1e99, 0.0), -1e99, 1e100, -1e-100, math.nan, math.inf, -math.inf,
+    # exact ties at the 13th digit: Python rounds half to even on the exact value
+    1.0000000000005, 1.0000000000015, 2.5e-13, 1234567890123.5, 1234567890124.5,
+    # short decimals a 5 past the 13th digit, whose m rounds onto a half-integer or
+    # within 1e-3 of one, on the wrong side of it
+    2.5000000000005, 3.3333333333335e-7, 9.8765432101235e20, 4.4444444444445e-50,
+    1.2345678901235e90, 7.4664771890995e-32, 7.5442392854865e-44, 7.7277280090305e33,
+    *(k / 2.0**j for k in (1, 3, 5, 7, 1023, 4097) for j in (1, 13, 40, 41, 43, 52)),
+    *(m * 10.0**p for p in (-90, -17, -1, 0, 1, 12, 13, 22, 23, 90)
+      for m in (1.0, 9.9999999999995)),
+    *(math.nextafter(10.0**p, d) for p in range(-99, 99, 7) for d in (0.0, math.inf)),
+]
+PINNED_INTS = [0, 1, -1, 9, 10, 9999, 10000, 99999999, 100000000, 10**11, 10**12 - 1,
+               -(10**12 - 1), 10**12, -(10**12), 2**63 - 1, -(2**63)]
+
+
 class TestWriteCsv:
     def test_header_and_number_format(self, tmp_path):
-        path = write_csv(tmp_path / "t.csv", ["title", "columns: n, x"], [(3, 0.1), (4, -2.5e-13)])
+        path = write_csv(tmp_path / "t.csv", ["title", "columns: n, x"],
+                         [np.array([3, 4]), np.array([0.1, -2.5e-13])])
         assert path.read_text() == (
             "# title\n# columns: n, x\n3,1.000000000000e-01\n4,-2.500000000000e-13\n"
         )
 
     def test_same_text_as_a_per_value_format(self, tmp_path):
-        # the one row format against formatting each value on its own: ints
-        # as they are, everything else (numpy scalars included) as %.12e
-        rows = [(i, x, np.float64(x) * 0.5, np.int64(i), np.float64(-x))
-                for i, x in enumerate([0.1, -0.0, 0.0, math.nan, math.inf, -math.inf,
-                                       5e-324, 1.7976931348623157e308, -2.5e-13, 12345.678])]
-        rows[3] = (-7, *rows[3][1:])
-        rows[4] = (10**20, *rows[4][1:])
-        path = write_csv(tmp_path / "t.csv", ["h"], rows)
-        want = "# h\n" + "".join(
-            ",".join(str(v) if isinstance(v, int) else f"{v:.12e}" for v in row) + "\n"
-            for row in rows)
-        assert path.read_text() == want
-        assert "-0.000000000000e+00" in want and "nan" in want and "-inf" in want
+        # an integer-dtype column is %d, any other column (lists of floats,
+        # float32, bool) is float64 %.12e; columns of one length, one line a row
+        x = np.array(PINNED_FLOATS)
+        n = np.resize(np.array(PINNED_INTS), len(x))
+        with np.errstate(over="ignore"):
+            x32 = x.astype(np.float32)
+        cols = [n, x, list(-x), x32, x > 0, n.astype(np.uint64) % 10**13]
+        path = write_csv(tmp_path / "t.csv", ["h"], cols)
+        rows = zip(*(np.asarray(c).tolist() for c in cols))
+        want = ["%d,%.12e,%.12e,%.12e,%.12e,%d" % row for row in rows]
+        assert _lines(path) == want
+        assert "-0.000000000000e+00" in want[1] and "nan" in want[17] and "-inf" in want[19]
 
     def test_no_rows(self, tmp_path):
-        assert write_csv(tmp_path / "t.csv", ["h"], iter(())).read_text() == "# h\n"
+        assert write_csv(tmp_path / "t.csv", ["h"], ()).read_text() == "# h\n"
+        assert write_csv(tmp_path / "u.csv", ["h"], [np.array([]), []]).read_text() == "# h\n"
+
+    def test_pinned_values_each_on_its_own(self, tmp_path):
+        # the pinned floats and ints, each alone and negated: line for line
+        # what Python's % writes
+        for i, x in enumerate(PINNED_FLOATS):
+            col = np.array([x, -x])
+            assert _lines(write_csv(tmp_path / f"f{i}.csv", ["h"], [col])) == [
+                "%.12e" % v for v in col.tolist()], x
+        ints = np.array(PINNED_INTS, dtype=np.int64)
+        assert _lines(write_csv(tmp_path / "i.csv", ["h"], [ints])) == [
+            "%d" % v for v in PINNED_INTS]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(x=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                      min_size=1, max_size=40),
+           n=st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=1,
+                      max_size=40))
+    def test_matches_python_percent(self, tmp_path_factory, x, n):
+        n = (n * len(x))[:len(x)]
+        path = write_csv(tmp_path_factory.mktemp("csv") / "p.csv", ["h"],
+                         [np.array(x), np.array(n, dtype=np.int64)])
+        assert _lines(path) == ["%.12e,%d" % row for row in zip(x, n)]
+
+    def test_powers_of_ten_are_correctly_rounded(self):
+        from rqtlab.scenario import _E, _POW10
+
+        assert _POW10.tolist() == [float(f"1e{12 - e}") for e in _E.tolist()]
+
+    def test_unequal_or_2d_columns_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["h"], [np.zeros(3), np.zeros(4)])
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["h"], [np.zeros((3, 2))])
 
 
 class TestConfig:
