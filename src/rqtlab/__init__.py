@@ -31,6 +31,7 @@ from .kg import (
 )
 from .nodes import (
     ClassicalLimitReport,
+    NodeIntervals,
     NodeReport,
     classical_limit_scan,
     de_broglie_check,

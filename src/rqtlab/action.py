@@ -70,19 +70,33 @@ def reduced_action(basis: KgBasis, p: MobiusParams, xs):
     rounding noise, and would put atan on either branch.  A numeric basis
     raises DomainError for an x outside it, from its reader.
     """
-    x = np.asarray(xs, dtype=float)
-    zeros = basis.phi2_zeros(min(p.x0, float(x.min())), max(p.x0, float(x.max())))
+    return _actions(basis, [p], np.asarray(xs, dtype=float))[0]
+
+
+def _actions(basis: KgBasis, members, x: np.ndarray) -> list:
+    """reduced_action of each member at the positions x, from one read of the basis.
+
+    One phi2 zero lookup over x and every anchor and one phi12 read at x
+    serve all members: a zero outside one member's span of x and x0 lies
+    below or above all of it, and leaves that member's branch count as is.
+    """
+    x0s = [p.x0 for p in members]
+    zeros = basis.phi2_zeros(min([*x0s, float(x.min())]), max([*x0s, float(x.max())]))
     left = np.searchsorted(zeros, x, side="left")
-    n = left - np.searchsorted(zeros, p.x0, side="right")
     phi1, phi2 = basis.phi12(x)
     # x is one of the sorted zeros where it finds its equal (np.isin would import numpy.ma)
     on_zero = (phi2 == 0.0) | (len(zeros) > 0 and zeros[np.minimum(left, len(zeros) - 1)] == x)
-    with np.errstate(divide="ignore"):
-        r = p.a * phi1 / phi2 + p.b
-    # math.atan: np.arctan rounds differently in about one value in 400
-    phase = [math.pi / 2.0 + k * math.pi if zero else math.atan(v) + k * math.pi
-             for v, k, zero in zip(r.tolist(), n.tolist(), on_zero.tolist())]
-    return p.direction * basis.scenario.hbar * np.array(phase), n
+    on_zero = on_zero.tolist()
+    out = []
+    for p in members:
+        n = left - np.searchsorted(zeros, p.x0, side="right")
+        with np.errstate(divide="ignore"):
+            r = p.a * phi1 / phi2 + p.b
+        # math.atan: np.arctan rounds differently in about one value in 400
+        phase = [math.pi / 2.0 + k * math.pi if zero else math.atan(v) + k * math.pi
+                 for v, k, zero in zip(r.tolist(), n.tolist(), on_zero)]
+        out.append((p.direction * basis.scenario.hbar * np.array(phase), n))
+    return out
 
 
 def conjugate_momentum(basis: KgBasis, p: MobiusParams, x):
@@ -91,7 +105,11 @@ def conjugate_momentum(basis: KgBasis, p: MobiusParams, x):
     The denominator is positive for any real a != 0 (phi1 and phi2 cannot
     vanish together since W != 0), so the momentum never vanishes.
     """
-    phi1, phi2 = basis.phi12(x)
+    return _momentum(basis, p, *basis.phi12(x))
+
+
+def _momentum(basis: KgBasis, p: MobiusParams, phi1, phi2):
+    """conjugate_momentum from one read (phi1, phi2) of the basis."""
     denom = phi2 * phi2 + (p.a * phi1 + p.b * phi2) ** 2
     return p.direction * basis.scenario.hbar * p.a * basis.wronskian / denom
 
@@ -127,34 +145,55 @@ def rqshje_residual(basis: KgBasis, p: MobiusParams, xs):
     positions and returns two arrays: the residual at each, and S0' there,
     the centre of its stencil.
     """
-    x = np.asarray(xs, dtype=float)
+    return _residual(basis, p, *_stencil_reads(basis, np.asarray(xs, dtype=float)))
+
+
+def _stencil_reads(basis: KgBasis, x: np.ndarray):
+    """What the residual of every member at the positions x reads: (h, phi12, t3).
+
+    The stencil steps h, one phi12 read at the 5-point stencils, and the
+    term m0^2 c^4 - (E - V)^2; a stencil that leaves a numeric basis raises
+    DomainError.
+    """
     h = _fd_step(basis, x)
     if not basis.is_closed_form:
         exits = ~((basis.x_min + 2 * h <= x) & (x <= basis.x_max - 2 * h))
         if exits.any():
             raise DomainError(
                 f"finite-difference stencil at x = {float(x[exits][0])} exits the domain")
-    s = basis.scenario
     # 5-point central stencils on S0' give S0'' and S0'''
     stencil = np.array([x - 2 * h, x - h, x, x + h, x + 2 * h])
-    pm2, pm1, p0, pp1, pp2 = conjugate_momentum(basis, p, stencil)
+    return h, basis.phi12(stencil), -local_rates(basis.scenario, x)[1]
+
+
+def _residual(basis: KgBasis, p: MobiusParams, h, phi12, t3):
+    """rqshje_residual of one member from its _stencil_reads."""
+    s = basis.scenario
+    pm2, pm1, p0, pp1, pp2 = _momentum(basis, p, *phi12)
     s0pp = (-pp2 + 8 * pp1 - 8 * pm1 + pm2) / (12.0 * h)
     s0ppp = (-pp2 + 16 * pp1 - 30 * p0 + 16 * pm1 - pm2) / (12.0 * (h * h))
     cp, ratio = s.c * p0, s0pp / p0
     t1 = cp * cp
     t2 = -(s.hbar**2 * s.c**2 / 2.0) * (1.5 * (ratio * ratio) - s0ppp / p0)
-    t3 = -local_rates(s, x)[1]
     scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.abs(t3))
     return np.abs(t1 + t2 + t3) / scale, p0
 
 
-def action_scan(basis: KgBasis, p: MobiusParams, xs) -> np.ndarray:
-    """(x, s0, ds0_dx, residual) rows for a sweep of positions, as one (N, 4) array.
+def action_scan(basis: KgBasis, members, xs) -> np.ndarray:
+    """(x, s0, ds0_dx, residual) rows of each member over one sweep of positions.
 
-    Each column is read as one array: S0 at the positions, then S0' and the
-    residual from one call on all the stencils.
+    One (M N, 4) array for M members and N positions, stacked member-major:
+    rows m N to (m + 1) N - 1 are member m's.  The family shares one read
+    of the basis at the positions and one at their stencils; only the
+    bracket, the branch count from each member's x0 and the residual
+    arithmetic run per member, so each member's rows are the bits of its
+    own reduced_action and rqshje_residual.
     """
     xs = np.asarray(xs, dtype=float)
-    s0, _ = reduced_action(basis, p, xs)
-    residual, ds0_dx = rqshje_residual(basis, p, xs)
-    return np.column_stack((xs, s0, ds0_dx, residual))
+    actions = _actions(basis, members, xs)
+    reads = _stencil_reads(basis, xs)
+    rows = np.empty((len(members), len(xs), 4))
+    for out, p, (s0, _) in zip(rows, members, actions):
+        residual, ds0_dx = _residual(basis, p, *reads)
+        out[:, 0], out[:, 1], out[:, 2], out[:, 3] = xs, s0, ds0_dx, residual
+    return rows.reshape(-1, 4)

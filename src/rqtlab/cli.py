@@ -22,8 +22,8 @@ from .errors import IntegrationOverflowError
 from .kg import (DEFAULT_METHOD, DEFAULT_STEP, DRIFT_TOL_NUMERIC, METHODS, kg_closed_constant,
                  kg_fd_residual, kg_solve_linear, kg_solve_numeric, wronskian_drift,
                  write_basis_csv)
-from .nodes import (classical_limit_scan, linear_node_summary, nodes_constant, nodes_numeric,
-                    spacing_grows, write_classical_csv, write_node_report_csv)
+from .nodes import (NodeIntervals, classical_limit_scan, linear_node_summary, nodes_constant,
+                    nodes_numeric, spacing_grows, write_classical_csv, write_node_report_csv)
 from .scenario import (METERS_PER_FM, Potential, RegionClass, Scenario, Species, constant_rates,
                        load_config, scenario_from_config, scenario_header, turning_points,
                        write_csv)
@@ -194,7 +194,7 @@ def cmd_figure(args, s: Scenario, regime: str) -> int:
 def cmd_report(args, s: Scenario, regime: str) -> int:
     basis = None if regime != LINEAR else kg_solve_linear(s, args.x_min, args.x_max, args.step,
                                                           args.method)
-    rows = None if basis is None else linear_node_summary(s, basis)
+    intervals = None if basis is None else linear_node_summary(s, basis)
     checks: list[tuple[str, bool]] = []
     print(f"species rest energy : {s.rest_energy} MeV")
     print(f"total energy        : {s.energy} MeV")
@@ -202,18 +202,18 @@ def cmd_report(args, s: Scenario, regime: str) -> int:
           f"(u0 = {s.potential.u0} MeV, g = {s.potential.g} MeV/fm)")
     print(f"hbar_scale          : {s.hbar_scale}")
 
-    if rows:
-        print(f"numeric nodes       : {len(rows) + 1}")
-        # np.max, not max: a NaN interval (one crossing the forbidden band) must fail the gate
-        worst = float(np.max([abs(r["p_node"] / r["p_classical_mid"] - 1.0) for r in rows]))
-        grow = spacing_grows(rows)
+    if intervals is not None:
+        print(f"numeric nodes       : {len(intervals.n) + 1}")
+        # np.max, not max: a NaN interval (one whose midpoint is forbidden) must fail the gate
+        worst = float(np.max(np.abs(intervals.p_node / intervals.p_classical_mid - 1.0)))
+        grow = spacing_grows(intervals)
         print(f"spacing growth toward turning point: {grow}")
         print(f"max |pi*hbar/dx / p_classical - 1| : {worst:.3e}")
         checks.append(("node_spacing_monotone", grow))
         _status("local_momentum_within_5pct", worst, 0.05, checks)
         _gate_drift(basis, checks)
         if args.out:
-            print(f"wrote {_write_intervals(_out_dir(args) / 'node_report.csv', s, rows)}")
+            print(f"wrote {_write_intervals(_out_dir(args) / 'node_report.csv', s, intervals)}")
     elif regime == FORBIDDEN:
         print("nodes: none (massive particle in a classically forbidden region)")
     else:
@@ -251,9 +251,9 @@ def cmd_residuals(args, s: Scenario, regime: str) -> int:
         xs = np.linspace(x_lo, x_hi, args.samples)
         title = "rqtlab action residual scan (linear potential)"
 
-    for p in family:
+    scans = action_scan(basis, family, xs).reshape(len(family), len(xs), 4)
+    for p, rows in zip(family, scans):
         tag = _ab_tag(p)
-        rows = action_scan(basis, p, xs)
         header = [title, *scenario_header(s), f"a = {p.a!r}", f"b = {p.b!r}",
                   "columns: x_fm, s0_mev_s, ds0dx, residual"]
         print(f"wrote {write_csv(out / f'residuals_{tag}.csv', header, rows.T)}")
@@ -285,14 +285,12 @@ def cmd_trajectory(args, s: Scenario, regime: str) -> int:
     return _verdict(checks)
 
 
-def _write_intervals(path: Path, s: Scenario, rows: list[dict]) -> Path:
+def _write_intervals(path: Path, s: Scenario, iv: NodeIntervals) -> Path:
     """The node intervals of linear_node_summary as CSV, lengths in metres."""
     header = ["rqtlab numeric node intervals", *scenario_header(s),
               "columns: n, x_lo_m, x_hi_m, dx_m, p_node_mev_s_per_fm, p_classical_mid"]
-    n, x_lo, x_hi, dx, p_node, p_mid = (np.array([r[k] for r in rows]) for k in (
-        "n", "x_lo", "x_hi", "dx", "p_node", "p_classical_mid"))
-    return write_csv(path, header, (n, x_lo * METERS_PER_FM, x_hi * METERS_PER_FM,
-                                    dx * METERS_PER_FM, p_node, p_mid))
+    return write_csv(path, header, (iv.n, iv.x_lo * METERS_PER_FM, iv.x_hi * METERS_PER_FM,
+                                    iv.dx * METERS_PER_FM, iv.p_node, iv.p_classical_mid))
 
 
 def cmd_nodes(args, s: Scenario, regime: str) -> int:
@@ -306,13 +304,13 @@ def cmd_nodes(args, s: Scenario, regime: str) -> int:
         print(f"dt_n = {nd.dt_spacing:.12e} s, dx_n = {nd.dx_spacings[0] * METERS_PER_FM:.12e} m")
         return 0
     basis = kg_solve_linear(s, args.x_min, args.x_max, args.step, args.method)
-    rows = linear_node_summary(s, basis)
-    print(f"wrote {_write_intervals(out / 'nodes.csv', s, rows)}")
-    grow = spacing_grows(rows)
+    intervals = linear_node_summary(s, basis)
+    print(f"wrote {_write_intervals(out / 'nodes.csv', s, intervals)}")
+    grow = spacing_grows(intervals)
     checks = [("node_spacing_monotone", grow)]
     _gate_drift(basis, checks)
     claim = "; spacing grows toward the turning point" if grow else ""
-    print(f"{len(rows) + 1} nodes{claim}")
+    print(f"{len(intervals.n) + 1} nodes{claim}")
     return _verdict(checks)
 
 

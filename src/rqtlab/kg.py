@@ -359,6 +359,23 @@ _SERIES_MAX = 5.0e-2
 # one strided column written per position (1), warm, one CPU.
 _WRITE_BATCH = 16
 
+# Values per step-matrix entry array in _chain: one step_matrices call takes
+# a run of max(_RUN_VALUES // n_blocks, 1) consecutive positions of every
+# block, 3 at figure 4's 1,585 blocks and 13 at the default linear window's
+# 439, which saves numpy calls where the blocks are few.  A cold build of the
+# default window took a median 8.6 ms with single positions, 6.6 ms with a
+# fixed run of 4 and 6.2 ms here; figure 4's, 26.7, 24.5 and 23.5 ms
+# (forked processes, one CPU).  A call holds about a dozen arrays of the
+# run, so the size is bounded twice.  By the build's peak: at 8,192 values
+# (5 positions) figure 4's build peaked at 1.27 times the basis it returns,
+# 1.22 here and 1.18 with single positions.  And by glibc's allocator: these
+# 48 KiB arrays stay under its 128 KiB mmap threshold and are reused on the
+# heap, while runs of 16 at figure 4 (198 KiB arrays) took its cold build
+# from 2,352 to 5,466 minor faults and to 26.6 ms.  glibc raises that
+# threshold after large frees, so the faults of one size depend on what the
+# process freed before (see PANEL_CHUNK in trajectory).
+_RUN_VALUES = 6144
+
 
 def _magnus6_matrix(w1, w2, w3, h):
     """One sixth-order Magnus step under phi'' = w phi, as entries of M - I.
@@ -389,7 +406,9 @@ def _magnus6_matrix(w1, w2, w3, h):
     kw = k * w2
     p = h * beta * (kw - 1.0 / 12.0)
     q = h - k * gamma
+    del k  # _chain takes a run of positions per call: each array held adds to the build's peak
     r = h * w2 + gamma * (kw + 1.0 / 12.0) - h / 120.0 * beta * beta
+    del beta, gamma, kw
     delta = p * p + q * r
     cosh_m1, sinhc = 0.0, _SINHC[0]
     for a in _COSH_M1:
@@ -404,21 +423,28 @@ def _magnus6_matrix(w1, w2, w3, h):
         cosh_m1[big] = np.where(grows, 2.0 * np.sinh(0.5 * root) ** 2,
                                 -2.0 * np.sin(0.5 * root) ** 2)
         sinhc[big] = np.where(grows, np.sinh(root), np.sin(root)) / root
-    sp = sinhc * p
-    return cosh_m1 + sp, sinhc * q, sinhc * r, cosh_m1 - sp
+    del delta
+    p *= sinhc
+    q *= sinhc
+    r *= sinhc
+    e11 = cosh_m1 + p
+    cosh_m1 -= p
+    return e11, q, r, cosh_m1
 
 
 def _chain(step_matrices, n, y0):
     """States y_0 .. y_n of y_{i+1} = M_i y_i, y = [[phi1, phi2], [dphi1, dphi2]].
 
     Returns one (4, n + 1) array, rows phi1, phi2, dphi1, dphi2.
-    ``step_matrices`` maps an array of step indices to fresh arrays of the
-    entries of M - I (see _rk4_matrix and _magnus6_matrix).  A blocked
-    prefix product: the n steps form about 4 sqrt(n) blocks of about
-    sqrt(n) / 4 steps, the last padded with identity steps.  One pass over
-    the positions in a block forms the running products of all blocks at
-    once and writes them, _WRITE_BATCH positions at a time, into the
-    returned array, one row of positions per block.  The block starts are
+    ``step_matrices`` maps an array of step indices, 1-D or 2-D, to fresh
+    arrays of that shape of the entries of M - I (see _rk4_matrix and
+    _magnus6_matrix).  A blocked prefix product: the n steps form about
+    4 sqrt(n) blocks of about sqrt(n) / 4 steps, the last padded with
+    identity steps.  One pass over the positions in a block forms the
+    running products of all blocks at once, from step matrices formed a run
+    of positions per call (a (run, n_blocks) index array, _RUN_VALUES), and
+    writes them, _WRITE_BATCH positions at a time, into the returned array,
+    one row of positions per block.  The block starts are
     the states of the chain of block products (blocked the same way, down
     to a stepping loop of fewer than 64 steps), and the running products
     become the states in place, a chunk of blocks at a time, in temporaries
@@ -442,24 +468,27 @@ def _chain(step_matrices, n, y0):
         return np.array(list(zip(*states)))
     n_blocks = -(-n // size)
     first = size * np.arange(n_blocks)  # each block's first step
+    padded = n - first[-1]  # the last block's position from which its steps are padding
+    run = max(_RUN_VALUES // n_blocks, 1)
     states = np.empty((4, n_blocks * size + 1))
     rows = states[:, :-1].reshape(4, n_blocks, size)  # ends as rows[:, i, j] = y_{first[i] + j}
     batch = np.empty((4, _WRITE_BATCH, n_blocks))
     q = [np.zeros(n_blocks) for _ in range(4)]
-    for j in range(size):
-        k = j % _WRITE_BATCH
-        for e, v in zip(batch, q):
-            e[k] = v
-        if k == _WRITE_BATCH - 1 or j == size - 1:
-            rows[:, :, j - k:j + 1] = batch[:, :k + 1].transpose(0, 2, 1)
-        a, b, c, d = m = step_matrices(first + j)
-        if first[-1] + j >= n:
-            for e in m:
-                e[-1] = 0.0
-        q11, q12, q21, q22 = q
-        # (I + E)(I + Q) - I = Q + (E + E Q)
-        q = (q11 + (a + (a * q11 + b * q21)), q12 + (b + (a * q12 + b * q22)),
-             q21 + (c + (c * q11 + d * q21)), q22 + (d + (c * q12 + d * q22)))
+    for start in range(0, size, run):
+        m = step_matrices(first + np.arange(start, min(start + run, size))[:, None])
+        for e in m:
+            e[max(padded - start, 0):, -1] = 0.0
+        for j, (a, b, c, d) in enumerate(zip(*m), start):
+            k = j % _WRITE_BATCH
+            for e, v in zip(batch, q):
+                e[k] = v
+            if k == _WRITE_BATCH - 1 or j == size - 1:
+                rows[:, :, j - k:j + 1] = batch[:, :k + 1].transpose(0, 2, 1)
+            q11, q12, q21, q22 = q
+            # (I + E)(I + Q) - I = Q + (E + E Q)
+            q = (q11 + (a + (a * q11 + b * q21)), q12 + (b + (a * q12 + b * q22)),
+                 q21 + (c + (c * q11 + d * q21)), q22 + (d + (c * q12 + d * q22)))
+        del m, a, b, c, d  # free this run's matrices before the next run's are formed
     last_block = n_blocks - 1
     starts = _chain(lambda i: [e[np.minimum(i, last_block)] for e in q], n_blocks, y0)
     # y + (fa ya + fb yb), the sum commuted exactly so that y comes last: rows 0 and 1
@@ -568,16 +597,19 @@ def kg_solve_numeric(
     n_steps = len(xs) - 1
     k0 = max(local_wavenumber(s, x_min), 1.0 / (x_max - x_min))
 
-    # Every step is one 2x2 matrix; _chain builds them a block position at a time.
+    # Every step is one 2x2 matrix; _chain builds them a run of block positions at a time.
     def matrices(i):
         i = np.minimum(i, n_steps - 1)  # _chain's padding steps, which it sets to I
         x, x_next = xs[i], xs[1:][i]
         h = x_next - x
         if method == "magnus6":
-            mid = x + 0.5 * h
+            # each array held here adds a run of positions to the build's peak (_RUN_VALUES)
+            del i, x_next
+            mid = np.add(x, 0.5 * h, out=x)
             off = math.sqrt(0.15) * h  # the outer Gauss points sit sqrt(15)/10 h from the middle
-            return _magnus6_matrix(_omega_sq(s, mid - off), _omega_sq(s, mid),
-                                   _omega_sq(s, mid + off), h)
+            w = _omega_sq(s, mid - off), _omega_sq(s, mid), _omega_sq(s, mid + off)
+            del x, mid, off
+            return _magnus6_matrix(*w, h)
         w1 = _omega_sq(s, x)
         if method == "euler":
             return np.zeros(i.shape), h, h * w1, np.zeros(i.shape)

@@ -23,6 +23,7 @@ from .scenario import (
     constant_rates,
     local_rates,
     scenario_header,
+    turning_points,
     write_csv,
 )
 from .trajectory import constant_allowed_position
@@ -36,6 +37,17 @@ class NodeReport:
     dx_spacings: np.ndarray     # fm, per interval
     wavelength: float           # fm
     ratio: float                # dx / (lambda / 2)
+
+
+@dataclass(frozen=True)
+class NodeIntervals:
+    """linear_node_summary's intervals between consecutive phi2 zeros, one array per column."""
+    n: np.ndarray                # interval index
+    x_lo: np.ndarray             # fm
+    x_hi: np.ndarray             # fm
+    dx: np.ndarray               # fm, x_hi - x_lo
+    p_node: np.ndarray           # pi hbar / dx
+    p_classical_mid: np.ndarray  # sqrt(q2) / c at the midpoint; NaN where q2 <= 0
 
 
 @dataclass
@@ -175,32 +187,41 @@ def classical_limit_scan(s: Scenario, p: MobiusParams, epsilons) -> ClassicalLim
     )
 
 
-def linear_node_summary(s: Scenario, basis: KgBasis) -> list[dict]:
-    """Per-interval rows for a non-constant potential.
+def linear_node_summary(s: Scenario, basis: KgBasis) -> NodeIntervals:
+    """The intervals between consecutive phi2 zeros of a non-constant potential's window.
 
-    Each row carries the interval spacing dx, the node-defined momentum
-    pi hbar / dx, and the classical momentum at the interval midpoint.
-    Fewer than three zeros leave the spacing law nothing to compare: DomainError.
+    Each interval n carries its ends, its spacing dx, the node-defined
+    momentum pi hbar / dx, and the classical momentum at its midpoint.
+    Fewer than three zeros leave the spacing law nothing to compare, and a
+    zero past the far turning point (E + m0 c^2) / g lies beyond the
+    forbidden band, where no trajectory of the window reaches: DomainError.
     """
     zeros = nodes_numeric(basis)
+    far = turning_points(s)[1]
+    past = zeros[zeros > far]
+    if len(past):
+        at = ", ".join(f"{z:.4g}" for z in past.tolist())
+        raise DomainError(f"the window {basis.x_min:g} to {basis.x_max:g} fm holds phi2 zeros "
+                          f"at {at} fm, past the far turning point {far:.4g} fm; the node "
+                          "checks cover the allowed region before it")
     if len(zeros) < 3:
         raise DomainError(f"the window {basis.x_min:g} to {basis.x_max:g} fm holds {len(zeros)} "
                           "phi2 zeros; the node-spacing checks need at least 3")
     x_lo, x_hi = zeros[:-1], zeros[1:]
+    dx = x_hi - x_lo
     q2 = local_rates(s, 0.5 * (x_lo + x_hi))[1]
-    p_classical = np.sqrt(np.where(q2 > 0, q2, np.nan)) / s.c
-    return [{"n": n, "x_lo": lo, "x_hi": hi, "dx": hi - lo, "p_node": math.pi * s.hbar / (hi - lo),
-             "p_classical_mid": p}
-            for n, (lo, hi, p) in enumerate(zip(x_lo.tolist(), x_hi.tolist(), p_classical.tolist()))]
+    return NodeIntervals(n=np.arange(len(dx)), x_lo=x_lo, x_hi=x_hi, dx=dx,
+                         p_node=math.pi * s.hbar / dx,
+                         p_classical_mid=np.sqrt(np.where(q2 > 0, q2, np.nan)) / s.c)
 
 
-def spacing_grows(rows: list[dict]) -> bool:
+def spacing_grows(intervals: NodeIntervals) -> bool:
     """Whether each linear_node_summary interval is wider than the one before.
 
     The momentum falls toward the turning point, so the spacing pi hbar / p
     grows; fewer than two intervals pass vacuously.
     """
-    return all(lo["dx"] < hi["dx"] for lo, hi in zip(rows, rows[1:]))
+    return bool(np.all(intervals.dx[1:] > intervals.dx[:-1]))
 
 
 # ---------------------------------------------------------------------------

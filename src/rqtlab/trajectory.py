@@ -272,7 +272,15 @@ _GL_WEIGHTS = np.array(
 # Gauss-point array stays at 192 KiB however many panels the range holds.
 # A figure 4 process took 2,666 minor faults at 6,144, 2,480 at 4,096 and
 # 7,625 at 8,192, and fig4_linear's cpu_s read medians of 0.129-0.139 s,
-# 0.141-0.149 s and 0.160 s (three to five benchmark runs each).
+# 0.141-0.149 s and 0.160 s (three to five benchmark runs each).  These
+# arrays sit above glibc's initial 128 KiB mmap threshold, so their faults
+# depend on what the process freed before: glibc raises the mmap and trim
+# thresholds when it frees a large mapped block.  Figure 4's walk, after the
+# kg build freed megabyte temporaries, took 365 minor faults, where the
+# default linear window's, after a smaller build, took 1,360; with the
+# 1.25 MB temporaries of _phase_grid and _compute_zeros cut into chunks, so
+# that nothing large was freed first, figure 4's walk took about 9,000.  A
+# change of allocation sizes anywhere before the walk can move its cost.
 PANEL_CHUNK = 6144
 
 

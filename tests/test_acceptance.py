@@ -269,11 +269,11 @@ def test_criterion_09_classical_limit(electron_2mev):
 
 def test_criterion_10_linear_potential_nodes(linear_electron, linear_basis):
     """Spacing grows toward the turning point; pi hbar / dx tracks p(x)."""
-    rows = rq.linear_node_summary(linear_electron, linear_basis)
-    assert len(rows) >= 10
-    dxs = [r["dx"] for r in rows]
+    intervals = rq.linear_node_summary(linear_electron, linear_basis)
+    assert len(intervals.n) >= 10
+    dxs = intervals.dx.tolist()
     assert all(dxs[i] < dxs[i + 1] for i in range(len(dxs) - 1))
-    worst = max(abs(r["p_node"] / r["p_classical_mid"] - 1.0) for r in rows)
+    worst = float(np.max(np.abs(intervals.p_node / intervals.p_classical_mid - 1.0)))
     assert worst <= 0.05
-    _report(10, f"linear potential: {len(rows) + 1} nodes, spacing monotone, "
+    _report(10, f"linear potential: {len(intervals.n) + 1} nodes, spacing monotone, "
                 f"local momentum within {worst * 100:.2f}% of classical")

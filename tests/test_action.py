@@ -223,6 +223,30 @@ def linear_window_bases(linear_electron):
 
 class TestActionScan:
     def test_rows_shape(self, electron_basis):
-        rows = rq.action_scan(electron_basis, rq.MobiusParams(1.0, 0.0), [0.0, 10.0, 20.0])
-        assert len(rows) == 3
-        assert all(len(r) == 4 for r in rows)
+        members = [rq.MobiusParams(1.0, 0.0), rq.MobiusParams(4.0, 2.0)]
+        rows = rq.action_scan(electron_basis, members, [0.0, 10.0, 20.0])
+        assert rows.shape == (6, 4)
+        assert len(rows) == len(members) * 3
+        assert rows[:, 0].tolist() == [0.0, 10.0, 20.0] * 2  # member-major
+
+    @pytest.mark.parametrize("basis_name, members, xs", [
+        # anchors in and around the window, so that the members' branch counts differ
+        ("electron_basis", [(1.0, 0.0, 0.0), (4.0, 2.0, -250.0), (0.5, -1.0, 90.0),
+                            (-2.0, 1.0, 400.0)], np.linspace(-160.0, 160.0, 401)),
+        ("linear_basis", [(1.0, 0.0, LINEAR_X_MIN), (4.0, 2.0, LINEAR_X_MIN),
+                          (0.5, -1.0, -20.0)], np.linspace(LINEAR_X_MIN + 2.0, 1.9, 600)),
+    ])
+    def test_family_rows_are_each_members_own(self, request, basis_name, members, xs):
+        # one basis read serves the family: each member's rows are the bits of its own
+        # reduced_action, S0' and RQSHJE residual
+        basis = request.getfixturevalue(basis_name)
+        family = [rq.MobiusParams(a, b, x0) for a, b, x0 in members]
+        rows = rq.action_scan(basis, family, xs)
+        assert rows.shape == (len(family) * len(xs), 4)
+        for p, got in zip(family, np.split(rows, len(family))):
+            s0, branch = rq.reduced_action(basis, p, xs)
+            residual, ds0_dx = rq.rqshje_residual(basis, p, xs)
+            own = np.column_stack((xs, s0, ds0_dx, residual))
+            assert got.tobytes() == own.tobytes()
+        branches = [rq.reduced_action(basis, p, xs)[1][0] for p in family]
+        assert len(set(branches)) > 1

@@ -1,5 +1,6 @@
 """Command-line front end: file outputs, determinism, exit codes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -176,17 +177,34 @@ class TestReportCommand:
         assert "spacing growth toward turning point: True" in out
         assert "check local_momentum_within_5pct: PASS" in out
 
-    def test_interval_across_the_forbidden_band_fails_the_momentum_gate(self, tmp_path, capsys):
-        # the window runs past the turning point, and interval 8 spans the forbidden
-        # band: its classical momentum is NaN, which must not come out as a PASS
-        out_dir = tmp_path / "r"
-        assert main(["report", "--config", _write_cfg(tmp_path, LINEAR_CFG), "--x-min", "-40",
-                     "--x-max", "30", "--hbar-scale", "0.05", "--out", str(out_dir)]) == 1
+    def test_window_past_the_far_turning_point_is_refused(self, tmp_path, capsys):
+        # the window runs across the forbidden band (5.96 to 10.04 fm) and holds two
+        # zeros beyond it: a one-line error, and no output directory
+        cfg = _write_cfg(tmp_path, LINEAR_CFG)
+        for command in ("report", "nodes"):
+            assert main([command, "--config", cfg, "--x-min", "-40", "--x-max", "30",
+                         "--hbar-scale", "0.05", "--out", str(tmp_path / "r")]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "past the far turning point 10.04 fm" in captured.err
+        assert not (tmp_path / "r").exists()
+
+    def test_nan_momentum_fails_its_gate(self, tmp_path, capsys, monkeypatch):
+        # an interval whose classical momentum is NaN must not come out as a PASS:
+        # Python's max would skip it
+        summary = rqtlab.cli.linear_node_summary
+
+        def with_nan(s, basis):
+            intervals = summary(s, basis)
+            intervals.p_classical_mid[len(intervals.n) // 2] = np.nan
+            return intervals
+
+        monkeypatch.setattr(rqtlab.cli, "linear_node_summary", with_nan)
+        assert main(["report", "--config", _write_cfg(tmp_path, LINEAR_CFG)]) == 1
         out = capsys.readouterr().out
         assert "check local_momentum_within_5pct: FAIL (nan <= 5e-02)\n" in out
-        assert out.endswith("FAILED checks: node_spacing_monotone, local_momentum_within_5pct\n")
-        p_mid = _read_csv(out_dir / "node_report.csv")[:, -1]
-        assert np.isnan(p_mid).tolist() == [n == 8 for n in range(len(p_mid))]
+        assert out.endswith("FAILED checks: local_momentum_within_5pct\n")
 
     @pytest.mark.parametrize("x_min, zeros", [(None, 34), ("-110", 3)])
     def test_linear_node_count_is_the_zero_count(self, tmp_path, capsys, x_min, zeros):
@@ -262,9 +280,9 @@ class TestResidualsCommand:
         # a NaN that is not in the first row: Python's max would skip it and print PASS
         scan = rqtlab.cli.action_scan
 
-        def with_nan(basis, p, xs):
-            rows = scan(basis, p, xs)
-            rows[len(rows) // 2, 3] = np.nan
+        def with_nan(basis, members, xs):
+            rows = scan(basis, members, xs)
+            rows[len(xs) // 2, 3] = np.nan  # member 0's middle row
             return rows
 
         monkeypatch.setattr(rqtlab.cli, "action_scan", with_nan)
@@ -342,7 +360,8 @@ class TestOtherCommands:
             tmp_path, "species = electron\nenergy_mev = 2\npotential = linear\ng_mev_per_fm = 0.25\n"
         )
         summary = rqtlab.cli.linear_node_summary
-        monkeypatch.setattr(rqtlab.cli, "linear_node_summary", lambda s, b: summary(s, b)[::-1])
+        reverse = lambda iv: rqtlab.NodeIntervals(*(c[::-1] for c in dataclasses.astuple(iv)))
+        monkeypatch.setattr(rqtlab.cli, "linear_node_summary", lambda s, b: reverse(summary(s, b)))
         assert main([
             "nodes", "--config", cfg, "--out", str(tmp_path / "n"),
             "--x-min", "-120", "--step", "2e-3",

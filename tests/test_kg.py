@@ -12,7 +12,8 @@ import rqtlab as rq
 from conftest import traced_peak
 from rqtlab.cli import KG_FD_BOUND
 from rqtlab.kg import (BASIS_CSV_POINTS, DEFAULT_STEP, LINEAR_X_MIN, STEP_CAP, TURNING_MARGIN,
-                       _SERIES_MAX, _magnus6_matrix, _omega_sq, _omega_sq_slope, _rk4_matrix, local_wavenumber)
+                       _RUN_VALUES, _SERIES_MAX, _magnus6_matrix, _omega_sq, _omega_sq_slope,
+                       _rk4_matrix, local_wavenumber)
 
 # wavenumbers from sqrt((E-U0)^2 - m0^2 c^4) / (hbar c), frozen from the
 # defining arithmetic
@@ -252,10 +253,12 @@ class TestNumericIntegration:
         # on the same _magnus6_matrix steps over each cell of the grid: the stepping
         # loop, padded and exact fills on windows that end on the n-th point of the
         # default linear window's grid, and that window's 11,831 steps from -400 fm
-        # (439 blocks of 27, the last padded)
+        # (439 blocks of 27, the last padded from position 5 on), whose step matrices
+        # come in runs of 13 positions (13 + 13 + 1), so that the last run is short
         s = linear_electron
         full = rq.kg_solve_linear(s)
         assert len(full.grid) == 11832
+        assert 27 % max(_RUN_VALUES // 439, 1) != 0
         for n in (10, 151, 4624, 5000, 11831):
             b = full if n == 11831 else rq.kg_solve_numeric(s, -400.0, float(full.grid[n]))
             xs = b.grid

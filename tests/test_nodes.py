@@ -88,27 +88,32 @@ class TestNumericNodes:
         assert len(rq.nodes_numeric(b)) == 0
 
     def test_linear_spacing_grows_toward_turning_point(self, linear_electron, linear_basis):
-        rows = rq.linear_node_summary(linear_electron, linear_basis)
-        assert len(rows) >= 10
-        dxs = [r["dx"] for r in rows]
+        intervals = rq.linear_node_summary(linear_electron, linear_basis)
+        assert len(intervals.n) >= 10
+        dxs = intervals.dx.tolist()
         assert all(dxs[i] < dxs[i + 1] for i in range(len(dxs) - 1))
-        assert rq.spacing_grows(rows)
+        assert rq.spacing_grows(intervals)
 
     @pytest.mark.parametrize("dxs", [(2.0, 1.0), (1.0, 1.0), (1.0, 2.0, 3.0, 2.5)])
     def test_spacing_check_rejects_rows_that_do_not_grow(self, dxs):
-        assert not rq.spacing_grows([{"dx": dx} for dx in dxs])
+        dx = np.array(dxs)
+        intervals = rq.NodeIntervals(n=np.arange(len(dx)), x_lo=np.cumsum(dx) - dx,
+                                     x_hi=np.cumsum(dx), dx=dx, p_node=math.pi / dx,
+                                     p_classical_mid=math.pi / dx)
+        assert not rq.spacing_grows(intervals)
 
     def test_linear_local_momentum_within_5pct(self, linear_electron, linear_basis):
-        rows = rq.linear_node_summary(linear_electron, linear_basis)
-        worst = max(abs(r["p_node"] / r["p_classical_mid"] - 1.0) for r in rows)
+        intervals = rq.linear_node_summary(linear_electron, linear_basis)
+        worst = float(np.max(np.abs(intervals.p_node / intervals.p_classical_mid - 1.0)))
         assert worst <= 0.05
 
     def test_linear_rows_match_a_loop_over_intervals(self, linear_electron):
-        # the rows are read as arrays; a loop over the intervals gives the same bits, NaN
-        # included, on a window whose interval 8 spans the forbidden band
+        # the intervals are computed as arrays; a loop over them gives the same bits, on a
+        # window that ends 0.5 fm before the forbidden band (5.96 to 10.04 fm)
         s = linear_electron.with_hbar_scale(0.05)
-        basis = rq.kg_solve_linear(s, -40.0, 30.0)
+        basis = rq.kg_solve_linear(s, -40.0, 5.45)
         zeros = rq.nodes_numeric(basis)
+        assert basis.x_max < rq.turning_points(s)[0]
         loop = []
         for n in range(len(zeros) - 1):
             lo, hi = float(zeros[n]), float(zeros[n + 1])
@@ -116,10 +121,24 @@ class TestNumericNodes:
             q2 = u * u - s.rest_energy**2
             p_classical = math.sqrt(q2) / s.c if q2 > 0 else math.nan
             loop.append([n, lo, hi, hi - lo, math.pi * s.hbar / (hi - lo), p_classical])
-        rows = [list(r.values()) for r in rq.linear_node_summary(s, basis)]
-        assert [r[:5] for r in rows] == [r[:5] for r in loop]
-        assert np.array_equal([r[5] for r in rows], [r[5] for r in loop], equal_nan=True)
-        assert [math.isnan(r[5]) for r in rows] == [n == 8 for n in range(len(rows))]
+        iv = rq.linear_node_summary(s, basis)
+        columns = [c.tolist() for c in (iv.n, iv.x_lo, iv.x_hi, iv.dx, iv.p_node,
+                                        iv.p_classical_mid)]
+        assert len(loop) == 8
+        assert columns == [list(c) for c in zip(*loop)]
+
+    def test_zeros_past_the_far_turning_point_are_refused(self, linear_electron):
+        # -40 to 30 fm at hbar scale 0.05 holds two zeros past the band, at 17.93 and
+        # 26.59 fm; the default and figure 4 windows end before it
+        s = linear_electron.with_hbar_scale(0.05)
+        far = rq.turning_points(s)[1]
+        assert f"{far:.4g}" == "10.04"
+        basis = rq.kg_solve_linear(s, -40.0, 30.0)
+        with pytest.raises(rq.DomainError,
+                           match=r"zeros at 17\.93, 26\.59 fm, past the far turning point 10\.04 fm"):
+            rq.linear_node_summary(s, basis)
+        for x_min in (None, -5400.0):
+            assert rq.nodes_numeric(rq.kg_solve_linear(linear_electron, x_min)).max() < far
 
     def test_step_density_precondition(self):
         s = rq.Scenario(
