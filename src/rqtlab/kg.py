@@ -86,8 +86,8 @@ def _omega_sq(s: Scenario, x):
 
 
 def _omega_sq_slope(s: Scenario, x):
-    """w'(x) = 2 (E - V) V' / (hbar c)^2, the slope of _omega_sq."""
-    return 2.0 * (s.energy - s.potential.value(x)) * s.potential.derivative(x) / s.hbar_c**2
+    """w'(x) = 2 (E - V) V' / (hbar c)^2, the slope of _omega_sq; V' = g, 0.0 if V is constant."""
+    return 2.0 * (s.energy - s.potential.value(x)) * s.potential.g / s.hbar_c**2
 
 
 def local_wavenumber(s: Scenario, x):
@@ -178,22 +178,29 @@ class KgBasis:
             raise DomainError("closed-form basis carries no sample grid")
         return self._samples[0]
 
-    def _jets(self, index, h):
+    def _jets(self, index, h, scaled=None, out=None):
         """Jets J = (phi, h phi', h^2 phi'', h^3 phi''') at the grid points index.
 
         One (4, 2, ...) array: jet component, then phi1 and phi2, with
-        phi'' = w phi and phi''' = w' phi + w phi'.  h, broadcast against
-        index, is the width of the cell that reads them: a grid point's jets
-        scale by the cell on its left for that cell's septic and by the one
-        on its right for the next.
+        phi'' = w phi and phi''' = w' phi + w phi'.  h, of index's shape, is
+        the width of the cell that reads them: a grid point's jets scale by
+        the cell on its left for that cell's septic and by the one on its
+        right for the next.  ``scaled``, (h^2 w, h^3 w') at the points, is
+        for a caller that has formed them; ``out`` receives the jets.
         """
         xs, p1, p2, d1, d2 = self._samples
-        x = xs[index]
-        hw, hhdw = (h * h) * _omega_sq(self.scenario, x), h ** 3 * _omega_sq_slope(self.scenario, x)
-        y, hdy = np.array([p1[index], p2[index]]), h * np.array([d1[index], d2[index]])
-        return np.array([y, hdy, hw * y, hhdw * y + hw * hdy])
+        x, s = xs[index], self.scenario
+        hw, hhdw = scaled or ((h * h) * _omega_sq(s, x), h ** 3 * _omega_sq_slope(s, x))
+        jets = np.empty((4, 2, *np.shape(hw))) if out is None else out
+        y, hdy = jets[:2]
+        y[0], y[1], hdy[0], hdy[1] = p1[index], p2[index], d1[index], d2[index]
+        hdy *= h
+        np.multiply(hw, y, out=jets[2])
+        np.multiply(hhdw, y, out=jets[3])
+        jets[3] += hw * hdy
+        return jets
 
-    def _hermite(self, x, cell=None, derivative: bool = False, jets=None):
+    def _hermite(self, x, cell=None, derivative: bool = False, jets=None, solutions=slice(2)):
         """(phi1, phi2) at x, or their derivatives, inside the given grid cells.
 
         The chord of the stored end values (or slopes) plus _septic_weights
@@ -205,6 +212,7 @@ class KgBasis:
         grid, are trusted.  cell may have fewer dimensions than x and
         broadcast against it.  ``jets`` are (_jets(cell, h), _jets(cell + 1,
         h)), h the cells' widths, for a caller that reads the same cells again.
+        ``solutions`` slices the pair read: slice(1, 2) reads phi2 alone.
         """
         xs, p1, p2, d1, d2 = self._samples
         if cell is None:
@@ -218,7 +226,7 @@ class KgBasis:
         weights = _septic_weights(t, derivative)
         j0, j1 = (self._jets(cell, width), self._jets(cell + 1, width)) if jets is None else jets
         out = []
-        for i, ends in enumerate((d1, d2) if derivative else (p1, p2)):
+        for i, ends in [*enumerate((d1, d2) if derivative else (p1, p2))][solutions]:
             departure = sum(w * j for w, j in zip(weights, (*j0[:, i], *j1[:, i])))
             chord = (1.0 - t) * ends[cell] + t * ends[cell + 1]
             out.append(chord + (departure / width if derivative else departure))
@@ -248,23 +256,33 @@ class KgBasis:
         """(phi1, phi2, phi1', phi2') stored at the grid points index."""
         return tuple(v[index] for v in self._samples[1:])
 
-    def phi12_at_fractions(self, t, first: int, count: int):
+    def phi12_at_fractions(self, t, first: int, count: int, out=None):
         """(phi1, phi2) at the cell fractions t of the grid cells first .. first + count - 1.
 
         One row per fraction, one column per cell.  With t fixed the septic
         is fixed weights A, B of the jets J0, J1 at a cell's two ends, so the
         run is read at once as A @ J0 + B @ J1, each cell's jets scaled by
         its width, with no gather; no fraction is rounded back from a position.
+        Each grid point's w and w' are formed once, for the cells on both of
+        its sides.  ``out``, a flat array of 4 (len(t) + 2) count values or
+        more, holds the read in its first 2 len(t) count, then the work.
         """
         t = np.asarray(t, dtype=float)
         weights = np.array(_septic_weights(t))
         weights[[0, 4]] += 1.0 - t, t  # the chord
-        xs = self._samples[0]
-        width = xs[first + 1:first + count + 1] - xs[first:first + count]
+        work = np.empty(4 * (len(t) + 2) * count) if out is None else out
+        read, second = work[:4 * len(t) * count].reshape(2, len(t), -1)
+        jets = work[4 * len(t) * count:][:8 * count].reshape(4, 2, count)
+        x = self._samples[0][first:first + count + 1]
+        width = x[1:] - x[:-1]
+        hh, hhh = width * width, width ** 3
+        w, slope = _omega_sq(self.scenario, x), _omega_sq_slope(self.scenario, x)
         # two products: one (8 x 4) over 2 x 16 k jets would start OpenBLAS threads
-        left, right = (w.T @ self._jets(slice(end, end + count), width).reshape(4, -1)
-                       for w, end in ((weights[:4], first), (weights[4:], first + 1)))
-        read = np.add(left, right, out=left).reshape(len(t), 2, count)
+        for a, product, end in ((weights[:4], read, 0), (weights[4:], second, 1)):
+            scaled = hh * w[end:end + count], hhh * slope[end:end + count]
+            self._jets(slice(first + end, first + end + count), width, scaled, jets)
+            np.matmul(a.T, jets.reshape(4, -1), out=product)
+        read = np.add(read, second, out=read).reshape(len(t), 2, count)
         # each solution's rows stay contiguous for the callers' passes
         return read[:, 0], read[:, 1]
 
@@ -290,16 +308,18 @@ class KgBasis:
         return z[(z >= lo) & (z <= hi)]
 
     def _compute_zeros(self) -> np.ndarray:
-        """The septic's root in each cell where phi2 changes sign."""
+        """phi2's septic root, by Newton steps on phi2 alone, in each cell whose ends differ in sign
+        bit and are not zero: a product of the ends can underflow; a zero sample is a root."""
         xs, _, p2 = self._samples[:3]
-        j = np.flatnonzero(p2[:-1] * p2[1:] < 0.0)
+        j = np.flatnonzero(np.diff(np.signbit(p2)))
+        j = j[(p2[j] != 0.0) & (p2[j + 1] != 0.0)]
         lo, hi = xs[j], xs[j + 1]
         width = hi - lo
         x = lo + p2[j] / (p2[j] - p2[j + 1]) * width
         jets = self._jets(j, width), self._jets(j + 1, width)
         for _ in range(3):  # Newton: two steps reach rounding level on grids nodes_numeric takes
-            step = self._hermite(x, j, jets=jets)[1] / self._hermite(x, j, True, jets)[1]
-            x = np.clip(x - step, lo, hi)
+            value, slope = (self._hermite(x, j, d, jets, slice(1, 2))[0] for d in (False, True))
+            x = np.clip(x - value / slope, lo, hi)
         return np.sort(np.concatenate([xs[p2 == 0.0], x]))
 
 

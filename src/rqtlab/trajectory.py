@@ -268,19 +268,16 @@ _GL_WEIGHTS = np.array(
 )
 
 
-# Gauss panels evaluated per array operation in the time of flight: each
-# Gauss-point array stays at 192 KiB however many panels the range holds.
-# A figure 4 process took 2,666 minor faults at 6,144, 2,480 at 4,096 and
-# 7,625 at 8,192, and fig4_linear's cpu_s read medians of 0.129-0.139 s,
-# 0.141-0.149 s and 0.160 s (three to five benchmark runs each).  These
-# arrays sit above glibc's initial 128 KiB mmap threshold, so their faults
-# depend on what the process freed before: glibc raises the mmap and trim
-# thresholds when it frees a large mapped block.  Figure 4's walk, after the
-# kg build freed megabyte temporaries, took 365 minor faults, where the
-# default linear window's, after a smaller build, took 1,360; with the
-# 1.25 MB temporaries of _phase_grid and _compute_zeros cut into chunks, so
-# that nothing large was freed first, figure 4's walk took about 9,000.  A
-# change of allocation sizes anywhere before the walk can move its cost.
+# Gauss panels per array operation in the time of flight.  A walk allocates one
+# workspace of 24 PANEL_CHUNK values (1.1 MiB) when it starts: a chunk's read of the
+# basis fills its first 8 PANEL_CHUNK with the (phi1, phi2) rows and the next 16 with
+# its second product and jets; once read, that space holds the Gauss points, the
+# weights, phi2^2 and a member's terms.  So the walk allocates nothing of a chunk's
+# size per chunk, and its page faults do not hang on glibc's mmap and trim thresholds:
+# in forked processes figure 4's walk took 222 minor faults, the default linear
+# window's 303 (224 and 1,321 with per-chunk arrays).  At 4,096 figure 4's walk took
+# 3 ms more, at 8,192 no less, with 448 faults and 0.8 MiB more peak RSS.  Figure 4's
+# family (600 samples, 5,897 nodes) traces a 2.68 MiB peak over its basis.
 PANEL_CHUNK = 6144
 
 
@@ -313,27 +310,39 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
     the part of the panel before it (also PANEL_CHUNK Gauss points at a
     time), less the same for xs[0], so that t(xs[0]) is exactly 0.
     """
-    def panel_times(left, right, read, ends, out):
-        # Gauss points: one row per node, one column per panel.  kf, the weights and
-        # the panel ends' cross products serve the whole family; per member only
-        # theta's bracket, the sums and the turn between the ends remain
+    work = np.empty(24 * PANEL_CHUNK)  # see PANEL_CHUNK
+
+    def panel_times(left, right, read, l1, l2, dl1, dl2, out):
+        # Gauss points: one row per node, one column per panel; l1 .. dl2 are phi1, phi2,
+        # phi1', phi2' at the left ends.  kf, the weights and the ends' cross products serve
+        # the whole family; per member only theta's bracket, the sums and the turn remain
         half, mid = 0.5 * (right - left), 0.5 * (right + left)
-        pts = mid + half * _GL_NODES[:, None]
-        phi1, phi2 = read(pts)
+        phi1, phi2, r1, r2 = read(half, mid)  # at the Gauss points; r1, r2 at the right ends
+        n = 4 * len(left)  # in the four spans of 4 PANEL_CHUNK the read leaves free
+        pts, weights, phi2_sq, term = work[8 * PANEL_CHUNK:].reshape(4, -1)[:, :n].reshape(4, 4, -1)
+        np.add(mid, np.multiply(half, _GL_NODES[:, None], out=pts), out=pts)
         at_mid = 1.0 / kinetic_factor(s, mid)
-        weights = 1.0 / kinetic_factor(s, pts)
+        for row, x in zip(weights, pts):  # kinetic_factor's temporaries stay one row long
+            np.divide(1.0, kinetic_factor(s, x), out=row)
         weights -= at_mid
-        weights *= half * (s.hbar * _GL_WEIGHTS[:, None])
-        # ends: phi1, phi2, phi1', phi2' at the left end, phi1, phi2 at the right
-        l1, l2, dl1, dl2, r1, r2 = ends
+        weights *= np.multiply(half, s.hbar * _GL_WEIGHTS[:, None], out=term)
         at_mid *= (s.hbar * basis.wronskian) / (dl1 * l2 - l1 * dl2)
-        phi2_sq = phi2 * phi2
+        np.multiply(phi2, phi2, out=phi2_sq)
         cross, dot = r1 * l2 - l1 * r2, l2 * r2
         for row, p in zip(out, members):
-            np.sum(weights / (phi2_sq + (p.a * phi1 + p.b * phi2) ** 2), axis=0, out=row)
+            np.multiply(p.a, phi1, out=term)  # weights / (phi2^2 + (a phi1 + b phi2)^2)
+            term += np.multiply(p.b, phi2, out=pts)
+            np.square(term, out=term)
+            term += phi2_sq
+            np.sum(np.divide(weights, term, out=term), axis=0, out=row)
             row *= p.a * basis.wronskian
             turn = np.arctan2(p.a * cross, dot + (p.a * l1 + p.b * l2) * (p.a * r1 + p.b * r2))
             row += at_mid * turn
+
+    def stops_read(half, mid):
+        # the Gauss points and the stops in one read, through one _jets pair per cell
+        p1, p2 = basis.phi12(np.vstack([mid + half * _GL_NODES[:, None], xs[part]]), cells[part])
+        return p1[:-1], p2[:-1], p1[-1], p2[-1]
 
     # the grid cells from the one holding xs[0] to the one ending at or past xs[-1]
     i0 = np.searchsorted(basis.grid, xs[0], "right") - 1
@@ -347,8 +356,7 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
     per_chunk = PANEL_CHUNK // len(_GL_NODES)
     for c in range(0, len(xs), per_chunk):
         part = slice(c, c + per_chunk)
-        panel_times(edges[at[part]], xs[part], lambda pts: basis.phi12(pts, cells[part]),
-                    (*basis.samples_on_grid(i0 + at[part]), *basis.phi12(xs[part], cells[part])),
+        panel_times(edges[at[part]], xs[part], stops_read, *basis.samples_on_grid(i0 + at[part]),
                     times[:, part])
     # one row per member: column 0 carries the sums so far, 1 + i holds panel i
     sums = np.zeros((len(members), PANEL_CHUNK + 1))
@@ -356,9 +364,10 @@ def _cumulative_time_gauss(s: Scenario, basis: KgBasis, members: list[MobiusPara
         e = edges[first:first + PANEL_CHUNK + 1]
         m = len(e) - 1
         ends = basis.samples_on_grid(slice(i0 + first, i0 + first + m + 1))
-        panel_times(e[:-1], e[1:], lambda pts: basis.phi12_at_fractions(fractions, i0 + first, m),
-                    (*(v[:-1] for v in ends), *(v[1:] for v in ends[:2])), sums[:, 1:m + 1])
-        cum = np.cumsum(sums[:, :m + 1], axis=1)
+        grid_read = lambda half, mid: (*basis.phi12_at_fractions(fractions, i0 + first, m, work),
+                                       ends[0][1:], ends[1][1:])
+        panel_times(e[:-1], e[1:], grid_read, *(v[:-1] for v in ends), sums[:, 1:m + 1])
+        cum = np.cumsum(sums[:, :m + 1], axis=1, out=sums[:, :m + 1])
         # plus the running sum, for samples whose panel starts at an edge this chunk closes
         i, k = np.searchsorted(at, (first, first + m), "right")
         times[:, i:k] += cum[:, at[i:k] - first]

@@ -13,7 +13,7 @@ from conftest import traced_peak
 from rqtlab.cli import KG_FD_BOUND
 from rqtlab.kg import (BASIS_CSV_POINTS, DEFAULT_STEP, LINEAR_X_MIN, STEP_CAP, TURNING_MARGIN,
                        _RUN_VALUES, _SERIES_MAX, _magnus6_matrix, _omega_sq, _omega_sq_slope,
-                       _rk4_matrix, local_wavenumber)
+                       _rk4_matrix, _septic_weights, local_wavenumber)
 
 # wavenumbers from sqrt((E-U0)^2 - m0^2 c^4) / (hbar c), frozen from the
 # defining arithmetic
@@ -442,6 +442,38 @@ class TestHermiteInterpolant:
             assert np.array_equal(b._jets(at, width)[1], width * np.array([d1[at], d2[at]]))
         assert len(set(width.tolist())) > 2
 
+    def test_fixed_fractions_keep_the_bits_of_a_read_per_cell_end(self, linear_electron):
+        # figure 4's basis at its first cells, across the first PANEL_CHUNK seam, at
+        # its last cells and over the walk's first two chunks: the read forms each
+        # grid point's w and w' once for the cells on both sides of it, and keeps
+        # the bits of the jets formed at each cell end apart, with V' from
+        # Potential.derivative, and one product per end
+        s = linear_electron
+        b = rq.kg_solve_linear(s, -5400.0)
+        xs, p1, p2, d1, d2 = b._samples
+        t = 0.5 * (1.0 + np.polynomial.legendre.leggauss(4)[0])
+        weights = np.array(_septic_weights(t))
+        weights[[0, 4]] += 1.0 - t, t
+
+        def jets(index, h):
+            x = xs[index]
+            hw = (h * h) * _omega_sq(s, x)
+            slope = 2.0 * (s.energy - s.potential.value(x)) * s.potential.derivative(x) / s.hbar_c**2
+            y, hdy = np.array([p1[index], p2[index]]), h * np.array([d1[index], d2[index]])
+            return np.array([y, hdy, hw * y, h ** 3 * slope * y + hw * hdy])
+
+        seam, last = rq.trajectory.PANEL_CHUNK, len(xs) - 1
+        for first, count in ((0, 5), (seam - 3, 6), (last - 5, 5), (0, seam), (seam, seam)):
+            width = xs[first + 1:first + count + 1] - xs[first:first + count]
+            left, right = (w.T @ jets(slice(end, end + count), width).reshape(4, -1)
+                           for w, end in ((weights[:4], first), (weights[4:], first + 1)))
+            ref = (left + right).reshape(4, 2, count)
+            work = np.full(24 * count + 1, np.nan)
+            for read in (b.phi12_at_fractions(t, first, count),
+                         b.phi12_at_fractions(t, first, count, work)):
+                assert np.array_equal(read[0], ref[:, 0]) and np.array_equal(read[1], ref[:, 1])
+            assert np.shares_memory(read[0], work[:8 * count])
+
     def test_eighth_order_between_grid_points(self):
         # a Magnus basis is exact at the grid points of a constant potential,
         # so this is the interpolant's own error; at k = 19.6 /fm the two
@@ -666,6 +698,37 @@ class TestPhi2Zeros:
         ref = _reference_zeros(linear_basis)
         assert len(ref) == len(zs)
         assert np.max(np.abs(zs - ref)) <= 1e-11
+
+    @pytest.mark.parametrize("x_min, count", [(-5400.0, 5897), (None, 34)])
+    def test_polish_on_phi2_alone_keeps_the_bits(self, linear_electron, x_min, count):
+        # figure 4's window and the default one: three Newton steps that read
+        # both solutions and keep phi2, as the polish once took them
+        b = rq.kg_solve_linear(linear_electron, x_min)
+        xs, _, p2 = b._samples[:3]
+        j = np.flatnonzero(p2[:-1] * p2[1:] < 0.0)
+        lo, hi = xs[j], xs[j + 1]
+        x = lo + p2[j] / (p2[j] - p2[j + 1]) * (hi - lo)
+        jets = b._jets(j, hi - lo), b._jets(j + 1, hi - lo)
+        for _ in range(3):
+            x = np.clip(x - b._hermite(x, j, jets=jets)[1] / b._hermite(x, j, True, jets)[1],
+                        lo, hi)
+        ref = np.sort(np.concatenate([xs[p2 == 0.0], x]))
+        assert len(ref) == count
+        assert np.array_equal(b.phi2_zeros(), ref)
+
+    def test_sign_change_found_below_the_product_underflow(self, electron_2mev):
+        # phi2 = 1e-170 (1 - x) crosses zero at x = 1, where the product of the
+        # two samples, -1e-340, underflows to -0.0; the exact zero at x = 4 is
+        # a root once, not also the root of the two cells it bounds
+        xs = np.array([0.0, 2.0, 3.0, 4.0, 5.0])
+        p2 = 1e-170 * np.array([1.0, -1.0, -2.0, 0.0, 1.0])
+        d2 = np.array([-1e-170, -1e-170, 1e-170, 1e-170, 1e-170])
+        assert p2[0] * p2[1] == 0.0
+        b = rq.KgBasis(electron_2mev, 0.0, 5.0, 1.0, (xs, 1.0 + xs, p2, np.ones(5), d2))
+        zs = b.phi2_zeros()
+        assert len(zs) == 2
+        assert zs[0] == pytest.approx(1.0, abs=1e-3)
+        assert zs[1] == 4.0
 
 
 class TestBasisCsv:
