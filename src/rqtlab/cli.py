@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .action import MobiusParams, action_scan
+from .action import MobiusParams, action_scan, dual_params
 from .errors import IntegrationOverflowError
 from .kg import (DEFAULT_METHOD, DEFAULT_STEP, DRIFT_TOL_NUMERIC, METHODS, kg_closed_constant,
                  kg_fd_residual, kg_solve_linear, kg_solve_numeric, wronskian_drift,
@@ -260,16 +260,17 @@ def cmd_residuals(args, s: Scenario, regime: str) -> int:
         # np.max, not max: a NaN residual anywhere in the column must fail the gate
         r_hj = float(np.max(rows[:, 3]))
         if regime == ALLOWED:
-            straight = p.a == 1.0 and p.b == 0.0
+            # the closed forms take time-domain labels: q is the member the CSV holds
+            straight, q = p.a == 1.0 and p.b == 0.0, dual_params(p)
             # 6,001 samples are dt_n / 2000 apart, with the node times among them; the
             # analytic-vanishing tier's derivatives are exactly zero, so it takes 49
             # (dt_n / 16) to keep the difference noise at bay
-            r_fq = firqnl_residual(s, p, t_range, 49 if straight else 6001)
+            r_fq = firqnl_residual(s, q, t_range, 49 if straight else 6001)
             _status(f"rqshje_{tag}", r_hj,
                     RQSHJE_BOUND_STRAIGHT if straight else RQSHJE_BOUND_GENERIC, checks)
             _status(f"firqnl_{tag}", r_fq,
                     FIRQNL_BOUND_STRAIGHT if straight else FIRQNL_BOUND_GENERIC, checks)
-            _status(f"velocity_momentum_{tag}", velocity_momentum_check(s, p, t_range, 6001),
+            _status(f"velocity_momentum_{tag}", velocity_momentum_check(s, q, t_range, 6001),
                     VELMOM_BOUND, checks)
         else:
             _status(f"rqshje_{tag}", r_hj, RQSHJE_BOUND_LINEAR, checks)

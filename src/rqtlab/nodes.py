@@ -138,7 +138,7 @@ def mean_momentum(basis: KgBasis, p: MobiusParams, x_a: float, x_b: float) -> fl
     between = zeros[(zeros > x_a + tol) & (zeros < x_b - tol)]
     if len(between):
         raise ValueError("x_a and x_b are not adjacent nodes")
-    s_a, s_b = reduced_action(basis, p, [x_a, x_b])[0]
+    s_a, s_b = reduced_action(basis, p, [x_a, x_b])
     return float(s_b - s_a) / span
 
 

@@ -432,7 +432,7 @@ def trajectory_ode_family(
     xs = np.linspace(lo, hi, n_samples)
     stops = _sorted_unique(np.concatenate([xs, nodes]))
     if basis.is_closed_form:
-        s0 = np.array([p.direction * reduced_action(basis, p, stops)[0] for p in members])
+        s0 = np.array([p.direction * reduced_action(basis, p, stops) for p in members])
         times = (s0 - s0[:, :1]) / kinetic_factor(s, 0.0)
     else:
         times = _cumulative_time_gauss(s, basis, members, stops)

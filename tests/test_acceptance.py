@@ -168,9 +168,9 @@ def test_criterion_05_action_quantum(electron_basis, linear_basis):
     worst = 0.0
     for a, b in AB_GRID:
         p_c = rq.MobiusParams(a, b)
-        jump_c = np.diff(rq.reduced_action(electron_basis, p_c, zs_c[:2])[0])[0]
+        jump_c = np.diff(rq.reduced_action(electron_basis, p_c, zs_c[:2]))[0]
         p_l = rq.MobiusParams(a, b, x0=float(zs_l[0]) - 1.0)
-        jump_l = np.diff(rq.reduced_action(linear_basis, p_l, zs_l[4:6])[0])[0]
+        jump_l = np.diff(rq.reduced_action(linear_basis, p_l, zs_l[4:6]))[0]
         worst = max(
             worst,
             abs(jump_c / (math.pi * HBAR) - 1.0),

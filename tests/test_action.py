@@ -1,4 +1,4 @@
-"""Reduced action: branch unwrapping, momentum, Hamilton-Jacobi residuals."""
+"""Reduced action: unwrapping across phi2 zeros, momentum, Hamilton-Jacobi residuals."""
 
 import math
 
@@ -63,30 +63,60 @@ class TestMobiusParams:
         assert (q.a, q.b) == (pytest.approx(p.a, rel=1e-15), pytest.approx(p.b, rel=1e-15, abs=1e-300))
 
 
+def comprehension_action(basis, p, xs):
+    """reduced_action one position at a time, kept as its reference."""
+    x = np.asarray(xs, dtype=float)
+    zeros = basis.phi2_zeros(min(p.x0, float(x.min())), max(p.x0, float(x.max())))
+    left = np.searchsorted(zeros, x, side="left")
+    phi1, phi2 = basis.phi12(x)
+    on_zero = (phi2 == 0.0) | (len(zeros) > 0 and zeros[np.minimum(left, len(zeros) - 1)] == x)
+    n = left - np.searchsorted(zeros, p.x0, side="right")
+    with np.errstate(divide="ignore"):
+        r = p.a * phi1 / phi2 + p.b
+    phase = [math.pi / 2.0 + k * math.pi if zero else math.atan(v) + k * math.pi
+             for v, k, zero in zip(r.tolist(), n.tolist(), on_zero.tolist())]
+    return p.direction * basis.scenario.hbar * np.array(phase)
+
+
+def zeros_crossed(basis, p, x):
+    """The signed count of phi2 zeros between x0 and x that S0 at x carries, off a zero."""
+    theta = rq.reduced_action(basis, p, [x])[0] / (p.direction * basis.scenario.hbar)
+    phi1, phi2 = basis.phi12(x)
+    turns = (theta - math.atan(p.a * phi1 / phi2 + p.b)) / math.pi
+    assert turns == pytest.approx(round(turns), abs=1e-9)
+    return round(turns)
+
+
+@pytest.fixture(scope="module")
+def default_linear_basis(linear_electron):
+    return rq.kg_solve_linear(linear_electron)
+
+
 class TestReducedAction:
     def test_zero_at_origin(self, electron_basis):
-        s0, branch = rq.reduced_action(electron_basis, rq.MobiusParams(1.0, 0.0), [0.0])
+        # no zero crossed at the anchor: S0 is atan's principal value there
+        s0 = rq.reduced_action(electron_basis, rq.MobiusParams(1.0, 0.0), [0.0])
+        assert s0.shape == (1,)
         assert s0.tolist() == [0.0]
-        assert branch.tolist() == [0]
 
     def test_quarter_period_limit(self, electron_basis):
         # phi2 -> 0 there; the limit is pi hbar / 2
         k = electron_basis.wronskian
-        s0, _ = rq.reduced_action(electron_basis, rq.MobiusParams(1.0, 0.0), [math.pi / (2 * k)])
+        s0 = rq.reduced_action(electron_basis, rq.MobiusParams(1.0, 0.0), [math.pi / (2 * k)])
         assert s0[0] == pytest.approx(math.pi * HBAR / 2, rel=1e-12)
 
     def test_straight_line_action_linear_in_x(self, electron_basis):
         p = rq.MobiusParams(1.0, 0.0)
         k = electron_basis.wronskian
         xs = np.array([10.0, 500.0, 1500.0])  # spans several branches
-        s0, _ = rq.reduced_action(electron_basis, p, xs)
+        s0 = rq.reduced_action(electron_basis, p, xs)
         assert s0 == pytest.approx(HBAR * k * xs, rel=1e-12)
 
     @pytest.mark.parametrize("a,b", AB_GRID)
     def test_pi_hbar_jump_per_interval(self, electron_basis, a, b):
         p = rq.MobiusParams(a, b)
         zs = electron_basis.phi2_zeros(0.0, 1500.0)
-        jumps = np.diff(rq.reduced_action(electron_basis, p, zs[:4])[0])
+        jumps = np.diff(rq.reduced_action(electron_basis, p, zs[:4]))
         assert jumps == pytest.approx(np.full(3, math.pi * HBAR), rel=1e-12)
 
     @pytest.mark.parametrize("a,b", [(0.5, -2.0), (4.0, 2.0)])
@@ -98,25 +128,43 @@ class TestReducedAction:
 
     def test_monotone_for_positive_a(self, electron_basis):
         p = rq.MobiusParams(4.0, 2.0)
-        s0, _ = rq.reduced_action(electron_basis, p, np.linspace(-400.0, 400.0, 160))
+        s0 = rq.reduced_action(electron_basis, p, np.linspace(-400.0, 400.0, 160))
         assert np.all(np.diff(s0) > 0)
 
     def test_descending_through_zero_continuous(self, electron_basis):
         # branch counting must also work for x < x0
         p = rq.MobiusParams(2.0, 1.0, x0=200.0)
-        s0, _ = rq.reduced_action(electron_basis, p, np.linspace(-300.0, 200.0, 120))
+        s0 = rq.reduced_action(electron_basis, p, np.linspace(-300.0, 200.0, 120))
         assert np.all(np.diff(s0) > 0)
 
     def test_branch_index_counts_zeros(self, electron_basis):
         k = electron_basis.wronskian
         p = rq.MobiusParams(1.0, 0.0)
         x = 2.2 * math.pi / k  # past zeros at pi/2k, 3pi/2k (scaled by 1/k)
-        assert rq.reduced_action(electron_basis, p, [x])[1].tolist() == [2]
+        assert zeros_crossed(electron_basis, p, x) == 2
+        assert zeros_crossed(electron_basis, rq.MobiusParams(1.0, 0.0, x0=x), 0.0) == -2
+
+    @pytest.mark.parametrize("basis_name, members, xs", [
+        # a mirrored member, and an anchor on a zero (an int: its index among the window's)
+        ("electron_basis", [(1.0, 0.0, 0.0), (4.0, 2.0, -250.0), (-2.0, 1.0, 400.0),
+                            (0.5, -1.0, 1)], np.linspace(-400.0, 400.0, 301)),
+        ("default_linear_basis", [(1.0, 0.0, LINEAR_X_MIN), (-3.0, 0.7, -100.0),
+                                  (0.5, -1.0, 5)], np.linspace(LINEAR_X_MIN + 2.0, 1.9, 600)),
+    ])
+    def test_bits_of_the_per_position_form(self, request, basis_name, members, xs):
+        # positions on the phi2 zeros take the one-sided limit; every value keeps its bits
+        basis = request.getfixturevalue(basis_name)
+        zs = basis.phi2_zeros(float(xs[0]), float(xs[-1]))
+        xs = np.sort(np.concatenate([xs, zs]))
+        for a, b, x0 in members:
+            p = rq.MobiusParams(a, b, float(zs[x0]) if isinstance(x0, int) else x0)
+            got = rq.reduced_action(basis, p, xs)
+            assert got.tobytes() == comprehension_action(basis, p, xs).tobytes()
 
     def test_numeric_basis_jump(self, linear_electron, linear_basis):
         zs = linear_basis.phi2_zeros()
         p = rq.MobiusParams(4.0, 2.0, x0=float(zs[0]) - 1.0)
-        s_4, s_5 = rq.reduced_action(linear_basis, p, zs[4:6])[0]
+        s_4, s_5 = rq.reduced_action(linear_basis, p, zs[4:6])
         assert s_5 - s_4 == pytest.approx(math.pi * HBAR, rel=1e-10)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -127,7 +175,7 @@ class TestReducedAction:
         # at a node the sign of phi2 is rounding noise; S0 must still climb pi hbar
         p = rq.MobiusParams(a, b, x0=x0)
         zs = linear_basis.phi2_zeros()
-        s0, _ = rq.reduced_action(linear_basis, p, zs)
+        s0 = rq.reduced_action(linear_basis, p, zs)
         assert np.allclose(np.diff(s0), p.direction * math.pi * HBAR, rtol=1e-10, atol=0.0)
 
 
@@ -161,7 +209,7 @@ class TestConjugateMomentum:
         p = rq.MobiusParams(4.0, 2.0)
         h = 1e-4
         for x in (13.0, 57.0, 200.0):
-            s_lo, s_hi = rq.reduced_action(electron_basis, p, [x - h, x + h])[0]
+            s_lo, s_hi = rq.reduced_action(electron_basis, p, [x - h, x + h])
             fd = (s_hi - s_lo) / (2 * h)
             assert fd == pytest.approx(
                 rq.conjugate_momentum(electron_basis, p, x), rel=1e-6
@@ -234,7 +282,8 @@ class TestActionScan:
         ("electron_basis", [(1.0, 0.0, 0.0), (4.0, 2.0, -250.0), (0.5, -1.0, 90.0),
                             (-2.0, 1.0, 400.0)], np.linspace(-160.0, 160.0, 401)),
         ("linear_basis", [(1.0, 0.0, LINEAR_X_MIN), (4.0, 2.0, LINEAR_X_MIN),
-                          (0.5, -1.0, -20.0)], np.linspace(LINEAR_X_MIN + 2.0, 1.9, 600)),
+                          (0.5, -1.0, -20.0), (-3.0, 0.7, -100.0)],
+         np.linspace(LINEAR_X_MIN + 2.0, 1.9, 600)),
     ])
     def test_family_rows_are_each_members_own(self, request, basis_name, members, xs):
         # one basis read serves the family: each member's rows are the bits of its own
@@ -244,9 +293,20 @@ class TestActionScan:
         rows = rq.action_scan(basis, family, xs)
         assert rows.shape == (len(family) * len(xs), 4)
         for p, got in zip(family, np.split(rows, len(family))):
-            s0, branch = rq.reduced_action(basis, p, xs)
+            s0 = rq.reduced_action(basis, p, xs)
             residual, ds0_dx = rq.rqshje_residual(basis, p, xs)
             own = np.column_stack((xs, s0, ds0_dx, residual))
             assert got.tobytes() == own.tobytes()
-        branches = [rq.reduced_action(basis, p, xs)[1][0] for p in family]
-        assert len(set(branches)) > 1
+        crossed = [zeros_crossed(basis, p, float(xs[0])) for p in family]
+        assert len(set(crossed)) > 1
+
+    @pytest.mark.parametrize("basis_name", ["electron_basis", "default_linear_basis"])
+    def test_one_basis_read_per_scan(self, request, monkeypatch, basis_name):
+        # the stencils' centre row gives S0: the positions are not read a second time
+        basis = request.getfixturevalue(basis_name)
+        reads = []
+        phi12 = type(basis).phi12
+        monkeypatch.setattr(type(basis), "phi12", lambda *a, **k: reads.append(1) or phi12(*a, **k))
+        xs = np.linspace(basis.x_min + 10.0, basis.x_min + 300.0, 50)
+        rq.action_scan(basis, [rq.MobiusParams(1.0, 0.0), rq.MobiusParams(4.0, 2.0)], xs)
+        assert len(reads) == 1

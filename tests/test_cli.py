@@ -243,6 +243,17 @@ class TestResidualsCommand:
         assert sorted(p.name for p in (tmp_path / "r").glob("*.csv")) == [
             "residuals_a1_bm0p5.csv", "residuals_a2_b1.csv", "residuals_am1_b0p5.csv"]
 
+    def test_closed_form_gates_grade_the_member_the_csv_holds(self, tmp_path, capsys,
+                                                              electron_2mev):
+        # residuals_a4_b2.csv holds the action member (4, 2); the closed forms take
+        # time-domain labels, so the first integral samples dual_params of it
+        assert main(["residuals", "--ab", "4,2", "--samples", "48",
+                     "--out", str(tmp_path / "r")]) == 0
+        t_range = (0.0, 3 * rqtlab.nodes_constant(electron_2mev).dt_spacing)
+        q = rqtlab.dual_params(rqtlab.MobiusParams(4.0, 2.0))
+        want = rqtlab.firqnl_residual(electron_2mev, q, t_range, 6001)
+        assert f"check firqnl_a4_b2: PASS ({want:.3e} <= 1e-03)\n" in capsys.readouterr().out
+
     def test_linear_potential(self, tmp_path, capsys):
         cfg = _write_cfg(
             tmp_path, "species = electron\nenergy_mev = 2\npotential = linear\ng_mev_per_fm = 0.25\n"
