@@ -19,9 +19,9 @@ import numpy as np
 
 from .action import MobiusParams, action_scan, dual_params
 from .errors import IntegrationOverflowError
-from .kg import (DEFAULT_METHOD, DEFAULT_STEP, DRIFT_TOL_NUMERIC, METHODS, kg_closed_constant,
-                 kg_fd_residual, kg_solve_linear, kg_solve_numeric, wronskian_drift,
-                 write_basis_csv)
+from .kg import (DEFAULT_METHOD, DEFAULT_STEP, DRIFT_TOL_NUMERIC, METHODS, SCAN_MARGINS,
+                 kg_closed_constant, kg_fd_residual, kg_solve_linear, kg_solve_numeric,
+                 linear_ranges, wronskian_drift, write_basis_csv)
 from .nodes import (NodeIntervals, classical_limit_scan, linear_node_summary, nodes_constant,
                     nodes_numeric, spacing_grows, write_classical_csv, write_node_report_csv)
 from .scenario import (METERS_PER_FM, Potential, RegionClass, Scenario, Species, constant_rates,
@@ -100,12 +100,12 @@ def _trajectories(s: Scenario, regime: str, args, anchor, checks: list, nodes=Fa
 
     A constant potential takes the closed forms anchored at ``anchor`` over
     three node intervals (a forbidden region: two periods pi / |omega_f|),
-    --dt apart or --samples across.  The linear potential takes one
-    time-of-flight pass over the kg_solve_linear window from ``anchor`` (or
-    its default) up to its end or the turning point, every member anchored
-    at the window start, where the quadrature sets t = 0.  With ``nodes`` the phi2
-    zeros are panel edges, returned as (positions, times, turning point)
-    with the times of the (1, 0) member, which joins the pass if ab lacks it.
+    --dt apart or --samples across.  The linear potential takes one time-of-flight
+    pass over the linear_ranges flow of the kg_solve_linear window from ``anchor``
+    (or its default), every member anchored at the window start, where the
+    quadrature sets t = 0.  With ``nodes`` the phi2 zeros are panel edges, returned
+    as (positions, times, turning point) with the times of the (1, 0) member,
+    which joins the pass if ab lacks it.
     The linear basis's Wronskian drift is gated into ``checks``.
     """
     if regime != LINEAR:
@@ -118,15 +118,14 @@ def _trajectories(s: Scenario, regime: str, args, anchor, checks: list, nodes=Fa
         dt = args.dt if args.dt is not None else t_hi / args.samples
         return [(p, *make(p, dt)) for p in _family(args, anchor)], None
     basis = kg_solve_linear(s, anchor, args.x_max, args.step, args.method)
-    x_lo, turning = basis.x_min, turning_points(s)[0]
+    x_lo, flow = basis.x_min, linear_ranges(s, basis)[0]
     ab = _family(args, x_lo)
     zeros = nodes_numeric(basis) if nodes else ()
     ref = next((i for i, p in enumerate(ab) if (p.a, p.b, p.direction) == (1.0, 0.0, 1)), len(ab))
     members = ab if ref < len(ab) or not nodes else [*ab, MobiusParams(1.0, 0.0, x_lo)]
-    trajs = trajectory_ode_family(s, basis, members, (x_lo, min(basis.x_max, turning)),
-                                  n_samples=args.samples, nodes=zeros)
+    trajs = trajectory_ode_family(s, basis, members, flow, n_samples=args.samples, nodes=zeros)
     _gate_drift(basis, checks)
-    found = (zeros, trajs[ref].node_times, turning) if nodes else None
+    found = (zeros, trajs[ref].node_times, turning_points(s)[0]) if nodes else None
     return [(p, traj, []) for p, traj in zip(ab, trajs)], found
 
 
@@ -242,10 +241,11 @@ def cmd_residuals(args, s: Scenario, regime: str) -> int:
         t_range = (0.0, 3 * nd.dt_spacing)
     else:
         basis = kg_solve_linear(s, args.x_min, args.x_max, args.step, args.method)
-        # 2 fm in from the window start, 4 fm short of its end or the turning point
-        x_lo, x_hi = basis.x_min + 2.0, min(basis.x_max, turning_points(s)[0]) - 4.0
+        x_lo, x_hi = linear_ranges(s, basis)[1]
         if x_hi <= x_lo:
-            raise ValueError("x_range must be increasing")
+            raise ValueError(f"the linear residual scan from {x_lo:g} to {x_hi:g} fm is empty: the "
+                             f"window needs more than its two margins, {sum(SCAN_MARGINS):g} fm, "
+                             "before the turning point")
         refuse_mirrored(s, family)
         _status("kg_fd_residual", kg_fd_residual(basis), KG_FD_BOUND, checks)
         xs = np.linspace(x_lo, x_hi, args.samples)

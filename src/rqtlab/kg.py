@@ -47,9 +47,11 @@ DRIFT_CHUNK = 8192
 
 # Default linear-potential window: its left end, and how far the numeric
 # basis runs past the turning point (both fm), so that the septic reader
-# and the phi2 roots are defined right up to the turning point.
+# and the phi2 roots are defined right up to the turning point; and the
+# margins of its residual scan (linear_ranges).
 LINEAR_X_MIN = -400.0
 TURNING_MARGIN = 2.0
+SCAN_MARGINS = (2.0, 4.0)
 
 # Integration schemes of kg_solve_numeric, and its default scheme and step
 # (fm).  At 2e-2 fm the sixth-order Magnus basis of figure 4 holds every
@@ -651,8 +653,7 @@ def kg_solve_linear(s: Scenario, x_min: float | None = None, x_max: float | None
 
     The grid runs from x_min, LINEAR_X_MIN by default, to within half a
     local step of x_max, by default TURNING_MARGIN past the turning point
-    (E - m0 c^2) / g (turning_points(s)[0]), where the allowed region ends
-    and trajectories and scans stop.
+    (E - m0 c^2) / g, where the allowed region ends (linear_ranges).
     """
     if not s.potential.g > 0:
         raise ValueError("the linear-potential window needs g > 0 "
@@ -660,6 +661,18 @@ def kg_solve_linear(s: Scenario, x_min: float | None = None, x_max: float | None
     x_lo = LINEAR_X_MIN if x_min is None else x_min
     x_hi = turning_points(s)[0] + TURNING_MARGIN if x_max is None else x_max
     return kg_solve_numeric(s, x_lo, x_hi, step=step, method=method)
+
+
+def linear_ranges(s: Scenario, basis: KgBasis) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The flow and residual-scan ranges (fm) of a linear basis, cut at its end or turning point.
+
+    A photon's flow ends sqrt(hbar c / g) short of E / g, which it would take infinite
+    time to reach; the scan keeps SCAN_MARGINS in from both ends, and may be empty.
+    """
+    turning, (lo, hi) = turning_points(s)[0], SCAN_MARGINS
+    short = math.sqrt(s.hbar_c / s.potential.g) if s.species.is_photon else 0.0
+    return ((basis.x_min, min(basis.x_max, turning - short)),
+            (basis.x_min + lo, min(basis.x_max, turning) - hi))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ class Trajectory:
     params: MobiusParams
     scenario: Scenario
     kind: TrajectoryKind
-    truncated_at: float | None = None  # fm, turning point hit by the quadrature
     node_times: np.ndarray | None = None  # s, at the nodes given to the quadrature
 
 
@@ -254,11 +253,6 @@ def refuse_mirrored(s: Scenario, members: list[MobiusParams]) -> None:
                           "a symmetry of a constant potential only")
 
 
-# How far short of a turning point (fm) a truncated range ends: the flow
-# only reaches it asymptotically, and 1/xdot diverges there.
-TURNING_GUARD = 1.0e-3
-
-
 # 4-point Gauss-Legendre on [-1, 1]
 _GL_NODES = np.array(
     [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
@@ -393,16 +387,16 @@ def trajectory_ode_family(
     reduced_action.  A sampled basis takes _cumulative_time_gauss over its grid
     cells, each one smooth piece of the septic interpolant: each cell's exact change
     of S0 over kf at its middle, plus a Gauss sum for kf's change across it, with all
-    members sharing the panels and what does not depend on (a, b).  A turning point inside the range
-    truncates it TURNING_GUARD short (the flow only reaches it asymptotically),
-    flagged on the result.
+    members sharing the panels and what does not depend on (a, b).  The range
+    is taken as given: one that passes a turning point, or that the basis does
+    not cover, raises DomainError (kg.linear_ranges picks the linear window's).
 
     Each member's times have the same bits as a family of that member
     alone.  The positions in ``nodes`` are read as samples are, so each
     member's time at them (its ``node_times``) is not a read between
     samples.  They must increase from x_range[0] and lie inside the basis
-    and before the first turning point past it; they may run past a
-    truncated range.
+    and before the first turning point past it; they may run past the
+    range's end.
     """
     if not members:
         raise ValueError("need at least one family member")
@@ -417,15 +411,9 @@ def trajectory_ode_family(
     nodes = np.asarray(nodes, dtype=float)
     if np.any(np.diff(nodes, prepend=lo) <= 0.0):
         raise ValueError("nodes must increase from the start of x_range")
-    truncated_at = None
     turns = [x for x in turning_points(s) if x > lo]
-    if turns and turns[0] < hi:
-        truncated_at = turns[0]
-        hi = truncated_at - TURNING_GUARD
-        if hi <= lo:
-            raise DomainError("x_range collapses after turning-point truncation")
-    if not (basis.x_min <= lo and hi <= basis.x_max):
-        raise DomainError("basis does not cover the requested x_range")
+    if not (basis.x_min <= lo and hi <= min([basis.x_max, *turns])):
+        raise DomainError("x_range must lie inside the basis and not pass a turning point")
     if len(nodes) and (nodes[-1] > basis.x_max or (turns and nodes[-1] >= turns[0])):
         raise DomainError("nodes must lie inside the basis and before a turning point")
 
@@ -447,7 +435,6 @@ def trajectory_ode_family(
             params=p,
             scenario=s,
             kind=TrajectoryKind.ODE_GENERAL,
-            truncated_at=truncated_at,
             node_times=ts[at_nodes],
         ))
     return out
@@ -559,8 +546,6 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> Path:
     """One CSV per trajectory; SI columns (t in s, x in m)."""
     p = traj.params
     header = ["rqtlab trajectory", *scenario_header(traj.scenario),
-              f"a = {p.a!r}", f"b = {p.b!r}", f"x0_fm = {p.x0!r}", f"kind = {traj.kind.value}"]
-    if traj.truncated_at is not None:
-        header.append(f"truncated_at_fm = {traj.truncated_at!r}")
-    header.append("columns: t_s, x_m")
+              f"a = {p.a!r}", f"b = {p.b!r}", f"x0_fm = {p.x0!r}", f"kind = {traj.kind.value}",
+              "columns: t_s, x_m"]
     return write_csv(path, header, (traj.times, traj.positions * METERS_PER_FM))

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 import rqtlab as rq
 from conftest import AB_GRID
-from rqtlab.kg import LINEAR_X_MIN, TURNING_MARGIN
+from rqtlab.kg import LINEAR_X_MIN, SCAN_MARGINS, linear_ranges
 
 HBAR = 6.582119569e-22
 
@@ -149,7 +149,8 @@ class TestReducedAction:
         ("electron_basis", [(1.0, 0.0, 0.0), (4.0, 2.0, -250.0), (-2.0, 1.0, 400.0),
                             (0.5, -1.0, 1)], np.linspace(-400.0, 400.0, 301)),
         ("default_linear_basis", [(1.0, 0.0, LINEAR_X_MIN), (-3.0, 0.7, -100.0),
-                                  (0.5, -1.0, 5)], np.linspace(LINEAR_X_MIN + 2.0, 1.9, 600)),
+                                  (0.5, -1.0, 5)],
+         np.linspace(LINEAR_X_MIN + SCAN_MARGINS[0], 1.9, 600)),
     ])
     def test_bits_of_the_per_position_form(self, request, basis_name, members, xs):
         # positions on the phi2 zeros take the one-sided limit; every value keeps its bits
@@ -262,11 +263,8 @@ class TestRqshjeResidual:
 @pytest.fixture(scope="module")
 def linear_window_bases(linear_electron):
     """The residuals command's scan positions, and default bases at 1e-2 and 2e-2 fm."""
-    turning = (linear_electron.energy - linear_electron.rest_energy) / linear_electron.potential.g
-    xs = np.linspace(LINEAR_X_MIN + 2.0, turning - 4.0, 600)
-    bases = [rq.kg_solve_numeric(linear_electron, LINEAR_X_MIN, turning + TURNING_MARGIN,
-                                 step=step) for step in (1e-2, 2e-2)]
-    return xs, bases
+    bases = [rq.kg_solve_linear(linear_electron, step=step) for step in (1e-2, 2e-2)]
+    return np.linspace(*linear_ranges(linear_electron, bases[1])[1], 600), bases
 
 
 class TestActionScan:
@@ -283,7 +281,7 @@ class TestActionScan:
                             (-2.0, 1.0, 400.0)], np.linspace(-160.0, 160.0, 401)),
         ("linear_basis", [(1.0, 0.0, LINEAR_X_MIN), (4.0, 2.0, LINEAR_X_MIN),
                           (0.5, -1.0, -20.0), (-3.0, 0.7, -100.0)],
-         np.linspace(LINEAR_X_MIN + 2.0, 1.9, 600)),
+         np.linspace(LINEAR_X_MIN + SCAN_MARGINS[0], 1.9, 600)),
     ])
     def test_family_rows_are_each_members_own(self, request, basis_name, members, xs):
         # one basis read serves the family: each member's rows are the bits of its own

@@ -277,6 +277,18 @@ class TestResidualsCommand:
         assert rc == 1
         assert len(checks) == 4 and all(": FAIL (" in l for l in checks), checks
 
+    @pytest.mark.parametrize("margins", [(2.0, 4.0), (3.0, 5.0)])
+    def test_linear_scan_reads_the_window_owner(self, tmp_path, capsys, monkeypatch, margins):
+        # the scan runs linear_ranges's margins in from -60 fm and short of the turning point
+        monkeypatch.setattr(rqtlab.kg, "SCAN_MARGINS", margins)
+        cfg = _write_cfg(tmp_path, LINEAR_CFG)
+        assert main(["residuals", "--config", cfg, "--samples", "16", "--x-min", "-60",
+                     "--step", "2e-3", "--ab", "1,0", "--out", str(tmp_path / "r")]) == 0
+        xs = _read_csv(tmp_path / "r" / "residuals_a1_b0.csv")[:, 0]
+        turning = (2.0 - 0.51099895) / 0.25
+        assert xs[0] == pytest.approx(-60.0 + margins[0], rel=1e-12)
+        assert xs[-1] == pytest.approx(turning - margins[1], rel=1e-12)
+
     def test_photon(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "species = photon\nenergy_mev = 1.2\n")
         rc = main([
@@ -349,6 +361,16 @@ class TestOtherCommands:
         ]) == 0
         data = _read_csv(tmp_path / "t" / "traj_a4_b2.csv")
         assert np.max(np.abs(data[:, 1])) <= 1000 * 1e-15
+
+    @pytest.mark.parametrize("energy", ["1.2", "1.5", "2"])
+    def test_linear_photon_trajectory_ends_short_of_e_over_g(self, tmp_path, energy):
+        # at 1.5 and 2 MeV a grid point lies on E / g, where a flow ending there failed
+        cfg = _write_cfg(tmp_path, f"species = photon\nenergy_mev = {energy}\n"
+                                   "potential = linear\ng_mev_per_fm = 0.25\n")
+        assert main(["trajectory", "--config", cfg, "--samples", "16", "--ab", "1,0",
+                     "--out", str(tmp_path / "t")]) == 0
+        x_last = _read_csv(tmp_path / "t" / "traj_a1_b0.csv")[-1, 1]
+        assert x_last == pytest.approx((float(energy) / 0.25 - 28.09) * 1e-15, abs=1e-17)
 
     def test_nodes_constant(self, tmp_path):
         assert main(["nodes", "--out", str(tmp_path / "n")]) == 0
@@ -513,6 +535,16 @@ class TestRejectedInput:
         assert f"holds {zeros} phi2 zeros" in err[0]
         assert not (tmp_path / "o" / "nodes.csv").exists()
 
+    def test_empty_linear_scan_names_the_scan_and_its_margins(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, LINEAR_CFG)
+        assert main(["residuals", "--config", cfg, "--x-min", "1", "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the linear residual scan from 3 to 1.956 fm is empty: the "
+                                "window needs more than its two margins, 6 fm, before the turning "
+                                "point\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["figure", "1", "--ab", "nan,0"], "must be finite"),
         (["figure", "1", "--x0", "inf"], "must be finite"),
@@ -523,9 +555,9 @@ class TestRejectedInput:
         (["kg-solve", "--step", "nan"], "step must be finite and positive"),
         (["kg-solve", "--x-max", "nan"], "must be finite"),
         (["nodes", "--config", "LINEAR", "--x-max", "nan"], "must be finite"),
-        # the window starts past the turning point, or a mirrored member on
-        # the linear potential: refused before the kg_fd_residual check prints
-        (["residuals", "--config", "LINEAR", "--x-min", "4.5"], "x_range must be increasing"),
+        # the window starts too close to the turning point for the scan's margins, or a
+        # mirrored member on the linear potential: refused before kg_fd_residual prints
+        (["residuals", "--config", "LINEAR", "--x-min", "4.5"], "scan from 6.5"),
         (["residuals", "--config", "LINEAR", "--ab=-1,0.5"], "constant potential only"),
         # step or sample counts refused before anything is allocated
         (["kg-solve", "--x-min=-1e308", "--x-max", "1e308"], "more than MAX_STEPS"),
@@ -533,7 +565,7 @@ class TestRejectedInput:
         (["trajectory", "--dt", "1e-300"], "more than MAX_SAMPLES"),
         (["figure", "1", "--dt", "1e-40"], "more than MAX_SAMPLES"),
         # the scan ends 4 fm short of the turning point, so from x-min 1 it would run backwards
-        (["residuals", "--config", "LINEAR", "--x-min", "1"], "x_range must be increasing"),
+        (["residuals", "--config", "LINEAR", "--x-min", "1"], "scan from 3 to"),
     ])
     def test_bad_value_prints_only_the_error(self, tmp_path, capsys, argv, message):
         argv = [_write_cfg(tmp_path, LINEAR_CFG) if a == "LINEAR" else a for a in argv]

@@ -13,7 +13,7 @@ from conftest import traced_peak
 from rqtlab.cli import KG_FD_BOUND
 from rqtlab.kg import (BASIS_CSV_POINTS, DEFAULT_STEP, LINEAR_X_MIN, STEP_CAP, TURNING_MARGIN,
                        _RUN_VALUES, _SERIES_MAX, _magnus6_matrix, _omega_sq, _omega_sq_slope,
-                       _rk4_matrix, _septic_weights, local_wavenumber)
+                       _rk4_matrix, _septic_weights, linear_ranges, local_wavenumber)
 
 # wavenumbers from sqrt((E-U0)^2 - m0^2 c^4) / (hbar c), frozen from the
 # defining arithmetic
@@ -562,6 +562,36 @@ class TestLinearWindow:
         assert abs(basis.x_max - (turning + TURNING_MARGIN)) <= 0.5 * basis.step
         ref = rq.kg_solve_numeric(linear_electron, LINEAR_X_MIN, turning + TURNING_MARGIN)
         assert all(np.array_equal(a, b) for a, b in zip(basis._samples, ref._samples, strict=True))
+
+    def test_ranges_of_the_default_window(self, linear_electron):
+        # the flow ends on the turning point bit for bit; the scan 2 fm in and 4 fm short
+        basis = rq.kg_solve_linear(linear_electron)
+        turning = rq.turning_points(linear_electron)[0]
+        assert basis.x_max > turning
+        flow, scan = linear_ranges(linear_electron, basis)
+        assert flow == (LINEAR_X_MIN, turning)
+        assert scan == (LINEAR_X_MIN + 2.0, turning - 4.0)
+
+    def test_ranges_of_a_window_ending_before_the_turning_point(self, linear_electron):
+        basis = rq.kg_solve_linear(linear_electron, -60.0, 1.0, step=5e-3)
+        flow, scan = linear_ranges(linear_electron, basis)
+        assert flow == (-60.0, basis.x_max)
+        assert scan == (-58.0, basis.x_max - 4.0)
+
+    @pytest.mark.parametrize("energy", [1.2, 1.5, 2.0])
+    def test_photon_flow_ends_short_of_e_over_g(self, energy):
+        # a photon's time to reach E - V = 0 diverges, so its flow ends sqrt(hbar c / g),
+        # about 28 fm, short of E / g, and its last step takes about as long as its first;
+        # the scan keeps the massive particle's ends
+        s = rq.Scenario(rq.Species.photon(), rq.Potential.linear(0.25), energy=energy)
+        basis = rq.kg_solve_linear(s, -60.0)
+        flow, scan = linear_ranges(s, basis)
+        assert flow == (-60.0, energy / 0.25 - math.sqrt(s.hbar_c / 0.25))
+        assert flow[1] == pytest.approx(energy / 0.25 - 28.09, abs=0.01)
+        assert scan == (-58.0, energy / 0.25 - 4.0)
+        traj = rq.trajectory_ode_family(s, basis, [rq.MobiusParams(1.0, 0.0, -60.0)], flow, 600)[0]
+        dt = np.diff(traj.times)
+        assert np.all(dt > 0) and dt[-1] <= 1.2 * dt[0]
 
     def test_given_window_and_scheme(self, linear_electron):
         basis = rq.kg_solve_linear(linear_electron, -60.0, 1.0, step=5e-3, method="rk4")

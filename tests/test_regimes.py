@@ -21,11 +21,10 @@ COMMANDS = ["report", "nodes", "residuals", "trajectory", "kg-solve", "classical
 NO_FLAGS = {("forbidden", "report"), ("forbidden", "nodes"), ("forbidden", "residuals"),
             ("forbidden", "classical-limit"), ("linear", "classical-limit"),
             ("linear_photon", "classical-limit"), ("linear_negative", "classical-limit")}
-# exit 2 with one error line: the refused regimes; the linear photon's default trajectory
-# window, which ends where E - V = 0; and every g < 0 window but kg-solve's, which takes any
+# exit 2 with one error line: the refused regimes, and every g < 0 window but kg-solve's,
+# which takes any
 REFUSED = {("forbidden", "residuals"), ("forbidden", "classical-limit"),
            ("linear", "classical-limit"), ("linear_photon", "classical-limit"),
-           ("linear_photon", "trajectory"),
            *(("linear_negative", c) for c in COMMANDS if c != "kg-solve")}
 # exit 1 by a defect: in the Klein region the closed form's xdot and the action flow's run
 # opposite ways, so velocity_momentum reads 2; strict, so the cells flip when one law lands

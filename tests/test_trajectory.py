@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import rqtlab as rq
 from conftest import AB_GRID, flow_speed, traced_peak
+from rqtlab.kg import linear_ranges
 
 HBAR = 6.582119569e-22
 C = 2.99792458e23
@@ -262,12 +263,25 @@ class TestOdeTrajectory:
         assert np.all(np.diff(ode.times) > 0)
 
     def test_linear_monotone_and_truncated(self, linear_electron, linear_basis):
+        # linear_ranges cuts the 8 fm window at the turning point; the flow runs up to it
+        hi = linear_ranges(linear_electron, linear_basis)[0][1]
         traj = rq.trajectory_ode(
-            linear_electron, linear_basis, rq.MobiusParams(1.0, 0.0, -350.0), (-350.0, 7.0), 80
+            linear_electron, linear_basis, rq.MobiusParams(1.0, 0.0, -350.0), (-350.0, hi), 80
         )
-        assert traj.truncated_at == pytest.approx(5.956004, rel=1e-6)
+        assert hi == pytest.approx(5.956004, rel=1e-6)
         assert np.all(np.diff(traj.times) > 0)
-        assert traj.positions[-1] < 5.956004
+        assert traj.positions[-1] == hi
+
+    def test_range_past_a_turning_point_is_refused(self, linear_electron, linear_basis):
+        # the range is taken as given: (-2, 7) passes the turning point, which it may end on
+        members = [rq.MobiusParams(1.0, 0.0, -2.0)]
+        turning = rq.turning_points(linear_electron)[0]
+        with pytest.raises(rq.DomainError, match="not pass a turning point"):
+            rq.trajectory_ode_family(linear_electron, linear_basis, members, (-2.0, 7.0), 41)
+        traj = rq.trajectory_ode_family(linear_electron, linear_basis, members, (-2.0, turning),
+                                        41)[0]
+        assert traj.positions[-1] == turning
+        assert np.all(np.isfinite(traj.times)) and np.all(np.diff(traj.times) > 0)
 
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_numeric_panels_match_one_array_quadrature(self, linear_electron, linear_basis,
@@ -323,21 +337,21 @@ class TestOdeTrajectory:
             assert np.array_equal(traj.positions, one.positions)
             assert np.array_equal(traj.node_times, one.node_times)
             assert len(traj.node_times) == len(nodes)
-            assert traj.truncated_at == one.truncated_at
             assert traj.params.direction == one.params.direction
         return family
 
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_family_matches_members_numeric(self, linear_electron, linear_basis,
                                             monkeypatch, chunk):
-        # the range ends past the turning point; at chunk 7 the 4,018 panels
-        # put 7 of the 41 samples on a chunk seam
+        # the range ends on the turning point, where linear_ranges cuts the window; at
+        # chunk 7, 6 of the 41 samples lie in the first of a chunk's panels (1,592 in all)
         if chunk is not None:
             monkeypatch.setattr(rq.trajectory, "PANEL_CHUNK", chunk)
         members = [rq.MobiusParams(a, b, -2.0) for a, b in ((1.0, 0.0), (4.0, 2.0), (0.5, -1.0))]
+        hi = linear_ranges(linear_electron, linear_basis)[0][1]
         family = self._assert_family_matches_members(
-            linear_electron, linear_basis, members, (-2.0, 7.0), 41)
-        assert family[0].truncated_at == pytest.approx(5.956004, rel=1e-6)
+            linear_electron, linear_basis, members, (-2.0, hi), 41)
+        assert family[0].positions[-1] == rq.turning_points(linear_electron)[0]
 
     def test_family_matches_members_off_grid_with_nodes(self, linear_electron, linear_basis,
                                                         monkeypatch):
@@ -409,7 +423,7 @@ class TestOdeTrajectory:
         assert len(nodes) == 5897
         members = [rq.MobiusParams(a, b, basis.x_min) for a, b in ((1.0, 0.0), (4.0, 2.0),
                                                                    (0.5, -1.0))]
-        x_range = (basis.x_min, min(basis.x_max, rq.turning_points(s)[0]))
+        x_range = linear_ranges(s, basis)[0]
         _, peak, _ = traced_peak(lambda: rq.trajectory_ode_family(s, basis, members, x_range,
                                                                   600, nodes=nodes))
         assert peak <= 3.5 * 2**20
@@ -422,7 +436,7 @@ class TestNodeTimes:
 
         s, basis, p = linear_electron, linear_basis, rq.MobiusParams(1.0, 0.0)
         nodes = basis.phi2_zeros()
-        times = rq.trajectory_ode_family(s, basis, [p], (basis.x_min, basis.x_max), 16,
+        times = rq.trajectory_ode_family(s, basis, [p], linear_ranges(s, basis)[0], 16,
                                          nodes=nodes)[0].node_times
         edges = np.concatenate(([basis.x_min], nodes))
         inv = lambda x: 1.0 / float(flow_speed(s, basis, p, x))
@@ -442,7 +456,8 @@ class TestNodeTimes:
 
     def test_nodes_before_turning_point(self, linear_electron, linear_basis):
         s, basis, p = linear_electron, linear_basis, [rq.MobiusParams(1.0, 0.0)]
-        family = lambda nodes: rq.trajectory_ode_family(s, basis, p, (-300.0, 7.0), 16, nodes=nodes)
+        x_range = (-300.0, linear_ranges(s, basis)[0][1])
+        family = lambda nodes: rq.trajectory_ode_family(s, basis, p, x_range, 16, nodes=nodes)
         assert len(family([])[0].node_times) == 0
         with pytest.raises(rq.DomainError):
             family([-100.0, 6.0])
@@ -536,14 +551,13 @@ class TestPartialCells:
             assert np.max(np.abs(traj.times[1:] / ref[1:] - 1.0)) <= 1e-12
 
     def test_nodes_past_a_truncated_range(self, linear_electron, linear_basis):
-        # the range is cut TURNING_GUARD short of the turning point; nodes
-        # between its end and the turning point still get their times
+        # the range ends 1 fm short of the turning point; nodes between its
+        # end and the turning point still get their times
         turning = rq.turning_points(linear_electron)[0]
-        nodes = [turning - 0.5, turning - 0.6 * rq.trajectory.TURNING_GUARD]
-        family = self._family(linear_electron, linear_basis, (-2.0, 7.0), 41, nodes)
+        nodes = [turning - 0.5, turning - 6e-4]
+        family = self._family(linear_electron, linear_basis, (-2.0, turning - 1.0), 41, nodes)
         for traj in family:
-            assert traj.truncated_at == turning
-            assert traj.positions[-1] < nodes[-1]
+            assert traj.positions[-1] < nodes[0]
             assert traj.node_times[-1] > traj.times[-1]
             stops = np.sort(np.concatenate([traj.positions, nodes]))
             ref = _refined_times(linear_electron, linear_basis, traj.params, stops, 8)
